@@ -134,6 +134,7 @@ func TestDiffAgainstCommittedBudgets(t *testing.T) {
 		filepath.Join(root, "BENCH_PR4.json"),
 		filepath.Join(root, "BENCH_PR7.json"),
 		filepath.Join(root, "BENCH_PR9.json"),
+		filepath.Join(root, "BENCH_PR12.json"),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -143,6 +144,9 @@ func TestDiffAgainstCommittedBudgets(t *testing.T) {
 	}
 	if _, ok := set.metrics["BenchmarkYearSingleCell"]; !ok {
 		t.Fatal("BENCH_PR9.json lacks BenchmarkYearSingleCell")
+	}
+	if _, ok := set.metrics["BenchmarkEngineStepReplay"]; !ok {
+		t.Fatal("BENCH_PR12.json lacks BenchmarkEngineStepReplay")
 	}
 	if cap, ok := set.allocsCaps["BenchmarkEngineStep"]; !ok || cap != 0 {
 		t.Fatalf("trajectory allocs cap = %v, %v; BENCH_PR9.json ratchets it to 0", cap, ok)

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	go test -run=X -bench . -benchmem ./... | tee bench.txt
-//	greensprint-benchdiff -budgets BENCH_PR4.json,BENCH_PR7.json,BENCH_PR9.json bench.txt
+//	greensprint-benchdiff -budgets BENCH_PR4.json,BENCH_PR7.json,BENCH_PR9.json,BENCH_PR12.json bench.txt
 //
 // Each budgets file is the JSON this repo commits per optimization PR:
 // the "result" object maps benchmark names to their recorded

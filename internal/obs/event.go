@@ -115,21 +115,46 @@ type Sink interface {
 // JSONL streams events as JSON Lines: one object per line, fields in
 // declaration order, so a deterministic run yields a byte-identical
 // log. It is safe for concurrent use.
+//
+// Each line is exactly what encoding/json's Encoder would write, with
+// its error behaviour: a marshal error writes nothing, and the first
+// write error is returned by every later Emit. Emit renders the line
+// without reflection into a reused buffer; an event holding a
+// non-finite float or a string that needs escaping is marshalled by
+// encoding/json itself, so its errors and escaping apply unchanged.
 type JSONL struct {
 	mu  sync.Mutex
-	enc *json.Encoder
+	w   io.Writer // guarded by mu
+	buf []byte    // guarded by mu
+	err error     // guarded by mu; the sticky write error
 }
 
 // NewJSONL creates a JSONL sink writing to w.
 func NewJSONL(w io.Writer) *JSONL {
-	return &JSONL{enc: json.NewEncoder(w)}
+	return &JSONL{w: w}
 }
 
 // Emit writes one event line.
 func (j *JSONL) Emit(ev Event) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.enc.Encode(ev)
+	if j.err != nil {
+		return j.err
+	}
+	b, ok := appendEvent(j.buf[:0], &ev)
+	j.buf = b
+	if !ok {
+		raw, err := json.Marshal(ev)
+		if err != nil {
+			return err
+		}
+		b = append(raw, '\n')
+	}
+	if _, err := j.w.Write(b); err != nil {
+		j.err = err
+		return err
+	}
+	return nil
 }
 
 // multi fans one event out to several sinks.

@@ -150,9 +150,9 @@ func (p TailParams) Tail(d float64) float64 {
 	var waitedTail float64
 	if p.degenerate {
 		// Degenerate hypoexponential: Erlang-2 tail.
-		waitedTail = math.Exp(-p.mu*d) * (1 + p.mu*d)
+		waitedTail = svcTail * (1 + p.mu*d)
 	} else {
-		waitedTail = (p.a*math.Exp(-p.mu*d) - p.mu*math.Exp(-p.a*d)) / (p.a - p.mu)
+		waitedTail = (p.a*svcTail - p.mu*math.Exp(-p.a*d)) / (p.a - p.mu)
 	}
 	tail := (1-p.pw)*svcTail + p.pw*waitedTail
 	return clamp01(tail)
@@ -171,6 +171,11 @@ func (s Station) SojournTail(lambda, d float64) float64 {
 // SojournPercentile returns the q-quantile (0 < q < 1) of the sojourn
 // time in seconds at arrival rate λ, found by bisection on the tail.
 // It returns +Inf for overloaded stations.
+//
+// The bisection keeps Tail(lo) > 1−q and !(Tail(hi) > 1−q). Once the
+// midpoint rounds onto lo or hi, the update re-assigns that endpoint
+// to itself, so every later iteration is a no-op: the loop stops at
+// that fixed point (~54 steps) with the bits the full 80 would give.
 func (s Station) SojournPercentile(lambda, q float64) float64 {
 	if q <= 0 {
 		return 0
@@ -191,6 +196,9 @@ func (s Station) SojournPercentile(lambda, q float64) float64 {
 	}
 	for i := 0; i < 80; i++ {
 		mid := (lo + hi) / 2
+		if mid == lo || mid == hi {
+			break
+		}
 		if tp.Tail(mid) > target {
 			lo = mid
 		} else {
@@ -205,6 +213,10 @@ func (s Station) SojournPercentile(lambda, q float64) float64 {
 // throughput (e.g. max jOPS under a 99th-percentile 500 ms SLA). It
 // returns 0 when even an idle station misses the deadline (the service
 // tail alone exceeds it).
+//
+// The bisection keeps SojournTail(lo) ≤ 1−q < SojournTail(hi), so it
+// stops at the same fixed point as SojournPercentile: once the
+// midpoint rounds onto an endpoint, no later step can move lo.
 func (s Station) MaxRate(deadline, q float64) float64 {
 	if err := s.Validate(); err != nil {
 		return 0
@@ -218,6 +230,9 @@ func (s Station) MaxRate(deadline, q float64) float64 {
 	lo, hi := 0.0, s.Capacity()
 	for i := 0; i < 80; i++ {
 		mid := (lo + hi) / 2
+		if mid == lo || mid == hi {
+			break
+		}
 		if s.SojournTail(mid, deadline) <= 1-q {
 			lo = mid
 		} else {

@@ -27,10 +27,28 @@ type Config struct {
 	Freq  units.MHz `json:"Freq"`
 }
 
-// String renders like "8c@1.5GHz".
+// String renders like "8c@1.5GHz". Settings inside the knob space
+// read a table built once, so per-epoch event emission formats nothing.
 func (c Config) String() string {
+	if i := Index(c); i >= 0 {
+		return configNames[i]
+	}
+	return c.format()
+}
+
+func (c Config) format() string {
 	return fmt.Sprintf("%dc@%s", c.Cores, c.Freq)
 }
+
+// configNames holds every knob setting's String form in Configs order.
+var configNames = func() []string {
+	cs := Configs()
+	names := make([]string, len(cs))
+	for i, c := range cs {
+		names[i] = c.format()
+	}
+	return names
+}()
 
 // Testbed constants from the paper's prototype.
 const (

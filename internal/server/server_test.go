@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -80,6 +81,13 @@ func TestIsSprinting(t *testing.T) {
 func TestConfigString(t *testing.T) {
 	if got := (Config{8, 1500}).String(); got != "8c@1.5GHz" {
 		t.Errorf("String = %q", got)
+	}
+	// The knob space reads the name table; anything outside it is
+	// formatted on demand, in the same form.
+	for _, c := range append(Configs(), Config{4, 1500}, Config{12, 2500}, Config{6, 1250}) {
+		if got, want := c.String(), fmt.Sprintf("%dc@%s", c.Cores, c.Freq); got != want {
+			t.Errorf("%#v.String() = %q, want %q", c, got, want)
+		}
 	}
 }
 

@@ -67,6 +67,36 @@ func BenchmarkEngineStep(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineStepReplay measures one epoch of a burst that replays
+// a jittered diurnal Offered trace with no sink (replayConfig): the
+// offered rate moves every epoch, so unlike BenchmarkEngineStep's
+// square burst each epoch re-runs the sojourn bisection for the
+// settings it looks up. The engine is rebuilt outside the timer when
+// its day is consumed.
+func BenchmarkEngineStepReplay(b *testing.B) {
+	newEngine := func() *Engine {
+		e, err := New(replayConfig(b, 1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		return e
+	}
+	e := newEngine()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, ok, err := e.Step()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !ok {
+			b.StopTimer()
+			e = newEngine()
+			b.StartTimer()
+		}
+	}
+}
+
 // BenchmarkEngineNew measures engine construction (including the
 // workload kernel build), the one-time cost the Step memoization
 // front-loads.

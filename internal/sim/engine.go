@@ -69,20 +69,17 @@ type Engine struct {
 
 	// kernel memoizes the per-config queueing constants (max rates,
 	// service rates) so the per-epoch hot path runs without bisections;
-	// latMemo caches effective-latency results per (config, offered)
-	// pair. Both are derived data rebuilt identically by New/Restore
-	// and never checkpointed.
-	kernel  *workload.Kernel
-	latMemo map[latKey]float64 //greensprint:allow(statecov) derived memo: entries recompute bit-identically from (config, offered) on demand
+	// lat caches the last effective latency per knob setting (see
+	// latency). Both are derived data rebuilt identically by
+	// New/Restore and never checkpointed.
+	kernel *workload.Kernel
+	lat    []latEntry
 	// sprintFrac is the SprintFraction closure handed to the strategy
-	// each burst epoch; it reads predGreen instead of capturing a fresh
-	// value, so it is allocated once instead of once per epoch.
-	// fracMemo caches its results within one epoch (the strategy probes
-	// the same candidate powers in more than one pass and the selector
-	// state is fixed until after Decide); runBurstEpoch clears it at
-	// every epoch boundary.
+	// each burst epoch; it reads predGreen and alive instead of
+	// capturing fresh values, so it is allocated once instead of once
+	// per epoch. Each call runs SustainFraction directly: the strategy
+	// probes every candidate power at most once per Decide.
 	sprintFrac func(units.Watt) float64
-	fracMemo   map[units.Watt]float64
 	predGreen  units.Watt //greensprint:allow(statecov) per-epoch intermediate: runBurstEpoch writes it before the strategy can probe sprintFrac
 	// timeBuf backs the RFC3339Nano timestamp formatting in event(),
 	// reused across epochs.
@@ -247,7 +244,7 @@ func New(cfg Config) (*Engine, error) {
 		injector: injector,
 		alive:    n,
 		kernel:   kernel,
-		latMemo:  make(map[latKey]float64),
+		lat:      make([]latEntry, server.NumConfigs()),
 
 		normalPower:  kernel.LoadPower(server.Normal(), cfg.Burst.Rate(cfg.Workload)),
 		baseGoodput:  baseGoodput,
@@ -300,17 +297,11 @@ func New(cfg Config) (*Engine, error) {
 	// The horizon is fixed at construction, so the record slice can be
 	// sized once instead of growing by doubling across the run.
 	e.records = make([]EpochRecord, 0, e.TotalEpochs())
-	e.fracMemo = make(map[units.Watt]float64)
 	e.sprintFrac = func(perServer units.Watt) float64 {
-		if v, ok := e.fracMemo[perServer]; ok {
-			return v
-		}
 		// Demand scales with the servers actually running (alive == n
 		// for fault-free runs, so this stays bit-identical to the
 		// pre-chaos closure).
-		v := e.selector.SustainFraction(units.Watt(float64(perServer)*float64(e.alive)), e.predGreen, e.epoch)
-		e.fracMemo[perServer] = v
-		return v
+		return e.selector.SustainFraction(units.Watt(float64(perServer)*float64(e.alive)), e.predGreen, e.epoch)
 	}
 
 	// Prime the supply predictor with the pre-run observation so the

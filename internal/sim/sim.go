@@ -13,6 +13,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"greensprint/internal/chaos"
@@ -174,8 +175,9 @@ func (c *Config) Validate() error {
 }
 
 // runBurstEpoch executes one sprinting epoch. All queueing quantities
-// come from the engine's memoized kernel (exact value reuse — see
-// workload.Kernel), so the epoch runs without a single bisection.
+// come from the engine's memoized kernel and latency cache (exact value
+// reuse — see workload.Kernel and latency), so an epoch of a square
+// burst runs without a single bisection.
 func (e *Engine) runBurstEpoch(rec EpochRecord, greenObserved units.Watt,
 	offered, predicted float64, at time.Time) EpochRecord {
 
@@ -190,9 +192,6 @@ func (e *Engine) runBurstEpoch(rec EpochRecord, greenObserved units.Watt,
 	// plus Peukert-sustainable battery power, per server.
 	budget := units.Watt(float64(selector.AvailablePower(epoch)) / float64(m))
 	e.predGreen = selector.PredictedSupply()
-	// Selector state is fixed until Allocate below, but it changed
-	// since last epoch: drop the previous epoch's fraction memo.
-	clear(e.fracMemo)
 	in := strategy.Inputs{
 		Table:         tab,
 		PredictedRate: predicted, // EWMA of the offered rate; equals it for square bursts
@@ -273,9 +272,18 @@ func (e *Engine) runBurstEpoch(rec EpochRecord, greenObserved units.Watt,
 		// fraction of it.
 		rec.Goodput *= float64(m) / float64(n)
 	}
-	latSprint := e.latency(chosen, offered)
-	latNormal := e.latency(server.Normal(), offered)
-	rec.Latency = frac*latSprint + (1-frac)*latNormal
+	// EffectiveLatency is finite, so at frac 0 or 1 the other term is
+	// exactly +0 and adding it changes no bit: skip its lookup.
+	switch frac {
+	case 0:
+		rec.Latency = (1 - frac) * e.latency(server.Normal(), offered)
+	case 1:
+		rec.Latency = frac * e.latency(chosen, offered)
+	default:
+		latSprint := e.latency(chosen, offered)
+		latNormal := e.latency(server.Normal(), offered)
+		rec.Latency = frac*latSprint + (1-frac)*latNormal
+	}
 	if e.classes != nil {
 		e.perAliveGoodput = frac*goodSprint + (1-frac)*goodNormal
 		e.accumulateClassEnergy(chosen, frac, offered)
@@ -434,25 +442,32 @@ func (e *Engine) accumulateClassEnergy(c server.Config, frac float64, offered fl
 	}
 }
 
-// latency is the engine's memo over Kernel.EffectiveLatency. The
-// sojourn-percentile bisection depends only on (config, offered rate),
-// and a square burst re-presents the same pair every epoch, so exact
-// value reuse makes the steady-state latency lookup O(1). The memo is
-// derived data: a restored engine repopulates it identically, so it is
-// deliberately absent from checkpoints.
+// latency is the engine's cache over Kernel.EffectiveLatency. The
+// sojourn-percentile bisection depends only on (config, offered rate);
+// the cache keeps the last pair per knob setting, indexed by
+// server.Index, so a square burst — which re-presents the same pair
+// every epoch — hits it every time, while a replayed trace whose rate
+// moves each epoch costs one bisection and no growth. It holds at most
+// server.NumConfigs() entries. The cache is derived data: a restored
+// engine repopulates it identically, so it is deliberately absent from
+// checkpoints.
 func (e *Engine) latency(c server.Config, offered float64) float64 {
-	k := latKey{c: c, offered: offered}
-	if v, ok := e.latMemo[k]; ok {
-		return v
+	i := server.Index(c)
+	if i < 0 {
+		return e.kernel.EffectiveLatency(c, offered)
 	}
-	v := e.kernel.EffectiveLatency(c, offered)
-	e.latMemo[k] = v
-	return v
+	l := &e.lat[i]
+	if l.ok && math.Float64bits(l.offered) == math.Float64bits(offered) {
+		return l.value
+	}
+	*l = latEntry{ok: true, offered: offered, value: e.kernel.EffectiveLatency(c, offered)}
+	return l.value
 }
 
-type latKey struct {
-	c       server.Config
-	offered float64
+// latEntry is one knob setting's slot in the latency cache.
+type latEntry struct {
+	ok             bool
+	offered, value float64
 }
 
 func meanWindow(tr *trace.Trace, at time.Time, d time.Duration) float64 {

@@ -52,7 +52,10 @@ type Inputs struct {
 	// anything above it as unsustainable. Strategies use it to value
 	// partial-epoch sprints: the paper's prototype burns the battery
 	// at full intensity and lets the sprint end mid-epoch rather
-	// than refusing to sprint at all.
+	// than refusing to sprint at all. Within one Decide it must
+	// return the same value for the same demand. Strategies probe
+	// each candidate setting at most once per Decide, so callers need
+	// no memo of their own.
 	SprintFraction func(units.Watt) float64
 	// AliveFraction is the share of green servers currently up (1
 	// when no chaos is active) and BatteryHealth the bank's mean
@@ -274,6 +277,10 @@ type Hybrid struct {
 	// server.Normal()'s action index.
 	cells     []actionCell
 	normalIdx int
+	// fracs is Decide's scratch: the sprint fraction of each action at
+	// the current level, probed once and read by both the Q pass and
+	// the burn pass.
+	fracs []float64
 	// last links the previous decision to the next state for the
 	// Q update.
 	last struct {
@@ -341,6 +348,7 @@ func NewHybridWithOptions(p workload.Profile, tab *profile.Table, opts HybridOpt
 	}
 	actions := qt.Actions()
 	h.cells = make([]actionCell, tab.Levels*len(actions))
+	h.fracs = make([]float64, len(actions))
 	for ai, cfg := range actions {
 		if cfg == server.Normal() {
 			h.normalIdx = ai
@@ -429,6 +437,14 @@ func (h *Hybrid) Decide(in Inputs) server.Config {
 	if h.normalIdx >= 0 && cells[h.normalIdx].ok {
 		normalGood = cells[h.normalIdx].e.Goodput
 	}
+	// Probe each profiled action's sprint fraction once; both passes
+	// below read it.
+	fracs := h.fracs
+	for ai := range cells {
+		if c := &cells[ai]; c.ok {
+			fracs[ai] = in.fraction(c.e.Power)
+		}
+	}
 	// Greedy Q action among fully sustainable settings. The row is
 	// fetched once (nil for an unseen state, meaning all-zero
 	// estimates) and the profiling cells are indexed densely, so the
@@ -437,7 +453,7 @@ func (h *Hybrid) Decide(in Inputs) server.Config {
 	bestIdx, bestQ, bestQGood := -1, math.Inf(-1), 0.0
 	for ai := range cells {
 		c := &cells[ai]
-		if !c.ok || in.fraction(c.e.Power) < 0.999 {
+		if !c.ok || fracs[ai] < 0.999 {
 			continue
 		}
 		q := 0.0
@@ -465,7 +481,7 @@ func (h *Hybrid) Decide(in Inputs) server.Config {
 		if !c.ok {
 			continue
 		}
-		f := in.fraction(c.e.Power)
+		f := fracs[ai]
 		if f <= 0 {
 			continue
 		}
