@@ -199,23 +199,20 @@ func buildController(cfg config.Config, o options) (ctrl *core.Controller, colle
 		epoch = cfg.Epoch.Std()
 	}
 
+	if o.fleetSpec != nil {
+		log.Printf("greensprintd: %s", topo.Summary())
+	}
+	// The controller's battery view is the class-indexed bank of the
+	// topology: the generated fleet's, or the paper rack's one class.
+	bank, err := battery.NewClassBank(topo.BatteryClasses())
+	if err != nil {
+		return nil, nil, false, err
+	}
 	var knobs *pmk.Fleet
-	var bank battery.Store
 	ticker = true
 	switch o.backend {
 	case "sim":
 		knobs = pmk.NewSimFleet(green.GreenServers)
-		if topo != nil {
-			// Fleet run: the controller's battery view is the
-			// class-indexed bank of the generated topology instead of
-			// the flat per-unit bank green.NewBank would build.
-			cb, err := battery.NewClassBank(topo.BatteryClasses())
-			if err != nil {
-				return nil, nil, false, err
-			}
-			bank = cb
-			log.Printf("greensprintd: %s", topo.Summary())
-		}
 	case "sysfs":
 		ks := make([]pmk.Knob, green.GreenServers)
 		for i := range ks {
@@ -227,7 +224,7 @@ func buildController(cfg config.Config, o options) (ctrl *core.Controller, colle
 		return nil, nil, false, fmt.Errorf("unknown backend %q", o.backend)
 	}
 
-	inj, err := buildInjector(cfg, green, topo, epoch, o)
+	inj, err := buildInjector(cfg, topo, epoch, o)
 	if err != nil {
 		return nil, nil, false, err
 	}
@@ -343,21 +340,24 @@ func serve(ctx context.Context, ctrl *core.Controller, collector *obs.Collector,
 	return srv.Shutdown(shutdownCtx)
 }
 
-// fleetView resolves the run's effective green view. For flat runs it
-// is the configured Table I option and a nil topology. For -fleet runs
-// the spec is generated (deterministically — every caller sees the
+// fleetView resolves the run's effective green view and topology. For
+// flat runs it is the configured Table I option and the one-class,
+// one-rack topology fleet.FromGreen lifts from it. For -fleet runs the
+// spec is generated (deterministically — every caller sees the
 // identical topology) and the green config becomes the fleet's
 // aggregate census: total servers and fleet-level panel count, so the
 // control plane's per-server budgeting and the synthesized supply are
 // both sized to the generated fleet. The class-indexed battery bank is
-// built separately from the topology (see buildController).
+// built from the topology (see buildController).
 func fleetView(cfg config.Config, o options) (cluster.GreenConfig, *fleet.Topology, error) {
 	green, err := cfg.GreenConfig()
 	if err != nil {
 		return cluster.GreenConfig{}, nil, err
 	}
 	if o.fleetSpec == nil {
-		return green, nil, nil
+		rack := fleet.FromGreen(green, 1)
+		topo, err := rack.Generate()
+		return green, topo, err
 	}
 	topo, err := o.fleetSpec.Generate()
 	if err != nil {
@@ -505,7 +505,7 @@ func rotateCheckpoints(path string, epoch, keep int) error {
 // injector for the tick loop, or nil when chaos is off. The timeline
 // covers the same window the synthesized supply trace does; ticks past
 // it simply see no further faults.
-func buildInjector(cfg config.Config, green cluster.GreenConfig, topo *fleet.Topology, epoch time.Duration, o options) (*chaos.Injector, error) {
+func buildInjector(cfg config.Config, topo *fleet.Topology, epoch time.Duration, o options) (*chaos.Injector, error) {
 	if o.chaos == "" {
 		return nil, nil
 	}
@@ -519,16 +519,12 @@ func buildInjector(cfg config.Config, green cluster.GreenConfig, topo *fleet.Top
 		epochs++
 	}
 	var sched *chaos.Schedule
-	if topo != nil {
+	if o.fleetSpec != nil {
 		// Fleet run: draw fault targets from the generated topology so
 		// zone outages strike generated zone membership.
 		sched, err = prof.ResolveFor(o.chaosSeed, epochs, topo.ChaosTopology())
 	} else {
-		bank, berr := green.NewBank()
-		if berr != nil {
-			return nil, berr
-		}
-		sched, err = prof.Resolve(o.chaosSeed, epochs, green.GreenServers, bank.Size())
+		sched, err = prof.Resolve(o.chaosSeed, epochs, topo.Servers, topo.Units)
 	}
 	if err != nil {
 		return nil, err

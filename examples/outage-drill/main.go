@@ -38,7 +38,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	bridge, err := battery.NewBank(battery.ServerBattery(), cluster.DefaultServers)
+	bridge, err := battery.NewClassBank([]battery.ClassSpec{
+		{Config: battery.ServerBattery(), Count: cluster.DefaultServers},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -260,18 +260,6 @@ func (b *Battery) RemainingTime(p units.Watt) time.Duration {
 	return time.Duration(frac * float64(full))
 }
 
-// remainingTimeWithFull scales an already-computed full-drain time by
-// the unit's remaining charge fraction — RemainingTime with its
-// Peukert term hoisted, bit-identical to it. Bank.RemainingTime shares
-// one full-drain time across its identical units.
-func (b *Battery) remainingTimeWithFull(full time.Duration) time.Duration {
-	frac := b.soc - b.floorSoC()
-	if frac <= 0 {
-		return 0
-	}
-	return time.Duration(frac * float64(full))
-}
-
 // Discharge draws power p for duration d. It returns the duration
 // actually sustained: the full d when charge suffices, or the shorter
 // Peukert-limited time before the DoD floor, along with ErrEmpty.

@@ -23,19 +23,22 @@ type ClassSpec struct {
 // lockstep, so a fleet of 10,000 units is usually a handful of groups:
 // all per-epoch operations touch the exemplar once and weight the
 // result by Count. Only a targeted chaos degradation breaks a unit out
-// of its group (DegradeUnit splits the run), which mirrors how
-// Bank's shared-memo optimization stops sharing across degraded units.
+// of its group (DegradeUnit splits the run), so a degraded unit never
+// shares a healthy neighbour's answers.
 type classGroup struct {
 	class int
 	count int
 	unit  *Battery
 }
 
-// ClassBank is the structure-of-arrays generalization of Bank: the
-// fleet's battery units grouped by (class, state) instead of stored
-// per unit, so aggregate operations cost O(groups) rather than
-// O(units). For the paper's single-class topologies it is numerically
-// identical to Bank (unit counts ≤ 3 make the weighted sums exact).
+// ClassBank is the battery bank of the paper's distributed
+// (server-level) battery architecture: one unit per green server,
+// power requests split evenly across the units not at their DoD floor.
+// Units are stored grouped by (class, state) rather than one by one,
+// so aggregate operations cost O(groups) rather than O(units); the
+// paper's rack is a one-class bank of at most three units. Aggregates
+// add runs of up to three units term by term (see addRun), so such a
+// bank sums exactly like a per-unit one, whatever its grouping.
 // A ClassBank is stateful and not safe for concurrent use.
 type ClassBank struct {
 	specs  []ClassSpec
@@ -44,7 +47,9 @@ type ClassBank struct {
 }
 
 // NewClassBank creates the fleet's units fully charged, one group per
-// class, units numbered class-major in spec order.
+// class, units numbered class-major in spec order. No specs yields an
+// empty bank that supplies nothing, which models the paper's REOnly
+// configuration.
 func NewClassBank(specs []ClassSpec) (*ClassBank, error) {
 	b := &ClassBank{specs: append([]ClassSpec(nil), specs...)}
 	for i, s := range specs {
@@ -67,6 +72,40 @@ func (b *ClassBank) Size() int { return b.size }
 // Groups returns the current group count (units in distinct states) —
 // the quantity per-epoch cost actually scales with.
 func (b *ClassBank) Groups() int { return len(b.groups) }
+
+// Unit returns the exemplar holding unit i's state, for inspection.
+// Every unit of a group shares the exemplar, so callers must not
+// mutate it.
+func (b *ClassBank) Unit(i int) *Battery {
+	gi, _ := b.locate(i)
+	return b.groups[gi].unit
+}
+
+// locate returns the group holding unit i (0 ≤ i < Size) and i's
+// offset within it.
+func (b *ClassBank) locate(i int) (gi, offset int) {
+	offset = i
+	for offset >= b.groups[gi].count {
+		offset -= b.groups[gi].count
+		gi++
+	}
+	return gi, offset
+}
+
+// addRun adds count copies of v to sum. Runs of up to three are added
+// term by term: x+x = 2x is exact, but after a non-zero prefix
+// (s+x)+x and s+2x can round differently, and a per-unit bank adds
+// one unit at a time. Longer runs — only generated fleets have them —
+// are scaled, keeping the cost O(groups).
+func addRun(sum, v float64, count int) float64 {
+	if count > 3 {
+		return sum + float64(count)*v
+	}
+	for ; count > 0; count-- {
+		sum += v
+	}
+	return sum
+}
 
 // availCount returns the number of units not at the DoD floor.
 func (b *ClassBank) availCount() int {
@@ -94,17 +133,16 @@ func (b *ClassBank) MaxDoD() float64 {
 
 // MaxSustainablePower returns the aggregate constant power the fleet's
 // batteries can hold for duration d: one bisection per group, weighted
-// by group size. Each exemplar's memo makes per-epoch repeats free,
-// exactly like Bank's shared-run optimization.
+// by group size. Each exemplar's memo makes per-epoch repeats free.
 func (b *ClassBank) MaxSustainablePower(d time.Duration) units.Watt {
-	var sum units.Watt
+	var sum float64
 	for _, g := range b.groups {
 		if g.unit.AtFloor() {
 			continue
 		}
-		sum += units.Watt(float64(g.count) * float64(g.unit.MaxSustainablePower(d)))
+		sum = addRun(sum, float64(g.unit.MaxSustainablePower(d)), g.count)
 	}
-	return sum
+	return units.Watt(sum)
 }
 
 // RemainingTime returns how long the fleet sustains an aggregate draw
@@ -124,7 +162,7 @@ func (b *ClassBank) RemainingTime(p units.Watt) time.Duration {
 		if g.unit.AtFloor() {
 			continue
 		}
-		if t := g.unit.remainingTimeWithFull(g.unit.timeToEmpty(per)); t < min {
+		if t := g.unit.RemainingTime(per); t < min {
 			min = t
 		}
 	}
@@ -134,7 +172,7 @@ func (b *ClassBank) RemainingTime(p units.Watt) time.Duration {
 // Discharge draws aggregate power p for duration d, split evenly over
 // the available units. Every unit of a group is in the same state, so
 // one exemplar discharge advances them all; the weakest group limits
-// the sustained duration, as the weakest unit does for Bank.
+// the sustained duration.
 func (b *ClassBank) Discharge(p units.Watt, d time.Duration) (time.Duration, error) {
 	if p <= 0 || d <= 0 {
 		return 0, nil
@@ -168,11 +206,11 @@ func (b *ClassBank) Charge(p units.Watt, d time.Duration) units.WattHour {
 		return 0
 	}
 	per := units.Watt(float64(p) / float64(b.size))
-	var total units.WattHour
+	var total float64
 	for _, g := range b.groups {
-		total += units.WattHour(float64(g.count) * float64(g.unit.Charge(per, d)))
+		total = addRun(total, float64(g.unit.Charge(per, d)), g.count)
 	}
-	return total
+	return units.WattHour(total)
 }
 
 // DegradeUnit applies a permanent chaos degradation to unit i. The
@@ -183,11 +221,7 @@ func (b *ClassBank) DegradeUnit(i int, capFactor, resistFactor float64) error {
 	if i < 0 || i >= b.size {
 		return fmt.Errorf("battery: degrade: unit %d of %d", i, b.size)
 	}
-	gi, offset := 0, i
-	for offset >= b.groups[gi].count {
-		offset -= b.groups[gi].count
-		gi++
-	}
+	gi, offset := b.locate(i)
 	g := b.groups[gi]
 	if g.count == 1 {
 		return g.unit.Degrade(capFactor, resistFactor)
@@ -225,7 +259,7 @@ func (b *ClassBank) SoC() float64 {
 	}
 	sum := 0.0
 	for _, g := range b.groups {
-		sum += float64(g.count) * g.unit.SoC()
+		sum = addRun(sum, g.unit.SoC(), g.count)
 	}
 	return sum / float64(b.size)
 }
@@ -238,18 +272,18 @@ func (b *ClassBank) Health() float64 {
 	}
 	sum := 0.0
 	for _, g := range b.groups {
-		sum += float64(g.count) * g.unit.CapacityFade()
+		sum = addRun(sum, g.unit.CapacityFade(), g.count)
 	}
 	return sum / float64(b.size)
 }
 
 // UsableEnergy returns the aggregate energy above the DoD floors.
 func (b *ClassBank) UsableEnergy() units.WattHour {
-	var sum units.WattHour
+	sum := 0.0
 	for _, g := range b.groups {
-		sum += units.WattHour(float64(g.count) * float64(g.unit.UsableEnergy()))
+		sum = addRun(sum, float64(g.unit.UsableEnergy()), g.count)
 	}
-	return sum
+	return units.WattHour(sum)
 }
 
 // EquivalentCycles returns the count-weighted mean cycle usage.
@@ -259,7 +293,7 @@ func (b *ClassBank) EquivalentCycles() float64 {
 	}
 	sum := 0.0
 	for _, g := range b.groups {
-		sum += float64(g.count) * g.unit.EquivalentCycles()
+		sum = addRun(sum, g.unit.EquivalentCycles(), g.count)
 	}
 	return sum / float64(b.size)
 }
@@ -280,36 +314,45 @@ func (b *ClassBank) Snapshot() BankSnapshot {
 	return s
 }
 
-// Restore replaces the bank's state from a group-form snapshot taken
-// from a bank with the same class specs: the per-class unit totals
-// must match, but the grouping itself may differ (chaos splits move).
+// Restore replaces the bank's state from a snapshot taken from a bank
+// with the same class specs: the per-class unit totals must match, but
+// the grouping itself may differ (chaos splits move). A legacy per-unit
+// snapshot — the units list older checkpoints carry — is folded into
+// groups first (see foldUnits).
 func (b *ClassBank) Restore(s BankSnapshot) error {
-	if len(s.Groups) == 0 && len(s.Units) > 0 {
-		return fmt.Errorf("battery: restore: class bank needs a group-form snapshot, got %d flat units", len(s.Units))
+	gs := s.Groups
+	if len(s.Units) > 0 {
+		if len(gs) > 0 {
+			return fmt.Errorf("battery: restore: snapshot has both %d units and %d groups", len(s.Units), len(gs))
+		}
+		var err error
+		if gs, err = b.foldUnits(s.Units); err != nil {
+			return err
+		}
 	}
 	perClass := make([]int, len(b.specs))
-	groups := make([]classGroup, 0, len(s.Groups))
+	groups := make([]classGroup, 0, len(gs))
 	last := -1
-	for i, gs := range s.Groups {
-		if gs.Class < 0 || gs.Class >= len(b.specs) {
-			return fmt.Errorf("battery: restore: group %d class %d of %d", i, gs.Class, len(b.specs))
+	for i, g := range gs {
+		if g.Class < 0 || g.Class >= len(b.specs) {
+			return fmt.Errorf("battery: restore: group %d class %d of %d", i, g.Class, len(b.specs))
 		}
-		if gs.Class < last {
-			return fmt.Errorf("battery: restore: group %d class %d out of order", i, gs.Class)
+		if g.Class < last {
+			return fmt.Errorf("battery: restore: group %d class %d out of order", i, g.Class)
 		}
-		if gs.Count < 1 {
-			return fmt.Errorf("battery: restore: group %d count %d < 1", i, gs.Count)
+		if g.Count < 1 {
+			return fmt.Errorf("battery: restore: group %d count %d < 1", i, g.Count)
 		}
-		last = gs.Class
-		perClass[gs.Class] += gs.Count
-		u, err := New(b.specs[gs.Class].Config)
+		last = g.Class
+		perClass[g.Class] += g.Count
+		u, err := New(b.specs[g.Class].Config)
 		if err != nil {
 			return fmt.Errorf("battery: restore: group %d: %w", i, err)
 		}
-		if err := u.Restore(gs.State); err != nil {
+		if err := u.Restore(g.State); err != nil {
 			return fmt.Errorf("battery: restore: group %d: %w", i, err)
 		}
-		groups = append(groups, classGroup{class: gs.Class, count: gs.Count, unit: u})
+		groups = append(groups, classGroup{class: g.Class, count: g.Count, unit: u})
 	}
 	for i, want := range b.specs {
 		if perClass[i] != want.Count {
@@ -318,4 +361,26 @@ func (b *ClassBank) Restore(s BankSnapshot) error {
 	}
 	b.groups = groups
 	return nil
+}
+
+// foldUnits turns a legacy per-unit snapshot into group form. Units are
+// numbered class-major in spec order, as NewClassBank numbers them, and
+// neighbours of one class in identical state share a group. Each
+// unit's state is validated when Restore rebuilds its group.
+func (b *ClassBank) foldUnits(us []Snapshot) ([]GroupSnapshot, error) {
+	if len(us) != b.size {
+		return nil, fmt.Errorf("battery: restore: snapshot has %d units, bank has %d", len(us), b.size)
+	}
+	var gs []GroupSnapshot
+	i := 0
+	for c, spec := range b.specs {
+		for end := i + spec.Count; i < end; i++ {
+			if n := len(gs); n > 0 && gs[n-1].Class == c && gs[n-1].State == us[i] {
+				gs[n-1].Count++
+				continue
+			}
+			gs = append(gs, GroupSnapshot{Class: c, Count: 1, State: us[i]})
+		}
+	}
+	return gs, nil
 }

@@ -95,19 +95,16 @@ func TestDegradeInvalidatesMemo(t *testing.T) {
 }
 
 // TestBankDegradeSharedMemos is the bank-level half of the regression:
-// PR 4 shares one bisection across units at equal SoC and hoists one
-// Peukert full-drain time across the bank. Degrading one unit mid-run
-// must break it out of both sharing groups — the degraded bank's
-// answers are compared bit-for-bit against a bank rebuilt from scratch
-// into the same per-unit state (fresh memos everywhere).
+// a group's units share one exemplar, so one bisection and one Peukert
+// full-drain time serve them all. Degrading one unit mid-run must break
+// it out of its group — the degraded bank's answers are compared
+// bit-for-bit against a bank rebuilt from scratch into the same
+// per-unit state (fresh memos everywhere).
 func TestBankDegradeSharedMemos(t *testing.T) {
 	d := 10 * time.Minute
 	const draw = units.Watt(90)
 
-	bank, err := NewBank(ServerBattery(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bank := newBank(t, ServerBattery(), 3)
 	// Warm every shared path, discharge a little so SoC is off the
 	// trivial 1.0, then degrade the middle unit.
 	bank.MaxSustainablePower(d)
@@ -123,10 +120,7 @@ func TestBankDegradeSharedMemos(t *testing.T) {
 
 	// Rebuild the exact same per-unit state in a fresh bank: same
 	// snapshots (SoC, wear, degradation), no warmed memos.
-	fresh, err := NewBank(ServerBattery(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fresh := newBank(t, ServerBattery(), 3)
 	if err := fresh.Restore(bank.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
@@ -204,10 +198,7 @@ func TestDegradedSnapshotRoundTrip(t *testing.T) {
 
 // TestDegradeOutOfRangeUnit pins the bank-level index check.
 func TestDegradeOutOfRangeUnit(t *testing.T) {
-	bank, err := NewBank(ServerBattery(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bank := newBank(t, ServerBattery(), 2)
 	if err := bank.DegradeUnit(2, 0.9, 1.1); err == nil {
 		t.Error("unit 2 of 2 accepted")
 	}

@@ -10,10 +10,7 @@ import (
 // down by exactly its share, and an empty bank (REOnly) reads healthy
 // rather than dividing by zero.
 func TestBankHealth(t *testing.T) {
-	b, err := NewBank(ServerBattery(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := newBank(t, ServerBattery(), 3)
 	if got := b.Health(); got != 1 {
 		t.Errorf("fresh bank health = %v, want 1", got)
 	}
@@ -33,19 +30,15 @@ func TestBankHealth(t *testing.T) {
 		t.Errorf("compounded bank health = %v, want %v", got, want)
 	}
 
-	empty, err := NewBank(ServerBattery(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	empty := newBank(t, ServerBattery(), 0)
 	if got := empty.Health(); got != 1 {
 		t.Errorf("empty bank health = %v, want 1", got)
 	}
 }
 
-// TestClassBankHealth checks the grouped implementation agrees with
-// the per-unit one: the mean weights each group by its unit count,
-// and splitting a unit out of its group via DegradeUnit is reflected
-// exactly.
+// TestClassBankHealth checks the grouped mean: it weights each group
+// by its unit count, and splitting a unit out of its group via
+// DegradeUnit is reflected exactly.
 func TestClassBankHealth(t *testing.T) {
 	cb, err := NewClassBank([]ClassSpec{
 		{Config: ServerBattery(), Count: 3},
@@ -65,23 +58,13 @@ func TestClassBankHealth(t *testing.T) {
 		t.Errorf("degraded class bank health = %v, want %v", got, want)
 	}
 
-	// Bank and ClassBank report identical health for the same layout
-	// and fault.
-	b, err := NewBank(ServerBattery(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cb2, err := NewClassBank([]ClassSpec{{Config: ServerBattery(), Count: 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.DegradeUnit(3, 0.8, 1.2); err != nil {
-		t.Fatal(err)
-	}
+	// A four-unit one-class bank degraded in its last unit reports the
+	// per-unit mean.
+	cb2 := newBank(t, ServerBattery(), 4)
 	if err := cb2.DegradeUnit(3, 0.8, 1.2); err != nil {
 		t.Fatal(err)
 	}
-	if bh, ch := b.Health(), cb2.Health(); math.Abs(bh-ch) > 1e-12 {
-		t.Errorf("Bank health %v != ClassBank health %v", bh, ch)
+	if got, want := cb2.Health(), (1+1+1+0.8)/4; math.Abs(got-want) > 1e-12 {
+		t.Errorf("degraded one-class bank health = %v, want %v", got, want)
 	}
 }

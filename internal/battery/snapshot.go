@@ -64,12 +64,12 @@ func (b *Battery) Restore(s Snapshot) error {
 	return nil
 }
 
-// BankSnapshot is the serializable state of a bank. A per-unit Bank
-// captures one Snapshot per unit, in unit order; a fleet-scale
-// ClassBank captures its grouped form instead — runs of units in
-// identical state keyed by class. Exactly one of the two shapes is
-// populated, and Groups is omitted from the wire format for per-unit
-// banks so pre-fleet snapshots stay byte-identical.
+// BankSnapshot is the serializable state of a bank: its groups, runs
+// of units in identical state keyed by class. Units is the legacy
+// per-unit form — one Snapshot per unit, in unit order — that
+// checkpoints cut before the paper's rack ran as a one-class bank
+// carry; ClassBank.Restore folds it into groups. Exactly one of the two
+// shapes is populated.
 type BankSnapshot struct {
 	Units  []Snapshot      `json:"units"`
 	Groups []GroupSnapshot `json:"groups,omitempty"`
@@ -81,30 +81,4 @@ type GroupSnapshot struct {
 	Class int      `json:"class"`
 	Count int      `json:"count"`
 	State Snapshot `json:"state"`
-}
-
-// Snapshot captures the per-unit state of the whole bank.
-func (b *Bank) Snapshot() BankSnapshot {
-	s := BankSnapshot{Units: make([]Snapshot, len(b.units))}
-	for i, u := range b.units {
-		s.Units[i] = u.Snapshot()
-	}
-	return s
-}
-
-// Restore replaces every unit's state from a snapshot of a bank with
-// the same unit count and configuration.
-func (b *Bank) Restore(s BankSnapshot) error {
-	if len(s.Groups) > 0 {
-		return fmt.Errorf("battery: restore: per-unit bank cannot restore a group-form (class bank) snapshot")
-	}
-	if len(s.Units) != len(b.units) {
-		return fmt.Errorf("battery: restore: snapshot has %d units, bank has %d", len(s.Units), len(b.units))
-	}
-	for i, u := range b.units {
-		if err := u.Restore(s.Units[i]); err != nil {
-			return fmt.Errorf("battery: restore unit %d: %w", i, err)
-		}
-	}
-	return nil
 }

@@ -7,10 +7,9 @@ import (
 )
 
 // Store is the battery-state surface the power-source selector and the
-// engine run against: either the per-unit Bank (the paper's 3-server
-// rack) or the class-indexed ClassBank (fleet-scale runs where
-// thousands of identical units collapse into per-class groups). Both
-// implementations are stateful and not safe for concurrent use.
+// engine run against. ClassBank implements it; tests and benchmarks
+// wrap it to observe or instrument battery calls. Implementations are
+// stateful and not safe for concurrent use.
 type Store interface {
 	// Size returns the number of battery units represented.
 	Size() int
@@ -46,17 +45,4 @@ type Store interface {
 	Restore(BankSnapshot) error
 }
 
-var (
-	_ Store = (*Bank)(nil)
-	_ Store = (*ClassBank)(nil)
-)
-
-// MaxDoD returns the bank's depth-of-discharge limit. A Bank's units
-// share one Config, so the first unit speaks for all; an empty bank
-// returns 0 (it never constrains anything).
-func (b *Bank) MaxDoD() float64 {
-	if len(b.units) == 0 {
-		return 0
-	}
-	return b.units[0].cfg.MaxDoD
-}
+var _ Store = (*ClassBank)(nil)

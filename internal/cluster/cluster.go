@@ -95,18 +95,19 @@ func (g GreenConfig) Array() solar.Array {
 // PeakGreen returns the array's peak AC output.
 func (g GreenConfig) PeakGreen() units.Watt { return g.Array().PeakAC() }
 
-// NewBank builds the per-server battery bank for the green servers.
-// A zero BatteryAh yields an empty (never-supplying) bank.
-func (g GreenConfig) NewBank() (*battery.Bank, error) {
+// NewBank builds the per-server battery bank for the green servers: a
+// one-class bank of GreenServers units. A zero BatteryAh yields an
+// empty (never-supplying) bank.
+func (g GreenConfig) NewBank() (*battery.ClassBank, error) {
 	if g.BatteryAh == 0 || g.GreenServers == 0 {
-		return battery.NewBank(battery.ServerBattery(), 0)
+		return battery.NewClassBank(nil)
 	}
 	cfg := battery.ServerBattery()
 	cfg.Capacity = g.BatteryAh
 	if g.MaxDoD > 0 {
 		cfg.MaxDoD = g.MaxDoD
 	}
-	return battery.NewBank(cfg, g.GreenServers)
+	return battery.NewClassBank([]battery.ClassSpec{{Config: cfg, Count: g.GreenServers}})
 }
 
 // Cluster is the full rack.

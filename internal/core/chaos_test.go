@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"os"
 	"testing"
 
 	"greensprint/internal/chaos"
@@ -186,6 +187,68 @@ func TestChaosControllerCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCheckpointLegacyV2Fixture restores the committed v2 checkpoint
+// testdata/legacy_v2.checkpoint.json, cut five epochs into a chaos run
+// (server 1 down for epochs 2–8, battery unit 0 degraded at epoch 3) by
+// a controller that still stored the rack's bank per unit. The folded
+// bank must re-cut to exactly the uninterrupted controller's checkpoint,
+// and the two controllers must then decide and emit identically.
+func TestCheckpointLegacyV2Fixture(t *testing.T) {
+	sched := chaosSched(
+		chaos.Fault{Epoch: 2, Mode: chaos.ServerCrash, Target: 1, Recover: 8},
+		chaos.Fault{Epoch: 3, Mode: chaos.BatteryDegrade, Target: 0, Factor: 0.7, Resist: 1.3},
+	)
+	a := newChaosController(t, "Greedy", sched, nil)
+	for i := 0; i < 5; i++ {
+		mustStep(t, a, burstTelemetry(250))
+	}
+
+	raw, err := os.ReadFile("testdata/legacy_v2.checkpoint.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := DecodeCheckpoint(raw)
+	if err != nil {
+		t.Fatalf("decode legacy v2 fixture: %v", err)
+	}
+	if len(cp.Selector.Bank.Units) != 3 || cp.Selector.Bank.Groups != nil {
+		t.Fatalf("fixture bank is not per-unit: %+v", cp.Selector.Bank)
+	}
+	b := newChaosController(t, "Greedy", sched, nil)
+	if err := b.Restore(cp); err != nil {
+		t.Fatalf("restore legacy v2 fixture: %v", err)
+	}
+	acp, err := a.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bcp, err := b.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ab, _ := json.Marshal(acp)
+	bb, _ := json.Marshal(bcp)
+	if !bytes.Equal(ab, bb) {
+		t.Fatalf("restored controller re-cuts\n%s\nuninterrupted controller\n%s", bb, ab)
+	}
+
+	ca, cb := &captureSink{}, &captureSink{}
+	a.SetSink(ca)
+	b.SetSink(cb)
+	for i := 0; i < 8; i++ {
+		da := mustStep(t, a, burstTelemetry(300))
+		db := mustStep(t, b, burstTelemetry(300))
+		if da != db {
+			t.Fatalf("post-restore step %d diverged:\noriginal %+v\nrestored %+v", i, da, db)
+		}
+	}
+	ea, _ := json.Marshal(ca.events)
+	eb, _ := json.Marshal(cb.events)
+	if !bytes.Equal(ea, eb) {
+		t.Errorf("post-restore event streams diverged:\noriginal %s\nrestored %s", ea, eb)
+	}
+}
+
 // TestCheckpointV1Migration is the canned-blob test for the v1→v2
 // bump: a checkpoint re-encoded in the exact v1 wire format (version
 // stamped 1; no epoch_seconds, chaos or breaker fields) decodes
@@ -206,21 +269,7 @@ func TestCheckpointV1Migration(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Rewrite to the v1 wire format.
-	var m map[string]json.RawMessage
-	if err := json.Unmarshal(raw, &m); err != nil {
-		t.Fatal(err)
-	}
-	m["version"] = json.RawMessage(`1`)
-	delete(m, "epoch_seconds")
-	delete(m, "chaos")
-	delete(m, "breaker")
-	v1, err := json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	got, err := DecodeCheckpoint(v1)
+	got, err := DecodeCheckpoint(asV1ControllerBlob(t, raw))
 	if err != nil {
 		t.Fatalf("decode v1 checkpoint: %v", err)
 	}

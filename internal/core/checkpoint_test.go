@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"greensprint/internal/battery"
 	"greensprint/internal/cluster"
 )
 
@@ -60,12 +61,28 @@ func TestControllerCheckpointRoundTrip(t *testing.T) {
 
 // asV1ControllerBlob rewrites an encoded controller checkpoint into
 // the exact wire format a version-1 binary would have written: version
-// stamped 1 and every v2 addition stripped — the epoch-length
-// fingerprint, the injector state and the breaker state.
+// stamped 1, every v2 addition stripped — the epoch-length
+// fingerprint, the injector state and the breaker state — and the
+// battery bank in the per-unit form banks had then.
 func asV1ControllerBlob(t *testing.T, b []byte) []byte {
 	t.Helper()
+	var cp Checkpoint
+	if err := json.Unmarshal(b, &cp); err != nil {
+		t.Fatal(err)
+	}
+	units := []battery.Snapshot{}
+	for _, g := range cp.Selector.Bank.Groups {
+		for i := 0; i < g.Count; i++ {
+			units = append(units, g.State)
+		}
+	}
+	cp.Selector.Bank = battery.BankSnapshot{Units: units}
+	flat, err := json.Marshal(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var m map[string]json.RawMessage
-	if err := json.Unmarshal(b, &m); err != nil {
+	if err := json.Unmarshal(flat, &m); err != nil {
 		t.Fatal(err)
 	}
 	m["version"] = json.RawMessage(`1`)

@@ -36,9 +36,9 @@ import (
 
 // FromGreen lifts a Table I green-provisioning option into a
 // single-class, single-rack fleet spec: the generated topology has
-// exactly the flat config's servers, battery units and panels, so an
-// engine run over it reproduces the flat run bit-for-bit (see
-// TestFleetSingleClassParity in sim).
+// exactly the option's servers, battery units and panels. sim.Engine
+// runs the paper's rack as this topology when its config has no
+// fleet spec (see TestFleetSingleClassParity in sim).
 func FromGreen(g cluster.GreenConfig, seed int64) Spec {
 	return Spec{
 		Name:         g.Name,
@@ -236,21 +236,29 @@ func (s *Spec) Generate() (*Topology, error) {
 	for i, tpl := range s.Templates {
 		t.Classes[i] = Class{Template: tpl, Index: i}
 	}
-	rng := rand.New(rand.NewSource(s.Seed))
+	// A single template needs no draw (every rack is class 0), and
+	// seeding the source costs more than generating a small rack.
+	var rng *rand.Rand
+	if len(s.Templates) > 1 {
+		rng = rand.New(rand.NewSource(s.Seed))
+	}
 	racks := (s.TotalServers + rackSize - 1) / rackSize
 	t.Racks = make([]Rack, racks)
 	t.classOf = make([]int, s.TotalServers)
 	t.zoneMembers = make([][]int, zones)
 	for r := 0; r < racks; r++ {
-		// Weighted draw over the cumulative template weights.
-		pick := rng.Float64() * totalWeight
-		class := len(s.Templates) - 1
-		for i, tpl := range s.Templates {
-			if pick < tpl.Weight {
-				class = i
-				break
+		class := 0
+		if rng != nil {
+			// Weighted draw over the cumulative template weights.
+			pick := rng.Float64() * totalWeight
+			class = len(s.Templates) - 1
+			for i, tpl := range s.Templates {
+				if pick < tpl.Weight {
+					class = i
+					break
+				}
+				pick -= tpl.Weight
 			}
-			pick -= tpl.Weight
 		}
 		first := r * rackSize
 		n := rackSize

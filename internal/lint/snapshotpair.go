@@ -12,7 +12,7 @@ import (
 // falls out of resume — the run replays differently after a restart
 // and the sharded golden suites diverge. The accepted pairings are:
 //
-//   - Snapshot ↔ Restore (battery.Bank, pss.Selector, pmk.Fleet, ...)
+//   - Snapshot ↔ Restore (battery.ClassBank, pss.Selector, pmk.Fleet, ...)
 //   - Checkpoint ↔ Restore (sim.Engine, core.Controller, whose
 //     snapshot-producing method is named Checkpoint)
 //   - SnapshotState ↔ RestoreState (the strategy.Strategy interface)

@@ -12,6 +12,7 @@ import (
 	"greensprint/internal/pmk"
 	"greensprint/internal/predictor"
 	"greensprint/internal/pss"
+	"greensprint/internal/server"
 )
 
 // CheckpointVersion is the format version written into every
@@ -19,9 +20,12 @@ import (
 // loudly instead of silently corrupting a resumed run. Version 2 added
 // the StrategyName fingerprint; version 3 added the chaos injector's
 // replay state (plus per-component degradation fields that older
-// decoders would silently drop); version 4 adds the fleet-scale state
-// — topology fingerprint, class-indexed knob herd, grouped battery
-// snapshot, per-class energy counters — all absent for flat runs.
+// decoders would silently drop); version 4 adds the topology state —
+// topology fingerprint, class-indexed knob herd, grouped battery
+// snapshot, per-class energy counters. Version-4 files cut before the
+// paper's rack ran as a one-class fleet carry the flat layout instead
+// (per-knob fleet, per-unit battery bank); Restore migrates them (see
+// classFleetFromKnobs and battery.ClassBank.Restore).
 // DecodeCheckpoint transparently migrates version-1 through version-3
 // files (see migrateV1/migrateV2/migrateV3).
 const CheckpointVersion = 4
@@ -47,8 +51,11 @@ type Checkpoint struct {
 	// checkpoints, which predate the field and skip the check.
 	StrategyName string `json:"strategy_name,omitempty"`
 
-	Selector pss.SelectorSnapshot     `json:"selector"`
-	Fleet    pmk.FleetSnapshot        `json:"fleet"`
+	Selector pss.SelectorSnapshot `json:"selector"`
+	// Fleet is the per-knob fleet snapshot of the flat layout, present
+	// only in checkpoints cut before the paper's rack ran as a
+	// one-class fleet; Restore migrates it into the knob herd.
+	Fleet    *pmk.FleetSnapshot       `json:"fleet,omitempty"`
 	Breaker  *cluster.BreakerSnapshot `json:"breaker,omitempty"`
 	LoadPred predictor.EWMASnapshot   `json:"load_predictor"`
 	// Strategy is the strategy's opaque state (nil for stateless
@@ -60,14 +67,13 @@ type Checkpoint struct {
 	// checkpoint whose chaos-presence disagrees with the engine's.
 	Chaos *chaos.InjectorSnapshot `json:"chaos,omitempty"`
 
-	// Fleet-scale state (v4+), present exactly when the run has a
-	// generated fleet topology. FleetFingerprint pins the topology the
-	// checkpoint was cut from — a resumed engine regenerates it from
-	// Config.Fleet and refuses a mismatch. ClassFleet carries the
-	// class-indexed knob herd (replacing the flat Fleet snapshot,
-	// which stays empty), and ClassEnergyWh the cumulative per-class
-	// energy counters behind the event stream's class stats.
-	//greensprint:allow(wiretag) presence is keyed on the nilable ClassFleet pointer: an empty fingerprint only ever decodes alongside a nil ClassFleet, which Restore's layout check handles explicitly
+	// Topology state (v4+). FleetFingerprint pins the topology the
+	// checkpoint was cut from — a resumed engine regenerates it and
+	// refuses a mismatch. ClassFleet carries the class-indexed knob
+	// herd, and ClassEnergyWh the cumulative per-class energy counters
+	// behind the event stream's class stats (present exactly when the
+	// run has a Config.Fleet). Flat-layout checkpoints carry neither
+	// fingerprint nor ClassFleet, only the per-knob Fleet.
 	FleetFingerprint string                  `json:"fleet_fingerprint,omitempty"`
 	ClassFleet       *pmk.ClassFleetSnapshot `json:"class_fleet,omitempty"`
 	ClassEnergyWh    []float64               `json:"class_energy_wh,omitempty"`
@@ -84,6 +90,7 @@ func (e *Engine) Checkpoint() (*Checkpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sim: checkpoint strategy: %w", err)
 	}
+	knobs := e.knobs.Snapshot()
 	cp := &Checkpoint{
 		Version:      CheckpointVersion,
 		Epoch:        e.epoch,
@@ -96,14 +103,10 @@ func (e *Engine) Checkpoint() (*Checkpoint, error) {
 		Records:      append([]EpochRecord(nil), e.records...),
 		BurstPerfSum: e.burstPerfSum,
 		BurstEpochs:  e.burstEpochs,
-	}
-	if e.cfleet != nil {
-		s := e.cfleet.Snapshot()
-		cp.ClassFleet = &s
-		cp.FleetFingerprint = e.topo.Fingerprint()
-		cp.ClassEnergyWh = append([]float64(nil), e.classEnergyWh...)
-	} else {
-		cp.Fleet = e.fleet.Snapshot()
+
+		FleetFingerprint: e.fingerprint,
+		ClassFleet:       &knobs,
+		ClassEnergyWh:    append([]float64(nil), e.classEnergyWh...),
 	}
 	if e.breaker != nil {
 		s := e.breaker.Snapshot()
@@ -149,28 +152,17 @@ func (e *Engine) Restore(cp *Checkpoint) error {
 	if (cp.Chaos == nil) != (e.injector == nil) {
 		return fmt.Errorf("sim: restore: checkpoint and engine disagree on chaos schedule")
 	}
-	if (cp.ClassFleet == nil) != (e.cfleet == nil) {
-		return fmt.Errorf("sim: restore: checkpoint and engine disagree on fleet topology")
-	}
-	if e.cfleet != nil {
-		if fp := e.topo.Fingerprint(); cp.FleetFingerprint != fp {
-			return fmt.Errorf("sim: restore: checkpoint fleet fingerprint %.12s… does not match generated topology %.12s…",
-				cp.FleetFingerprint, fp)
-		}
-		if len(cp.ClassEnergyWh) != len(e.classEnergyWh) {
-			return fmt.Errorf("sim: restore: %d class energy counters for %d classes",
-				len(cp.ClassEnergyWh), len(e.classEnergyWh))
-		}
+	switch {
+	case cp.ClassFleet == nil && cp.Fleet == nil:
+		return fmt.Errorf("sim: restore: checkpoint carries no knob fleet")
+	case cp.ClassFleet != nil && cp.FleetFingerprint != e.fingerprint:
+		return fmt.Errorf("sim: restore: checkpoint fleet fingerprint %.12s… does not match generated topology %.12s…",
+			cp.FleetFingerprint, e.fingerprint)
+	case len(cp.ClassEnergyWh) != len(e.classEnergyWh):
+		return fmt.Errorf("sim: restore: %d class energy counters for %d classes",
+			len(cp.ClassEnergyWh), len(e.classEnergyWh))
 	}
 	if err := e.selector.Restore(cp.Selector); err != nil {
-		return fmt.Errorf("sim: restore: %w", err)
-	}
-	if e.cfleet != nil {
-		if err := e.cfleet.Restore(*cp.ClassFleet); err != nil {
-			return fmt.Errorf("sim: restore: %w", err)
-		}
-		copy(e.classEnergyWh, cp.ClassEnergyWh)
-	} else if err := e.fleet.Restore(cp.Fleet); err != nil {
 		return fmt.Errorf("sim: restore: %w", err)
 	}
 	if e.breaker != nil {
@@ -190,10 +182,21 @@ func (e *Engine) Restore(cp *Checkpoint) error {
 		}
 		e.alive = e.injector.AliveServers()
 		e.selector.SetStuck(e.injector.Stuck())
-		if e.topo != nil {
-			e.recomputeClassAlive()
+		e.recomputeClassAlive()
+	}
+	// The knob herd migrates after the injector: a flat-layout fleet
+	// detaches the servers the restored injector reports down.
+	knobs := cp.ClassFleet
+	if knobs == nil {
+		var err error
+		if knobs, err = e.classFleetFromKnobs(*cp.Fleet); err != nil {
+			return err
 		}
 	}
+	if err := e.knobs.Restore(*knobs); err != nil {
+		return fmt.Errorf("sim: restore: %w", err)
+	}
+	copy(e.classEnergyWh, cp.ClassEnergyWh)
 	e.records = append(make([]EpochRecord, 0, e.TotalEpochs()), cp.Records...)
 	e.burstPerfSum = cp.BurstPerfSum
 	e.burstEpochs = cp.BurstEpochs
@@ -257,10 +260,11 @@ func migrateV2(cp *Checkpoint) {
 }
 
 // migrateV3 lifts a version-3 checkpoint to version 4. The v3 layout
-// is a strict subset of v4: it predates generated fleets, so the
-// fleet fingerprint, class-fleet snapshot and per-class energy
-// counters are all absent — exactly how v4 encodes a flat (paper
-// topology) run. Migration is therefore just the version stamp.
+// is a strict subset of v4's flat layout: it predates generated
+// fleets, so the fleet fingerprint, class-fleet snapshot and per-class
+// energy counters are all absent, and Restore migrates its per-knob
+// fleet and per-unit bank like any flat-layout checkpoint. Migration
+// is therefore just the version stamp.
 func migrateV3(cp *Checkpoint) {
 	cp.Version = CheckpointVersion
 }
@@ -286,4 +290,43 @@ func ReadCheckpointFile(path string) (*Checkpoint, error) {
 		return nil, fmt.Errorf("sim: read checkpoint: %w", err)
 	}
 	return DecodeCheckpoint(b)
+}
+
+// classFleetFromKnobs migrates a flat-layout per-knob fleet snapshot
+// into the engine's knob herd. Each class's herd takes the setting of
+// its first server the restored injector reports up; servers reported
+// down, and knobs whose setting differs from their herd's, are
+// detached with their own state. Herd members' transition counts are
+// summed into the herd, so the fleet total is conserved.
+func (e *Engine) classFleetFromKnobs(s pmk.FleetSnapshot) (*pmk.ClassFleetSnapshot, error) {
+	if len(s.Knobs) != e.n {
+		return nil, fmt.Errorf("sim: restore: snapshot has %d knobs, fleet has %d", len(s.Knobs), e.n)
+	}
+	down := func(i int) bool { return e.injector != nil && e.injector.ServerDown(i) }
+	out := &pmk.ClassFleetSnapshot{Classes: make([]pmk.ClassKnobSnapshot, len(e.classes))}
+	seen := make([]bool, len(e.classes))
+	for i := range out.Classes {
+		out.Classes[i].Config = server.Normal()
+	}
+	for i, k := range s.Knobs {
+		if c := e.topo.ClassOf(i); !seen[c] && !down(i) {
+			out.Classes[c].Config, seen[c] = k.Config, true
+		}
+	}
+	for i, k := range s.Knobs {
+		if k.Transitions < 0 {
+			return nil, fmt.Errorf("sim: restore: knob %d has negative transition count %d", i, k.Transitions)
+		}
+		c := e.topo.ClassOf(i)
+		herd := &out.Classes[c]
+		if down(i) || k.Config != herd.Config {
+			out.Detached = append(out.Detached, pmk.DetachedKnobSnapshot{
+				Index: i, Class: c, Config: k.Config, Transitions: k.Transitions,
+			})
+			continue
+		}
+		herd.Count++
+		herd.Transitions += k.Transitions
+	}
+	return out, nil
 }

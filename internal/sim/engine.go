@@ -38,7 +38,6 @@ type Engine struct {
 	epoch    time.Duration
 	tab      *profile.Table
 	selector *pss.Selector
-	fleet    *pmk.Fleet
 	breaker  *cluster.Breaker
 	loadPred *predictor.EWMA
 	n        int
@@ -50,17 +49,21 @@ type Engine struct {
 	injector *chaos.Injector
 	alive    int //greensprint:allow(statecov) derived: Restore recounts it from the restored injector's ref-counts (n when chaos is off)
 
-	// Fleet-scale (structure-of-arrays) state, all nil for the
-	// paper's flat single-rack configs: topo is the generated
-	// topology, cfleet the class-indexed knob herd replacing fleet,
-	// classes the per-class runtime (profiling table, kernel, Normal
-	// draw), classAlive the per-class alive census, classEnergyWh the
-	// cumulative per-class server energy (checkpointed so resumed
-	// streams continue the counters), and classEv the reused event
-	// buffer. perAliveGoodput is the epoch's per-alive-server goodput
-	// before alive-fraction scaling, feeding per-class event stats.
+	// Topology state, structure-of-arrays: the paper's rack is a
+	// one-class, one-rack topology (fleet.FromGreen), a generated fleet
+	// has one class per template. topo is the topology and fingerprint
+	// its digest, pinned into checkpoints; knobs is the class-indexed
+	// knob herd, classes the per-class runtime (profiling table,
+	// kernel, Normal draw) and classAlive the per-class alive census.
+	// The per-class observability — classEnergyWh, the cumulative
+	// per-class server energy (checkpointed so resumed streams continue
+	// the counters), and the classEv event buffer — is kept only for
+	// runs with a Config.Fleet. perAliveGoodput is the epoch's
+	// per-alive-server goodput before alive-fraction scaling, feeding
+	// the class stats.
 	topo            *fleet.Topology
-	cfleet          *pmk.ClassFleet
+	fingerprint     string
+	knobs           *pmk.ClassFleet
 	classes         []classRT
 	classAlive      []int //greensprint:allow(statecov) derived: Restore rebuilds the census via recomputeClassAlive from the injector and topology
 	classEnergyWh   []float64
@@ -97,7 +100,6 @@ type Engine struct {
 	evBuf      []obs.Event     //greensprint:allow(statecov) batching arena: flushed and truncated before StepN returns
 	classArena []obs.ClassStat //greensprint:allow(statecov) batching arena: truncated with evBuf before StepN returns
 
-	normalPower  units.Watt
 	baseGoodput  float64
 	burstStart   time.Time
 	burstEnd     time.Time
@@ -147,49 +149,35 @@ func New(cfg Config) (*Engine, error) {
 			return nil, err
 		}
 	}
-	// Topology: either the flat Green config (the paper's rack) or a
-	// generated heterogeneous fleet with class-indexed state.
-	var topo *fleet.Topology
-	if cfg.Fleet != nil {
-		if topo, err = cfg.Fleet.Generate(); err != nil {
-			return nil, fmt.Errorf("sim: %w", err)
+	// Topology: the paper's rack is the one-class, one-rack fleet
+	// lifted from the Green config; a Config.Fleet replaces it with a
+	// generated heterogeneous fleet.
+	spec := cfg.Fleet
+	if spec == nil {
+		if cfg.Green.GreenServers == 0 {
+			return nil, fmt.Errorf("sim: no green servers in config %q", cfg.Green.Name)
 		}
+		rack := fleet.FromGreen(cfg.Green, 1)
+		spec = &rack
 	}
-	var bank battery.Store
-	n := cfg.Green.GreenServers
-	if topo != nil {
-		cb, err := battery.NewClassBank(topo.BatteryClasses())
-		if err != nil {
-			return nil, fmt.Errorf("sim: %w", err)
-		}
-		bank = cb
-		n = topo.Servers
-	} else {
-		b, err := cfg.Green.NewBank()
-		if err != nil {
-			return nil, err
-		}
-		bank = b
+	topo, err := spec.Generate()
+	if err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
+	}
+	bank, err := battery.NewClassBank(topo.BatteryClasses())
+	if err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
 	}
 	selector := pss.New(bank)
-	if n == 0 {
-		return nil, fmt.Errorf("sim: no green servers in config %q", cfg.Green.Name)
-	}
-	var knobs *pmk.Fleet
-	var cfleet *pmk.ClassFleet
-	if topo != nil {
-		cfleet = pmk.NewClassFleet(topo.ClassCounts(), topo.ClassOf)
-	} else {
-		knobs = pmk.NewSimFleet(n)
-	}
+	n := topo.Servers
 	var injector *chaos.Injector
 	if cfg.Chaos != nil {
 		// The schedule's fault targets were drawn for a concrete
 		// topology; replaying it against a different one would strike
-		// phantom components. For fleet runs n and the bank size come
-		// from the generated topology, so the checks bind the schedule
-		// to the fleet's real census, and the zone shape must match
-		// too (zone outages cascade across generated zone membership).
+		// phantom components. The checks bind the schedule to the
+		// topology's server and battery-unit census, and the zone
+		// shape must match too (zone outages cascade across zone
+		// membership).
 		if cfg.Chaos.Servers != n {
 			return nil, fmt.Errorf("sim: chaos schedule resolved for %d servers, config has %d",
 				cfg.Chaos.Servers, n)
@@ -198,15 +186,13 @@ func New(cfg Config) (*Engine, error) {
 			return nil, fmt.Errorf("sim: chaos schedule resolved for %d battery units, config has %d",
 				cfg.Chaos.Units, bank.Size())
 		}
-		if topo != nil {
-			zones := cfg.Chaos.Zones
-			if zones == 0 {
-				zones = chaos.NumZones
-			}
-			if zones != topo.Zones {
-				return nil, fmt.Errorf("sim: chaos schedule resolved for %d zones, fleet has %d",
-					zones, topo.Zones)
-			}
+		zones := cfg.Chaos.Zones
+		if zones == 0 {
+			zones = chaos.NumZones
+		}
+		if zones != topo.Zones {
+			return nil, fmt.Errorf("sim: chaos schedule resolved for %d zones, fleet has %d",
+				zones, topo.Zones)
 		}
 		if injector, err = chaos.NewInjector(cfg.Chaos); err != nil {
 			return nil, fmt.Errorf("sim: %w", err)
@@ -214,11 +200,11 @@ func New(cfg Config) (*Engine, error) {
 	}
 	var breaker *cluster.Breaker
 	if cfg.AllowBreakerOverdraw {
-		if topo != nil {
+		if len(topo.Racks) > 1 {
 			// The breaker model is sized for one rack's PDU; a
-			// generated fleet spans many PDU legs with no single
+			// multi-rack fleet spans many PDU legs with no single
 			// breaker to overdraw through.
-			return nil, fmt.Errorf("sim: breaker overdraw is not supported with a generated fleet")
+			return nil, fmt.Errorf("sim: breaker overdraw is not supported with a %d-rack fleet", len(topo.Racks))
 		}
 		cl, err := cluster.New(cfg.Green)
 		if err != nil {
@@ -231,13 +217,13 @@ func New(cfg Config) (*Engine, error) {
 	// construction, and parallel sweep cells share nothing by design.
 	kernel := workload.NewKernel(cfg.Workload)
 	baseGoodput := kernel.MaxGoodput(server.Normal())
+	burstRate := cfg.Burst.Rate(cfg.Workload)
 	burstStart := cfg.Supply.Start.Add(cfg.Lead)
 	e := &Engine{
 		cfg:      cfg,
 		epoch:    epoch,
 		tab:      tab,
 		selector: selector,
-		fleet:    knobs,
 		breaker:  breaker,
 		loadPred: predictor.NewEWMA(predictor.DefaultAlpha),
 		n:        n,
@@ -246,52 +232,54 @@ func New(cfg Config) (*Engine, error) {
 		kernel:   kernel,
 		lat:      make([]latEntry, server.NumConfigs()),
 
-		normalPower:  kernel.LoadPower(server.Normal(), cfg.Burst.Rate(cfg.Workload)),
 		baseGoodput:  baseGoodput,
 		burstStart:   burstStart,
 		burstEnd:     burstStart.Add(cfg.Burst.Duration),
-		offeredBurst: cfg.Burst.Rate(cfg.Workload),
+		offeredBurst: burstRate,
 		// Outside the burst the rack serves a comfortable background
 		// load, as SquareTrace models.
 		offeredIdle: 0.6 * baseGoodput,
 
 		at: cfg.Supply.Start,
+
+		topo:        topo,
+		fingerprint: topo.Fingerprint(),
+		knobs:       pmk.NewClassFleet(topo.ClassCounts(), topo.ClassOf),
+		classes:     make([]classRT, len(topo.Classes)),
+		classAlive:  make([]int, len(topo.Classes)),
 	}
-	if topo != nil {
-		e.topo = topo
-		e.cfleet = cfleet
-		e.classes = make([]classRT, len(topo.Classes))
-		e.classAlive = make([]int, len(topo.Classes))
+	if cfg.Fleet != nil {
 		e.classEnergyWh = make([]float64, len(topo.Classes))
-		for i, c := range topo.Classes {
-			prof := cfg.Workload
-			if c.PeakPower > 0 {
-				prof.PeakPower = c.PeakPower
-			}
-			// The reference class (no power override) reuses the
-			// engine's own table and kernel — including a caller-built
-			// cfg.Table — so a single-class default fleet computes on
-			// the exact structures the flat engine does. Overridden
-			// classes share process-wide caches keyed by profile.
-			ctab, ck := tab, kernel
-			if prof != cfg.Workload {
-				if err := prof.Validate(); err != nil {
-					return nil, fmt.Errorf("sim: fleet class %q: %w", c.Name, err)
-				}
-				if ctab, err = profile.BuildCached(prof, profile.DefaultLevels); err != nil {
-					return nil, fmt.Errorf("sim: fleet class %q: %w", c.Name, err)
-				}
-				ck = workload.SharedKernel(prof)
-			}
-			e.classes[i] = classRT{
-				name:        c.Name,
-				count:       c.Servers,
-				tab:         ctab,
-				kernel:      ck,
-				normalPower: ck.LoadPower(server.Normal(), cfg.Burst.Rate(prof)),
-			}
-			e.classAlive[i] = c.Servers
+	}
+	for i, c := range topo.Classes {
+		prof := cfg.Workload
+		if c.PeakPower > 0 {
+			prof.PeakPower = c.PeakPower
 		}
+		// The reference class (no power override) reuses the engine's
+		// own table and kernel — including a caller-built cfg.Table —
+		// so the paper's rack computes on exactly those structures.
+		// Overridden classes share process-wide caches keyed by
+		// profile.
+		ctab, ck, normalPower := tab, kernel, kernel.LoadPower(server.Normal(), burstRate)
+		if prof != cfg.Workload {
+			if err := prof.Validate(); err != nil {
+				return nil, fmt.Errorf("sim: fleet class %q: %w", c.Name, err)
+			}
+			if ctab, err = profile.BuildCached(prof, profile.DefaultLevels); err != nil {
+				return nil, fmt.Errorf("sim: fleet class %q: %w", c.Name, err)
+			}
+			ck = workload.SharedKernel(prof)
+			normalPower = ck.LoadPower(server.Normal(), cfg.Burst.Rate(prof))
+		}
+		e.classes[i] = classRT{
+			name:        c.Name,
+			count:       c.Servers,
+			tab:         ctab,
+			kernel:      ck,
+			normalPower: normalPower,
+		}
+		e.classAlive[i] = c.Servers
 	}
 	e.runEnd = e.burstEnd.Add(cfg.Tail)
 	// The horizon is fixed at construction, so the record slice can be
@@ -594,17 +582,9 @@ func (e *Engine) runIdleSegment(k int) {
 		tmpl.Goodput *= scale
 		tmpl.Grid = units.Watt(float64(tmpl.Grid) * scale)
 	}
-	if e.classes != nil {
-		e.perAliveGoodput = e.kernel.Goodput(server.Normal(), offered)
-		if len(e.classes) > 1 {
-			var sum float64
-			for i := range e.classes {
-				if a := e.classAlive[i]; a > 0 {
-					sum += float64(e.classes[i].kernel.LoadPower(server.Normal(), offered)) * float64(a)
-				}
-			}
-			tmpl.Grid = units.Watt(sum / float64(e.n))
-		}
+	e.perAliveGoodput = e.kernel.Goodput(server.Normal(), offered)
+	if len(e.classes) > 1 {
+		tmpl.Grid = e.classNormalGrid(offered)
 	}
 	if e.baseGoodput > 0 {
 		tmpl.NormPerf = tmpl.Goodput / e.baseGoodput
@@ -633,12 +613,10 @@ func (e *Engine) runIdleSegment(k int) {
 		rec.SoC = selector.Bank().SoC()
 		selector.ObserveSupply(greenObserved)
 		e.loadPred.Observe(offered)
-		if e.classes != nil {
-			// Cumulative per-class energy must accumulate per epoch
-			// (x+d+d is not 2d+x in floating point); the expression is
-			// the same one the per-epoch path runs.
-			e.accumulateClassEnergy(server.Normal(), 0, offered)
-		}
+		// Cumulative per-class energy must accumulate per epoch
+		// (x+d+d is not 2d+x in floating point); the expression is the
+		// same one the per-epoch path runs.
+		e.accumulateClassEnergy(server.Normal(), 0, offered)
 		//greensprint:allow(allocfree) the per-epoch record log is the simulation's product; growth is amortized doubling
 		e.records = append(e.records, rec)
 		index := e.epochIndex
@@ -682,7 +660,7 @@ func (e *Engine) event(index int, rec EpochRecord) obs.Event {
 	if e.breaker != nil {
 		ev.BreakerStress = e.breaker.Stress()
 	}
-	if e.classes != nil {
+	if e.cfg.Fleet != nil {
 		// The buffer is reused across epochs; sinks consume the event
 		// synchronously during Emit. Class goodput is the class's
 		// aggregate (alive servers × per-alive-server goodput — the
@@ -717,14 +695,10 @@ func (e *Engine) applyChaos(index int, at time.Time) error {
 			if !a.Recovered {
 				// The crashed server drops its sprint; when it
 				// restarts it boots into Normal mode, which its knob
-				// already records from here on. In fleet mode the
-				// Apply detaches the server from its class herd, which
-				// is what lets ApplyAlive keep skipping it wholesale.
-				if e.cfleet != nil {
-					e.cfleet.Apply(f.Target, server.Normal())
-				} else {
-					e.fleet.Apply(f.Target, server.Normal())
-				}
+				// already records from here on. The Apply detaches the
+				// server from its class herd, which is what lets
+				// ApplyAlive keep skipping it wholesale.
+				e.knobs.Apply(f.Target, server.Normal())
 			}
 		case chaos.BatteryDegrade:
 			if err := e.selector.Bank().DegradeUnit(f.Target, f.Factor, f.Resist); err != nil {
@@ -753,7 +727,7 @@ func (e *Engine) applyChaos(index int, at time.Time) error {
 	}
 	e.alive = e.injector.AliveServers()
 	e.selector.SetStuck(e.injector.Stuck())
-	if e.topo != nil && len(actions) > 0 {
+	if len(actions) > 0 {
 		e.recomputeClassAlive()
 	}
 	return nil
@@ -800,19 +774,11 @@ func (e *Engine) chaosEvent(index int, at time.Time, a chaos.Action) obs.Event {
 // server has nothing to actuate, and phantom transitions would corrupt
 // the actuation accounting).
 func (e *Engine) applyFleet(c server.Config) {
-	if e.cfleet != nil {
-		if e.injector != nil {
-			e.cfleet.ApplyAlive(c, e.injector.ServerDown)
-			return
-		}
-		e.cfleet.ApplyAll(c)
-		return
-	}
 	if e.injector != nil {
-		e.fleet.ApplyAlive(c, e.injector.ServerDown)
+		e.knobs.ApplyAlive(c, e.injector.ServerDown)
 		return
 	}
-	e.fleet.ApplyAll(c)
+	e.knobs.ApplyAll(c)
 }
 
 // Done reports whether the configured horizon has been consumed.
@@ -821,10 +787,7 @@ func (e *Engine) Done() bool { return !e.at.Before(e.runEnd) }
 // Result aggregates the epochs run so far. It may be called at any
 // point; after the final Step it is the same Result Run returns.
 func (e *Engine) Result() *Result {
-	res := &Result{Fleet: e.fleet, ClassFleet: e.cfleet}
-	if e.classEnergyWh != nil {
-		res.ClassEnergyWh = append([]float64(nil), e.classEnergyWh...)
-	}
+	res := &Result{ClassFleet: e.knobs, ClassEnergyWh: append([]float64(nil), e.classEnergyWh...)}
 	res.Records = append(res.Records, e.records...)
 	if e.burstEpochs > 0 {
 		res.MeanNormPerf = e.burstPerfSum / float64(e.burstEpochs)
@@ -858,8 +821,8 @@ func (e *Engine) TotalEpochs() int {
 // allow overdraw. Tests assert on its stress accounting.
 func (e *Engine) Breaker() *cluster.Breaker { return e.breaker }
 
-// Topology exposes the generated fleet topology, or nil for the
-// paper's flat single-rack configs.
+// Topology exposes the run's topology: the generated fleet, or the
+// one-class, one-rack topology lifted from the Green config.
 func (e *Engine) Topology() *fleet.Topology { return e.topo }
 
 // Run executes the simulation to completion. It is a thin wrapper over

@@ -10,7 +10,6 @@ import (
 	"greensprint/internal/cluster"
 	"greensprint/internal/fleet"
 	"greensprint/internal/obs"
-	"greensprint/internal/pmk"
 	"greensprint/internal/solar"
 	"greensprint/internal/workload"
 )
@@ -52,43 +51,64 @@ func fleetCfg(t *testing.T, total int) Config {
 	}
 }
 
-// TestFleetSingleClassParity is the tentpole's bit-identity golden: a
-// single-class default fleet lifted from each Table I config must
-// reproduce the flat engine's Result — every record, aggregate and
-// knob-transition count — bit for bit. The class-indexed banks and
-// knob herds are then provably a pure representation change.
+// TestFleetSingleClassParity pins the one-class topology the paper's
+// rack runs as: a run over the explicit spec fleet.FromGreen lifts
+// from each Table I config must reproduce the default run's Result —
+// every record, aggregate and knob-transition count — bit for bit, and
+// its event stream may differ only by the per-class stats that a
+// Config.Fleet switches on.
 func TestFleetSingleClassParity(t *testing.T) {
 	for _, green := range []cluster.GreenConfig{cluster.REBatt(), cluster.RESBatt(), cluster.REOnly()} {
 		t.Run(green.Name, func(t *testing.T) {
-			flat := ckptConfig(t)
-			flat.Green = green
-			flat.Supply = solar.Synthesize(solar.Med, 50*time.Minute, time.Minute, float64(green.PeakGreen()), 42)
-			ref := mustRunAll(t, mustNew(t, flat))
+			def := ckptConfig(t)
+			def.Green = green
+			def.Supply = solar.Synthesize(solar.Med, 50*time.Minute, time.Minute, float64(green.PeakGreen()), 42)
+			var defEvents, specEvents strings.Builder
+			def.Sink = obs.NewJSONL(&defEvents)
+			ref := mustRunAll(t, mustNew(t, def))
 
-			fc := flat
+			fc := def
 			fc.Strategy = hybrid(t)
+			fc.Sink = obs.NewJSONL(&specEvents)
 			spec := fleet.FromGreen(green, 1)
 			fc.Fleet = &spec
-			e := mustNew(t, fc)
-			if e.Topology() == nil {
-				t.Fatal("fleet engine has no topology")
-			}
-			got := mustRunAll(t, e)
+			got := mustRunAll(t, mustNew(t, fc))
 			assertSameResult(t, ref, got)
-			if ref.Fleet == nil || got.ClassFleet == nil {
-				t.Fatal("result fleet exposure: flat run must set Fleet, fleet run ClassFleet")
-			}
-			wt := 0
-			for i := 0; i < ref.Fleet.Size(); i++ {
-				if s, ok := ref.Fleet.Knob(i).(*pmk.Sim); ok {
-					wt += s.Transitions()
-				}
-			}
-			if gt := got.ClassFleet.Transitions(); wt != gt {
+			if wt, gt := ref.ClassFleet.Transitions(), got.ClassFleet.Transitions(); wt != gt {
 				t.Errorf("knob transitions = %d, want %d", gt, wt)
+			}
+			if ref.ClassEnergyWh != nil {
+				t.Errorf("default run reports class energy %v", ref.ClassEnergyWh)
 			}
 			if len(got.ClassEnergyWh) != 1 {
 				t.Fatalf("ClassEnergyWh = %v, want one class", got.ClassEnergyWh)
+			}
+
+			defLines := strings.Split(strings.TrimSpace(defEvents.String()), "\n")
+			specLines := strings.Split(strings.TrimSpace(specEvents.String()), "\n")
+			if len(defLines) != len(specLines) {
+				t.Fatalf("%d spec-run events, want %d", len(specLines), len(defLines))
+			}
+			for i := range defLines {
+				var d, s map[string]json.RawMessage
+				if err := json.Unmarshal([]byte(defLines[i]), &d); err != nil {
+					t.Fatal(err)
+				}
+				if err := json.Unmarshal([]byte(specLines[i]), &s); err != nil {
+					t.Fatal(err)
+				}
+				if _, ok := d["classes"]; ok {
+					t.Fatalf("default-run event %d carries class stats: %s", i, defLines[i])
+				}
+				if _, ok := s["classes"]; !ok {
+					t.Fatalf("spec-run event %d lacks class stats: %s", i, specLines[i])
+				}
+				delete(s, "classes")
+				db, _ := json.Marshal(d)
+				sb, _ := json.Marshal(s)
+				if string(db) != string(sb) {
+					t.Fatalf("event %d differs beyond class stats:\ndefault %s\nspec    %s", i, defLines[i], specLines[i])
+				}
 			}
 		})
 	}
@@ -346,8 +366,8 @@ func TestFleetCheckpointRoundTrip(t *testing.T) {
 	if err := mustNew(t, other).Restore(got); err == nil || !strings.Contains(err.Error(), "fingerprint") {
 		t.Errorf("restore into reseeded topology = %v, want fingerprint error", err)
 	}
-	// And a flat engine must refuse a fleet checkpoint outright.
+	// And a paper-rack engine must refuse a fleet checkpoint outright.
 	if err := mustNew(t, ckptConfig(t)).Restore(got); err == nil || !strings.Contains(err.Error(), "fleet") {
-		t.Errorf("restore fleet checkpoint into flat engine = %v, want fleet topology error", err)
+		t.Errorf("restore fleet checkpoint into paper-rack engine = %v, want fleet topology error", err)
 	}
 }

