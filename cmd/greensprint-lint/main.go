@@ -1,9 +1,13 @@
 // Command greensprint-lint runs the repository's invariant analyzer
-// (internal/lint) over the module: determinism (nondeterm, maprange),
-// crash-safe persistence (atomicwrite), checkpoint completeness
-// (snapshotpair, statecov, wiretag), the single-threaded,
+// (internal/lint) over the module. Its eight rules cover determinism
+// (nondeterm, maprange), crash-safe persistence (atomicwrite),
+// checkpoint completeness (statecov for snapshot/restore pairing and
+// field coverage, wiretag for wire-struct tags), the single-threaded,
 // zero-allocation Step hot path (nogoroutine, allocfree) and
 // mutex-guarded access in the concurrent control plane (lockguard).
+// The loaded packages are indexed once per run; the whole-program
+// rules share that index, and -audit judges the same raw findings a
+// check reports.
 // It is stdlib-only and loads packages from source, so it runs
 // anywhere the Go toolchain's GOROOT sources are installed.
 //

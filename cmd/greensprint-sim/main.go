@@ -35,9 +35,7 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -113,7 +111,7 @@ func main() {
 	}
 	var fleetSpec *fleet.Spec
 	if *fleetPath != "" {
-		spec, err := loadFleetSpec(*fleetPath)
+		spec, err := fleet.LoadSpec(*fleetPath)
 		if err != nil {
 			fatal(err)
 		}
@@ -336,24 +334,6 @@ func resolveChaos(w io.Writer, cfg config.Config, green cluster.GreenConfig, top
 	fmt.Fprintf(w, "chaos: profile %q seed %d resolved to %d faults over %d epochs\n",
 		spec, seed, len(sched.Faults), epochs)
 	return sched, nil
-}
-
-// loadFleetSpec reads and validates a fleet spec JSON file.
-func loadFleetSpec(path string) (*fleet.Spec, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("load fleet spec: %w", err)
-	}
-	var spec fleet.Spec
-	dec := json.NewDecoder(bytes.NewReader(b))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		return nil, fmt.Errorf("fleet spec %s: %w", path, err)
-	}
-	if err := spec.Validate(); err != nil {
-		return nil, fmt.Errorf("fleet spec %s: %w", path, err)
-	}
-	return &spec, nil
 }
 
 // loadSupply replays the configured CSV trace, or synthesizes the

@@ -12,6 +12,7 @@ import (
 
 	"greensprint/internal/cluster"
 	"greensprint/internal/config"
+	"greensprint/internal/fleet"
 	"greensprint/internal/obs"
 	"greensprint/internal/solar"
 )
@@ -257,7 +258,7 @@ func TestRunFleet(t *testing.T) {
 	if err := os.WriteFile(path, []byte(specJSON), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	spec, err := loadFleetSpec(path)
+	spec, err := fleet.LoadSpec(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,17 +291,17 @@ func TestRunFleet(t *testing.T) {
 	if err := os.WriteFile(bad, []byte(`{"name":"x","total_servers":0,"templates":[]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := loadFleetSpec(bad); err == nil {
+	if _, err := fleet.LoadSpec(bad); err == nil {
 		t.Error("invalid spec should error")
 	}
 	typo := filepath.Join(dir, "typo.json")
 	if err := os.WriteFile(typo, []byte(`{"name":"x","total_server":40}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := loadFleetSpec(typo); err == nil {
+	if _, err := fleet.LoadSpec(typo); err == nil {
 		t.Error("unknown spec field should error")
 	}
-	if _, err := loadFleetSpec(filepath.Join(dir, "absent.json")); err == nil {
+	if _, err := fleet.LoadSpec(filepath.Join(dir, "absent.json")); err == nil {
 		t.Error("missing spec file should error")
 	}
 }

@@ -67,7 +67,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -147,7 +146,7 @@ func main() {
 		if o.backend != "sim" {
 			log.Fatal("greensprintd: -fleet requires -backend sim")
 		}
-		spec, err := loadFleetSpec(*fleetPath)
+		spec, err := fleet.LoadSpec(*fleetPath)
 		if err != nil {
 			log.Fatalf("greensprintd: %v", err)
 		}
@@ -367,24 +366,6 @@ func fleetView(cfg config.Config, o options) (cluster.GreenConfig, *fleet.Topolo
 	green.GreenServers = topo.Servers
 	green.Panels = topo.Panels
 	return green, topo, nil
-}
-
-// loadFleetSpec reads and validates a fleet spec JSON file.
-func loadFleetSpec(path string) (*fleet.Spec, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("load fleet spec: %w", err)
-	}
-	var spec fleet.Spec
-	dec := json.NewDecoder(bytes.NewReader(b))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		return nil, fmt.Errorf("fleet spec %s: %w", path, err)
-	}
-	if err := spec.Validate(); err != nil {
-		return nil, fmt.Errorf("fleet spec %s: %w", path, err)
-	}
-	return &spec, nil
 }
 
 // loadQTable restores a persisted Hybrid Q-table, if the controller

@@ -12,6 +12,7 @@ import (
 
 	"greensprint/internal/config"
 	"greensprint/internal/core"
+	"greensprint/internal/fleet"
 	"greensprint/internal/obs"
 )
 
@@ -196,7 +197,7 @@ func TestRunFleet(t *testing.T) {
 	if err := os.WriteFile(specPath, []byte(specJSON), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	spec, err := loadFleetSpec(specPath)
+	spec, err := fleet.LoadSpec(specPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +235,7 @@ func TestRunFleet(t *testing.T) {
 
 	// A fleet spec on a non-sim backend is refused by flag validation in
 	// main; the helper itself rejects malformed specs.
-	if _, err := loadFleetSpec(filepath.Join(dir, "absent.json")); err == nil {
+	if _, err := fleet.LoadSpec(filepath.Join(dir, "absent.json")); err == nil {
 		t.Error("missing spec file should error")
 	}
 }

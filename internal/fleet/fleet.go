@@ -21,11 +21,13 @@
 package fleet
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"os"
 
 	"greensprint/internal/battery"
 	"greensprint/internal/chaos"
@@ -62,6 +64,12 @@ const DefaultRackSize = 10
 // DefaultZones is the default availability-zone count, matching the
 // two-PDU-leg split the chaos engine has always assumed.
 const DefaultZones = 2
+
+// MaxServers bounds Spec.TotalServers. Generate allocates per server,
+// so a spec read from a file must not be able to demand an unbounded
+// fleet; the limit sits two orders of magnitude above the 10k-server
+// fleets the benchmarks run.
+const MaxServers = 1 << 20
 
 // Template is one weighted server class: every rack drawn from it
 // carries servers of this class. The zero values fall back to the
@@ -117,11 +125,17 @@ func (s *Spec) Validate() error {
 	if s.TotalServers < 1 {
 		return fmt.Errorf("fleet %s: total_servers %d < 1", s.Name, s.TotalServers)
 	}
+	if s.TotalServers > MaxServers {
+		return fmt.Errorf("fleet %s: total_servers %d exceeds the %d-server limit", s.Name, s.TotalServers, MaxServers)
+	}
 	if s.RackSize < 0 {
 		return fmt.Errorf("fleet %s: negative rack_size %d", s.Name, s.RackSize)
 	}
 	if s.Zones < 0 {
 		return fmt.Errorf("fleet %s: negative zones %d", s.Name, s.Zones)
+	}
+	if s.Zones > s.TotalServers {
+		return fmt.Errorf("fleet %s: zones %d exceeds total_servers %d", s.Name, s.Zones, s.TotalServers)
 	}
 	if len(s.Templates) == 0 {
 		return fmt.Errorf("fleet %s: no templates", s.Name)
@@ -153,6 +167,35 @@ func (s *Spec) Validate() error {
 		seen[t.Name] = true
 	}
 	return nil
+}
+
+// LoadSpec reads a fleet spec JSON file and validates it. Decoding is
+// strict: an unknown field is an error, so a typo cannot silently fall
+// back to a default.
+func LoadSpec(path string) (*Spec, error) {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("load fleet spec: %w", err)
+	}
+	spec, err := parseSpec(b)
+	if err != nil {
+		return nil, fmt.Errorf("fleet spec %s: %w", path, err)
+	}
+	return spec, nil
+}
+
+// parseSpec is LoadSpec's strict decode and validation of one spec.
+func parseSpec(b []byte) (*Spec, error) {
+	var spec Spec
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
+		return nil, err
+	}
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
+	return &spec, nil
 }
 
 // Class is one template's generated footprint: how many servers and
@@ -242,7 +285,12 @@ func (s *Spec) Generate() (*Topology, error) {
 	if len(s.Templates) > 1 {
 		rng = rand.New(rand.NewSource(s.Seed))
 	}
-	racks := (s.TotalServers + rackSize - 1) / rackSize
+	// Ceiling division without the overflow a huge rack_size would
+	// cause in (total + rackSize - 1) / rackSize.
+	racks := s.TotalServers / rackSize
+	if s.TotalServers%rackSize != 0 {
+		racks++
+	}
 	t.Racks = make([]Rack, racks)
 	t.classOf = make([]int, s.TotalServers)
 	t.zoneMembers = make([][]int, zones)

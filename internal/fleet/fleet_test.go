@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
@@ -178,6 +179,13 @@ func TestValidateErrors(t *testing.T) {
 		{"bad dod", func(s *Spec) { s.Templates[0].BatteryMaxDoD = 1.5 }},
 		{"negative panels", func(s *Spec) { s.Templates[0].Panels = -1 }},
 		{"zone out of range", func(s *Spec) { s.Templates[0].Zone = 3 }},
+		// Absurd sizes must be refused before Generate allocates for
+		// them: 1<<62 servers overflows makeslice, and 1<<40 zones on a
+		// three-server fleet exhausts memory.
+		{"servers over limit", func(s *Spec) { s.TotalServers = 1 << 62 }},
+		{"servers one over limit", func(s *Spec) { s.TotalServers = MaxServers + 1 }},
+		{"absurd zones", func(s *Spec) { s.TotalServers = 3; s.Zones = 1 << 40 }},
+		{"more zones than servers", func(s *Spec) { s.TotalServers = 3; s.Zones = 4 }},
 	}
 	for _, tc := range cases {
 		spec := mixedSpec(100, 1)
@@ -186,8 +194,27 @@ func TestValidateErrors(t *testing.T) {
 			t.Errorf("%s: Validate accepted a broken spec", tc.name)
 		}
 	}
+	limit := mixedSpec(MaxServers, 1)
+	if err := limit.Validate(); err != nil {
+		t.Errorf("spec at the server limit rejected: %v", err)
+	}
 	var nilSpec *Spec
 	if err := nilSpec.Validate(); err == nil {
 		t.Error("nil spec accepted")
+	}
+}
+
+// TestGenerateHugeRackSize pins the rack count for a rack_size far
+// larger than the fleet: one partial rack, with no overflow in the
+// ceiling division.
+func TestGenerateHugeRackSize(t *testing.T) {
+	spec := mixedSpec(25, 3)
+	spec.RackSize = math.MaxInt
+	topo, err := spec.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(topo.Racks) != 1 || topo.Racks[0].Servers != 25 {
+		t.Fatalf("racks = %+v, want one rack of 25 servers", topo.Racks)
 	}
 }

@@ -30,170 +30,52 @@ import (
 // one-time presizing) carry //greensprint:allow(allocfree) directives
 // with justifications; `greensprint-lint -audit` lists them all.
 //
-// Reachability is computed by a whole-program prepass (Prepare):
-// static calls and method values resolve through types.Info.Uses, and
-// a call through an interface method fans out to every concrete type
-// in the step-graph packages that implements the interface. The
-// over-approximation is deliberate — a site that might be on the hot
-// path is treated as on it.
-type AllocFreeRule struct {
-	reachable map[*types.Func]bool
-}
-
-// NewAllocFreeRule returns the rule; Run invokes its Prepare prepass
-// before per-package checking.
-func NewAllocFreeRule() *AllocFreeRule { return &AllocFreeRule{} }
+// Reachability comes from the pass's Program index: static calls and
+// method values resolve through types.Info.Uses, and a call through an
+// interface method fans out to every concrete type in the step-graph
+// packages that implements the interface. Packages outside the step
+// graph (and the standard library) end the walk — the rule cannot
+// report into them anyway. The over-approximation is deliberate — a
+// site that might be on the hot path is treated as on it.
+type AllocFreeRule struct{}
 
 // Name implements Rule.
-func (*AllocFreeRule) Name() string { return "allocfree" }
+func (AllocFreeRule) Name() string { return "allocfree" }
 
 // Doc implements Rule.
-func (*AllocFreeRule) Doc() string {
+func (AllocFreeRule) Doc() string {
 	return "no allocation sites (composite literals, make/new, append, capturing closures, interface boxing) in the Engine.Step/StepN call graph"
 }
 
 // Applies implements Rule.
-func (*AllocFreeRule) Applies(pkgPath string) bool { return StepGraphPackages[pkgPath] }
+func (AllocFreeRule) Applies(pkgPath string) bool { return StepGraphPackages[pkgPath] }
 
 // simPath is where the call-graph roots live.
 const simPath = ModulePath + "/internal/sim"
 
-// Prepare implements the whole-program prepass: it builds the set of
-// functions reachable from sim.Engine.Step/StepN across every
-// step-graph package in pkgs. Packages outside the step graph (and the
-// standard library) terminate the walk — the rule cannot report into
-// them anyway.
-func (r *AllocFreeRule) Prepare(pkgs []*Package) {
-	r.reachable = map[*types.Func]bool{}
-
-	// Index every function declaration in the step-graph packages, and
-	// every named type for interface-implementation matching.
-	type declSite struct {
-		pkg  *Package
-		decl *ast.FuncDecl
-	}
-	decls := map[*types.Func]declSite{}
-	var named []types.Type
-	for _, p := range pkgs {
-		if !StepGraphPackages[p.Path] && p.Path != simPath {
-			continue
-		}
-		for _, f := range p.Files {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok {
-					continue
-				}
-				if fn, ok := p.Info.Defs[fd.Name].(*types.Func); ok {
-					decls[fn] = declSite{p, fd}
-				}
-			}
-		}
-		scope := p.Types.Scope()
-		for _, name := range scope.Names() {
-			if tn, ok := scope.Lookup(name).(*types.TypeName); ok && !tn.IsAlias() {
-				named = append(named, tn.Type())
-			}
-		}
-	}
-
-	// Roots: Step and StepN on sim.Engine.
-	var queue []*types.Func
-	for fn := range decls {
-		if fn.Pkg() == nil || fn.Pkg().Path() != simPath {
-			continue
-		}
-		if fn.Name() != "Step" && fn.Name() != "StepN" {
-			continue
-		}
-		sig, ok := fn.Type().(*types.Signature)
-		if !ok || sig.Recv() == nil {
-			continue
-		}
-		if recvTypeName(sig.Recv().Type()) == "Engine" {
-			queue = append(queue, fn)
-		}
-	}
-
-	// implementers resolves an interface method to the matching
-	// concrete methods of every step-graph type that implements the
-	// interface.
-	implementers := func(fn *types.Func, iface *types.Interface) []*types.Func {
-		var out []*types.Func
-		for _, t := range named {
-			if types.IsInterface(t) {
+// stepGraph returns the functions reachable from sim.Engine.Step and
+// StepN, computing them on first use.
+func (prog *Program) stepGraph() map[*types.Func]bool {
+	if prog.step == nil {
+		var roots []*types.Func
+		for _, site := range prog.funcs {
+			fn := site.fn
+			if fn == nil || fn.Pkg().Path() != simPath || fn.Name() != "Step" && fn.Name() != "StepN" {
 				continue
 			}
-			pt := types.NewPointer(t)
-			if !types.Implements(t, iface) && !types.Implements(pt, iface) {
-				continue
-			}
-			if obj, _, _ := types.LookupFieldOrMethod(pt, true, fn.Pkg(), fn.Name()); obj != nil {
-				if m, ok := obj.(*types.Func); ok {
-					out = append(out, m)
-				}
+			if tn := recvType(fn); tn != nil && tn.Name() == "Engine" {
+				roots = append(roots, fn)
 			}
 		}
-		return out
+		prog.step = prog.reach(roots, StepGraphPackages, true)
 	}
-
-	// Breadth-first closure: every *types.Func referenced inside a
-	// reachable body is an edge (covering calls, method values and
-	// functions passed as arguments alike); abstract interface methods
-	// fan out to their step-graph implementers.
-	visit := func(fn *types.Func) {
-		if fn == nil || r.reachable[fn] {
-			return
-		}
-		r.reachable[fn] = true
-		queue = append(queue, fn)
-	}
-	for len(queue) > 0 {
-		fn := queue[0]
-		queue = queue[1:]
-		r.reachable[fn] = true
-		site, ok := decls[fn]
-		if !ok || site.decl.Body == nil {
-			continue
-		}
-		ast.Inspect(site.decl.Body, func(n ast.Node) bool {
-			id, ok := n.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			callee, ok := site.pkg.Info.Uses[id].(*types.Func)
-			if !ok {
-				return true
-			}
-			if sig, ok := callee.Type().(*types.Signature); ok && sig.Recv() != nil {
-				if iface, ok := sig.Recv().Type().Underlying().(*types.Interface); ok {
-					for _, m := range implementers(callee, iface) {
-						visit(m)
-					}
-					return true
-				}
-			}
-			visit(callee)
-			return true
-		})
-	}
-}
-
-// recvTypeName unwraps a receiver type (T or *T) to its named type's
-// name.
-func recvTypeName(t types.Type) string {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if n, ok := t.(*types.Named); ok {
-		return n.Obj().Name()
-	}
-	return ""
+	return prog.step
 }
 
 // Check implements Rule: it scans the bodies of this package's
 // reachable functions for allocation sites.
-func (r *AllocFreeRule) Check(p *Package, report ReportFunc) {
+func (AllocFreeRule) Check(prog *Program, p *Package, report ReportFunc) {
+	reachable := prog.stepGraph()
 	for _, f := range p.Files {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
@@ -201,15 +83,15 @@ func (r *AllocFreeRule) Check(p *Package, report ReportFunc) {
 				continue
 			}
 			fn, ok := p.Info.Defs[fd.Name].(*types.Func)
-			if !ok || !r.reachable[fn] {
+			if !ok || !reachable[fn] {
 				continue
 			}
-			r.checkBody(p, fd.Body, report)
+			checkAllocBody(p, fd.Body, report)
 		}
 	}
 }
 
-func (r *AllocFreeRule) checkBody(p *Package, body ast.Node, report ReportFunc) {
+func checkAllocBody(p *Package, body ast.Node, report ReportFunc) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CompositeLit:
@@ -230,7 +112,7 @@ func (r *AllocFreeRule) checkBody(p *Package, body ast.Node, report ReportFunc) 
 				report(n.Pos(), "func literal captures enclosing variables and allocates a closure on the Step hot path; hoist it or pass state explicitly")
 			}
 		case *ast.CallExpr:
-			r.checkCall(p, n, report)
+			checkAllocCall(p, n, report)
 		}
 		return true
 	})
@@ -238,7 +120,7 @@ func (r *AllocFreeRule) checkBody(p *Package, body ast.Node, report ReportFunc) 
 
 // checkCall flags builtin allocators and interface boxing at call
 // arguments.
-func (r *AllocFreeRule) checkCall(p *Package, call *ast.CallExpr, report ReportFunc) {
+func checkAllocCall(p *Package, call *ast.CallExpr, report ReportFunc) {
 	// Builtins: make, new, append.
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
 		if b, ok := p.Info.Uses[id].(*types.Builtin); ok {

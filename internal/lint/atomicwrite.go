@@ -27,7 +27,7 @@ func (AtomicWriteRule) Applies(pkgPath string) bool {
 }
 
 // Check implements Rule.
-func (AtomicWriteRule) Check(p *Package, report ReportFunc) {
+func (AtomicWriteRule) Check(_ *Program, p *Package, report ReportFunc) {
 	for _, f := range p.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)

@@ -1,9 +1,10 @@
 package lint
 
 import (
-	"go/token"
-	"sort"
+	"cmp"
+	"slices"
 	"strconv"
+	"strings"
 )
 
 // AuditEntry is one (directive, rule) pair from the exemption audit: a
@@ -39,43 +40,25 @@ func (e AuditEntry) String() string {
 }
 
 // Audit justifies every //greensprint:allow directive in the packages:
-// it re-runs the rules with suppression disabled and marks each
-// (directive, rule) pair live when the rule actually fires on a line
-// the directive covers (its own line or the line below). A stale
+// it takes the same raw findings Run filters through the directives
+// and marks each (directive, rule) pair live when the rule actually
+// fires on a line the directive covers (its own line or the line
+// below). A stale
 // exemption — the code it excused was fixed or deleted, the rule name
 // is unknown, or the justification is missing — is the audit's
 // finding: it either documents a violation that no longer exists or
 // silently pre-approves a future one.
 func Audit(pkgs []*Package, rules []Rule) []AuditEntry {
-	for _, r := range rules {
-		if pp, ok := r.(Prepasser); ok {
-			pp.Prepare(pkgs)
-		}
-	}
 	known := map[string]bool{}
 	for _, r := range rules {
 		known[r.Name()] = true
 	}
 
-	// Raw findings, ignoring suppression: (file, line, rule) → fired.
-	type site struct {
-		file string
-		line int
-		rule string
-	}
-	fired := map[site]bool{}
-	for _, pkg := range pkgs {
-		for _, r := range rules {
-			if !r.Applies(pkg.Path) {
-				continue
-			}
-			rule, p := r, pkg
-			r.Check(pkg, func(pos token.Pos, _ string) {
-				at := p.Fset.Position(pos)
-				fired[site{at.Filename, at.Line, rule.Name()}] = true
-			})
-		}
-	}
+	// Raw findings, ignoring suppression.
+	fired := map[ruleLine]bool{}
+	findings(pkgs, rules, func(d Diagnostic) {
+		fired[ruleLine{d.File, d.Line, d.Rule}] = true
+	})
 
 	var entries []AuditEntry
 	for _, pkg := range pkgs {
@@ -85,10 +68,11 @@ func Audit(pkgs []*Package, rules []Rule) []AuditEntry {
 					File: d.File, Line: d.Line, Rule: name,
 					Justification: d.Justification, Package: d.Package,
 				}
+				covered := d.covers(name)
 				switch {
 				case !known[name]:
 					e.Reason = "unknown rule"
-				case fired[site{d.File, d.Line, name}] || fired[site{d.File, d.Line + 1, name}]:
+				case fired[covered[0]] || fired[covered[1]]:
 					e.Live = true
 					if d.Justification == "" {
 						e.Reason = "missing justification"
@@ -105,21 +89,10 @@ func Audit(pkgs []*Package, rules []Rule) []AuditEntry {
 	// package and justification break any remaining ties so the report
 	// is a total order regardless of load order or map iteration
 	// anywhere upstream.
-	sort.SliceStable(entries, func(i, j int) bool {
-		a, b := entries[i], entries[j]
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		if a.Rule != b.Rule {
-			return a.Rule < b.Rule
-		}
-		if a.Package != b.Package {
-			return a.Package < b.Package
-		}
-		return a.Justification < b.Justification
+	slices.SortStableFunc(entries, func(a, b AuditEntry) int {
+		return cmp.Or(strings.Compare(a.File, b.File), cmp.Compare(a.Line, b.Line),
+			strings.Compare(a.Rule, b.Rule), strings.Compare(a.Package, b.Package),
+			strings.Compare(a.Justification, b.Justification))
 	})
 	return entries
 }

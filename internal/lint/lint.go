@@ -22,6 +22,7 @@
 package lint
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/importer"
@@ -30,13 +31,18 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 )
 
 // ModulePath is the import path of this module; package scoping and
 // the module-local importer key off it.
 const ModulePath = "greensprint"
+
+// moduleLocal reports whether an import path is inside this module.
+func moduleLocal(path string) bool {
+	return path == ModulePath || strings.HasPrefix(path, ModulePath+"/")
+}
 
 // DeterministicPackages is the deterministic simulation domain: every
 // package whose outputs feed the golden sweep/event-stream/sharded
@@ -103,7 +109,8 @@ func (d Diagnostic) String() string {
 
 // Rule is one invariant check. Check reports findings through the
 // callback; the runner applies allow-directive suppression and sorting
-// so rules stay pure detection logic.
+// so rules stay pure detection logic. A rule that needs facts beyond
+// one package reads them from the pass's Program index.
 type Rule interface {
 	// Name is the rule identifier used in diagnostics and in
 	// //greensprint:allow(name) directives.
@@ -113,7 +120,7 @@ type Rule interface {
 	// Applies reports whether the rule audits the given import path.
 	Applies(pkgPath string) bool
 	// Check inspects one package and reports each violation.
-	Check(pkg *Package, report ReportFunc)
+	Check(prog *Program, pkg *Package, report ReportFunc)
 }
 
 // ReportFunc receives one violation at a source position.
@@ -127,12 +134,8 @@ type Package struct {
 	Types *types.Package
 	Info  *types.Info
 
-	// allow maps file → line → rule names suppressed on that line. A
-	// directive registers its own line and the line below, so it works
-	// both trailing a statement and on the line above one.
-	allow map[string]map[int]map[string]bool
 	// directives are the well-formed //greensprint:allow comments in
-	// source order, kept for the exemption audit (see Audit).
+	// source order.
 	directives []Directive
 	// badDirectives are malformed //greensprint:allow comments,
 	// reported under the reserved rule name "directive".
@@ -150,19 +153,34 @@ type Directive struct {
 	Package       string   `json:"package"`
 }
 
+// ruleLine is a (file, line, rule) triple: where a finding fires, and
+// what a directive covers.
+type ruleLine struct {
+	file string
+	line int
+	rule string
+}
+
+// covers returns the two lines the directive suppresses rule on: its
+// own line and the line below, so it works both trailing a statement
+// and on the line above one.
+func (d Directive) covers(rule string) [2]ruleLine {
+	return [2]ruleLine{{d.File, d.Line, rule}, {d.File, d.Line + 1, rule}}
+}
+
 const (
 	directiveNS = "greensprint:"
 	allowPrefix = "//" + directiveNS + "allow"
 )
 
-// collectAllows scans the file's comments for suppression directives.
+// collectDirectives scans the file's comments for suppression directives.
 // Anything in the reserved greensprint: namespace that is not the
 // exact //greensprint:allow(rule[,rule...]) form — including near
 // misses like "// greensprint:allow(rule)" (space after the slashes)
 // or "//greensprint: allow(rule)" (space after the colon) — is
 // reported as malformed rather than silently ignored, so an author can
 // never believe a site is suppressed when it is not.
-func (p *Package) collectAllows(f *ast.File) {
+func (p *Package) collectDirectives(f *ast.File) {
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
 			text := c.Text
@@ -222,30 +240,8 @@ func (p *Package) collectAllows(f *ast.File) {
 				Justification: strings.TrimSpace(rest[end+1:]),
 				Package:       p.Path,
 			})
-			if p.allow == nil {
-				p.allow = map[string]map[int]map[string]bool{}
-			}
-			byLine := p.allow[pos.Filename]
-			if byLine == nil {
-				byLine = map[int]map[string]bool{}
-				p.allow[pos.Filename] = byLine
-			}
-			for _, line := range []int{pos.Line, pos.Line + 1} {
-				set := byLine[line]
-				if set == nil {
-					set = map[string]bool{}
-					byLine[line] = set
-				}
-				for _, n := range names {
-					set[n] = true
-				}
-			}
 		}
 	}
-}
-
-func (p *Package) allowedAt(file string, line int, rule string) bool {
-	return p.allow[file][line][rule]
 }
 
 // Loader parses and type-checks module packages from source. Imports
@@ -286,7 +282,7 @@ func NewLoader(root string) (*Loader, error) {
 // paths load (and cache) through the loader, everything else resolves
 // from the standard library source tree.
 func (l *Loader) Import(path string) (*types.Package, error) {
-	if path == ModulePath || strings.HasPrefix(path, ModulePath+"/") {
+	if moduleLocal(path) {
 		p, err := l.Load(path)
 		if err != nil {
 			return nil, err
@@ -308,7 +304,7 @@ func (l *Loader) Load(importPath string) (*Package, error) {
 	defer delete(l.active, importPath)
 
 	rel := strings.TrimPrefix(strings.TrimPrefix(importPath, ModulePath), "/")
-	p, err := l.loadDir(filepath.Join(l.Root, filepath.FromSlash(rel)), importPath)
+	p, err := l.LoadDir(filepath.Join(l.Root, filepath.FromSlash(rel)), importPath)
 	if err != nil {
 		return nil, err
 	}
@@ -320,11 +316,7 @@ func (l *Loader) Load(importPath string) (*Package, error) {
 // path, without caching. The lint tests use it to load testdata
 // fixtures as if they lived at a scoped path (e.g. a fixture checked
 // as greensprint/internal/sim so the deterministic-domain rules fire).
-func (l *Loader) LoadDir(dir, asPath string) (*Package, error) {
-	return l.loadDir(dir, asPath)
-}
-
-func (l *Loader) loadDir(dir, importPath string) (*Package, error) {
+func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("lint: %w", err)
@@ -352,7 +344,7 @@ func (l *Loader) loadDir(dir, importPath string) (*Package, error) {
 			return nil, fmt.Errorf("lint: %w", err)
 		}
 		files = append(files, f)
-		p.collectAllows(f)
+		p.collectDirectives(f)
 	}
 	if len(files) == 0 {
 		return nil, fmt.Errorf("lint: no Go files in %s", dir)
@@ -407,7 +399,7 @@ func (l *Loader) LoadAll(patterns []string) ([]*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lint: %w", err)
 	}
-	sort.Strings(dirs)
+	slices.Sort(dirs)
 	var pkgs []*Package
 	for _, dir := range dirs {
 		rel, err := filepath.Rel(l.Root, dir)
@@ -458,29 +450,39 @@ func matchAny(rel string, patterns []string) bool {
 	return false
 }
 
-// DefaultRules is the shipped rule catalog, in reporting order. The
-// statecov and wiretag rules share one state-graph prepass instance so
-// the whole-program pairing walk runs once per pass.
+// DefaultRules is the shipped rule catalog, in reporting order.
 func DefaultRules() []Rule {
-	g := newStateGraph()
 	return []Rule{
 		NondetermRule{},
 		MapRangeRule{},
 		AtomicWriteRule{},
-		SnapshotPairRule{},
 		NoGoroutineRule{},
-		NewAllocFreeRule(),
-		NewStateCovRule(g),
-		NewLockGuardRule(),
-		NewWireTagRule(g),
+		AllocFreeRule{},
+		StateCovRule{},
+		LockGuardRule{},
+		WireTagRule{},
 	}
 }
 
-// Prepasser is implemented by rules that need a whole-program view
-// (e.g. cross-package call-graph reachability) before per-package
-// checking; Run invokes Prepare once with every package in the pass.
-type Prepasser interface {
-	Prepare(pkgs []*Package)
+// findings is the raw-findings pass Run and Audit share: it indexes the
+// packages into one Program, runs every applicable rule over every
+// package and hands each finding, unsuppressed, to emit.
+func findings(pkgs []*Package, rules []Rule, emit func(Diagnostic)) {
+	prog := newProgram(pkgs)
+	for _, pkg := range pkgs {
+		for _, r := range rules {
+			if !r.Applies(pkg.Path) {
+				continue
+			}
+			r.Check(prog, pkg, func(pos token.Pos, msg string) {
+				at := pkg.Fset.Position(pos)
+				emit(Diagnostic{
+					File: at.Filename, Line: at.Line, Col: at.Column,
+					Rule: r.Name(), Message: msg, Package: pkg.Path,
+				})
+			})
+		}
+	}
 }
 
 // Run applies the rules to the packages and returns the surviving
@@ -488,44 +490,26 @@ type Prepasser interface {
 // are honored here; malformed directives surface as "directive"
 // diagnostics (which cannot be suppressed).
 func Run(pkgs []*Package, rules []Rule) []Diagnostic {
-	for _, r := range rules {
-		if pp, ok := r.(Prepasser); ok {
-			pp.Prepare(pkgs)
-		}
-	}
 	var diags []Diagnostic
+	allowed := map[ruleLine]bool{}
 	for _, pkg := range pkgs {
 		diags = append(diags, pkg.badDirectives...)
-		for _, r := range rules {
-			if !r.Applies(pkg.Path) {
-				continue
-			}
-			rule := r
-			p := pkg
-			r.Check(pkg, func(pos token.Pos, msg string) {
-				at := p.Fset.Position(pos)
-				if p.allowedAt(at.Filename, at.Line, rule.Name()) {
-					return
+		for _, d := range pkg.directives {
+			for _, rule := range d.Rules {
+				for _, s := range d.covers(rule) {
+					allowed[s] = true
 				}
-				diags = append(diags, Diagnostic{
-					File: at.Filename, Line: at.Line, Col: at.Column,
-					Rule: rule.Name(), Message: msg, Package: p.Path,
-				})
-			})
+			}
 		}
 	}
-	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i], diags[j]
-		if a.File != b.File {
-			return a.File < b.File
+	findings(pkgs, rules, func(d Diagnostic) {
+		if !allowed[ruleLine{d.File, d.Line, d.Rule}] {
+			diags = append(diags, d)
 		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		if a.Col != b.Col {
-			return a.Col < b.Col
-		}
-		return a.Rule < b.Rule
+	})
+	slices.SortStableFunc(diags, func(a, b Diagnostic) int {
+		return cmp.Or(strings.Compare(a.File, b.File), cmp.Compare(a.Line, b.Line),
+			cmp.Compare(a.Col, b.Col), strings.Compare(a.Rule, b.Rule))
 	})
 	return diags
 }

@@ -35,22 +35,24 @@ func TestRuleFixtures(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases := []struct {
-		rule   string
-		asPath string // import path the fixture is checked under
+		fixture string // directory under testdata/src and golden name
+		rule    string
+		asPath  string // import path the fixture is checked under
 	}{
-		{"nondeterm", ModulePath + "/internal/sim"},
-		{"maprange", ModulePath + "/internal/strategy"},
-		{"atomicwrite", ModulePath + "/cmd/fixture"},
-		{"snapshotpair", ModulePath + "/internal/fixture"},
-		{"nogoroutine", ModulePath + "/internal/battery"},
-		{"allocfree", ModulePath + "/internal/sim"},
-		{"statecov", ModulePath + "/internal/fixture"},
-		{"lockguard", ModulePath + "/internal/core"},
-		{"wiretag", ModulePath + "/internal/fixture"},
+		{"nondeterm", "nondeterm", ModulePath + "/internal/sim"},
+		{"maprange", "maprange", ModulePath + "/internal/strategy"},
+		{"atomicwrite", "atomicwrite", ModulePath + "/cmd/fixture"},
+		{"nogoroutine", "nogoroutine", ModulePath + "/internal/battery"},
+		{"allocfree", "allocfree", ModulePath + "/internal/sim"},
+		{"statecov", "statecov", ModulePath + "/internal/fixture"},
+		// The Snapshot/Restore pairing half of statecov.
+		{"snapshotpair", "statecov", ModulePath + "/internal/fixture"},
+		{"lockguard", "lockguard", ModulePath + "/internal/core"},
+		{"wiretag", "wiretag", ModulePath + "/internal/fixture"},
 	}
 	for _, tc := range cases {
-		t.Run(tc.rule, func(t *testing.T) {
-			dir := filepath.Join(root, "internal", "lint", "testdata", "src", tc.rule)
+		t.Run(tc.fixture, func(t *testing.T) {
+			dir := filepath.Join(root, "internal", "lint", "testdata", "src", tc.fixture)
 			pkg, err := loader.LoadDir(dir, tc.asPath)
 			if err != nil {
 				t.Fatal(err)
@@ -64,7 +66,7 @@ func TestRuleFixtures(t *testing.T) {
 				lines = append(lines, d.String())
 			}
 			got := strings.Join(lines, "\n") + "\n"
-			goldenPath := filepath.Join(root, "internal", "lint", "testdata", tc.rule+".golden")
+			goldenPath := filepath.Join(root, "internal", "lint", "testdata", tc.fixture+".golden")
 			if *update {
 				if err := os.WriteFile(goldenPath, []byte(got), 0o644); err != nil {
 					t.Fatal(err)

@@ -40,9 +40,6 @@ var LockGuardPackages = map[string]bool{
 // explicit "guarded by <name>" field comment overrides position.
 type LockGuardRule struct{}
 
-// NewLockGuardRule returns the rule.
-func NewLockGuardRule() LockGuardRule { return LockGuardRule{} }
-
 // Name implements Rule.
 func (LockGuardRule) Name() string { return "lockguard" }
 
@@ -61,7 +58,7 @@ type guardInfo struct {
 }
 
 // Check implements Rule.
-func (LockGuardRule) Check(p *Package, report ReportFunc) {
+func (LockGuardRule) Check(_ *Program, p *Package, report ReportFunc) {
 	guards := collectGuards(p)
 	if len(guards) == 0 {
 		return
@@ -199,7 +196,8 @@ func checkFunc(p *Package, fd *ast.FuncDecl, guards map[*types.Var]guardInfo, re
 		return true
 	})
 
-	recv := recvTypeNameObj(p, fd)
+	fn, _ := p.Info.Defs[fd.Name].(*types.Func)
+	recv := recvType(fn)
 	certified := strings.HasSuffix(fd.Name.Name, "Locked") || heldDoc(fd.Doc)
 
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -238,23 +236,6 @@ func checkFunc(p *Package, fd *ast.FuncDecl, guards map[*types.Var]guardInfo, re
 			g.mutex.Name()+" but accessed outside "+g.owner.Name()+"'s methods without holding it")
 		return true
 	})
-}
-
-// recvTypeNameObj resolves fd's receiver to its *types.TypeName, if
-// any.
-func recvTypeNameObj(p *Package, fd *ast.FuncDecl) *types.TypeName {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return nil
-	}
-	fn, ok := p.Info.Defs[fd.Name].(*types.Func)
-	if !ok {
-		return nil
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return nil
-	}
-	return recvNamed(sig.Recv().Type())
 }
 
 // heldDoc reports whether a doc comment documents the lock-held

@@ -32,7 +32,7 @@ func (MapRangeRule) Doc() string {
 func (MapRangeRule) Applies(pkgPath string) bool { return DeterministicPackages[pkgPath] }
 
 // Check implements Rule.
-func (MapRangeRule) Check(p *Package, report ReportFunc) {
+func (MapRangeRule) Check(_ *Program, p *Package, report ReportFunc) {
 	for _, f := range p.Files {
 		var stack []ast.Node
 		ast.Inspect(f, func(n ast.Node) bool {

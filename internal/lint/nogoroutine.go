@@ -23,7 +23,7 @@ func (NoGoroutineRule) Doc() string {
 func (NoGoroutineRule) Applies(pkgPath string) bool { return StepGraphPackages[pkgPath] }
 
 // Check implements Rule.
-func (NoGoroutineRule) Check(p *Package, report ReportFunc) {
+func (NoGoroutineRule) Check(_ *Program, p *Package, report ReportFunc) {
 	for _, f := range p.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			if g, ok := n.(*ast.GoStmt); ok {

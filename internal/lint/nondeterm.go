@@ -61,7 +61,7 @@ var randConstructors = map[string]bool{
 }
 
 // Check implements Rule.
-func (NondetermRule) Check(p *Package, report ReportFunc) {
+func (NondetermRule) Check(_ *Program, p *Package, report ReportFunc) {
 	for _, f := range p.Files {
 		// Qualified uses report at the selector (the position of the
 		// "time" in time.Now); their Sel identifiers are marked handled

@@ -1,17 +1,20 @@
 package lint
 
-import (
-	"go/token"
-)
-
-// StateCovRule is the checkpoint-completeness half of the state graph:
-// every mutable field of a snapshotting type (one with a
-// Snapshot/Restore, Checkpoint/Restore or SnapshotState/RestoreState
-// pairing) must flow into the snapshot side AND be written back on the
-// restore side. "Mutable" means assigned by some method of the type
-// other than the pair methods themselves — constructor-only
-// configuration needs no checkpointing, but anything Step can change
-// does, or a resumed run silently diverges from a straight one.
+// StateCovRule enforces checkpoint completeness on the state graph,
+// in two parts.
+//
+// Pairing: a type with a Snapshot or Checkpoint needs a Restore and
+// vice versa, and a SnapshotState needs a RestoreState and vice versa;
+// a lone half is state that silently falls out of resume. Pairings are
+// read off the type-checker's method sets, so interfaces count, and so
+// do methods promoted through struct embedding from any package.
+//
+// Coverage: every mutable field of a paired type must flow into the
+// snapshot side AND be written back on the restore side. "Mutable"
+// means assigned by some method of the type other than the pair
+// methods themselves — constructor-only configuration needs no
+// checkpointing, but anything Step can change does, or a resumed run
+// silently diverges from a straight one.
 //
 // The check is textual-by-closure: a field counts as covered on a side
 // when any function in that pair method's transitive call closure
@@ -21,60 +24,29 @@ import (
 // carry //greensprint:allow(statecov) directives on their field
 // declarations, each with a justification the -audit report lists.
 //
-// Findings anchor at the field declaration — the line an author touches
-// when adding state is the line the diagnostic (and its exemption)
-// lives on.
-type StateCovRule struct {
-	g *stateGraph
-}
-
-// NewStateCovRule returns the rule sharing the given state graph.
-func NewStateCovRule(g *stateGraph) *StateCovRule { return &StateCovRule{g: g} }
+// Field findings anchor at the field declaration — the line an author
+// touches when adding state is the line the diagnostic (and its
+// exemption) lives on. Half-pair findings anchor at the lone method.
+type StateCovRule struct{}
 
 // Name implements Rule.
-func (*StateCovRule) Name() string { return "statecov" }
+func (StateCovRule) Name() string { return "statecov" }
 
 // Doc implements Rule.
-func (*StateCovRule) Doc() string {
-	return "every mutable field of a Snapshot/Restore type must flow into its wire struct and be reassigned on restore"
+func (StateCovRule) Doc() string {
+	return "every Snapshot/Checkpoint has a matching Restore and vice versa, and every mutable field of such a type flows into its wire struct and is reassigned on restore"
 }
 
 // Applies implements Rule: snapshot pairings occur throughout the
 // module (sim, core, battery, pss, chaos, pmk, strategy, …), so the
 // rule is unscoped.
-func (*StateCovRule) Applies(string) bool { return true }
-
-// Prepare implements Prepasser via the shared state graph.
-func (r *StateCovRule) Prepare(pkgs []*Package) { r.g.prepare(pkgs) }
+func (StateCovRule) Applies(string) bool { return true }
 
 // Check implements Rule.
-func (r *StateCovRule) Check(p *Package, report ReportFunc) {
-	for _, pair := range r.g.pairs {
-		if pair.Pkg != p {
-			continue
-		}
-		for _, f := range pair.Mutable {
-			missSnap, missRest := pair.MissSnap[f], pair.MissRest[f]
-			if !missSnap && !missRest {
-				continue
-			}
-			tn := pair.Type.Obj().Name()
-			var msg string
-			switch {
-			case missSnap && missRest:
-				msg = "mutable field " + tn + "." + f.Name() + " is not captured by " +
-					pair.Snap.Name() + " and not restored by " + pair.Rest.Name()
-			case missSnap:
-				msg = "mutable field " + tn + "." + f.Name() + " is not captured by " + pair.Snap.Name()
-			default:
-				msg = "mutable field " + tn + "." + f.Name() + " is not restored by " + pair.Rest.Name()
-			}
-			msg += "; a resumed run will drift from a straight one — add it to the wire struct or exempt it as derived with //greensprint:allow(statecov)"
-			pos := f.Pos()
-			if pos == token.NoPos {
-				pos = pair.Type.Obj().Pos()
-			}
-			report(pos, msg)
+func (StateCovRule) Check(prog *Program, p *Package, report ReportFunc) {
+	for _, gap := range prog.stateGraph().gaps {
+		if gap.pkg == p {
+			report(gap.pos, gap.msg)
 		}
 	}
 }

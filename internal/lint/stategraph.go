@@ -2,308 +2,198 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
-	"sort"
-	"strconv"
-	"strings"
+	"reflect"
+	"slices"
 )
 
-// stateGraph is the shared whole-program prepass behind the statecov
-// and wiretag rules. For every type that participates in a
-// Snapshot/Restore, Checkpoint/Restore or SnapshotState/RestoreState
-// pairing it collects:
+// stateGraph is the snapshot-state part of the Program index, behind
+// the statecov and wiretag rules. It reads every package-scope named
+// type's method set once, looking for the Snapshot/Restore,
+// Checkpoint/Restore and SnapshotState/RestoreState pairings, and
+// records:
 //
-//   - the snapshot-side and restore-side methods (promoted methods from
-//     an embedded component count, so a wrapper that inherits a partial
-//     snapshot is checked against its own fields),
-//   - the set of mutable fields — fields assigned by any method of the
-//     type other than the pair methods themselves (constructor-only
-//     fields are immutable configuration and need no checkpointing),
-//   - the transitive call closure of each pair method across every
-//     loaded package (a field restored inside a helper such as
-//     recomputeClassAlive still counts as restored),
-//   - the wire struct the snapshot method returns, and the full wire
-//     graph reachable from it: module-local named struct types reached
-//     through wire-struct fields, plus json-tagged struct literals
-//     constructed anywhere in a pair method's closure (which catches
-//     indirect encodings like the rl Q-table's tableJSON/stateJSON).
-//
-// The graph is built once per Run/Audit pass; both rules share the
-// instance DefaultRules wires in.
+//   - gaps, statecov's findings: a type that carries only one half of
+//     a pairing (interfaces included; methods promoted from an
+//     embedded component count), and a mutable field of a paired type
+//     that the snapshot side never reads or the restore side never
+//     writes;
+//   - the checkpoint wire graph, wiretag's input: the module-local
+//     struct each snapshot method returns, every json-tagged struct
+//     literal built anywhere in a pair method's call closure (which
+//     catches indirect encodings like the rl Q-table's
+//     tableJSON/stateJSON), and every module-local struct reachable
+//     from those through fields.
 type stateGraph struct {
-	pkgs  []*Package
-	built bool
-
-	decls map[*types.Func]stateDeclSite
-	pairs []*statePair
-	// wire maps every reachable wire struct to where it was found, in
-	// deterministic discovery order (wireOrder).
-	wire      map[*types.Named]*wireStruct
-	wireOrder []*types.Named
+	gaps []stateGap
+	wire []*types.Named
 }
 
-type stateDeclSite struct {
-	pkg  *Package
-	decl *ast.FuncDecl
+// stateGap is one statecov finding, reported in pkg.
+type stateGap struct {
+	pkg *Package
+	pos token.Pos
+	msg string
 }
 
-// statePair is one stateful type with both halves of a snapshot
-// pairing.
+// statePair is one concrete type carrying both halves of a pairing,
+// with the transitive call closures of its two pair methods over every
+// loaded package (a field restored inside a helper such as
+// recomputeClassAlive still counts as restored).
 type statePair struct {
-	Pkg  *Package
-	Type *types.Named
-	// Struct is Type's underlying struct; nil for non-struct types
-	// (which have no fields to audit).
-	Struct *types.Struct
-	// Snap/Rest are the snapshot-side and restore-side methods. The
-	// snapshot side prefers Checkpoint over Snapshot over SnapshotState
-	// when a type declares several (core.Controller has both a
-	// Checkpoint and a monitoring Snapshot; the checkpoint is the one
-	// whose completeness matters).
-	Snap, Rest *types.Func
-	// SnapClosure/RestClosure are the transitive call closures of the
-	// pair methods over every loaded package.
-	SnapClosure, RestClosure map[*types.Func]bool
-	// Wire is the module-local named struct the snapshot method
-	// returns (first result, pointers dereferenced); nil when the
-	// method returns bytes (SnapshotState → json.RawMessage).
-	Wire *types.Named
-	// Mutable lists the fields assigned outside the pair methods, in
-	// declaration order.
-	Mutable []*types.Var
-	// MissSnap/MissRest mark mutable fields absent from the respective
-	// closure's field mentions.
-	MissSnap, MissRest map[*types.Var]bool
-}
-
-// wireStruct is one struct in the checkpoint wire graph.
-type wireStruct struct {
-	Named *types.Named
-	Pkg   *Package // defining package, if loaded
+	pkg                      *Package
+	named                    *types.Named
+	snap, rest               *types.Func
+	snapClosure, restClosure map[*types.Func]bool
 }
 
 // snapNames and restNames order the pairing method names by
-// preference.
+// preference: the snapshot side prefers Checkpoint over Snapshot over
+// SnapshotState (core.Controller has both a Checkpoint and a
+// monitoring Snapshot; the checkpoint is the one whose completeness
+// matters).
 var snapNames = []string{"Checkpoint", "Snapshot", "SnapshotState"}
 var restNames = []string{"Restore", "RestoreState"}
 
-func newStateGraph() *stateGraph { return &stateGraph{} }
-
-// prepare (re)builds the graph for pkgs. It is idempotent for a given
-// package slice so the two sharing rules pay for one build per pass.
-func (g *stateGraph) prepare(pkgs []*Package) {
-	if g.built && len(pkgs) == len(g.pkgs) {
-		same := true
-		for i := range pkgs {
-			if pkgs[i] != g.pkgs[i] {
-				same = false
-				break
-			}
-		}
-		if same {
-			return
-		}
+// stateGraph returns the pass's state graph, building it on first use.
+func (prog *Program) stateGraph() *stateGraph {
+	if prog.state == nil {
+		prog.state = buildStateGraph(prog)
 	}
-	g.pkgs = pkgs
-	g.built = true
-	g.decls = map[*types.Func]stateDeclSite{}
-	g.pairs = nil
-	g.wire = map[*types.Named]*wireStruct{}
-	g.wireOrder = nil
-
-	pkgOf := map[*types.Package]*Package{}
-	for _, p := range pkgs {
-		pkgOf[p.Types] = p
-		for _, f := range p.Files {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok {
-					continue
-				}
-				if fn, ok := p.Info.Defs[fd.Name].(*types.Func); ok {
-					g.decls[fn] = stateDeclSite{p, fd}
-				}
-			}
-		}
-	}
-
-	// Pair discovery: every package-scope named struct whose pointer
-	// method set carries both halves.
-	for _, p := range pkgs {
-		scope := p.Types.Scope()
-		names := scope.Names()
-		sort.Strings(names)
-		for _, name := range names {
-			tn, ok := scope.Lookup(name).(*types.TypeName)
-			if !ok || tn.IsAlias() {
-				continue
-			}
-			named, ok := tn.Type().(*types.Named)
-			if !ok || types.IsInterface(named) {
-				continue
-			}
-			ms := types.NewMethodSet(types.NewPointer(named))
-			lookup := func(candidates []string) *types.Func {
-				for _, n := range candidates {
-					for i := 0; i < ms.Len(); i++ {
-						sel := ms.At(i)
-						fn, ok := sel.Obj().(*types.Func)
-						if ok && fn.Name() == n {
-							return fn
-						}
-					}
-				}
-				return nil
-			}
-			snap, rest := lookup(snapNames), lookup(restNames)
-			if snap == nil || rest == nil {
-				continue
-			}
-			pair := &statePair{Pkg: p, Type: named, Snap: snap, Rest: rest}
-			if st, ok := named.Underlying().(*types.Struct); ok {
-				pair.Struct = st
-			}
-			pair.SnapClosure = g.closure(snap)
-			pair.RestClosure = g.closure(rest)
-			pair.Wire = g.wireOf(snap)
-			g.pairs = append(g.pairs, pair)
-		}
-	}
-
-	for _, pair := range g.pairs {
-		g.collectMutable(pair)
-		g.markCoverage(pair)
-	}
-
-	// Wire graph: pair wire roots plus json-tagged struct literals
-	// built inside pair-method closures, closed over field types.
-	var worklist []*types.Named
-	add := func(n *types.Named) {
-		if n == nil || g.wire[n] != nil {
-			return
-		}
-		if n.Obj().Pkg() == nil || !moduleLocal(n.Obj().Pkg().Path()) {
-			return
-		}
-		if _, ok := n.Underlying().(*types.Struct); !ok {
-			return
-		}
-		ws := &wireStruct{Named: n, Pkg: pkgOf[n.Obj().Pkg()]}
-		g.wire[n] = ws
-		g.wireOrder = append(g.wireOrder, n)
-		worklist = append(worklist, n)
-	}
-	for _, pair := range g.pairs {
-		add(pair.Wire)
-		for _, cl := range []map[*types.Func]bool{pair.SnapClosure, pair.RestClosure} {
-			for _, fn := range sortedFuncs(cl) {
-				site, ok := g.decls[fn]
-				if !ok || site.decl.Body == nil {
-					continue
-				}
-				ast.Inspect(site.decl.Body, func(n ast.Node) bool {
-					lit, ok := n.(*ast.CompositeLit)
-					if !ok {
-						return true
-					}
-					tv, ok := site.pkg.Info.Types[lit]
-					if !ok {
-						return true
-					}
-					t := tv.Type
-					if p, ok := t.(*types.Pointer); ok {
-						t = p.Elem()
-					}
-					named, ok := t.(*types.Named)
-					if !ok {
-						return true
-					}
-					if st, ok := named.Underlying().(*types.Struct); ok && hasJSONTag(st) {
-						add(named)
-					}
-					return true
-				})
-			}
-		}
-	}
-	for len(worklist) > 0 {
-		n := worklist[0]
-		worklist = worklist[1:]
-		st := n.Underlying().(*types.Struct)
-		for i := 0; i < st.NumFields(); i++ {
-			for _, fn := range namedStructsIn(st.Field(i).Type()) {
-				add(fn)
-			}
-		}
-	}
+	return prog.state
 }
 
-// closure returns the transitive call closure of fn: every *types.Func
-// referenced (called, taken as a method value, passed as an argument)
-// from a body reachable from fn, across every loaded package. Interface
-// methods terminate the walk — their implementers carry their own
-// pairings.
-func (g *stateGraph) closure(fn *types.Func) map[*types.Func]bool {
-	out := map[*types.Func]bool{}
-	queue := []*types.Func{fn}
-	for len(queue) > 0 {
-		f := queue[0]
-		queue = queue[1:]
-		if f == nil || out[f] {
+func buildStateGraph(prog *Program) *stateGraph {
+	g := &stateGraph{}
+	var pairs []*statePair
+	for _, nt := range prog.named {
+		// Concrete types read their pointer method set (the superset);
+		// interfaces carry their methods on the type itself.
+		iface := types.IsInterface(nt.t)
+		var ms *types.MethodSet
+		if iface {
+			ms = types.NewMethodSet(nt.t)
+		} else {
+			ms = types.NewMethodSet(types.NewPointer(nt.t))
+		}
+		has := map[string]*types.Func{}
+		for i := 0; i < ms.Len(); i++ {
+			fn, ok := ms.At(i).Obj().(*types.Func)
+			if ok && (slices.Contains(snapNames, fn.Name()) || slices.Contains(restNames, fn.Name())) {
+				has[fn.Name()] = fn
+			}
+		}
+		if len(has) == 0 {
 			continue
 		}
-		out[f] = true
-		site, ok := g.decls[f]
-		if !ok || site.decl.Body == nil {
+		g.checkHalves(nt, has)
+		snap, rest := firstOf(has, snapNames), firstOf(has, restNames)
+		if iface || snap == nil || rest == nil {
 			continue
 		}
-		ast.Inspect(site.decl.Body, func(n ast.Node) bool {
-			id, ok := n.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			if callee, ok := site.pkg.Info.Uses[id].(*types.Func); ok && !out[callee] {
-				queue = append(queue, callee)
-			}
-			return true
+		pairs = append(pairs, &statePair{
+			pkg: nt.pkg, named: nt.t, snap: snap, rest: rest,
+			snapClosure: prog.reach([]*types.Func{snap}, nil, false),
+			restClosure: prog.reach([]*types.Func{rest}, nil, false),
 		})
 	}
-	return out
+	for _, pair := range pairs {
+		g.checkCoverage(prog, pair)
+	}
+	g.wire = wireGraph(prog, pairs)
+	return g
 }
 
-// wireOf resolves the snapshot method's wire struct: the first result
-// type, pointers dereferenced, when it is a module-local named struct.
-func (g *stateGraph) wireOf(snap *types.Func) *types.Named {
-	sig, ok := snap.Type().(*types.Signature)
-	if !ok || sig.Results().Len() == 0 {
-		return nil
+// checkHalves records a gap for each pairing nt carries only one half
+// of; has holds nt's pair methods by name.
+func (g *stateGraph) checkHalves(nt namedType, has map[string]*types.Func) {
+	half := func(method, msg string) {
+		// Anchor at the method only when this package declares it, so a
+		// finding never lands in a file the package does not own.
+		pos := has[method].Pos()
+		if !pos.IsValid() || has[method].Pkg() != nt.pkg.Types {
+			pos = nt.t.Obj().Pos()
+		}
+		g.gaps = append(g.gaps, stateGap{nt.pkg, pos, "type " + nt.t.Obj().Name() + " declares " + method + msg})
 	}
-	t := sig.Results().At(0).Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
+	hv := func(m string) bool { return has[m] != nil }
+	if hv("Snapshot") && !hv("Restore") {
+		half("Snapshot", " but no Restore; its state cannot be resumed from a checkpoint")
 	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil || !moduleLocal(named.Obj().Pkg().Path()) {
-		return nil
+	if hv("Checkpoint") && !hv("Restore") {
+		half("Checkpoint", " but no Restore; its checkpoints cannot be resumed")
 	}
-	if _, ok := named.Underlying().(*types.Struct); !ok {
-		return nil
+	if hv("Restore") && !hv("Snapshot") && !hv("Checkpoint") {
+		half("Restore", " but no Snapshot or Checkpoint; its state silently falls out of checkpoints")
 	}
-	return named
+	if hv("SnapshotState") && !hv("RestoreState") {
+		half("SnapshotState", " but no RestoreState; its state cannot be resumed from a checkpoint")
+	}
+	if hv("RestoreState") && !hv("SnapshotState") {
+		half("RestoreState", " but no SnapshotState; its state silently falls out of checkpoints")
+	}
 }
 
-// collectMutable fills pair.Mutable: fields of pair.Type assigned (or
-// incremented, or written through an index/deref spine) by any method
-// of the type other than the pair methods. Assignments inside the pair
-// methods themselves don't make a field "mutable" — Restore writing a
-// field is the coverage being checked, not state drift.
-func (g *stateGraph) collectMutable(pair *statePair) {
-	if pair.Struct == nil {
+// firstOf returns the first of names present in has.
+func firstOf(has map[string]*types.Func, names []string) *types.Func {
+	for _, n := range names {
+		if fn := has[n]; fn != nil {
+			return fn
+		}
+	}
+	return nil
+}
+
+// checkCoverage records a gap for every mutable field of the pair that
+// its snapshot closure or its restore closure never mentions. A mention
+// is any selector resolving to the field — reads count on the snapshot
+// side (the field flowing into the wire struct) and writes on the
+// restore side; requiring a textual mention in the right method's
+// closure is the drift check.
+func (g *stateGraph) checkCoverage(prog *Program, pair *statePair) {
+	mutable := mutableFields(prog, pair)
+	if len(mutable) == 0 {
 		return
 	}
+	inSnap, inRest := fieldMentions(prog, pair.snapClosure), fieldMentions(prog, pair.restClosure)
+	for _, f := range mutable {
+		field := "mutable field " + pair.named.Obj().Name() + "." + f.Name()
+		var msg string
+		switch {
+		case !inSnap[f] && !inRest[f]:
+			msg = field + " is not captured by " + pair.snap.Name() + " and not restored by " + pair.rest.Name()
+		case !inSnap[f]:
+			msg = field + " is not captured by " + pair.snap.Name()
+		case !inRest[f]:
+			msg = field + " is not restored by " + pair.rest.Name()
+		default:
+			continue
+		}
+		msg += "; a resumed run will drift from a straight one — add it to the wire struct or exempt it as derived with //greensprint:allow(statecov)"
+		pos := f.Pos()
+		if pos == token.NoPos {
+			pos = pair.named.Obj().Pos()
+		}
+		g.gaps = append(g.gaps, stateGap{pair.pkg, pos, msg})
+	}
+}
+
+// mutableFields returns, in declaration order, the fields of the pair's
+// struct assigned (or incremented, or written through an index/deref
+// spine) by any method of the type other than the pair methods.
+// Assignments inside the pair methods themselves don't make a field
+// "mutable" — Restore writing a field is the coverage being checked,
+// not state drift — and constructor-only fields are configuration that
+// needs no checkpointing.
+func mutableFields(prog *Program, pair *statePair) []*types.Var {
+	st, ok := pair.named.Underlying().(*types.Struct)
+	if !ok {
+		return nil
+	}
 	fields := map[*types.Var]bool{}
-	for i := 0; i < pair.Struct.NumFields(); i++ {
-		fields[pair.Struct.Field(i)] = true
+	for i := 0; i < st.NumFields(); i++ {
+		fields[st.Field(i)] = true
 	}
 	mutated := map[*types.Var]bool{}
 	mark := func(p *Package, lhs ast.Expr) {
@@ -329,18 +219,9 @@ func (g *stateGraph) collectMutable(pair *statePair) {
 			}
 		}
 	}
-	for fn, site := range g.decls {
-		if site.pkg != pair.Pkg || site.decl.Body == nil {
-			continue
-		}
-		sig, ok := fn.Type().(*types.Signature)
-		if !ok || sig.Recv() == nil {
-			continue
-		}
-		if recvNamed(sig.Recv().Type()) != pair.Type.Obj() {
-			continue
-		}
-		if fn == pair.Snap || fn == pair.Rest {
+	for _, site := range prog.funcs {
+		if site.pkg != pair.pkg || site.decl.Body == nil || recvType(site.fn) != pair.named.Obj() ||
+			site.fn == pair.snap || site.fn == pair.rest {
 			continue
 		}
 		ast.Inspect(site.decl.Body, func(n ast.Node) bool {
@@ -355,171 +236,131 @@ func (g *stateGraph) collectMutable(pair *statePair) {
 			return true
 		})
 	}
-	for i := 0; i < pair.Struct.NumFields(); i++ {
-		if f := pair.Struct.Field(i); mutated[f] {
-			pair.Mutable = append(pair.Mutable, f)
+	var out []*types.Var
+	for i := 0; i < st.NumFields(); i++ {
+		if f := st.Field(i); mutated[f] {
+			out = append(out, f)
 		}
 	}
+	return out
 }
 
-// markCoverage computes which mutable fields each closure mentions. A
-// mention is any selector resolving to the field — reads count on the
-// snapshot side (the field flowing into the wire struct) and writes on
-// the restore side; requiring a textual mention in the right method's
-// closure is the drift check.
-func (g *stateGraph) markCoverage(pair *statePair) {
-	pair.MissSnap = map[*types.Var]bool{}
-	pair.MissRest = map[*types.Var]bool{}
-	if len(pair.Mutable) == 0 {
-		return
+// fieldMentions returns every field a selector in the closure's bodies
+// resolves to.
+func fieldMentions(prog *Program, closure map[*types.Func]bool) map[*types.Var]bool {
+	out := map[*types.Var]bool{}
+	for fn := range closure {
+		site, ok := prog.decls[fn]
+		if !ok || site.decl.Body == nil {
+			continue
+		}
+		ast.Inspect(site.decl.Body, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if f, ok := site.pkg.Info.Uses[sel.Sel].(*types.Var); ok && f.IsField() {
+				out[f] = true
+			}
+			return true
+		})
 	}
-	mentions := func(cl map[*types.Func]bool) map[*types.Var]bool {
-		out := map[*types.Var]bool{}
-		for fn := range cl {
-			site, ok := g.decls[fn]
-			if !ok || site.decl.Body == nil {
+	return out
+}
+
+// wireGraph collects the checkpoint wire graph of the pairs in
+// discovery order: each snapshot method's result struct, the
+// json-tagged struct literals built in either closure (in declaration
+// order), then everything reachable from those through fields.
+func wireGraph(prog *Program, pairs []*statePair) []*types.Named {
+	var wire []*types.Named
+	seen := map[*types.Named]bool{}
+	add := func(n *types.Named) {
+		if n == nil || seen[n] || n.Obj().Pkg() == nil || !moduleLocal(n.Obj().Pkg().Path()) {
+			return
+		}
+		seen[n] = true
+		wire = append(wire, n)
+	}
+	for _, pair := range pairs {
+		if res := pair.snap.Type().(*types.Signature).Results(); res.Len() > 0 {
+			add(structOf(res.At(0).Type()))
+		}
+		for _, site := range prog.funcs {
+			if site.decl.Body == nil || !pair.snapClosure[site.fn] && !pair.restClosure[site.fn] {
 				continue
 			}
 			ast.Inspect(site.decl.Body, func(n ast.Node) bool {
-				sel, ok := n.(*ast.SelectorExpr)
+				lit, ok := n.(*ast.CompositeLit)
 				if !ok {
 					return true
 				}
-				if f, ok := site.pkg.Info.Uses[sel.Sel].(*types.Var); ok && f.IsField() {
-					out[f] = true
+				if named := structOf(site.pkg.Info.TypeOf(lit)); named != nil && hasJSONTag(named) {
+					add(named)
 				}
 				return true
 			})
 		}
-		return out
 	}
-	inSnap := mentions(pair.SnapClosure)
-	inRest := mentions(pair.RestClosure)
-	for _, f := range pair.Mutable {
-		if !inSnap[f] {
-			pair.MissSnap[f] = true
-		}
-		if !inRest[f] {
-			pair.MissRest[f] = true
+	// wire doubles as the worklist: a struct appended while walking is
+	// walked in turn.
+	for i := 0; i < len(wire); i++ {
+		st := wire[i].Underlying().(*types.Struct)
+		for j := 0; j < st.NumFields(); j++ {
+			add(elemStructOf(st.Field(j).Type()))
 		}
 	}
+	return wire
 }
 
-// moduleLocal reports whether an import path is inside this module.
-func moduleLocal(path string) bool {
-	return path == ModulePath || strings.HasPrefix(path, ModulePath+"/")
-}
-
-// recvNamed unwraps a receiver type (T or *T) to its *types.TypeName.
-func recvNamed(t types.Type) *types.TypeName {
+// structOf returns t, or what t points to, when that is a named struct
+// type.
+func structOf(t types.Type) *types.Named {
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
 	}
 	if n, ok := t.(*types.Named); ok {
-		return n.Obj()
+		if _, ok := n.Underlying().(*types.Struct); ok {
+			return n
+		}
 	}
 	return nil
 }
 
-// namedStructsIn unwraps slices, arrays, pointers and map values to the
-// named struct types a wire field embeds.
-func namedStructsIn(t types.Type) []*types.Named {
+// elemStructOf unwraps pointers, slices, arrays and map values down to
+// the named struct type a wire field embeds, if any.
+func elemStructOf(t types.Type) *types.Named {
 	switch t := t.(type) {
 	case *types.Named:
-		if _, ok := t.Underlying().(*types.Struct); ok {
-			return []*types.Named{t}
-		}
+		return structOf(t)
 	case *types.Pointer:
-		return namedStructsIn(t.Elem())
+		return elemStructOf(t.Elem())
 	case *types.Slice:
-		return namedStructsIn(t.Elem())
+		return elemStructOf(t.Elem())
 	case *types.Array:
-		return namedStructsIn(t.Elem())
+		return elemStructOf(t.Elem())
 	case *types.Map:
-		return namedStructsIn(t.Elem())
+		return elemStructOf(t.Elem())
 	}
 	return nil
 }
 
-// hasJSONTag reports whether any field of the struct carries a json
-// struct tag — the marker that a literal built inside a snapshot
+// hasJSONTag reports whether any field of the named struct carries a
+// json struct tag — the marker that a literal built inside a snapshot
 // closure is a wire encoding, not scratch.
-func hasJSONTag(st *types.Struct) bool {
+func hasJSONTag(named *types.Named) bool {
+	st := named.Underlying().(*types.Struct)
 	for i := 0; i < st.NumFields(); i++ {
-		if jsonTagOf(st.Tag(i)) != "" {
+		if jsonTag(st, i) != "" {
 			return true
 		}
 	}
 	return false
 }
 
-// jsonTagOf extracts the raw json tag value ("name,omitempty", "-", …)
-// from a struct tag string, or "" when absent.
-func jsonTagOf(tag string) string {
-	// Mirror reflect.StructTag.Get without importing reflect at
-	// analysis time on dynamic values: struct tags here are static
-	// strings, so reflect's parser is fine.
-	return structTag(tag).get("json")
-}
-
-type structTag string
-
-// get is reflect.StructTag.Get's grammar, inlined so malformed tags
-// degrade to "" exactly like encoding/json sees them.
-func (tag structTag) get(key string) string {
-	for tag != "" {
-		i := 0
-		for i < len(tag) && tag[i] == ' ' {
-			i++
-		}
-		tag = tag[i:]
-		if tag == "" {
-			break
-		}
-		i = 0
-		for i < len(tag) && tag[i] > ' ' && tag[i] != ':' && tag[i] != '"' && tag[i] != 0x7f {
-			i++
-		}
-		if i == 0 || i+1 >= len(tag) || tag[i] != ':' || tag[i+1] != '"' {
-			break
-		}
-		name := string(tag[:i])
-		tag = tag[i+1:]
-		i = 1
-		for i < len(tag) && tag[i] != '"' {
-			if tag[i] == '\\' {
-				i++
-			}
-			i++
-		}
-		if i >= len(tag) {
-			break
-		}
-		qvalue := string(tag[:i+1])
-		tag = tag[i+1:]
-		if name == key {
-			value, err := strconv.Unquote(qvalue)
-			if err != nil {
-				return ""
-			}
-			return value
-		}
-	}
-	return ""
-}
-
-// sortedFuncs returns the closure's functions ordered by position, for
-// deterministic wire-graph discovery.
-func sortedFuncs(cl map[*types.Func]bool) []*types.Func {
-	out := make([]*types.Func, 0, len(cl))
-	for fn := range cl {
-		out = append(out, fn)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Pos() != out[j].Pos() {
-			return out[i].Pos() < out[j].Pos()
-		}
-		return out[i].FullName() < out[j].FullName()
-	})
-	return out
+// jsonTag returns the raw json tag value ("name,omitempty", "-", …) of
+// field i, or "" when absent or malformed — exactly what encoding/json
+// sees.
+func jsonTag(st *types.Struct, i int) string {
+	return reflect.StructTag(st.Tag(i)).Get("json")
 }

@@ -1,7 +1,7 @@
-// Package snapshotpair is a lint fixture for the snapshotpair rule:
+// Package fixture holds the pairing cases for the statecov rule:
 // half-paired types that must fire and the three accepted pairings
 // that must not.
-package snapshotpair
+package fixture
 
 // Orphan declares Snapshot with no Restore.
 type Orphan struct{ v int }

@@ -8,7 +8,7 @@ import (
 	"strings"
 )
 
-// WireTagRule audits the checkpoint wire graph the state-graph prepass
+// WireTagRule audits the checkpoint wire graph the state graph
 // discovers (every struct reachable from a snapshot pairing's wire
 // type, plus json-tagged literals built inside snapshot/restore
 // closures — which catches indirect encodings like the rl Q-table's
@@ -33,40 +33,30 @@ import (
 //     construction — their zero value round-trips to itself — as are
 //     nilable fields (pointer/slice/map) and bools, whose zero is the
 //     natural absent encoding.
-type WireTagRule struct {
-	g *stateGraph
-}
-
-// NewWireTagRule returns the rule sharing the given state graph.
-func NewWireTagRule(g *stateGraph) *WireTagRule { return &WireTagRule{g: g} }
+type WireTagRule struct{}
 
 // Name implements Rule.
-func (*WireTagRule) Name() string { return "wiretag" }
+func (WireTagRule) Name() string { return "wiretag" }
 
 // Doc implements Rule.
-func (*WireTagRule) Doc() string {
+func (WireTagRule) Doc() string {
 	return "checkpoint wire structs need explicit, unique json tags and migration-safe omitempty fields"
 }
 
 // Applies implements Rule: wire structs live wherever snapshot
 // pairings do.
-func (*WireTagRule) Applies(string) bool { return true }
-
-// Prepare implements Prepasser via the shared state graph.
-func (r *WireTagRule) Prepare(pkgs []*Package) { r.g.prepare(pkgs) }
+func (WireTagRule) Applies(string) bool { return true }
 
 // Check implements Rule.
-func (r *WireTagRule) Check(p *Package, report ReportFunc) {
-	for _, named := range r.g.wireOrder {
-		ws := r.g.wire[named]
-		if ws.Pkg != p {
-			continue
+func (WireTagRule) Check(prog *Program, p *Package, report ReportFunc) {
+	for _, named := range prog.stateGraph().wire {
+		if named.Obj().Pkg() == p.Types {
+			checkWireStruct(prog, named, report)
 		}
-		r.checkStruct(named, report)
 	}
 }
 
-func (r *WireTagRule) checkStruct(named *types.Named, report ReportFunc) {
+func checkWireStruct(prog *Program, named *types.Named, report ReportFunc) {
 	st := named.Underlying().(*types.Struct)
 	tn := named.Obj().Name()
 	seen := map[string]string{} // tag name → field name
@@ -77,7 +67,7 @@ func (r *WireTagRule) checkStruct(named *types.Named, report ReportFunc) {
 				" in a checkpoint wire struct is silently dropped by encoding/json; export it or move it out of the wire layout")
 			continue
 		}
-		tag := jsonTagOf(st.Tag(i))
+		tag := jsonTag(st, i)
 		if tag == "" {
 			report(f.Pos(), "wire field "+tn+"."+f.Name()+
 				" has no json tag; the wire name is the Go identifier and silently changes on rename — pin it with an explicit tag")
@@ -99,7 +89,7 @@ func (r *WireTagRule) checkStruct(named *types.Named, report ReportFunc) {
 			seen[name] = f.Name()
 		}
 		if hasOption(opts, "omitempty") && !omitemptySafe(f.Type()) {
-			r.checkOmitempty(named, f, tn, report)
+			checkOmitempty(prog, f, tn, report)
 		}
 	}
 }
@@ -137,8 +127,8 @@ func omitemptySafe(t types.Type) bool {
 // checkOmitempty flags a scalar omitempty field that is written only
 // conditionally (zero = "absent" sentinel) without any zero-guard
 // comparison on a restore path.
-func (r *WireTagRule) checkOmitempty(named *types.Named, f *types.Var, tn string, report ReportFunc) {
-	conditional, unconditional, guarded := r.fieldWrites(f)
+func checkOmitempty(prog *Program, f *types.Var, tn string, report ReportFunc) {
+	conditional, unconditional, guarded := fieldWrites(prog, f)
 	if unconditional || !conditional || guarded {
 		return
 	}
@@ -147,26 +137,18 @@ func (r *WireTagRule) checkOmitempty(named *types.Named, f *types.Var, tn string
 		" a checkpoint missing the key will decode to a state no writer produces. Add a zero-guard on restore or drop omitempty")
 }
 
-// fieldWrites scans every loaded package for writes to and zero-guards
-// on field f: whether any write is conditional (under an if/switch),
-// whether any is unconditional (including composite-literal keys), and
-// whether any function compares the field (or a local bound from it)
-// against its zero value.
-func (r *WireTagRule) fieldWrites(f *types.Var) (conditional, unconditional, guarded bool) {
-	for _, p := range r.g.pkgs {
-		for _, file := range p.Files {
-			for _, d := range file.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				c, u := writesIn(p, fd.Body, f)
-				conditional = conditional || c
-				unconditional = unconditional || u
-				if zeroGuardIn(p, fd.Body, f) {
-					guarded = true
-				}
-			}
+// fieldWrites scans the functions that mention field f for writes to
+// and zero-guards on it: whether any write is conditional (under an
+// if/switch), whether any is unconditional (including composite-literal
+// keys), and whether any function compares the field (or a local bound
+// from it) against its zero value.
+func fieldWrites(prog *Program, f *types.Var) (conditional, unconditional, guarded bool) {
+	for _, site := range prog.funcsUsing(f) {
+		c, u := writesIn(site.pkg, site.decl.Body, f)
+		conditional = conditional || c
+		unconditional = unconditional || u
+		if zeroGuardIn(site.pkg, site.decl.Body, f) {
+			guarded = true
 		}
 	}
 	return
