@@ -5,12 +5,13 @@
 //
 // Two actuation backends are available:
 //
-//   - -backend sim (default): simulated knobs, with telemetry
+//   - -backend sim (default): modelled knobs, with telemetry
 //     synthesized from a replayed (or generated) solar trace and the
 //     configured workload burst — a self-contained demonstration of
 //     the full control loop.
-//   - -backend sysfs: applies decisions to the local Linux host
-//     through CPU online masks and cpufreq caps (requires root and a
+//   - -backend sysfs: also applies each decision to the local Linux
+//     host through CPU online masks and cpufreq caps, and re-applies
+//     the checkpointed setting on -resume (requires root and a
 //     -sysfs-root; telemetry must then be POSTed to /step by an
 //     external monitor, and the internal ticker is disabled).
 //
@@ -207,17 +208,14 @@ func buildController(cfg config.Config, o options) (ctrl *core.Controller, colle
 	if err != nil {
 		return nil, nil, false, err
 	}
-	var knobs *pmk.Fleet
+	// The sim backend models the green servers only; sysfs also drives
+	// the local host, whose one knob mirrors every decision.
+	var host pmk.Knob
 	ticker = true
 	switch o.backend {
 	case "sim":
-		knobs = pmk.NewSimFleet(green.GreenServers)
 	case "sysfs":
-		ks := make([]pmk.Knob, green.GreenServers)
-		for i := range ks {
-			ks[i] = pmk.NewSysfs(o.sysfsRoot)
-		}
-		knobs = pmk.NewFleet(ks...)
+		host = pmk.NewSysfs(o.sysfsRoot)
 		ticker = false // external monitor drives /step
 	default:
 		return nil, nil, false, fmt.Errorf("unknown backend %q", o.backend)
@@ -234,7 +232,7 @@ func buildController(cfg config.Config, o options) (ctrl *core.Controller, colle
 		Green:        green,
 		StrategyName: cfg.Strategy,
 		Epoch:        epoch,
-		Fleet:        knobs,
+		Host:         host,
 		Bank:         bank,
 		Sink:         collector, // the JSONL sink joins in serve, where the file is owned
 		Chaos:        inj,

@@ -351,6 +351,13 @@ func TestInjectorRestoreRejects(t *testing.T) {
 		"negative down": func(sn *InjectorSnapshot) { sn.Down = []int{-1, 0} },
 		"negative ref":  func(sn *InjectorSnapshot) { sn.Solar = -1 },
 		"active no rec": func(sn *InjectorSnapshot) { sn.Active = []Fault{{Epoch: 1, Mode: SolarDropout}} },
+		// Past the cursor, but not a schedule fault: releasing it would
+		// index server 7 of 2.
+		"active stranger": func(sn *InjectorSnapshot) {
+			sn.Cursor = 1
+			sn.Active = []Fault{{Epoch: 1, Mode: ServerCrash, Target: 7, Recover: 3}}
+		},
+		"active not yet injected": func(sn *InjectorSnapshot) { sn.Active = []Fault{s.Faults[0]} },
 	} {
 		sn := good
 		sn.Down = append([]int(nil), good.Down...)

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"fmt"
+	"slices"
 )
 
 // Action is one fault transition the simulation must apply this
@@ -219,9 +220,15 @@ func (in *Injector) Restore(s InjectorSnapshot) error {
 	if s.Stuck < 0 || s.Breaker < 0 || s.Solar < 0 {
 		return fmt.Errorf("chaos: negative ref-count in snapshot")
 	}
+	// Every active fault is a recovering fault the cursor has already
+	// passed; anything else would release ref-counts — or strike
+	// components — the schedule never acquired.
 	for i, f := range s.Active {
 		if f.Recover == 0 {
 			return fmt.Errorf("chaos: snapshot active fault %d has no recovery epoch", i)
+		}
+		if !slices.Contains(in.schedule.Faults[:s.Cursor], f) {
+			return fmt.Errorf("chaos: snapshot active fault %d (%s) is not an injected fault of the schedule", i, f)
 		}
 	}
 	in.cursor = s.Cursor

@@ -122,7 +122,7 @@ func TestChaosControllerCheckpointRoundTrip(t *testing.T) {
 					t.Fatal("mid-fault breaker not tripped")
 				}
 			case "battery-degrade":
-				if h := a.selector.Bank().Health(); h >= 1 {
+				if h := a.rack.Selector.Bank().Health(); h >= 1 {
 					t.Fatalf("mid-fault battery health = %v, want < 1", h)
 				}
 			case "zone-outage":
@@ -155,7 +155,7 @@ func TestChaosControllerCheckpointRoundTrip(t *testing.T) {
 			if sa.Alive != sb.Alive || sa.PSSStuck != sb.PSSStuck || sa.BreakerTripped != sb.BreakerTripped {
 				t.Fatalf("restored chaos state %+v, want %+v", sb, sa)
 			}
-			if ha, hb := a.selector.Bank().Health(), b.selector.Bank().Health(); ha != hb {
+			if ha, hb := a.rack.Selector.Bank().Health(), b.rack.Selector.Bank().Health(); ha != hb {
 				t.Fatalf("restored battery health %v, want %v", hb, ha)
 			}
 

@@ -9,18 +9,22 @@ import (
 	"greensprint/internal/pmk"
 	"greensprint/internal/predictor"
 	"greensprint/internal/pss"
+	"greensprint/internal/sim"
 )
 
 // CheckpointVersion is the format version written into controller
 // checkpoints; Restore rejects any other version. Version 2 added the
 // chaos injector's replay state, the forced-breaker thermal state and
-// the epoch-length fingerprint. DecodeCheckpoint transparently
-// migrates version-1 files (see migrateV1).
-const CheckpointVersion = 2
+// the epoch-length fingerprint; version 3 replaces the per-knob fleet
+// with the rack's knob herd (class_fleet). DecodeCheckpoint
+// transparently migrates version-1 and version-2 files (see
+// migrateV1/migrateV2), and Restore migrates their per-knob fleet
+// through pmk.ClassFleet.RestoreFlat.
+const CheckpointVersion = 3
 
 // Checkpoint is the serializable state of a Controller between two
 // epochs: every stateful layer (battery bank, PSS accounting,
-// predictors, knob fleet, strategy) plus the decision log. A daemon
+// predictors, knob herd, strategy) plus the decision log. A daemon
 // that persists one on shutdown and restores it on startup resumes its
 // control loop — including a Hybrid strategy's learned Q-table — as if
 // it had never stopped.
@@ -42,9 +46,12 @@ type Checkpoint struct {
 	Last    Decision   `json:"last_decision"`
 	History []Decision `json:"history"`
 
-	Selector pss.SelectorSnapshot   `json:"selector"`
-	Fleet    pmk.FleetSnapshot      `json:"fleet"`
-	LoadPred predictor.EWMASnapshot `json:"load_predictor"`
+	Selector pss.SelectorSnapshot `json:"selector"`
+	// ClassFleet is the knob herd (v3+). Fleet is the per-knob layout
+	// of v1 and v2 files, present only there; Restore migrates it.
+	ClassFleet *pmk.ClassFleetSnapshot `json:"class_fleet,omitempty"`
+	Fleet      *pmk.FleetSnapshot      `json:"fleet,omitempty"`
+	LoadPred   predictor.EWMASnapshot  `json:"load_predictor"`
 	// StrategyState is the strategy's opaque state (nil for stateless
 	// strategies; the Hybrid's persisted Q-table pins the knob space).
 	StrategyState json.RawMessage `json:"strategy_state,omitempty"`
@@ -66,7 +73,8 @@ func (c *Controller) Checkpoint() (*Checkpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: checkpoint strategy: %w", err)
 	}
-	cp := &Checkpoint{
+	rack := c.rack.Snapshot()
+	return &Checkpoint{
 		Version:       CheckpointVersion,
 		Workload:      c.opts.Workload.Name,
 		Strategy:      c.strat.Name(),
@@ -75,20 +83,13 @@ func (c *Controller) Checkpoint() (*Checkpoint, error) {
 		Count:         c.count,
 		Last:          c.last,
 		History:       append([]Decision(nil), c.history...),
-		Selector:      c.selector.Snapshot(),
-		Fleet:         c.fleet.Snapshot(),
+		Selector:      rack.Selector,
+		ClassFleet:    rack.Knobs,
 		LoadPred:      c.loadPred.Snapshot(),
 		StrategyState: raw,
-	}
-	if c.injector != nil {
-		s := c.injector.Snapshot()
-		cp.Chaos = &s
-		if c.breaker != nil {
-			bs := c.breaker.Snapshot()
-			cp.Breaker = &bs
-		}
-	}
-	return cp, nil
+		Chaos:         rack.Chaos,
+		Breaker:       rack.Breaker,
+	}, nil
 }
 
 // Restore replaces the controller's state with a checkpoint cut from a
@@ -96,9 +97,8 @@ func (c *Controller) Checkpoint() (*Checkpoint, error) {
 // epoch length. Component snapshots must fit the controller's layout
 // (bank size, fleet size, chaos schedule) and a strategy snapshot must
 // match the strategy's knob space, so a stale or foreign checkpoint
-// fails loudly. After a chaos restore the derived state (live census,
-// stuck switch) is recomputed from the injector's ref-counts, exactly
-// as sim.Engine.Restore does.
+// fails loudly. The rack restores exactly as sim.Engine's does, and a
+// host actuator is then driven to the restored herd setting.
 func (c *Controller) Restore(cp *Checkpoint) error {
 	if cp == nil {
 		return fmt.Errorf("core: restore: nil checkpoint")
@@ -123,13 +123,10 @@ func (c *Controller) Restore(cp *Checkpoint) error {
 	if cp.Count < 0 {
 		return fmt.Errorf("core: restore: negative epoch count %d", cp.Count)
 	}
-	if (cp.Chaos == nil) != (c.injector == nil) {
-		return fmt.Errorf("core: restore: checkpoint and controller disagree on chaos schedule")
-	}
-	if err := c.selector.Restore(cp.Selector); err != nil {
-		return fmt.Errorf("core: restore: %w", err)
-	}
-	if err := c.fleet.Restore(cp.Fleet); err != nil {
+	err := c.rack.Restore(sim.RackSnapshot{
+		Selector: cp.Selector, Breaker: cp.Breaker, Chaos: cp.Chaos, Knobs: cp.ClassFleet, Flat: cp.Fleet,
+	})
+	if err != nil {
 		return fmt.Errorf("core: restore: %w", err)
 	}
 	if err := c.loadPred.Restore(cp.LoadPred); err != nil {
@@ -138,17 +135,10 @@ func (c *Controller) Restore(cp *Checkpoint) error {
 	if err := c.strat.RestoreState(cp.StrategyState); err != nil {
 		return fmt.Errorf("core: restore: %w", err)
 	}
-	if c.injector != nil {
-		if err := c.injector.Restore(*cp.Chaos); err != nil {
-			return fmt.Errorf("core: restore: %w", err)
+	if c.opts.Host != nil {
+		if err := c.opts.Host.Apply(c.rack.Knobs.Snapshot().Classes[0].Config); err != nil {
+			return fmt.Errorf("core: restore: host: %w", err)
 		}
-		if cp.Breaker != nil && c.breaker != nil {
-			if err := c.breaker.Restore(*cp.Breaker); err != nil {
-				return fmt.Errorf("core: restore: %w", err)
-			}
-		}
-		c.alive = c.injector.AliveServers()
-		c.selector.SetStuck(c.injector.Stuck())
 	}
 	c.count = cp.Count
 	c.last = cp.Last
@@ -160,9 +150,10 @@ func (c *Controller) Restore(cp *Checkpoint) error {
 }
 
 // DecodeCheckpoint parses a JSON checkpoint and checks its version.
-// Version-1 checkpoints are migrated in place (see migrateV1) so files
-// cut before the chaos fields still restore cleanly; any other version
-// mismatch fails loudly.
+// Version-1 and version-2 checkpoints are migrated in place (see
+// migrateV1/migrateV2) so files cut before the chaos fields or the
+// knob herd still restore cleanly; any other version mismatch fails
+// loudly.
 func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 	var cp Checkpoint
 	if err := json.Unmarshal(b, &cp); err != nil {
@@ -170,6 +161,9 @@ func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 	}
 	if cp.Version == 1 {
 		migrateV1(&cp)
+	}
+	if cp.Version == 2 {
+		migrateV2(&cp)
 	}
 	if cp.Version != CheckpointVersion {
 		return nil, fmt.Errorf("core: decode checkpoint: version %d, supported %d", cp.Version, CheckpointVersion)
@@ -181,8 +175,17 @@ func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 // is a strict subset of v2: it predates chaos, so the injector and
 // breaker state are absent (a fault-free run, which Restore accepts
 // for controllers without a chaos schedule) and the epoch fingerprint
-// is zero, which Restore treats as "unknown, skip the check". The next
-// Checkpoint/save cycle persists the file as full v2.
+// is zero, which Restore treats as "unknown, skip the check".
+// migrateV2 then carries the result the rest of the way.
 func migrateV1(cp *Checkpoint) {
 	cp.Version = 2
+}
+
+// migrateV2 lifts a version-2 checkpoint to version 3. The v2 layout
+// carries the per-knob fleet in place of the knob herd, which Restore
+// migrates once the injector says which servers are down, so migration
+// is just the version stamp; the next Checkpoint/save cycle persists
+// the file as full v3.
+func migrateV2(cp *Checkpoint) {
+	cp.Version = CheckpointVersion
 }

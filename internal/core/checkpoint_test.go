@@ -64,7 +64,7 @@ func TestControllerCheckpointRoundTrip(t *testing.T) {
 // stamped 1, every v2 addition stripped — the epoch-length
 // fingerprint, the injector state and the breaker state — and the
 // battery bank in the per-unit form banks had then.
-func asV1ControllerBlob(t *testing.T, b []byte) []byte {
+func asV1ControllerBlob(t testing.TB, b []byte) []byte {
 	t.Helper()
 	var cp Checkpoint
 	if err := json.Unmarshal(b, &cp); err != nil {

@@ -8,7 +8,12 @@
 //	PSS       — selects power sources and manages battery charge
 //	            (internal/pss).
 //	PMK       — applies the chosen sprinting intensity to the green
-//	            servers (internal/pmk).
+//	            servers' knob herd (internal/pmk), and to the host
+//	            when one is attached.
+//
+// The modelled rack — PSS, battery bank, knob herd, breaker, chaos
+// injector — is a sim.Rack, the same one sim.Engine drives, so the
+// daemon and the simulator share one fault path.
 //
 // Each scheduling epoch the caller feeds the Monitor's telemetry into
 // Controller.Step, which closes the loop: learn from the last epoch,
@@ -52,9 +57,11 @@ type Options struct {
 	StrategyName string
 	// Epoch is the scheduling-epoch length (5 minutes if zero).
 	Epoch time.Duration
-	// Fleet supplies the knobs for the green servers; when nil a
-	// simulated fleet of Green.GreenServers knobs is created.
-	Fleet *pmk.Fleet
+	// Host optionally actuates the local machine (e.g. pmk.NewSysfs):
+	// every decision's applied setting is applied to it, and Restore
+	// re-applies the checkpointed herd setting. When nil the green
+	// servers are modelled only, by the rack's knob herd.
+	Host pmk.Knob
 	// Table is the profiling table; built from the workload model
 	// when nil.
 	Table *profile.Table
@@ -157,20 +164,14 @@ type Controller struct {
 	opts     Options
 	table    *profile.Table
 	strat    strategy.Strategy
-	selector *pss.Selector
-	fleet    *pmk.Fleet
 	loadPred *predictor.EWMA
 	epoch    time.Duration
 	sink     obs.Sink //greensprint:allow(statecov) runtime wiring, not run state: the daemon re-attaches its sink after Restore
 
-	// injector replays the chaos schedule (nil for fault-free
-	// controllers: every fault-free code path is bit-identical to the
-	// pre-chaos controller). alive tracks the green servers not
-	// currently crashed; breaker is the PDU breaker model chaos trips
-	// force open, built only when chaos is on.
-	injector *chaos.Injector
-	breaker  *cluster.Breaker
-	alive    int //greensprint:allow(statecov) derived: Restore recounts it from the restored injector's ref-counts (GreenServers when chaos is off)
+	// rack is the modelled rack: the PSS over the bank, a one-class
+	// knob herd of Green.GreenServers servers, and — when chaos is on —
+	// the injector and the PDU breaker model chaos trips force open.
+	rack *sim.Rack
 
 	mu      sync.Mutex
 	count   int
@@ -219,50 +220,32 @@ func New(opts Options) (*Controller, error) {
 		}
 		bank = b
 	}
-	fleet := opts.Fleet
-	if fleet == nil {
-		fleet = pmk.NewSimFleet(opts.Green.GreenServers)
-	}
 	var breaker *cluster.Breaker
-	if opts.Chaos != nil {
-		// A schedule's fault targets were drawn for a concrete
-		// topology; replaying it against a different one would strike
-		// phantom components.
-		sched := opts.Chaos.Schedule()
-		if sched.Servers != opts.Green.GreenServers {
-			return nil, fmt.Errorf("core: chaos schedule resolved for %d servers, controller manages %d",
-				sched.Servers, opts.Green.GreenServers)
-		}
-		if sched.Units != bank.Size() {
-			return nil, fmt.Errorf("core: chaos schedule resolved for %d battery units, bank has %d",
-				sched.Units, bank.Size())
-		}
+	if opts.Chaos != nil && opts.Green.GreenServers <= cluster.DefaultServers {
 		// Breaker trips need a breaker to trip: model the rack's PDU
 		// feed so a forced-open breaker is visible state (stress,
 		// tripped flag) instead of a stream-only annotation. A
 		// generated fleet spans many PDU legs with no single breaker
 		// (as in sim.Engine), so fleet-scale controllers go without
 		// and trips ride the event stream only.
-		if opts.Green.GreenServers <= cluster.DefaultServers {
-			cl, err := cluster.New(opts.Green)
-			if err != nil {
-				return nil, err
-			}
-			breaker = cluster.NewBreaker(cl.GridBudget)
+		if breaker, err = sim.PDUBreaker(opts.Green); err != nil {
+			return nil, err
 		}
+	}
+	// The controller decides one setting for every green server, so
+	// its knob herd is one class.
+	rack, err := sim.NewRack([]int{opts.Green.GreenServers}, func(int) int { return 0 }, bank, breaker, opts.Chaos)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	return &Controller{
 		opts:     opts,
 		table:    tab,
 		strat:    strat,
-		selector: pss.New(bank),
-		fleet:    fleet,
 		loadPred: predictor.NewEWMA(predictor.DefaultAlpha),
 		epoch:    epoch,
 		sink:     opts.Sink,
-		injector: opts.Chaos,
-		breaker:  breaker,
-		alive:    opts.Green.GreenServers,
+		rack:     rack,
 	}, nil
 }
 
@@ -365,20 +348,20 @@ func (c *Controller) stepLocked(t Telemetry) (Decision, error) {
 	// 0. Chaos transitions land at the epoch boundary, before the
 	// epoch's physics.
 	var sinkErr error
-	if c.injector != nil {
+	if inj := c.rack.Injector; inj != nil {
 		se, err := c.applyChaos()
 		if err != nil {
 			return Decision{}, err
 		}
 		sinkErr = se
-		m = c.alive
+		m = c.rack.Alive()
 		// An active inverter dropout zeroes the observed green
 		// supply; crashed servers neither serve nor draw, so the
 		// per-provisioned-server telemetry means shrink coherently by
 		// the alive fraction. Scaling goodput, offered rate and draw
 		// together keeps the learner's ratios intact: losses caused
 		// by dead servers are never blamed on the chosen config.
-		t.GreenPower = units.Watt(float64(t.GreenPower) * c.injector.SolarFactor())
+		t.GreenPower = units.Watt(float64(t.GreenPower) * inj.SolarFactor())
 		if m < n {
 			scale := float64(m) / float64(n)
 			t.OfferedRate *= scale
@@ -391,31 +374,32 @@ func (c *Controller) stepLocked(t Telemetry) (Decision, error) {
 	}
 
 	// 1. Monitor → Predictor: feed observations.
-	c.selector.ObserveSupply(t.GreenPower)
+	selector := c.rack.Selector
+	selector.ObserveSupply(t.GreenPower)
 	c.loadPred.Observe(t.OfferedRate)
 
 	// 2. Predictor → strategy inputs for the upcoming epoch. All
 	// demand arithmetic runs over the servers actually up.
-	predGreen := c.selector.PredictedSupply()
+	predGreen := selector.PredictedSupply()
 	predRate := c.loadPred.Predict()
-	budget := units.Watt(float64(c.selector.AvailablePower(c.epoch)) / float64(m))
+	budget := units.Watt(float64(selector.AvailablePower(c.epoch)) / float64(m))
 	in := strategy.Inputs{
 		Table:         c.table,
 		PredictedRate: predRate,
 		Budget:        budget,
 		Epoch:         c.epoch,
 		SprintFraction: func(perServer units.Watt) float64 {
-			return c.selector.SustainFraction(units.Watt(float64(perServer)*float64(m)), predGreen, c.epoch)
+			return selector.SustainFraction(units.Watt(float64(perServer)*float64(m)), predGreen, c.epoch)
 		},
 		AliveFraction: float64(m) / float64(n),
-		BatteryHealth: c.selector.Bank().Health(),
+		BatteryHealth: selector.Bank().Health(),
 	}
 
 	// 3. Learn from the epoch that just finished.
 	if c.count > 0 {
 		c.strat.Learn(strategy.Feedback{
 			Chosen:  c.last.Config,
-			Supply:  units.Watt(float64(t.GreenPower)/float64(n)) + units.Watt(float64(c.selector.BatterySustainable(c.epoch))/float64(n)),
+			Supply:  units.Watt(float64(t.GreenPower)/float64(n)) + units.Watt(float64(selector.BatterySustainable(c.epoch))/float64(n)),
 			Power:   t.ServerPower,
 			Offered: t.OfferedRate,
 			Goodput: t.Goodput,
@@ -438,24 +422,24 @@ func (c *Controller) stepLocked(t Telemetry) (Decision, error) {
 	normalFallback := units.Watt(float64(c.opts.Workload.LoadPower(server.Normal(), predRate)) * float64(m))
 	var al pss.Allocation
 	if chosen.IsSprinting() {
-		al = c.selector.Allocate(demand, t.GreenPower, c.epoch, normalFallback)
+		al = selector.Allocate(demand, t.GreenPower, c.epoch, normalFallback)
 	} else {
 		al = pss.Allocation{Case: pss.CaseGridFallback, Grid: normalFallback}
-		c.selector.RechargeFromGreen(t.GreenPower, c.epoch)
+		selector.RechargeFromGreen(t.GreenPower, c.epoch)
 		// Grid recharge only outside bursts: during a burst the
 		// grid budget is fully committed to the grid-fed servers
 		// (§III-A Case 3 recharges "when the workload burst can be
 		// completed in this period").
 		bursting := c.table.MaxRate > 0 && predRate > 0.5*c.table.MaxRate
-		if !bursting && c.selector.NeedsRecharge() {
-			c.selector.RechargeFromGrid(units.Watt(float64(sim.GridRechargePower)*float64(m)), c.epoch)
+		if !bursting && selector.NeedsRecharge() {
+			selector.RechargeFromGrid(units.Watt(float64(sim.GridRechargePower)*float64(m)), c.epoch)
 		}
 	}
 	applied := chosen
 	if al.Case == pss.CaseGridFallback {
 		applied = server.Normal()
 	}
-	if err := c.applyFleet(applied); err != nil {
+	if err := c.actuate(applied); err != nil {
 		return Decision{}, fmt.Errorf("core: apply %v: %w", applied, err)
 	}
 
@@ -496,17 +480,14 @@ func (c *Controller) stepLocked(t Telemetry) (Decision, error) {
 // grid-fallback epoch so numbering stays gap-free. Called from
 // stepLocked: c.mu must be held.
 func (c *Controller) stepOutage(t Telemetry, sinkErr error) (Decision, error) {
-	c.selector.ObserveSupply(t.GreenPower)
+	c.rack.Selector.ObserveSupply(t.GreenPower)
 	c.loadPred.Observe(t.OfferedRate)
-	c.selector.RechargeFromGreen(t.GreenPower, c.epoch)
-	if c.selector.NeedsRecharge() {
-		c.selector.RechargeFromGrid(sim.GridRechargePower, c.epoch)
-	}
+	c.rack.Recharge(t.GreenPower, c.epoch)
 	d := Decision{
 		Epoch:          c.count,
 		Config:         server.Normal(),
 		Case:           pss.CaseGridFallback,
-		PredictedGreen: c.selector.PredictedSupply(),
+		PredictedGreen: c.rack.Selector.PredictedSupply(),
 		PredictedRate:  c.loadPred.Predict(),
 	}
 	c.count++
@@ -526,88 +507,37 @@ func (c *Controller) stepOutage(t Telemetry, sinkErr error) (Decision, error) {
 	return d, nil
 }
 
-// applyChaos advances the injector to the current epoch, applies each
-// due transition to the affected component, and emits one chaos event
-// per transition ahead of the epoch record — the controller-owned
-// equivalent of sim.Engine's chaos path, so daemon and sim share one
-// failure semantics. Aggregate state (alive servers, stuck switch)
-// comes from the injector's ref-counts, so overlapping faults on one
-// component compose instead of corrupting each other. Emission
-// failures are reported separately from component failures: the
-// transitions are applied regardless. Called from stepLocked: c.mu
-// must be held.
+// applyChaos applies the epoch's fault and recovery transitions to the
+// rack and emits one chaos event per transition ahead of the epoch
+// record. Time is left empty as in every controller event: daemon
+// epochs run on the wall clock. Emission failures are reported
+// separately from component failures: the transitions are applied
+// regardless. Called from stepLocked: c.mu must be held.
 func (c *Controller) applyChaos() (sinkErr, hard error) {
-	for _, a := range c.injector.Advance(c.count) {
-		f := a.Fault
-		switch f.Mode {
-		case chaos.ServerCrash:
-			if !a.Recovered {
-				// The crashed server drops its sprint; when it
-				// restarts it boots into Normal mode, which its knob
-				// already records from here on.
-				if err := c.fleet.Apply(f.Target, server.Normal()); err != nil {
-					return sinkErr, fmt.Errorf("core: chaos: %w", err)
-				}
-			}
-		case chaos.BatteryDegrade:
-			if err := c.selector.Bank().DegradeUnit(f.Target, f.Factor, f.Resist); err != nil {
-				return sinkErr, fmt.Errorf("core: chaos: %w", err)
-			}
-		case chaos.BreakerTrip:
-			// Fleet-scale controllers carry no breaker model; the
-			// trip then rides the event stream only.
-			if c.breaker != nil {
-				if a.Recovered {
-					c.breaker.Reset() // technician reclose
-				} else {
-					c.breaker.ForceTrip()
-				}
-			}
-		}
-		// PSSStuck and SolarDropout act purely through the injector's
-		// ref-counts read by Step; ZoneOutage is a marker whose
-		// cascade constituents carry the component effects.
-		if c.sink != nil {
-			if err := c.sink.Emit(c.chaosEvent(a)); err != nil && sinkErr == nil {
+	actions, err := c.rack.ApplyChaos(c.count)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	if c.sink != nil {
+		for _, a := range actions {
+			if err := c.sink.Emit(c.rack.ChaosEvent(a, c.count, "", c.epoch, c.strat.Name())); err != nil && sinkErr == nil {
 				sinkErr = err
 			}
 		}
 	}
-	c.alive = c.injector.AliveServers()
-	c.selector.SetStuck(c.injector.Stuck())
 	return sinkErr, nil
 }
 
-// chaosEvent renders one fault/recovery transition for the event
-// stream, stamped with the epoch it strikes in. Time is left empty as
-// in every controller event: daemon epochs run on the wall clock.
-// Called under the step path: c.mu must be held.
-func (c *Controller) chaosEvent(a chaos.Action) obs.Event {
-	kind := "fault"
-	if a.Recovered {
-		kind = "recover"
+// actuate applies a decision's setting to the host, when one is
+// attached, and then to the rack's running servers, so a failed host
+// write leaves the modelled herd unchanged.
+func (c *Controller) actuate(cfg server.Config) error {
+	if c.opts.Host != nil {
+		if err := c.opts.Host.Apply(cfg); err != nil {
+			return err
+		}
 	}
-	return obs.Event{
-		Epoch:        c.count,
-		EpochSeconds: c.epoch.Seconds(),
-		Strategy:     c.strat.Name(),
-		Servers:      c.opts.Green.GreenServers,
-		Chaos:        kind,
-		ChaosMode:    a.Fault.Mode.String(),
-		ChaosTarget:  a.Fault.Target,
-		ChaosDetail:  a.Fault.String(),
-	}
-}
-
-// applyFleet applies a config to the running servers: all of them on a
-// fault-free controller, only the alive ones under chaos (a powered-off
-// server has nothing to actuate, and phantom transitions would corrupt
-// the actuation accounting).
-func (c *Controller) applyFleet(cfg server.Config) error {
-	if c.injector != nil {
-		return c.fleet.ApplyAlive(cfg, c.injector.ServerDown)
-	}
-	return c.fleet.ApplyAll(cfg)
+	return c.rack.Actuate(cfg)
 }
 
 // event flattens one control-loop step into the observability schema.
@@ -636,19 +566,19 @@ func (c *Controller) event(t Telemetry, d Decision, al pss.Allocation) obs.Event
 		GreenW:          float64(al.Green) / n,
 		BatteryW:        float64(al.Battery) / n,
 		GridW:           float64(al.Grid) / n,
-		SoC:             c.selector.Bank().SoC(),
-		BatteryCycles:   c.selector.Bank().EquivalentCycles(),
+		SoC:             c.rack.Selector.Bank().SoC(),
+		BatteryCycles:   c.rack.Selector.Bank().EquivalentCycles(),
 		QoSViolation:    c.opts.Workload.Deadline > 0 && t.Latency > c.opts.Workload.Deadline,
 	}
-	if c.injector != nil {
+	if c.rack.Injector != nil {
 		// Alive is emitted only while servers are down and breaker
 		// stress only while non-zero (both omitempty), so fault-free
 		// streams stay byte-identical to pre-chaos ones.
-		if c.alive < c.opts.Green.GreenServers {
-			ev.Alive = c.alive
+		if alive := c.rack.Alive(); alive < c.opts.Green.GreenServers {
+			ev.Alive = alive
 		}
-		if c.breaker != nil {
-			ev.BreakerStress = c.breaker.Stress()
+		if c.rack.Breaker != nil {
+			ev.BreakerStress = c.rack.Breaker.Stress()
 		}
 	}
 	return ev
@@ -664,16 +594,16 @@ func (c *Controller) Snapshot() Status {
 		GreenConfig:  c.opts.Green.Name,
 		Epoch:        c.count,
 		Last:         c.last,
-		BatterySoC:   c.selector.Bank().SoC(),
-		BatteryCycle: c.selector.Bank().EquivalentCycles(),
-		Account:      c.selector.Account(),
-		Configs:      c.fleet.Configs(),
+		BatterySoC:   c.rack.Selector.Bank().SoC(),
+		BatteryCycle: c.rack.Selector.Bank().EquivalentCycles(),
+		Account:      c.rack.Selector.Account(),
+		Configs:      c.rack.Knobs.Configs(),
 	}
-	if c.injector != nil {
-		st.Alive = c.alive
-		st.PSSStuck = c.selector.Stuck()
-		if c.breaker != nil {
-			st.BreakerTripped = c.breaker.Tripped()
+	if c.rack.Injector != nil {
+		st.Alive = c.rack.Alive()
+		st.PSSStuck = c.rack.Selector.Stuck()
+		if c.rack.Breaker != nil {
+			st.BreakerTripped = c.rack.Breaker.Tripped()
 		}
 	}
 	return st

@@ -76,7 +76,7 @@ func TestStepAbundantGreenSprints(t *testing.T) {
 		t.Errorf("epoch = %d", d.Epoch)
 	}
 	// Knobs actually applied.
-	for _, cfgApplied := range c.fleet.Configs() {
+	for _, cfgApplied := range c.rack.Knobs.Configs() {
 		if cfgApplied != d.Config {
 			t.Errorf("knob = %v, decision = %v", cfgApplied, d.Config)
 		}

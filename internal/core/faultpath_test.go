@@ -1,0 +1,101 @@
+package core
+
+import (
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"testing"
+	"time"
+
+	"greensprint/internal/chaos"
+	"greensprint/internal/cluster"
+	"greensprint/internal/obs"
+	"greensprint/internal/sim"
+	"greensprint/internal/solar"
+	"greensprint/internal/strategy"
+	"greensprint/internal/workload"
+)
+
+// transitions renders the chaos transitions among events, one line
+// each: epoch, mode, target, fault or recover.
+func transitions(events []obs.Event) []string {
+	var out []string
+	for _, ev := range events {
+		if ev.Chaos != "" {
+			out = append(out, fmt.Sprintf("%d %s %d %s", ev.Epoch, ev.ChaosMode, ev.ChaosTarget, ev.Chaos))
+		}
+	}
+	return out
+}
+
+// TestFaultPathMatchesSim drives a paper-rack sim.Engine and a
+// Controller with the same resolved schedule, for each of the six
+// golden resilience profiles, and demands one fault semantics epoch by
+// epoch: the same chaos transitions, alive census, stuck switch,
+// battery health, and knob setting on every down server.
+func TestFaultPathMatchesSim(t *testing.T) {
+	for _, name := range []string{"server-crash", "pss-stuck", "battery-degrade", "solar-dropout", "breaker-trip", "zone-outage"} {
+		t.Run(name, func(t *testing.T) {
+			raw, err := os.ReadFile(filepath.Join("..", "sim", "testdata", "chaos_"+name+".json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sched chaos.Schedule
+			if err := json.Unmarshal(raw, &sched); err != nil {
+				t.Fatal(err)
+			}
+
+			p, green := workload.SPECjbb(), cluster.REBatt()
+			lead, burst, tail := 10*time.Minute, 60*time.Minute, 15*time.Minute
+			simSink := &captureSink{}
+			eng, err := sim.New(sim.Config{
+				Workload: p,
+				Green:    green,
+				Strategy: strategy.Greedy{},
+				Burst:    workload.Burst{Intensity: 12, Duration: burst},
+				Supply:   solar.Synthesize(solar.Med, lead+burst+tail, time.Minute, float64(green.PeakGreen()), 42),
+				Lead:     lead,
+				Tail:     tail,
+				Sink:     simSink,
+				Chaos:    &sched,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctrlSink := &captureSink{}
+			ctrl := newChaosController(t, "Greedy", &sched, ctrlSink)
+
+			sr, cr := eng.Rack(), ctrl.rack
+			for epoch := 0; !eng.Done(); epoch++ {
+				if _, _, err := eng.Step(); err != nil {
+					t.Fatal(err)
+				}
+				mustStep(t, ctrl, burstTelemetry(400))
+				if s, c := fmt.Sprint(transitions(simSink.events)), fmt.Sprint(transitions(ctrlSink.events)); s != c {
+					t.Fatalf("epoch %d: controller transitions %s, sim %s", epoch, c, s)
+				}
+				if s, c := sr.Alive(), cr.Alive(); s != c {
+					t.Errorf("epoch %d: controller alive %d, sim %d", epoch, c, s)
+				}
+				if s, c := sr.Selector.Stuck(), cr.Selector.Stuck(); s != c {
+					t.Errorf("epoch %d: controller stuck %v, sim %v", epoch, c, s)
+				}
+				if s, c := sr.Selector.Bank().Health(), cr.Selector.Bank().Health(); s != c {
+					t.Errorf("epoch %d: controller battery health %v, sim %v", epoch, c, s)
+				}
+				for i := 0; i < sched.Servers; i++ {
+					if !sr.Injector.ServerDown(i) {
+						continue
+					}
+					if s, c := sr.Knobs.Current(i), cr.Knobs.Current(i); s != c {
+						t.Errorf("epoch %d: down server %d knob: controller %v, sim %v", epoch, i, c, s)
+					}
+				}
+			}
+			if len(transitions(simSink.events)) == 0 {
+				t.Fatal("the schedule produced no transitions")
+			}
+		})
+	}
+}

@@ -7,7 +7,8 @@
 //	                 with WithMetrics)
 //	GET  /debug/pprof/* — runtime profiles (opt-in via WithPprof)
 //	POST /step     — feed one epoch of telemetry and run the control
-//	                 loop; body is a core.Telemetry JSON object and the
+//	                 loop; body is exactly one core.Telemetry JSON
+//	                 object of at most MaxStepBody bytes and the
 //	                 response is the resulting Decision.
 //
 // POST /step exists so external monitors (or the simulator) can drive
@@ -17,7 +18,9 @@ package httpapi
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -25,6 +28,11 @@ import (
 	"greensprint/internal/core"
 	"greensprint/internal/obs"
 )
+
+// MaxStepBody caps a POST /step body. A Telemetry object is five
+// numbers, so the cap leaves ample room for formatting while bounding
+// what a client can make the daemon buffer; larger bodies get 413.
+const MaxStepBody = 64 << 10
 
 // Server wraps a controller with HTTP handlers.
 type Server struct {
@@ -109,10 +117,25 @@ func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var tel core.Telemetry
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxStepBody))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&tel); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+	err := dec.Decode(&tel)
+	if err == nil {
+		// Exactly one object: anything but whitespace after it is a
+		// malformed request, not telemetry to act on.
+		if _, err = dec.Token(); err == io.EOF {
+			err = nil
+		} else if err == nil {
+			err = errors.New("trailing data after the telemetry object")
+		}
+	}
+	if err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, code, map[string]string{"error": err.Error()})
 		return
 	}
 	d, err := s.ctrl.Step(tel)

@@ -86,15 +86,41 @@ func TestStepAndHistory(t *testing.T) {
 	}
 }
 
+// TestStepBadBody feeds /step malformed, trailing-data and oversized
+// bodies: each is rejected with its status code and none steps the
+// controller.
 func TestStepBadBody(t *testing.T) {
-	s, _ := newServer(t)
-	for _, body := range []string{`{bad`, `{"Nope":1}`} {
-		req := httptest.NewRequest(http.MethodPost, "/step", strings.NewReader(body))
+	s, ctrl := newServer(t)
+	const valid = `{"GreenPower":1}`
+	huge := `{"GreenPower":1,"Nope":"` + strings.Repeat("x", MaxStepBody) + `"}`
+	for _, tc := range []struct {
+		name, body string
+		code       int
+	}{
+		{"broken JSON", `{bad`, http.StatusBadRequest},
+		{"unknown field", `{"Nope":1}`, http.StatusBadRequest},
+		{"empty body", ``, http.StatusBadRequest},
+		{"trailing junk", valid + ` junk`, http.StatusBadRequest},
+		{"second object", valid + valid, http.StatusBadRequest},
+		{"oversized token", huge, http.StatusRequestEntityTooLarge},
+		{"oversized trailing space", valid + strings.Repeat(" ", MaxStepBody), http.StatusRequestEntityTooLarge},
+	} {
+		req := httptest.NewRequest(http.MethodPost, "/step", strings.NewReader(tc.body))
 		rec := httptest.NewRecorder()
 		s.ServeHTTP(rec, req)
-		if rec.Code != http.StatusBadRequest {
-			t.Errorf("body %q: code = %d", body, rec.Code)
+		if rec.Code != tc.code {
+			t.Errorf("%s: code = %d, want %d: %s", tc.name, rec.Code, tc.code, rec.Body.String())
 		}
+		if n := ctrl.Snapshot().Epoch; n != 0 {
+			t.Fatalf("%s: controller stepped to epoch %d", tc.name, n)
+		}
+	}
+	// Trailing whitespace is fine.
+	req := httptest.NewRequest(http.MethodPost, "/step", strings.NewReader(valid+" \n"))
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK || ctrl.Snapshot().Epoch != 1 {
+		t.Errorf("valid body with trailing newline: code %d, epoch %d", rec.Code, ctrl.Snapshot().Epoch)
 	}
 }
 

@@ -18,8 +18,8 @@ package lint
 //
 // The check is textual-by-closure: a field counts as covered on a side
 // when any function in that pair method's transitive call closure
-// mentions it (so Engine.Restore delegating classAlive to
-// recomputeClassAlive still covers classAlive). Derived caches and
+// mentions it (so Rack.Restore delegating classAlive to recount still
+// covers classAlive). Derived caches and
 // scratch buffers that are deliberately rebuilt instead of serialized
 // carry //greensprint:allow(statecov) directives on their field
 // declarations, each with a justification the -audit report lists.

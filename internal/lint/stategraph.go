@@ -40,7 +40,7 @@ type stateGap struct {
 // statePair is one concrete type carrying both halves of a pairing,
 // with the transitive call closures of its two pair methods over every
 // loaded package (a field restored inside a helper such as
-// recomputeClassAlive still counts as restored).
+// Rack.recount still counts as restored).
 type statePair struct {
 	pkg                      *Package
 	named                    *types.Named

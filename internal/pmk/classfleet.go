@@ -7,17 +7,18 @@ import (
 	"greensprint/internal/server"
 )
 
-// ClassFleet is the structure-of-arrays generalization of Fleet for
-// fleet-scale simulation: instead of one Knob per server it keeps one
-// herd entry per server class — every member of a class carries the
-// same setting, applied once and counted by herd size — plus a small
-// sorted list of detached servers that have been individually actuated
-// (chaos crash targets). ApplyAll/ApplyAlive therefore cost
-// O(classes + detached) rather than O(servers), while the transition
-// accounting stays equal to a per-server Sim fleet's total.
+// ClassFleet is a structure-of-arrays knob herd: instead of one knob
+// per server it keeps one herd entry per server class — every member
+// of a class carries the same setting, applied once and counted by
+// herd size — plus a small sorted list of detached servers that have
+// been individually actuated (chaos crash targets). ApplyAll/ApplyAlive
+// therefore cost O(classes + detached) rather than O(servers), while
+// the transition accounting stays per server: a detached server
+// carries its own full history, and a herd's count is its members'
+// shared history times the herd size.
 //
 // Contract: a server must be detached (via Apply) before it is ever
-// reported down to ApplyAlive. The engine's chaos path does this by
+// reported down to ApplyAlive. The chaos path does this by
 // construction — a ServerCrash fault first forces its target to Normal
 // through Apply — so herd entries never contain down servers.
 // A ClassFleet is not safe for concurrent use.
@@ -25,17 +26,19 @@ type ClassFleet struct {
 	classes []classKnob
 	classOf func(int) int
 	size    int
+	// sizes is each class's server count, herd plus detached members.
+	sizes []int
 	// detached is sorted by server index; a detached server never
-	// rejoins its herd (its share of the herd's historical transition
-	// count stays in the class aggregate, and it counts its own from
-	// detachment on, so the fleet total is conserved).
+	// rejoins its herd. It leaves with its share of the herd's
+	// transition count and counts its own from there on, so both the
+	// fleet total and every server's own count are conserved.
 	detached []detachedKnob
 }
 
 // classKnob is one class herd: count servers sharing one setting.
-// transitions aggregates the whole herd's actuation count (count per
-// distinct change), including the historical share of since-detached
-// members.
+// transitions aggregates the herd's actuation count (count per
+// distinct change); every member shares one history, so a detaching
+// server's share is transitions / count.
 type classKnob struct {
 	count       int
 	cur         server.Config
@@ -54,7 +57,7 @@ type detachedKnob struct {
 // class c, all initialized to Normal mode. classOf maps a global
 // server index to its class and must be total over [0, Σcounts).
 func NewClassFleet(counts []int, classOf func(int) int) *ClassFleet {
-	f := &ClassFleet{classOf: classOf, classes: make([]classKnob, len(counts))}
+	f := &ClassFleet{classOf: classOf, classes: make([]classKnob, len(counts)), sizes: append([]int(nil), counts...)}
 	for i, n := range counts {
 		f.classes[i] = classKnob{count: n, cur: server.Normal()}
 		f.size += n
@@ -99,8 +102,9 @@ func (f *ClassFleet) ApplyAll(c server.Config) error {
 // ApplyAlive applies the same config to every server not reported
 // down. Herds are applied wholesale — per the type contract, down
 // servers are always detached first — and detached servers are checked
-// individually, keeping crashed machines on their last setting exactly
-// like Fleet.ApplyAlive.
+// individually, keeping crashed machines on their last setting: there
+// is nothing to actuate on a powered-off machine, and counting phantom
+// transitions would corrupt the actuation accounting.
 func (f *ClassFleet) ApplyAlive(c server.Config, down func(i int) bool) error {
 	if !c.Valid() {
 		return fmt.Errorf("pmk: invalid config %v", c)
@@ -126,7 +130,8 @@ func (f *ClassFleet) ApplyAlive(c server.Config, down func(i int) bool) error {
 }
 
 // Apply applies a config to server i only, detaching it from its class
-// herd the first time it diverges.
+// herd the first time: the server leaves with its share of the herd's
+// transition count.
 func (f *ClassFleet) Apply(i int, c server.Config) error {
 	if i < 0 || i >= f.size {
 		return fmt.Errorf("pmk: apply: server %d of %d", i, f.size)
@@ -138,11 +143,13 @@ func (f *ClassFleet) Apply(i int, c server.Config) error {
 	if !ok {
 		class := f.classOf(i)
 		k := &f.classes[class]
+		share := k.transitions / k.count
 		k.count--
+		k.transitions -= share
 		//greensprint:allow(allocfree) detached list grows once per newly crashed/isolated server, bounded by the fault schedule
 		f.detached = append(f.detached, detachedKnob{})
 		copy(f.detached[pos+1:], f.detached[pos:])
-		f.detached[pos] = detachedKnob{index: i, class: class, cur: k.cur}
+		f.detached[pos] = detachedKnob{index: i, class: class, cur: k.cur, transitions: share}
 	}
 	d := &f.detached[pos]
 	if c != d.cur {
@@ -175,8 +182,8 @@ func (f *ClassFleet) Configs() []server.Config {
 // Detached returns how many servers have been individually actuated.
 func (f *ClassFleet) Detached() int { return len(f.detached) }
 
-// Transitions returns the fleet-total actuation count — equal to the
-// sum a per-server Sim fleet would report.
+// Transitions returns the fleet-total actuation count: the sum of
+// every server's own count.
 func (f *ClassFleet) Transitions() int {
 	total := 0
 	for _, k := range f.classes {
@@ -224,8 +231,8 @@ func (f *ClassFleet) Snapshot() ClassFleetSnapshot {
 }
 
 // Restore replaces the fleet's state from a snapshot taken from a
-// fleet with the same class structure: class count plus detached
-// membership must partition the same server set.
+// fleet with the same class structure: each class's herd count plus
+// its detached members must make up the class.
 func (f *ClassFleet) Restore(s ClassFleetSnapshot) error {
 	if len(s.Classes) != len(f.classes) {
 		return fmt.Errorf("pmk: restore: snapshot has %d classes, fleet has %d", len(s.Classes), len(f.classes))
@@ -259,14 +266,12 @@ func (f *ClassFleet) Restore(s ClassFleetSnapshot) error {
 		prev = d.Index
 		perClass[d.Class]++
 	}
-	// perClass now counts herd + detached members per class; together
-	// they must partition the fleet's server set.
-	total := 0
-	for _, n := range perClass {
-		total += n
-	}
-	if total != f.size {
-		return fmt.Errorf("pmk: restore: snapshot covers %d servers, fleet has %d", total, f.size)
+	// perClass now counts herd + detached members per class; each must
+	// make up its class.
+	for i, n := range perClass {
+		if n != f.sizes[i] {
+			return fmt.Errorf("pmk: restore: snapshot covers %d servers of class %d, fleet has %d", n, i, f.sizes[i])
+		}
 	}
 	for i, k := range s.Classes {
 		f.classes[i] = classKnob{count: k.Count, cur: k.Config, transitions: k.Transitions}
@@ -278,4 +283,44 @@ func (f *ClassFleet) Restore(s ClassFleetSnapshot) error {
 		})
 	}
 	return nil
+}
+
+// RestoreFlat restores the fleet from the flat per-knob layout. Each
+// class's herd takes the setting of its first server not reported
+// down; servers reported down, and knobs whose setting differs from
+// their herd's, are detached with their own state. Herd members'
+// transition counts are summed into the herd, so every server's count
+// is conserved and a flat snapshot of this fleet restores to it
+// exactly. down may be nil when no server can be down.
+func (f *ClassFleet) RestoreFlat(s FleetSnapshot, down func(i int) bool) error {
+	if len(s.Knobs) != f.size {
+		return fmt.Errorf("pmk: restore: snapshot has %d knobs, fleet has %d", len(s.Knobs), f.size)
+	}
+	isDown := func(i int) bool { return down != nil && down(i) }
+	out := ClassFleetSnapshot{Classes: make([]ClassKnobSnapshot, len(f.classes))}
+	seen := make([]bool, len(f.classes))
+	for i := range out.Classes {
+		out.Classes[i].Config = server.Normal()
+	}
+	for i, k := range s.Knobs {
+		if c := f.classOf(i); !seen[c] && !isDown(i) {
+			out.Classes[c].Config, seen[c] = k.Config, true
+		}
+	}
+	for i, k := range s.Knobs {
+		if k.Transitions < 0 {
+			return fmt.Errorf("pmk: restore: knob %d has negative transition count %d", i, k.Transitions)
+		}
+		c := f.classOf(i)
+		herd := &out.Classes[c]
+		if isDown(i) || k.Config != herd.Config {
+			out.Detached = append(out.Detached, DetachedKnobSnapshot{
+				Index: i, Class: c, Config: k.Config, Transitions: k.Transitions,
+			})
+			continue
+		}
+		herd.Count++
+		herd.Transitions += k.Transitions
+	}
+	return f.Restore(out)
 }

@@ -1,15 +1,17 @@
 // Package pmk implements GreenSprint's Power Management Knob: the
-// per-server actuator that applies a sprinting intensity (active core
-// count and frequency level) chosen by the strategy layer. The paper's
-// prototype uses cpufreq for frequency scaling and taskset for core
-// binding; this package provides a Knob interface with two backends:
+// actuator that applies a sprinting intensity (active core count and
+// frequency level) chosen by the strategy layer. The paper's prototype
+// uses cpufreq for frequency scaling and taskset for core binding;
+// this package provides two pieces:
 //
-//   - Sim: an in-memory knob for the simulator and tests, tracking the
-//     applied setting and counting transitions.
-//   - Sysfs: a Linux backend that writes CPU online masks and cpufreq
-//     limits under a configurable sysfs root, for running the
-//     greensprintd daemon on a real host. The root is injectable so
-//     tests exercise the exact write path against a temp directory.
+//   - ClassFleet: the modelled knob herd of a rack or fleet — one
+//     setting per server class plus the individually actuated
+//     (crashed) servers — with per-server transition accounting. Both
+//     control loops, the simulator and the controller, actuate it.
+//   - Sysfs: a Knob that writes CPU online masks and cpufreq limits
+//     under a configurable sysfs root, for running the greensprintd
+//     daemon on a real host. The root is injectable so tests exercise
+//     the exact write path against a temp directory.
 package pmk
 
 import (
@@ -28,45 +30,6 @@ type Knob interface {
 	Apply(c server.Config) error
 	// Current returns the last successfully applied config.
 	Current() server.Config
-}
-
-// Sim is the in-memory knob backend.
-type Sim struct {
-	mu          sync.Mutex
-	cur         server.Config
-	transitions int
-}
-
-// NewSim returns a simulated knob initialized to Normal mode.
-func NewSim() *Sim { return &Sim{cur: server.Normal()} }
-
-// Apply implements Knob. Invalid configs are rejected.
-func (s *Sim) Apply(c server.Config) error {
-	if !c.Valid() {
-		return fmt.Errorf("pmk: invalid config %v", c)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if c != s.cur {
-		s.transitions++
-	}
-	s.cur = c
-	return nil
-}
-
-// Current implements Knob.
-func (s *Sim) Current() server.Config {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cur
-}
-
-// Transitions returns how many distinct setting changes were applied —
-// the actuation cost a real deployment pays in hysteresis.
-func (s *Sim) Transitions() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.transitions
 }
 
 // Sysfs drives a Linux host through the cpufreq/hotplug sysfs files:
@@ -151,147 +114,16 @@ func (s *Sysfs) write(path, value string) error {
 	return nil
 }
 
-// Fleet is a set of knobs for the green-provisioned servers, applied
-// together (the PSS "receives the execution output ... to control the
-// power demand on a per-server basis").
-type Fleet struct {
-	knobs []Knob
-}
-
-// NewFleet wraps a set of knobs.
-func NewFleet(knobs ...Knob) *Fleet { return &Fleet{knobs: knobs} }
-
-// NewSimFleet creates n simulated knobs.
-func NewSimFleet(n int) *Fleet {
-	f := &Fleet{}
-	for i := 0; i < n; i++ {
-		f.knobs = append(f.knobs, NewSim())
-	}
-	return f
-}
-
-// Size returns the number of servers in the fleet.
-func (f *Fleet) Size() int { return len(f.knobs) }
-
-// Knob returns the i-th knob.
-func (f *Fleet) Knob(i int) Knob { return f.knobs[i] }
-
-// ApplyAll applies the same config to every server, returning the
-// first error (remaining knobs are still attempted).
-func (f *Fleet) ApplyAll(c server.Config) error {
-	var firstErr error
-	for _, k := range f.knobs {
-		if err := k.Apply(c); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
-// Apply applies a config to server i only — used when servers diverge,
-// e.g. a chaos crash forcing one server to Normal while the rest keep
-// sprinting.
-func (f *Fleet) Apply(i int, c server.Config) error {
-	if i < 0 || i >= len(f.knobs) {
-		return fmt.Errorf("pmk: apply: server %d of %d", i, len(f.knobs))
-	}
-	return f.knobs[i].Apply(c)
-}
-
-// ApplyAlive applies the same config to every server whose index is
-// not reported down, returning the first error (remaining knobs are
-// still attempted). Crashed servers keep their last setting: there is
-// nothing to actuate on a powered-off machine, and counting phantom
-// transitions would corrupt the actuation accounting.
-func (f *Fleet) ApplyAlive(c server.Config, down func(i int) bool) error {
-	var firstErr error
-	for i, k := range f.knobs {
-		if down != nil && down(i) {
-			continue
-		}
-		if err := k.Apply(c); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
-// Configs returns the current config of every server.
-func (f *Fleet) Configs() []server.Config {
-	out := make([]server.Config, len(f.knobs))
-	for i, k := range f.knobs {
-		out[i] = k.Current()
-	}
-	return out
-}
-
-// KnobSnapshot is the serializable state of one knob: the applied
-// setting plus the transition count (meaningful for Sim knobs; other
-// backends report 0).
+// KnobSnapshot is one server's knob state in the flat per-knob
+// checkpoint layout: the applied setting plus its transition count.
 type KnobSnapshot struct {
 	Config      server.Config `json:"config"`
 	Transitions int           `json:"transitions"`
 }
 
-// Snapshot captures the knob's state without actuating anything.
-func (s *Sim) Snapshot() KnobSnapshot {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return KnobSnapshot{Config: s.cur, Transitions: s.transitions}
-}
-
-// Restore replaces the knob's state without counting a transition, so
-// a resumed run's actuation accounting matches the uninterrupted one.
-func (s *Sim) Restore(snap KnobSnapshot) error {
-	if !snap.Config.Valid() {
-		return fmt.Errorf("pmk: restore: invalid config %v", snap.Config)
-	}
-	if snap.Transitions < 0 {
-		return fmt.Errorf("pmk: restore: negative transition count %d", snap.Transitions)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.cur = snap.Config
-	s.transitions = snap.Transitions
-	return nil
-}
-
-// FleetSnapshot is the serializable state of a whole fleet, in server
-// order.
+// FleetSnapshot is the flat per-knob checkpoint layout, one knob per
+// server in server order. Checkpoints cut before the knob herd
+// (ClassFleet) existed carry it; ClassFleet.RestoreFlat migrates it.
 type FleetSnapshot struct {
 	Knobs []KnobSnapshot `json:"knobs"`
-}
-
-// Snapshot captures every knob's state.
-func (f *Fleet) Snapshot() FleetSnapshot {
-	s := FleetSnapshot{Knobs: make([]KnobSnapshot, len(f.knobs))}
-	for i, k := range f.knobs {
-		if sim, ok := k.(*Sim); ok {
-			s.Knobs[i] = sim.Snapshot()
-		} else {
-			s.Knobs[i] = KnobSnapshot{Config: k.Current()}
-		}
-	}
-	return s
-}
-
-// Restore applies a fleet snapshot. Sim knobs restore state (including
-// transition counts) without actuating; hardware-backed knobs re-apply
-// the recorded setting so the machine converges to the checkpoint.
-func (f *Fleet) Restore(s FleetSnapshot) error {
-	if len(s.Knobs) != len(f.knobs) {
-		return fmt.Errorf("pmk: restore: snapshot has %d knobs, fleet has %d", len(s.Knobs), len(f.knobs))
-	}
-	for i, k := range f.knobs {
-		if sim, ok := k.(*Sim); ok {
-			if err := sim.Restore(s.Knobs[i]); err != nil {
-				return fmt.Errorf("pmk: restore knob %d: %w", i, err)
-			}
-			continue
-		}
-		if err := k.Apply(s.Knobs[i].Config); err != nil {
-			return fmt.Errorf("pmk: restore knob %d: %w", i, err)
-		}
-	}
-	return nil
 }

@@ -1,6 +1,7 @@
 package pmk
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -9,30 +10,6 @@ import (
 
 	"greensprint/internal/server"
 )
-
-func TestSimKnob(t *testing.T) {
-	k := NewSim()
-	if k.Current() != server.Normal() {
-		t.Errorf("initial = %v", k.Current())
-	}
-	if err := k.Apply(server.MaxSprint()); err != nil {
-		t.Fatal(err)
-	}
-	if k.Current() != server.MaxSprint() {
-		t.Errorf("current = %v", k.Current())
-	}
-	if k.Transitions() != 1 {
-		t.Errorf("transitions = %d", k.Transitions())
-	}
-	// Re-applying the same config is not a transition.
-	k.Apply(server.MaxSprint())
-	if k.Transitions() != 1 {
-		t.Errorf("idempotent apply counted: %d", k.Transitions())
-	}
-	if err := k.Apply(server.Config{Cores: 99, Freq: 1200}); err == nil {
-		t.Error("invalid config should be rejected")
-	}
-}
 
 func newSysfsFixture(t *testing.T) *Sysfs {
 	t.Helper()
@@ -206,28 +183,83 @@ func TestSysfsApplyErrors(t *testing.T) {
 	}
 }
 
-func TestFleet(t *testing.T) {
-	f := NewSimFleet(3)
-	if f.Size() != 3 {
+// TestClassFleet pins the herd's per-server accounting: applies are
+// counted per distinct change and herd size, invalid configs are
+// rejected, a detached server leaves with its share of the herd's
+// count, ApplyAlive skips down servers, and a flat per-knob snapshot
+// of the fleet restores to the identical herd.
+func TestClassFleet(t *testing.T) {
+	f := NewClassFleet([]int{2, 2}, func(i int) int { return i / 2 })
+	if f.Size() != 4 {
 		t.Fatalf("size = %d", f.Size())
 	}
 	if err := f.ApplyAll(server.MaxSprint()); err != nil {
 		t.Fatal(err)
+	}
+	// Re-applying the same config is not a transition.
+	f.ApplyAll(server.MaxSprint())
+	if f.Transitions() != 4 {
+		t.Errorf("transitions = %d, want one per server", f.Transitions())
+	}
+	if err := f.ApplyAll(server.Config{Cores: 99, Freq: 1200}); err == nil {
+		t.Error("invalid config should be rejected")
 	}
 	for i, c := range f.Configs() {
 		if c != server.MaxSprint() {
 			t.Errorf("server %d = %v", i, c)
 		}
 	}
-	if f.Knob(0).Current() != server.MaxSprint() {
-		t.Error("Knob accessor broken")
+
+	// Server 1 crashes: detached with its one transition, plus the
+	// crash's own.
+	if err := f.Apply(1, server.Normal()); err != nil {
+		t.Fatal(err)
 	}
-	// Errors propagate but all knobs are attempted.
-	bad := NewFleet(NewSim(), NewSysfs(filepath.Join(t.TempDir(), "nope")), NewSim())
-	if err := bad.ApplyAll(server.Normal()); err == nil {
-		t.Error("fleet should surface the sysfs error")
+	if err := f.Apply(9, server.Normal()); err == nil {
+		t.Error("out-of-range server should be rejected")
 	}
-	if bad.Knob(2).Current() != server.Normal() {
-		t.Error("later knobs should still be applied")
+	down := func(i int) bool { return i == 1 }
+	if err := f.ApplyAlive(server.Normal(), down); err != nil {
+		t.Fatal(err)
+	}
+	if f.Current(1) != server.Normal() || f.Current(0) != server.Normal() || f.Detached() != 1 {
+		t.Errorf("after crash: configs %v, detached %d", f.Configs(), f.Detached())
+	}
+	f.ApplyAlive(server.MaxSprint(), down)
+	if f.Current(1) != server.Normal() || f.Current(3) != server.MaxSprint() {
+		t.Errorf("ApplyAlive touched the down server: %v", f.Configs())
+	}
+	s := f.Snapshot()
+	want := []ClassKnobSnapshot{{Count: 1, Config: server.MaxSprint(), Transitions: 3}, {Count: 2, Config: server.MaxSprint(), Transitions: 6}}
+	for c := range want {
+		if s.Classes[c] != want[c] {
+			t.Errorf("class %d = %+v, want %+v", c, s.Classes[c], want[c])
+		}
+	}
+	if len(s.Detached) != 1 || s.Detached[0].Transitions != 2 {
+		t.Errorf("detached = %+v, want server 1 with 2 transitions", s.Detached)
+	}
+
+	// The same state as a flat per-knob snapshot restores to the
+	// identical herd.
+	flat := FleetSnapshot{Knobs: make([]KnobSnapshot, f.Size())}
+	for i, c := range f.Configs() {
+		flat.Knobs[i] = KnobSnapshot{Config: c, Transitions: 3}
+	}
+	flat.Knobs[1].Transitions = 2
+	g := NewClassFleet([]int{2, 2}, func(i int) int { return i / 2 })
+	if err := g.RestoreFlat(flat, down); err != nil {
+		t.Fatal(err)
+	}
+	if got := g.Snapshot(); fmt.Sprint(got) != fmt.Sprint(s) {
+		t.Errorf("flat restore = %+v, want %+v", got, s)
+	}
+	flat.Knobs[2].Transitions = -1
+	if err := g.RestoreFlat(flat, down); err == nil {
+		t.Error("negative transition count accepted")
+	}
+	s.Classes[1].Count = 3
+	if err := g.Restore(s); err == nil {
+		t.Error("snapshot miscounting a class accepted")
 	}
 }

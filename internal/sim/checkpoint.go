@@ -12,7 +12,6 @@ import (
 	"greensprint/internal/pmk"
 	"greensprint/internal/predictor"
 	"greensprint/internal/pss"
-	"greensprint/internal/server"
 )
 
 // CheckpointVersion is the format version written into every
@@ -25,7 +24,7 @@ import (
 // snapshot, per-class energy counters. Version-4 files cut before the
 // paper's rack ran as a one-class fleet carry the flat layout instead
 // (per-knob fleet, per-unit battery bank); Restore migrates them (see
-// classFleetFromKnobs and battery.ClassBank.Restore).
+// pmk.ClassFleet.RestoreFlat and battery.ClassBank.Restore).
 // DecodeCheckpoint transparently migrates version-1 through version-3
 // files (see migrateV1/migrateV2/migrateV3).
 const CheckpointVersion = 4
@@ -90,31 +89,26 @@ func (e *Engine) Checkpoint() (*Checkpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sim: checkpoint strategy: %w", err)
 	}
-	knobs := e.knobs.Snapshot()
+	rack := e.rack.Snapshot()
 	cp := &Checkpoint{
 		Version:      CheckpointVersion,
 		Epoch:        e.epoch,
 		SupplyStart:  e.cfg.Supply.Start,
 		EpochIndex:   e.epochIndex,
 		StrategyName: e.cfg.Strategy.Name(),
-		Selector:     e.selector.Snapshot(),
+		Selector:     rack.Selector,
+		Breaker:      rack.Breaker,
 		LoadPred:     e.loadPred.Snapshot(),
 		Strategy:     stratRaw,
 		Records:      append([]EpochRecord(nil), e.records...),
 		BurstPerfSum: e.burstPerfSum,
 		BurstEpochs:  e.burstEpochs,
 
+		Chaos: rack.Chaos,
+
 		FleetFingerprint: e.fingerprint,
-		ClassFleet:       &knobs,
+		ClassFleet:       rack.Knobs,
 		ClassEnergyWh:    append([]float64(nil), e.classEnergyWh...),
-	}
-	if e.breaker != nil {
-		s := e.breaker.Snapshot()
-		cp.Breaker = &s
-	}
-	if e.injector != nil {
-		s := e.injector.Snapshot()
-		cp.Chaos = &s
 	}
 	return cp, nil
 }
@@ -146,15 +140,7 @@ func (e *Engine) Restore(cp *Checkpoint) error {
 	if len(cp.Records) != cp.EpochIndex {
 		return fmt.Errorf("sim: restore: %d records for %d epochs", len(cp.Records), cp.EpochIndex)
 	}
-	if (cp.Breaker == nil) != (e.breaker == nil) {
-		return fmt.Errorf("sim: restore: checkpoint and engine disagree on breaker overdraw")
-	}
-	if (cp.Chaos == nil) != (e.injector == nil) {
-		return fmt.Errorf("sim: restore: checkpoint and engine disagree on chaos schedule")
-	}
 	switch {
-	case cp.ClassFleet == nil && cp.Fleet == nil:
-		return fmt.Errorf("sim: restore: checkpoint carries no knob fleet")
 	case cp.ClassFleet != nil && cp.FleetFingerprint != e.fingerprint:
 		return fmt.Errorf("sim: restore: checkpoint fleet fingerprint %.12s… does not match generated topology %.12s…",
 			cp.FleetFingerprint, e.fingerprint)
@@ -162,38 +148,16 @@ func (e *Engine) Restore(cp *Checkpoint) error {
 		return fmt.Errorf("sim: restore: %d class energy counters for %d classes",
 			len(cp.ClassEnergyWh), len(e.classEnergyWh))
 	}
-	if err := e.selector.Restore(cp.Selector); err != nil {
+	err := e.rack.Restore(RackSnapshot{
+		Selector: cp.Selector, Breaker: cp.Breaker, Chaos: cp.Chaos, Knobs: cp.ClassFleet, Flat: cp.Fleet,
+	})
+	if err != nil {
 		return fmt.Errorf("sim: restore: %w", err)
-	}
-	if e.breaker != nil {
-		if err := e.breaker.Restore(*cp.Breaker); err != nil {
-			return fmt.Errorf("sim: restore: %w", err)
-		}
 	}
 	if err := e.loadPred.Restore(cp.LoadPred); err != nil {
 		return fmt.Errorf("sim: restore: %w", err)
 	}
 	if err := e.cfg.Strategy.RestoreState(cp.Strategy); err != nil {
-		return fmt.Errorf("sim: restore: %w", err)
-	}
-	if e.injector != nil {
-		if err := e.injector.Restore(*cp.Chaos); err != nil {
-			return fmt.Errorf("sim: restore: %w", err)
-		}
-		e.alive = e.injector.AliveServers()
-		e.selector.SetStuck(e.injector.Stuck())
-		e.recomputeClassAlive()
-	}
-	// The knob herd migrates after the injector: a flat-layout fleet
-	// detaches the servers the restored injector reports down.
-	knobs := cp.ClassFleet
-	if knobs == nil {
-		var err error
-		if knobs, err = e.classFleetFromKnobs(*cp.Fleet); err != nil {
-			return err
-		}
-	}
-	if err := e.knobs.Restore(*knobs); err != nil {
 		return fmt.Errorf("sim: restore: %w", err)
 	}
 	copy(e.classEnergyWh, cp.ClassEnergyWh)
@@ -290,43 +254,4 @@ func ReadCheckpointFile(path string) (*Checkpoint, error) {
 		return nil, fmt.Errorf("sim: read checkpoint: %w", err)
 	}
 	return DecodeCheckpoint(b)
-}
-
-// classFleetFromKnobs migrates a flat-layout per-knob fleet snapshot
-// into the engine's knob herd. Each class's herd takes the setting of
-// its first server the restored injector reports up; servers reported
-// down, and knobs whose setting differs from their herd's, are
-// detached with their own state. Herd members' transition counts are
-// summed into the herd, so the fleet total is conserved.
-func (e *Engine) classFleetFromKnobs(s pmk.FleetSnapshot) (*pmk.ClassFleetSnapshot, error) {
-	if len(s.Knobs) != e.n {
-		return nil, fmt.Errorf("sim: restore: snapshot has %d knobs, fleet has %d", len(s.Knobs), e.n)
-	}
-	down := func(i int) bool { return e.injector != nil && e.injector.ServerDown(i) }
-	out := &pmk.ClassFleetSnapshot{Classes: make([]pmk.ClassKnobSnapshot, len(e.classes))}
-	seen := make([]bool, len(e.classes))
-	for i := range out.Classes {
-		out.Classes[i].Config = server.Normal()
-	}
-	for i, k := range s.Knobs {
-		if c := e.topo.ClassOf(i); !seen[c] && !down(i) {
-			out.Classes[c].Config, seen[c] = k.Config, true
-		}
-	}
-	for i, k := range s.Knobs {
-		if k.Transitions < 0 {
-			return nil, fmt.Errorf("sim: restore: knob %d has negative transition count %d", i, k.Transitions)
-		}
-		c := e.topo.ClassOf(i)
-		herd := &out.Classes[c]
-		if down(i) || k.Config != herd.Config {
-			out.Detached = append(out.Detached, pmk.DetachedKnobSnapshot{
-				Index: i, Class: c, Config: k.Config, Transitions: k.Transitions,
-			})
-			continue
-		}
-		herd.Count++
-		herd.Transitions += k.Transitions
-	}
-	return out, nil
 }

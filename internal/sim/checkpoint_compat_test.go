@@ -455,13 +455,13 @@ func TestCheckpointFlatV4Fixture(t *testing.T) {
 	if err := e.Restore(cp); err != nil {
 		t.Fatalf("restore flat v4 fixture: %v", err)
 	}
-	if got := e.knobs.Transitions(); got != knobTotal {
+	if got := e.rack.Knobs.Transitions(); got != knobTotal {
 		t.Errorf("migrated transition total = %d, want %d", got, knobTotal)
 	}
-	if d := e.knobs.Detached(); d != 1 {
+	if d := e.rack.Knobs.Detached(); d != 1 {
 		t.Errorf("migration detached %d servers, want 1 (the crashed server)", d)
 	}
-	if g := e.selector.Bank().(*battery.ClassBank).Groups(); g != 2 {
+	if g := e.rack.Selector.Bank().(*battery.ClassBank).Groups(); g != 2 {
 		t.Errorf("migrated bank has %d groups, want 2", g)
 	}
 	got := mustRunAll(t, e)
@@ -540,12 +540,12 @@ func TestCheckpointFlatLayoutEveryEpoch(t *testing.T) {
 			if _, _, err := e.Step(); err != nil {
 				t.Fatal(err)
 			}
-			if w, g := fmt.Sprint(ref.knobs.Configs()), fmt.Sprint(e.knobs.Configs()); w != g {
+			if w, g := fmt.Sprint(ref.rack.Knobs.Configs()), fmt.Sprint(e.rack.Knobs.Configs()); w != g {
 				t.Fatalf("cut at %d, epoch %d: knob settings %s, want %s", k, e.EpochIndex(), g, w)
 			}
 		}
 		assertSameResult(t, ref.Result(), e.Result())
-		if wt, gt := ref.knobs.Transitions(), e.knobs.Transitions(); wt != gt {
+		if wt, gt := ref.rack.Knobs.Transitions(), e.rack.Knobs.Transitions(); wt != gt {
 			t.Errorf("cut at %d: knob transitions = %d, want %d", k, gt, wt)
 		}
 	}

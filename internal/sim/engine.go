@@ -10,7 +10,6 @@ import (
 	"greensprint/internal/cluster"
 	"greensprint/internal/fleet"
 	"greensprint/internal/obs"
-	"greensprint/internal/pmk"
 	"greensprint/internal/predictor"
 	"greensprint/internal/profile"
 	"greensprint/internal/pss"
@@ -37,35 +36,27 @@ type Engine struct {
 	cfg      Config
 	epoch    time.Duration
 	tab      *profile.Table
-	selector *pss.Selector
-	breaker  *cluster.Breaker
 	loadPred *predictor.EWMA
 	n        int
 
-	// injector replays the chaos schedule (nil for fault-free runs:
-	// every fault-free code path below is bit-identical to the
-	// pre-chaos engine). alive tracks the green servers not currently
-	// crashed; it equals n whenever injector is nil.
-	injector *chaos.Injector
-	alive    int //greensprint:allow(statecov) derived: Restore recounts it from the restored injector's ref-counts (n when chaos is off)
+	// rack is the modelled rack — PSS selector and bank, knob herd,
+	// optional breaker and chaos injector, alive census — that
+	// core.Controller drives through the same code.
+	rack *Rack
 
 	// Topology state, structure-of-arrays: the paper's rack is a
 	// one-class, one-rack topology (fleet.FromGreen), a generated fleet
 	// has one class per template. topo is the topology and fingerprint
-	// its digest, pinned into checkpoints; knobs is the class-indexed
-	// knob herd, classes the per-class runtime (profiling table,
-	// kernel, Normal draw) and classAlive the per-class alive census.
-	// The per-class observability — classEnergyWh, the cumulative
-	// per-class server energy (checkpointed so resumed streams continue
-	// the counters), and the classEv event buffer — is kept only for
-	// runs with a Config.Fleet. perAliveGoodput is the epoch's
-	// per-alive-server goodput before alive-fraction scaling, feeding
-	// the class stats.
+	// its digest, pinned into checkpoints; classes is the per-class
+	// runtime (profiling table, kernel, Normal draw). The per-class
+	// observability — classEnergyWh, the cumulative per-class server
+	// energy (checkpointed so resumed streams continue the counters),
+	// and the classEv event buffer — is kept only for runs with a
+	// Config.Fleet. perAliveGoodput is the epoch's per-alive-server
+	// goodput before alive-fraction scaling, feeding the class stats.
 	topo            *fleet.Topology
 	fingerprint     string
-	knobs           *pmk.ClassFleet
 	classes         []classRT
-	classAlive      []int //greensprint:allow(statecov) derived: Restore rebuilds the census via recomputeClassAlive from the injector and topology
 	classEnergyWh   []float64
 	classEv         []obs.ClassStat //greensprint:allow(statecov) per-epoch scratch: truncated and refilled before every event emission
 	perAliveGoodput float64         //greensprint:allow(statecov) per-epoch intermediate: written by every epoch before any read
@@ -168,24 +159,12 @@ func New(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
-	selector := pss.New(bank)
 	n := topo.Servers
 	var injector *chaos.Injector
 	if cfg.Chaos != nil {
-		// The schedule's fault targets were drawn for a concrete
-		// topology; replaying it against a different one would strike
-		// phantom components. The checks bind the schedule to the
-		// topology's server and battery-unit census, and the zone
-		// shape must match too (zone outages cascade across zone
-		// membership).
-		if cfg.Chaos.Servers != n {
-			return nil, fmt.Errorf("sim: chaos schedule resolved for %d servers, config has %d",
-				cfg.Chaos.Servers, n)
-		}
-		if cfg.Chaos.Units != bank.Size() {
-			return nil, fmt.Errorf("sim: chaos schedule resolved for %d battery units, config has %d",
-				cfg.Chaos.Units, bank.Size())
-		}
+		// Zone outages cascade across zone membership, so the schedule
+		// must have been resolved for the topology's zone shape; the
+		// rack checks the server and battery-unit census.
 		zones := cfg.Chaos.Zones
 		if zones == 0 {
 			zones = chaos.NumZones
@@ -206,11 +185,13 @@ func New(cfg Config) (*Engine, error) {
 			// breaker to overdraw through.
 			return nil, fmt.Errorf("sim: breaker overdraw is not supported with a %d-rack fleet", len(topo.Racks))
 		}
-		cl, err := cluster.New(cfg.Green)
-		if err != nil {
+		if breaker, err = PDUBreaker(cfg.Green); err != nil {
 			return nil, err
 		}
-		breaker = cluster.NewBreaker(cl.GridBudget)
+	}
+	rack, err := NewRack(topo.ClassCounts(), topo.ClassOf, bank, breaker, injector)
+	if err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
 	}
 
 	// One kernel per Engine: the per-config QoS bisections run once at
@@ -223,12 +204,9 @@ func New(cfg Config) (*Engine, error) {
 		cfg:      cfg,
 		epoch:    epoch,
 		tab:      tab,
-		selector: selector,
-		breaker:  breaker,
 		loadPred: predictor.NewEWMA(predictor.DefaultAlpha),
 		n:        n,
-		injector: injector,
-		alive:    n,
+		rack:     rack,
 		kernel:   kernel,
 		lat:      make([]latEntry, server.NumConfigs()),
 
@@ -244,9 +222,7 @@ func New(cfg Config) (*Engine, error) {
 
 		topo:        topo,
 		fingerprint: topo.Fingerprint(),
-		knobs:       pmk.NewClassFleet(topo.ClassCounts(), topo.ClassOf),
 		classes:     make([]classRT, len(topo.Classes)),
-		classAlive:  make([]int, len(topo.Classes)),
 	}
 	if cfg.Fleet != nil {
 		e.classEnergyWh = make([]float64, len(topo.Classes))
@@ -279,7 +255,6 @@ func New(cfg Config) (*Engine, error) {
 			kernel:      ck,
 			normalPower: normalPower,
 		}
-		e.classAlive[i] = c.Servers
 	}
 	e.runEnd = e.burstEnd.Add(cfg.Tail)
 	// The horizon is fixed at construction, so the record slice can be
@@ -289,13 +264,13 @@ func New(cfg Config) (*Engine, error) {
 		// Demand scales with the servers actually running (alive == n
 		// for fault-free runs, so this stays bit-identical to the
 		// pre-chaos closure).
-		return e.selector.SustainFraction(units.Watt(float64(perServer)*float64(e.alive)), e.predGreen, e.epoch)
+		return rack.Selector.SustainFraction(units.Watt(float64(perServer)*float64(rack.Alive())), e.predGreen, e.epoch)
 	}
 
 	// Prime the supply predictor with the pre-run observation so the
 	// first epoch has a sensible forecast (the paper's predictor has
 	// been running continuously before any burst).
-	selector.ObserveSupply(units.Watt(cfg.Supply.At(cfg.Supply.Start)))
+	rack.Selector.ObserveSupply(units.Watt(cfg.Supply.At(cfg.Supply.Start)))
 	// Workload predictor (the paper's L_pre EWMA); only used when an
 	// offered-rate trace is replayed.
 	if cfg.Offered != nil {
@@ -328,14 +303,14 @@ func (e *Engine) step() (EpochRecord, bool, error) {
 		predicted = e.loadPred.Predict()
 	}
 	greenObserved := units.Watt(meanWindow(e.cfg.Supply, at, e.epoch))
-	if e.injector != nil {
+	if e.rack.Injector != nil {
 		// Fault and recovery transitions land at the epoch boundary,
 		// before the epoch's physics; an active inverter dropout then
 		// zeroes the observed green supply.
-		if err := e.applyChaos(e.epochIndex, at); err != nil {
+		if err := e.applyChaos(at); err != nil {
 			return EpochRecord{}, true, err
 		}
-		greenObserved = units.Watt(float64(greenObserved) * e.injector.SolarFactor())
+		greenObserved = units.Watt(float64(greenObserved) * e.rack.Injector.SolarFactor())
 	}
 
 	var rec EpochRecord
@@ -345,31 +320,31 @@ func (e *Engine) step() (EpochRecord, bool, error) {
 	rec.Offered = offered
 
 	switch {
-	case e.alive == 0:
+	case e.rack.Alive() == 0:
 		// Every green server is down (a full zone outage, or worse):
 		// nothing serves, nothing sprints, the strategy has nothing to
 		// decide. Surviving infrastructure still runs — batteries bank
 		// whatever green output remains — and the breaker cools.
 		rec = e.runOutageEpoch(rec, greenObserved)
-		if e.breaker != nil {
-			e.breaker.Step(0, e.epoch)
+		if e.rack.Breaker != nil {
+			e.rack.Breaker.Step(0, e.epoch)
 		}
 	case inBurst:
 		rec = e.runBurstEpoch(rec, greenObserved, offered, predicted, at)
 	default:
 		rec = e.runIdleEpoch(rec, greenObserved, offered)
-		if e.breaker != nil {
+		if e.rack.Breaker != nil {
 			// Non-burst epochs stay within the budget and cool the
 			// breaker.
-			e.breaker.Step(0, e.epoch)
+			e.rack.Breaker.Step(0, e.epoch)
 		}
 	}
 
 	if e.baseGoodput > 0 {
 		rec.NormPerf = rec.Goodput / e.baseGoodput
 	}
-	rec.SoC = e.selector.Bank().SoC()
-	e.selector.ObserveSupply(greenObserved)
+	rec.SoC = e.rack.Selector.Bank().SoC()
+	e.rack.Selector.ObserveSupply(greenObserved)
 	e.loadPred.Observe(offered)
 	//greensprint:allow(allocfree) the per-epoch record log is the simulation's product; growth is amortized doubling
 	e.records = append(e.records, rec)
@@ -512,7 +487,7 @@ func (e *Engine) StepN(n int) (int, error) {
 // burst start, the horizon, and the injector's next fault or recovery
 // epoch, so every hoisted quantity is provably constant across it.
 func (e *Engine) idleSegmentLen(limit int) int {
-	if e.cfg.Offered != nil || e.alive == 0 {
+	if e.cfg.Offered != nil || e.rack.Alive() == 0 {
 		return 0
 	}
 	at := e.at
@@ -528,8 +503,8 @@ func (e *Engine) idleSegmentLen(limit int) int {
 	if k > limit {
 		k = limit
 	}
-	if e.injector != nil {
-		if next := e.injector.NextTransition(); next >= 0 {
+	if e.rack.Injector != nil {
+		if next := e.rack.Injector.NextTransition(); next >= 0 {
 			if d := next - e.epochIndex; d < k {
 				k = d
 			}
@@ -564,12 +539,12 @@ func epochsUntil(d, epoch time.Duration) int {
 // idleSegmentLen) — so records, events and checkpoints stay
 // bit-identical to the per-epoch path.
 func (e *Engine) runIdleSegment(k int) {
-	selector, epoch := e.selector, e.epoch
+	rack, epoch := e.rack, e.epoch
 	offered := e.offeredIdle
 	// Hoisted: re-applying Normal to a fleet already at Normal is a
 	// no-op (knob herds count transitions, not applications), so one
 	// application replaces k.
-	e.applyFleet(server.Normal())
+	_ = rack.Actuate(server.Normal())
 	var tmpl EpochRecord
 	tmpl.Offered = offered
 	tmpl.Case = pss.CaseGridFallback
@@ -577,7 +552,7 @@ func (e *Engine) runIdleSegment(k int) {
 	tmpl.Goodput = e.kernel.Goodput(server.Normal(), offered)
 	tmpl.Latency = e.latency(server.Normal(), offered)
 	tmpl.Grid = e.kernel.LoadPower(server.Normal(), offered)
-	if m := e.alive; m != e.n {
+	if m := rack.Alive(); m != e.n {
 		scale := float64(m) / float64(e.n)
 		tmpl.Goodput *= scale
 		tmpl.Grid = units.Watt(float64(tmpl.Grid) * scale)
@@ -590,28 +565,25 @@ func (e *Engine) runIdleSegment(k int) {
 		tmpl.NormPerf = tmpl.Goodput / e.baseGoodput
 	}
 	solar := 1.0
-	if e.injector != nil {
-		solar = e.injector.SolarFactor()
+	if rack.Injector != nil {
+		solar = rack.Injector.SolarFactor()
 	}
 	sink := e.cfg.Sink
 	for i := 0; i < k; i++ {
 		at := e.at
 		greenObserved := units.Watt(meanWindow(e.cfg.Supply, at, epoch))
-		if e.injector != nil {
+		if rack.Injector != nil {
 			greenObserved = units.Watt(float64(greenObserved) * solar)
 		}
 		rec := tmpl
 		rec.Start = at
 		rec.Supply = greenObserved
-		selector.RechargeFromGreen(greenObserved, epoch)
-		if selector.NeedsRecharge() {
-			selector.RechargeFromGrid(GridRechargePower, epoch)
+		rack.Recharge(greenObserved, epoch)
+		if rack.Breaker != nil {
+			rack.Breaker.Step(0, epoch)
 		}
-		if e.breaker != nil {
-			e.breaker.Step(0, epoch)
-		}
-		rec.SoC = selector.Bank().SoC()
-		selector.ObserveSupply(greenObserved)
+		rec.SoC = rack.Selector.Bank().SoC()
+		rack.Selector.ObserveSupply(greenObserved)
 		e.loadPred.Observe(offered)
 		// Cumulative per-class energy must accumulate per epoch
 		// (x+d+d is not 2d+x in floating point); the expression is the
@@ -654,11 +626,11 @@ func (e *Engine) event(index int, rec EpochRecord) obs.Event {
 		BatteryW:       float64(rec.Battery),
 		GridW:          float64(rec.Grid),
 		SoC:            rec.SoC,
-		BatteryCycles:  e.selector.Bank().EquivalentCycles(),
+		BatteryCycles:  e.rack.Selector.Bank().EquivalentCycles(),
 		QoSViolation:   e.cfg.Workload.Deadline > 0 && rec.Latency > e.cfg.Workload.Deadline,
 	}
-	if e.breaker != nil {
-		ev.BreakerStress = e.breaker.Stress()
+	if e.rack.Breaker != nil {
+		ev.BreakerStress = e.rack.Breaker.Stress()
 	}
 	if e.cfg.Fleet != nil {
 		// The buffer is reused across epochs; sinks consume the event
@@ -670,8 +642,8 @@ func (e *Engine) event(index int, rec EpochRecord) obs.Event {
 			//greensprint:allow(allocfree) appends into the reused per-epoch class buffer; grows to the class count once, then stays flat
 			e.classEv = append(e.classEv, obs.ClassStat{
 				Name:     e.classes[i].name,
-				Alive:    e.classAlive[i],
-				Goodput:  float64(e.classAlive[i]) * e.perAliveGoodput,
+				Alive:    e.rack.ClassAlive(i),
+				Goodput:  float64(e.rack.ClassAlive(i)) * e.perAliveGoodput,
 				EnergyWh: e.classEnergyWh[i],
 			})
 		}
@@ -680,105 +652,24 @@ func (e *Engine) event(index int, rec EpochRecord) obs.Event {
 	return ev
 }
 
-// applyChaos advances the injector to the epoch boundary, applies each
-// due transition to the affected component, and emits one obs.Event
-// per transition ahead of the epoch record. Aggregate state (alive
-// servers, stuck switch, solar factor) comes from the injector's
-// ref-counts, so overlapping faults on one component compose instead
-// of corrupting each other.
-func (e *Engine) applyChaos(index int, at time.Time) error {
-	actions := e.injector.Advance(index)
-	for _, a := range actions {
-		f := a.Fault
-		switch f.Mode {
-		case chaos.ServerCrash:
-			if !a.Recovered {
-				// The crashed server drops its sprint; when it
-				// restarts it boots into Normal mode, which its knob
-				// already records from here on. The Apply detaches the
-				// server from its class herd, which is what lets
-				// ApplyAlive keep skipping it wholesale.
-				e.knobs.Apply(f.Target, server.Normal())
-			}
-		case chaos.BatteryDegrade:
-			if err := e.selector.Bank().DegradeUnit(f.Target, f.Factor, f.Resist); err != nil {
-				return fmt.Errorf("sim: chaos: %w", err)
-			}
-		case chaos.BreakerTrip:
-			// Without a breaker model (AllowBreakerOverdraw off) the
-			// trip is recorded in the stream but has no electrical
-			// effect: the rack never overdraws through it anyway.
-			if e.breaker != nil {
-				if a.Recovered {
-					e.breaker.Reset() // technician reclose
-				} else {
-					e.breaker.ForceTrip()
-				}
-			}
-		}
-		// PSSStuck and SolarDropout act purely through the injector's
-		// ref-counts read below; ZoneOutage is a marker whose cascade
-		// constituents carry the component effects.
-		if e.cfg.Sink != nil {
-			if err := e.emit(e.chaosEvent(index, at, a)); err != nil {
-				return fmt.Errorf("sim: event sink: %w", err)
-			}
-		}
+// applyChaos applies the epoch's fault and recovery transitions to the
+// rack and emits one chaos event per transition ahead of the epoch
+// record, stamped with the simulation clock.
+func (e *Engine) applyChaos(at time.Time) error {
+	actions, err := e.rack.ApplyChaos(e.epochIndex)
+	if err != nil {
+		return fmt.Errorf("sim: %w", err)
 	}
-	e.alive = e.injector.AliveServers()
-	e.selector.SetStuck(e.injector.Stuck())
-	if len(actions) > 0 {
-		e.recomputeClassAlive()
+	if e.cfg.Sink == nil || len(actions) == 0 {
+		return nil
+	}
+	e.timeBuf = at.UTC().AppendFormat(e.timeBuf[:0], time.RFC3339Nano)
+	for _, a := range actions {
+		if err := e.emit(e.rack.ChaosEvent(a, e.epochIndex, string(e.timeBuf), e.epoch, e.cfg.Strategy.Name())); err != nil {
+			return fmt.Errorf("sim: event sink: %w", err)
+		}
 	}
 	return nil
-}
-
-// recomputeClassAlive rebuilds the per-class alive census from the
-// injector's ref-counts. It runs only on transition epochs (and after
-// a checkpoint restore), so the O(servers) scan never rides the
-// steady-state hot path.
-func (e *Engine) recomputeClassAlive() {
-	for i := range e.classAlive {
-		e.classAlive[i] = e.classes[i].count
-	}
-	for s := 0; s < e.n; s++ {
-		if e.injector.ServerDown(s) {
-			e.classAlive[e.topo.ClassOf(s)]--
-		}
-	}
-}
-
-// chaosEvent renders one fault/recovery transition for the event
-// stream, stamped with the epoch it strikes in.
-func (e *Engine) chaosEvent(index int, at time.Time, a chaos.Action) obs.Event {
-	e.timeBuf = at.UTC().AppendFormat(e.timeBuf[:0], time.RFC3339Nano)
-	kind := "fault"
-	if a.Recovered {
-		kind = "recover"
-	}
-	return obs.Event{
-		Epoch:        index,
-		Time:         string(e.timeBuf),
-		EpochSeconds: e.epoch.Seconds(),
-		Strategy:     e.cfg.Strategy.Name(),
-		Servers:      e.n,
-		Chaos:        kind,
-		ChaosMode:    a.Fault.Mode.String(),
-		ChaosTarget:  a.Fault.Target,
-		ChaosDetail:  a.Fault.String(),
-	}
-}
-
-// applyFleet applies a config to the running servers: all of them on a
-// fault-free engine, only the alive ones under chaos (a powered-off
-// server has nothing to actuate, and phantom transitions would corrupt
-// the actuation accounting).
-func (e *Engine) applyFleet(c server.Config) {
-	if e.injector != nil {
-		e.knobs.ApplyAlive(c, e.injector.ServerDown)
-		return
-	}
-	e.knobs.ApplyAll(c)
 }
 
 // Done reports whether the configured horizon has been consumed.
@@ -787,13 +678,13 @@ func (e *Engine) Done() bool { return !e.at.Before(e.runEnd) }
 // Result aggregates the epochs run so far. It may be called at any
 // point; after the final Step it is the same Result Run returns.
 func (e *Engine) Result() *Result {
-	res := &Result{ClassFleet: e.knobs, ClassEnergyWh: append([]float64(nil), e.classEnergyWh...)}
+	res := &Result{ClassFleet: e.rack.Knobs, ClassEnergyWh: append([]float64(nil), e.classEnergyWh...)}
 	res.Records = append(res.Records, e.records...)
 	if e.burstEpochs > 0 {
 		res.MeanNormPerf = e.burstPerfSum / float64(e.burstEpochs)
 	}
-	res.Account = e.selector.Account()
-	res.BatteryCycles = e.selector.Bank().EquivalentCycles()
+	res.Account = e.rack.Selector.Account()
+	res.BatteryCycles = e.rack.Selector.Bank().EquivalentCycles()
 	return res
 }
 
@@ -817,9 +708,9 @@ func (e *Engine) TotalEpochs() int {
 	return n
 }
 
-// Breaker exposes the PDU breaker model, or nil when the run does not
-// allow overdraw. Tests assert on its stress accounting.
-func (e *Engine) Breaker() *cluster.Breaker { return e.breaker }
+// Rack exposes the modelled rack: its PSS, knob herd, breaker (nil
+// unless the run allows overdraw), chaos injector and alive census.
+func (e *Engine) Rack() *Rack { return e.rack }
 
 // Topology exposes the run's topology: the generated fleet, or the
 // one-class, one-rack topology lifted from the Green config.

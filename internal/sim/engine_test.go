@@ -316,7 +316,7 @@ func TestEngineBreakerOverdrawBurst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	br := e.Breaker()
+	br := e.Rack().Breaker
 	if br == nil {
 		t.Fatal("overdraw-enabled engine must expose its breaker")
 	}

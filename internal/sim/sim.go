@@ -182,12 +182,12 @@ func (c *Config) Validate() error {
 func (e *Engine) runBurstEpoch(rec EpochRecord, greenObserved units.Watt,
 	offered, predicted float64, at time.Time) EpochRecord {
 
-	cfg, tab, selector, breaker := &e.cfg, e.tab, e.selector, e.breaker
+	cfg, tab, selector, breaker := &e.cfg, e.tab, e.rack.Selector, e.rack.Breaker
 	epoch := e.epoch
 	// All demand arithmetic runs over the servers actually up this
 	// epoch; m == n on fault-free runs, so every expression below is
 	// bit-identical to the pre-chaos engine there.
-	n, m := e.n, e.alive
+	n, m := e.n, e.rack.Alive()
 
 	// The strategy sees the PSS's committed budget: predicted green
 	// plus Peukert-sustainable battery power, per server.
@@ -208,7 +208,7 @@ func (e *Engine) runBurstEpoch(rec EpochRecord, greenObserved units.Watt,
 		BatteryHealth: selector.Bank().Health(),
 	}
 	chosen := cfg.Strategy.Decide(in)
-	e.applyFleet(chosen)
+	_ = e.rack.Actuate(chosen)
 
 	level := tab.LevelFor(offered)
 	demand := e.sprintDemand(level, chosen, offered)
@@ -227,7 +227,7 @@ func (e *Engine) runBurstEpoch(rec EpochRecord, greenObserved units.Watt,
 		budget := units.Watt((float64(greenObserved) + float64(maxExtra)) / float64(m))
 		if en, ok := tab.BestWithin(level, budget, nil); ok && en.Config().IsSprinting() {
 			chosen = en.Config()
-			e.applyFleet(chosen)
+			_ = e.rack.Actuate(chosen)
 			demand = e.sprintDemand(level, chosen, offered)
 			if overdraw := demand - greenObserved; overdraw > 0 {
 				breaker.Step(breaker.Rated+overdraw, epoch)
@@ -256,7 +256,7 @@ func (e *Engine) runBurstEpoch(rec EpochRecord, greenObserved units.Watt,
 	}
 	if al.Case == pss.CaseGridFallback {
 		executed = server.Normal()
-		e.applyFleet(executed)
+		_ = e.rack.Actuate(executed)
 	}
 	rec.Case = al.Case
 	rec.Config = executed
@@ -320,22 +320,17 @@ func (e *Engine) runBurstEpoch(rec EpochRecord, greenObserved units.Watt,
 // batteries recharging from green surplus (or the grid once the DoD
 // trigger fires).
 func (e *Engine) runIdleEpoch(rec EpochRecord, greenObserved units.Watt, offered float64) EpochRecord {
-	selector, epoch := e.selector, e.epoch
-	e.applyFleet(server.Normal())
+	_ = e.rack.Actuate(server.Normal())
 	rec.Case = pss.CaseGridFallback
 	rec.Config = server.Normal()
 	rec.Goodput = e.kernel.Goodput(server.Normal(), offered)
 	e.perAliveGoodput = rec.Goodput
 	rec.Latency = e.latency(server.Normal(), offered)
-	// Outside bursts the green servers ride the grid; green output
-	// charges the batteries, topped up from the grid when the DoD
-	// trigger has fired (§III-A Case 3).
-	selector.RechargeFromGreen(greenObserved, epoch)
-	if selector.NeedsRecharge() {
-		selector.RechargeFromGrid(GridRechargePower, epoch)
-	}
+	// Outside bursts the green servers ride the grid and the batteries
+	// recharge.
+	e.rack.Recharge(greenObserved, e.epoch)
 	rec.Grid = e.kernel.LoadPower(server.Normal(), offered)
-	if m := e.alive; m != e.n {
+	if m := e.rack.Alive(); m != e.n {
 		// Crashed servers neither serve nor draw: the per-provisioned-
 		// server aggregates shrink by the alive fraction.
 		scale := float64(m) / float64(e.n)
@@ -357,13 +352,9 @@ func (e *Engine) runIdleEpoch(rec EpochRecord, greenObserved units.Watt, offered
 // still runs — the batteries bank whatever green output remains and
 // grid recharge continues once the DoD trigger has fired.
 func (e *Engine) runOutageEpoch(rec EpochRecord, greenObserved units.Watt) EpochRecord {
-	selector, epoch := e.selector, e.epoch
 	rec.Case = pss.CaseGridFallback
 	rec.Config = server.Normal()
-	selector.RechargeFromGreen(greenObserved, epoch)
-	if selector.NeedsRecharge() {
-		selector.RechargeFromGrid(GridRechargePower, epoch)
-	}
+	e.rack.Recharge(greenObserved, e.epoch)
 	e.perAliveGoodput = 0
 	return rec
 }
@@ -376,7 +367,7 @@ func (e *Engine) sprintDemand(level int, c server.Config, offered float64) units
 	var demand float64
 	for i := range e.classes {
 		cl := &e.classes[i]
-		alive := e.classAlive[i]
+		alive := e.rack.ClassAlive(i)
 		if alive == 0 {
 			continue
 		}
@@ -395,7 +386,7 @@ func (e *Engine) sprintDemand(level int, c server.Config, offered float64) units
 func (e *Engine) normalFleetPower() units.Watt {
 	var sum float64
 	for i := range e.classes {
-		if a := e.classAlive[i]; a > 0 {
+		if a := e.rack.ClassAlive(i); a > 0 {
 			sum += float64(e.classes[i].normalPower) * float64(a)
 		}
 	}
@@ -408,7 +399,7 @@ func (e *Engine) normalFleetPower() units.Watt {
 func (e *Engine) classNormalGrid(offered float64) units.Watt {
 	var sum float64
 	for i := range e.classes {
-		if a := e.classAlive[i]; a > 0 {
+		if a := e.rack.ClassAlive(i); a > 0 {
 			sum += float64(e.classes[i].kernel.LoadPower(server.Normal(), offered)) * float64(a)
 		}
 	}
@@ -425,7 +416,7 @@ func (e *Engine) accumulateClassEnergy(c server.Config, frac float64, offered fl
 	}
 	hours := e.epoch.Hours()
 	for i := range e.classes {
-		alive := e.classAlive[i]
+		alive := e.rack.ClassAlive(i)
 		if alive == 0 {
 			continue
 		}
