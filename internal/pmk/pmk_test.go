@@ -183,6 +183,72 @@ func TestSysfsApplyErrors(t *testing.T) {
 	}
 }
 
+// TestSimKnob pins the simulated knob the controller actuates: a
+// one-server herd starts in Normal mode, counts each distinct change
+// once, and rejects an invalid config without moving.
+func TestSimKnob(t *testing.T) {
+	k := NewClassFleet([]int{1}, func(int) int { return 0 })
+	if k.Current(0) != server.Normal() {
+		t.Errorf("initial = %v", k.Current(0))
+	}
+	if err := k.Apply(0, server.MaxSprint()); err != nil {
+		t.Fatal(err)
+	}
+	if k.Current(0) != server.MaxSprint() {
+		t.Errorf("current = %v", k.Current(0))
+	}
+	if k.Transitions() != 1 {
+		t.Errorf("transitions = %d", k.Transitions())
+	}
+	// Re-applying the same config is not a transition.
+	k.Apply(0, server.MaxSprint())
+	k.ApplyAll(server.MaxSprint())
+	if k.Transitions() != 1 {
+		t.Errorf("idempotent apply counted: %d", k.Transitions())
+	}
+	if err := k.Apply(0, server.Config{Cores: 99, Freq: 1200}); err == nil {
+		t.Error("invalid config should be rejected")
+	}
+	if k.Current(0) != server.MaxSprint() || k.Transitions() != 1 {
+		t.Errorf("rejected config moved the knob: %v, %d transitions", k.Current(0), k.Transitions())
+	}
+}
+
+// TestFleet pins the herd-wide apply: ApplyAll reaches every server of
+// every class, Current and Configs agree, and a rejected config leaves
+// the whole herd where it was.
+func TestFleet(t *testing.T) {
+	f := NewClassFleet([]int{1, 2}, func(i int) int { return min(i, 1) })
+	if f.Size() != 3 {
+		t.Fatalf("size = %d", f.Size())
+	}
+	if err := f.ApplyAll(server.MaxSprint()); err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range f.Configs() {
+		if c != server.MaxSprint() {
+			t.Errorf("server %d = %v", i, c)
+		}
+		if f.Current(i) != c {
+			t.Errorf("Current(%d) = %v, Configs says %v", i, f.Current(i), c)
+		}
+	}
+	if err := f.ApplyAll(server.Config{Cores: 99, Freq: 1200}); err == nil {
+		t.Error("invalid config should be rejected")
+	}
+	if err := f.ApplyAlive(server.Config{Cores: 99, Freq: 1200}, nil); err == nil {
+		t.Error("invalid config should be rejected by ApplyAlive")
+	}
+	for i, c := range f.Configs() {
+		if c != server.MaxSprint() {
+			t.Errorf("rejected config moved server %d to %v", i, c)
+		}
+	}
+	if f.Transitions() != 3 {
+		t.Errorf("transitions = %d, want one per server", f.Transitions())
+	}
+}
+
 // TestClassFleet pins the herd's per-server accounting: applies are
 // counted per distinct change and herd size, invalid configs are
 // rejected, a detached server leaves with its share of the herd's
