@@ -115,7 +115,18 @@ func (c Config) TimeToEmpty(p units.Watt) time.Duration {
 	} else {
 		hours = c.RatedHours * math.Pow(float64(c.Capacity)/(i*c.RatedHours), c.PeukertK)
 	}
-	return time.Duration(hours * float64(time.Hour))
+	return durationOf(hours * float64(time.Hour))
+}
+
+// durationOf converts nanoseconds to a Duration, saturating at the
+// largest Duration like a zero draw does. A plain conversion wraps: a
+// tiny draw's hours-long drain time overflows int64 nanoseconds, and
+// float64(math.MaxInt64) itself rounds up to 2^63.
+func durationOf(ns float64) time.Duration {
+	if ns >= 1<<63 {
+		return time.Duration(math.MaxInt64)
+	}
+	return time.Duration(ns)
 }
 
 // EffectiveCapacity returns the deliverable charge at constant power p,
@@ -257,7 +268,7 @@ func (b *Battery) RemainingTime(p units.Watt) time.Duration {
 		return 0
 	}
 	full := b.timeToEmpty(p)
-	return time.Duration(frac * float64(full))
+	return durationOf(frac * float64(full))
 }
 
 // Discharge draws power p for duration d. It returns the duration
@@ -292,6 +303,12 @@ func (b *Battery) Discharge(p units.Watt, d time.Duration) (time.Duration, error
 // hold for at least d without breaching the DoD floor. It returns 0
 // when the battery is at the floor. The answer is found by bisection on
 // the monotone RemainingTime curve.
+//
+// The bisection is guided by the closed-form Peukert inverse: a probe
+// outside the verified band around that root (see sustainBand) takes
+// its known outcome instead of calling RemainingTime. The midpoints and
+// every probe's outcome are those of the plain 60-step loop, so the
+// result is bit-identical to it.
 func (b *Battery) MaxSustainablePower(d time.Duration) units.Watt {
 	if d <= 0 {
 		return units.Watt(math.Inf(1))
@@ -303,10 +320,11 @@ func (b *Battery) MaxSustainablePower(d time.Duration) units.Watt {
 		b.maxSust.capFade == b.capFade && b.maxSust.resist == b.resist {
 		return b.maxSust.val
 	}
+	band := b.sustainBand(d)
 	lo, hi := 0.0, 100*float64(b.cfg.RatedEnergy()) // generous upper bound
 	for iter := 0; iter < 60; iter++ {
 		mid := (lo + hi) / 2
-		if b.RemainingTime(units.Watt(mid)) >= d {
+		if band.sustains(b, mid, d) {
 			lo = mid
 		} else {
 			hi = mid
@@ -318,6 +336,81 @@ func (b *Battery) MaxSustainablePower(d time.Duration) units.Watt {
 		val: units.Watt(lo),
 	}
 	return units.Watt(lo)
+}
+
+// Guided-bisection constants for MaxSustainablePower.
+//
+// sustainBandWidth is the least relative half-width w of the band
+// around the closed-form root r: the band is verified at r(1∓w), with w
+// widened for short horizons (see sustainBand).
+//
+// sustainSlack covers RemainingTime's rounding. RemainingTime(p) is
+// φ(h̃(p)), where h̃ is the computed drain time in hours and φ (to
+// nanoseconds, times the usable fraction, to nanoseconds again, each
+// step rounding, truncating or saturating) is non-decreasing. h̃ is
+// within a few ulps, far below sustainSlack/4, of the exact drain time
+// h, and h falls at least as fast as 1/p: exactly 1/p below the rated
+// current, p^−k with k ≥ 1 above it. So every p ≤ L(1−sustainSlack) has
+// h(p) ≥ h(L)(1+sustainSlack), hence h̃(p) ≥ h̃(L) and
+// RemainingTime(p) ≥ RemainingTime(L); symmetrically for
+// p ≥ H(1+sustainSlack).
+const (
+	sustainBandWidth = 1e-12
+	sustainSlack     = 0x1p-40
+)
+
+// powerBand is a verified interval around the root of
+// RemainingTime(p) = d: every draw at or below lo sustains d and every
+// draw at or above hi does not. The empty band (lo = −∞, hi = +∞)
+// decides every probe by calling RemainingTime.
+type powerBand struct{ lo, hi float64 }
+
+// sustains reports whether the battery holds draw p for at least d,
+// from the band when p lies outside it.
+func (g powerBand) sustains(b *Battery, p float64, d time.Duration) bool {
+	switch {
+	case p <= g.lo:
+		return true
+	case p >= g.hi:
+		return false
+	}
+	return b.RemainingTime(units.Watt(p)) >= d
+}
+
+// sustainBand brackets the root of RemainingTime(p) = d from the
+// closed-form Peukert inverse and verifies the bracket with two
+// RemainingTime calls: RemainingTime(L) ≥ d and RemainingTime(H) < d.
+// Monotonicity, with sustainSlack for rounding, then decides every
+// probe outside [L(1−sustainSlack), H(1+sustainSlack)]. A bracket that
+// fails its check yields the empty band.
+func (b *Battery) sustainBand(d time.Duration) powerBand {
+	empty := powerBand{lo: math.Inf(-1), hi: math.Inf(1)}
+	frac := b.soc - b.floorSoC()
+	// full is the time, in hours, that a full unit drains in when the
+	// usable fraction lasts exactly d. Below the rated current the
+	// drain is linear (hours = C/I); above it, Peukert's
+	// hours = H·(C/(I·H))^k.
+	full := d.Hours() / frac
+	capAh := float64(b.cfg.Capacity) * b.capFade
+	var amps float64
+	if full >= b.cfg.RatedHours {
+		amps = capAh / full
+	} else {
+		amps = capAh / b.cfg.RatedHours * math.Pow(b.cfg.RatedHours/full, 1/b.cfg.PeukertK)
+	}
+	r := amps * float64(b.cfg.Voltage) / b.resist
+	if !(r > 0) || math.IsInf(r, 1) {
+		return empty
+	}
+	// RemainingTime truncates to whole nanoseconds twice, which moves
+	// it by up to about a nanosecond: a band narrower than that,
+	// relative to d, could not clear its check.
+	w := math.Max(sustainBandWidth, 2/float64(d))
+	lo, hi := r*(1-w), r*(1+w)
+	if b.RemainingTime(units.Watt(lo)) < d || b.RemainingTime(units.Watt(hi)) >= d {
+		return empty
+	}
+	return powerBand{lo: lo * (1 - sustainSlack), hi: hi * (1 + sustainSlack)}
 }
 
 // Charge stores energy at power p for duration d (p is the input power
