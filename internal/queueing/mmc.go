@@ -176,6 +176,12 @@ func (s Station) SojournTail(lambda, d float64) float64 {
 // midpoint rounds onto lo or hi, the update re-assigns that endpoint
 // to itself, so every later iteration is a no-op: the loop stops at
 // that fixed point (~54 steps) with the bits the full 80 would give.
+//
+// The search is guided by a Newton root of the tail (see tailBand): a
+// probe outside the verified band around it takes its known outcome
+// instead of evaluating Tail. The doubling steps, the midpoints and
+// every probe's outcome are those of the unguided loops, so the result
+// is bit-identical to them.
 func (s Station) SojournPercentile(lambda, q float64) float64 {
 	if q <= 0 {
 		return 0
@@ -187,8 +193,9 @@ func (s Station) SojournPercentile(lambda, q float64) float64 {
 	// λ is fixed across every probe of the bisection, so the Erlang-C
 	// constants are computed once rather than ~90 times.
 	tp := s.TailParams(lambda)
+	band := tp.band(target)
 	lo, hi := 0.0, 1/s.ServiceRate
-	for tp.Tail(hi) > target {
+	for band.above(tp, hi, target) {
 		hi *= 2
 		if hi > 1e9 {
 			return math.Inf(1)
@@ -199,13 +206,125 @@ func (s Station) SojournPercentile(lambda, q float64) float64 {
 		if mid == lo || mid == hi {
 			break
 		}
-		if tp.Tail(mid) > target {
+		if band.above(tp, mid, target) {
 			lo = mid
 		} else {
 			hi = mid
 		}
 	}
 	return (lo + hi) / 2
+}
+
+// Guided-bisection constants for SojournPercentile.
+//
+// tailBandWidth is the least relative half-width w of the band around
+// the Newton root r of Tail(d) = 1−q: the band is [r(1−w), r(1+w)],
+// widened where Tail's rounding margin needs more room (see band).
+//
+// tailRounding bounds Tail's absolute rounding error in units of
+// 2⁻⁵³·(1 + p_w(a+μ)/|a−μ|): each exp is within an ulp and its rounded
+// argument moves it by at most x·e^−x·2⁻⁵³ ≤ 2⁻⁵³/e, the waited term's
+// numerator a·e^−μd − μ·e^−ad carries about 4.4(a+μ)·2⁻⁵³ and its
+// division by a−μ scales that by 1/|a−μ|; the remaining products and
+// sums add a few 2⁻⁵³. 16 is twice that sum.
+//
+// Newton's method converges quadratically near the root, so the
+// iterate after a step below tailNewtonTol·d is within about
+// tailNewtonTol² of it, far inside the band; tailNewtonSteps caps the
+// iterations, and a root not found within them leaves the band empty.
+const (
+	tailBandWidth   = 1e-13
+	tailRounding    = 16
+	tailNewtonTol   = 1e-7
+	tailNewtonSteps = 30
+)
+
+// deadlineBand is a verified interval around the root of
+// Tail(d) = target: every d at or below lo has Tail(d) > target and
+// every d at or above hi has Tail(d) < target. The empty band
+// (lo = −∞, hi = +∞) decides every probe by evaluating Tail.
+type deadlineBand struct{ lo, hi float64 }
+
+// above reports whether Tail(d) > target, from the band when d lies
+// outside it.
+func (g deadlineBand) above(p TailParams, d, target float64) bool {
+	switch {
+	case d <= g.lo:
+		return true
+	case d >= g.hi:
+		return false
+	}
+	return p.Tail(d) > target
+}
+
+// band verifies [L, H] = [r(1−w), r(1+w)] around the Newton root r of
+// Tail(d) = target with two Tail evaluations: Tail(L) > target + 2m and
+// Tail(H) + 2m < target, where m bounds Tail's rounding anywhere (see
+// tailRounding). The exact tail with these parameters is a survival
+// function, so it is non-increasing; the computed one is within m of
+// it, so every d ≤ L computes Tail(d) ≥ Tail(L) − 2m > target and every
+// d ≥ H computes Tail(d) ≤ Tail(H) + 2m < target. No root, or a bracket
+// that fails its check, yields the empty band.
+func (p TailParams) band(target float64) deadlineBand {
+	empty := deadlineBand{lo: math.Inf(-1), hi: math.Inf(1)}
+	r, _ := p.root(target)
+	if !(r > 0) {
+		return empty
+	}
+	m := tailRounding * 0x1p-53 * (1 + p.pw*(p.a+p.mu)/math.Abs(p.a-p.mu))
+	// Near r, Tail(r(1∓w)) − target ≈ ±w·target·ln(1/target) (exact
+	// for a single exponential, which the dominant term is), so a band
+	// narrower than 4m over that slope could not clear the 2m check.
+	w := math.Max(tailBandWidth, 4*m/(target*math.Log(1/target)))
+	lo, hi := r*(1-w), r*(1+w)
+	if !(p.Tail(lo) > target+2*m) || !(p.Tail(hi)+2*m < target) {
+		return empty
+	}
+	return deadlineBand{lo: lo, hi: hi}
+}
+
+// root solves Tail(d) = target by Newton's method on ln Tail and
+// returns the root with the number of iterations run. It returns 0 for
+// the degenerate Erlang-2 branch, a target outside (0, 1) and a run
+// that does not converge within tailNewtonSteps.
+func (p TailParams) root(target float64) (float64, int) {
+	if p.unstable || p.degenerate || !(target > 0 && target < 1) {
+		return 0, 0
+	}
+	mu, a := p.mu, p.a
+	// Tail(d) = c1·e^−μd + c2·e^−ad with c1 + c2 = 1. The term with a
+	// positive coefficient and the slower rate dominates, so its
+	// single-exponential root starts the iteration.
+	c2 := -p.pw * mu / (a - mu)
+	c1 := 1 - c2
+	d := 0.0
+	switch {
+	case c1 > 0 && (mu <= a || c2 <= 0):
+		d = math.Log(c1/target) / mu
+	case c2 > 0:
+		d = math.Log(c2/target) / a
+	}
+	if !(d > 0) || math.IsInf(d, 1) {
+		d = 1 / mu
+	}
+	for i := 1; i <= tailNewtonSteps; i++ {
+		svc, wait := math.Exp(-mu*d), math.Exp(-a*d)
+		tail := c1*svc + c2*wait
+		slope := -(mu*c1*svc + a*c2*wait) // dTail/dd
+		if !(tail > 0) || !(slope < 0) {
+			return 0, i
+		}
+		step := math.Log(tail/target) * tail / slope
+		next := d - step
+		if !(next > 0) {
+			next = d / 2
+		}
+		d = next
+		if math.Abs(step) <= tailNewtonTol*d {
+			return d, i
+		}
+	}
+	return 0, tailNewtonSteps
 }
 
 // MaxRate returns the largest arrival rate λ such that the q-quantile
