@@ -1,19 +1,121 @@
 package strategy
 
 import (
+	"errors"
+	"math"
+	"math/rand"
 	"testing"
 	"time"
 
+	"greensprint/internal/battery"
 	"greensprint/internal/cluster"
 	"greensprint/internal/pss"
 	"greensprint/internal/server"
 	"greensprint/internal/units"
 )
 
+// refDecide is Hybrid.Decide as it was before the sorted-band probes: it
+// asks for the sprint fraction of every profiled action at the level,
+// then runs the same Q pass and burn pass. It returns the choice and
+// the fractions, and leaves h untouched.
+func refDecide(h *Hybrid, in Inputs) (server.Config, []float64) {
+	st := h.stateFor(in)
+	level := h.profTable.LevelFor(in.PredictedRate)
+	na := len(h.table.Actions())
+	cells := h.cells[level*na : (level+1)*na]
+	normalGood := 0.0
+	if h.normalIdx >= 0 && cells[h.normalIdx].ok {
+		normalGood = cells[h.normalIdx].e.Goodput
+	}
+	fracs := make([]float64, na)
+	for ai := range cells {
+		if c := &cells[ai]; c.ok {
+			fracs[ai] = in.fraction(c.e.Power)
+		}
+	}
+	row := h.table.Row(st)
+	bestIdx, bestQ, bestQGood := -1, math.Inf(-1), 0.0
+	for ai := range cells {
+		c := &cells[ai]
+		if !c.ok || fracs[ai] < 0.999 {
+			continue
+		}
+		q := 0.0
+		if row != nil {
+			q = row[ai]
+		}
+		if q > bestQ {
+			bestIdx, bestQ, bestQGood = ai, q, c.e.Goodput
+		}
+	}
+	if h.opts.DisableBurnValue {
+		if bestIdx < 0 {
+			return server.Normal(), fracs
+		}
+		return h.table.Actions()[bestIdx], fracs
+	}
+	burnIdx, burnVal := -1, normalGood
+	for ai := range cells {
+		c := &cells[ai]
+		if !c.ok || fracs[ai] <= 0 {
+			continue
+		}
+		f := fracs[ai]
+		if v := f*c.e.Goodput + (1-f)*normalGood; v > burnVal+1e-9 {
+			burnIdx, burnVal = ai, v
+		}
+	}
+	switch {
+	case bestIdx >= 0 && bestQGood >= burnVal-1e-9:
+		return h.table.Actions()[bestIdx], fracs
+	case burnIdx >= 0:
+		return h.table.Actions()[burnIdx], fracs
+	}
+	return server.Normal(), fracs
+}
+
+// checkDecideMatchesReference runs Decide with a counting SprintFraction
+// and checks that no action was probed twice, and that the fractions
+// (bit for bit) and the choice equal refDecide's.
+func checkDecideMatchesReference(t *testing.T, h *Hybrid, in Inputs) server.Config {
+	t.Helper()
+	level := h.profTable.LevelFor(in.PredictedRate)
+	actions := map[units.Watt]int{}
+	for _, ai := range h.byPower[level] {
+		actions[h.cells[level*len(h.fracs)+ai].e.Power]++
+	}
+	inner := in.SprintFraction
+	probes := map[units.Watt]int{}
+	in.SprintFraction = func(p units.Watt) float64 {
+		probes[p]++
+		return inner(p)
+	}
+	want, wantFracs := refDecide(h, in)
+	for p := range probes {
+		delete(probes, p)
+	}
+	got := h.Decide(in)
+	for p, n := range probes {
+		if n > actions[p] {
+			t.Fatalf("power %v probed %d times by %d actions", p, n, actions[p])
+		}
+	}
+	for _, ai := range h.byPower[level] {
+		if math.Float64bits(h.fracs[ai]) != math.Float64bits(wantFracs[ai]) {
+			t.Fatalf("action %v: fraction %v, all-probe reference %v", h.table.Actions()[ai], h.fracs[ai], wantFracs[ai])
+		}
+	}
+	if got != want {
+		t.Fatalf("Decide chose %v, all-probe reference %v", got, want)
+	}
+	return got
+}
+
 // TestHybridDecideProbesOncePerAction checks that Decide asks for the
-// sprint fraction of every profiled action at the current level exactly
-// once — one probe per action, shared by the Q pass and the burn pass —
-// and that repeating a Decide on the same inputs repeats its choice.
+// sprint fraction of each profiled action at the current level at most
+// once, that its fractions and choice equal a Decide that probes every
+// action, and that repeating a Decide on the same inputs repeats its
+// choice.
 func TestHybridDecideProbesOncePerAction(t *testing.T) {
 	const epoch = 5 * time.Minute
 	green := cluster.REBatt()
@@ -55,31 +157,11 @@ func TestHybridDecideProbesOncePerAction(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, rate := range []float64{0.3 * burstRate(specjbb), burstRate(specjbb)} {
-				level := specTab.LevelFor(rate)
-				want := map[units.Watt]int{}
-				for _, c := range server.Configs() {
-					if e, ok := specTab.Lookup(level, c); ok {
-						want[e.Power]++
-					}
-				}
-				inner := frac(t, tc.drain, tc.alive)
 				var first server.Config
 				for rep := 0; rep < 3; rep++ {
-					got := map[units.Watt]int{}
 					in := inputs(specTab, rate, 130)
-					in.SprintFraction = func(p units.Watt) float64 {
-						got[p]++
-						return inner(p)
-					}
-					chosen := h.Decide(in)
-					if len(got) != len(want) {
-						t.Fatalf("rate %v: probed %d distinct powers, want %d", rate, len(got), len(want))
-					}
-					for p, k := range want {
-						if got[p] != k {
-							t.Fatalf("rate %v: power %v probed %d times, want %d", rate, p, got[p], k)
-						}
-					}
+					in.SprintFraction = frac(t, tc.drain, tc.alive)
+					chosen := checkDecideMatchesReference(t, h, in)
 					if rep == 0 {
 						first = chosen
 					} else if chosen != first {
@@ -88,5 +170,62 @@ func TestHybridDecideProbesOncePerAction(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestHybridSortedBandMatchesAllProbes is the property behind the sorted
+// band: over random bank states, alive counts, green supplies, budgets,
+// load levels and the stuck switch, Decide's fractions and choice equal
+// the path that probes all 63 actions. Learning between decisions moves
+// the Q rows, so the Q pass sees more than the bootstrap table.
+func TestHybridSortedBandMatchesAllProbes(t *testing.T) {
+	const epoch = 5 * time.Minute
+	green := cluster.REBatt()
+	n := green.GreenServers
+	rng := rand.New(rand.NewSource(11))
+	for _, opts := range []HybridOptions{{}, {DisableBurnValue: true}} {
+		h, err := NewHybridWithOptions(specjbb, specTab, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 1000; i++ {
+			bank, err := green.NewBank()
+			if err != nil {
+				t.Fatal(err)
+			}
+			drainBank(t, rng, bank, n)
+			sel := pss.New(bank)
+			sel.SetStuck(rng.Intn(8) == 0)
+			sel.ObserveSupply(units.Watt(rng.Float64() * 120 * float64(n)))
+			predGreen := sel.PredictedSupply()
+			alive := 1 + rng.Intn(n)
+			in := inputs(specTab, rng.Float64()*1.2*specTab.MaxRate, units.Watt(rng.Float64()*200))
+			in.SprintFraction = func(p units.Watt) float64 {
+				return sel.SustainFraction(units.Watt(float64(p)*float64(alive)), predGreen, epoch)
+			}
+			in.AliveFraction = float64(alive) / float64(n)
+			chosen := checkDecideMatchesReference(t, h, in)
+			h.Learn(Feedback{Chosen: chosen, Supply: in.Budget, Power: in.Budget, Offered: 1, Goodput: 1,
+				Latency: rng.Float64() * specjbb.Deadline * 2, Next: in})
+		}
+	}
+}
+
+// drainBank puts a green bank into a random state: anything from full
+// to the DoD floor, sometimes with degraded units.
+func drainBank(t *testing.T, rng *rand.Rand, bank *battery.ClassBank, n int) {
+	t.Helper()
+	if rng.Intn(4) == 0 {
+		for u := 0; u < bank.Size(); u++ {
+			if err := bank.DegradeUnit(u, 0.5+0.5*rng.Float64(), 1+rng.Float64()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// A drain past the floor stops there with ErrEmpty, which is one
+	// of the states wanted.
+	drain := time.Duration(rng.Float64() * float64(30*time.Minute))
+	if _, err := bank.Discharge(units.Watt(100*n), drain); err != nil && !errors.Is(err, battery.ErrEmpty) {
+		t.Fatal(err)
 	}
 }

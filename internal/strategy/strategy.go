@@ -19,10 +19,12 @@ package strategy
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"time"
 
 	"greensprint/internal/profile"
@@ -53,9 +55,10 @@ type Inputs struct {
 	// partial-epoch sprints: the paper's prototype burns the battery
 	// at full intensity and lets the sprint end mid-epoch rather
 	// than refusing to sprint at all. Within one Decide it must
-	// return the same value for the same demand. Strategies probe
-	// each candidate setting at most once per Decide, so callers need
-	// no memo of their own.
+	// return the same value for the same demand, and it must not
+	// increase as demand grows. Strategies probe each candidate
+	// setting at most once per Decide, so callers need no memo of
+	// their own.
 	SprintFraction func(units.Watt) float64
 	// AliveFraction is the share of green servers currently up (1
 	// when no chaos is active) and BatteryHealth the bank's mean
@@ -277,10 +280,16 @@ type Hybrid struct {
 	// server.Normal()'s action index.
 	cells     []actionCell
 	normalIdx int
+	// byPower lists, per level, the profiled action indices in order
+	// of rising power (ties by action index), so Decide can bisect the
+	// sprint fractions instead of probing every action.
+	byPower [][]int
 	// fracs is Decide's scratch: the sprint fraction of each action at
-	// the current level, probed once and read by both the Q pass and
-	// the burn pass.
-	fracs []float64
+	// the current level, read by both the Q pass and the burn pass;
+	// probed marks the actions whose fraction this Decide has asked
+	// SprintFraction for.
+	fracs  []float64 //greensprint:allow(statecov) per-Decide scratch: every fraction Decide reads is written earlier in the same Decide
+	probed []bool    //greensprint:allow(statecov) per-Decide scratch: cleared for the level's actions at the start of every Decide
 	// last links the previous decision to the next state for the
 	// Q update.
 	last struct {
@@ -349,6 +358,7 @@ func NewHybridWithOptions(p workload.Profile, tab *profile.Table, opts HybridOpt
 	actions := qt.Actions()
 	h.cells = make([]actionCell, tab.Levels*len(actions))
 	h.fracs = make([]float64, len(actions))
+	h.probed = make([]bool, len(actions))
 	for ai, cfg := range actions {
 		if cfg == server.Normal() {
 			h.normalIdx = ai
@@ -358,6 +368,22 @@ func NewHybridWithOptions(p workload.Profile, tab *profile.Table, opts HybridOpt
 				h.cells[ll*len(actions)+ai] = actionCell{ok: true, e: e}
 			}
 		}
+	}
+	h.byPower = make([][]int, tab.Levels)
+	flat := make([]int, 0, len(h.cells))
+	for ll := range h.byPower {
+		cells := h.cells[ll*len(actions) : (ll+1)*len(actions)]
+		start := len(flat)
+		for ai, c := range cells {
+			if c.ok {
+				flat = append(flat, ai)
+			}
+		}
+		order := flat[start:]
+		slices.SortStableFunc(order, func(i, j int) int {
+			return cmp.Compare(cells[i].e.Power, cells[j].e.Power)
+		})
+		h.byPower[ll] = order
 	}
 	h.bootstrap()
 	return h, nil
@@ -437,14 +463,8 @@ func (h *Hybrid) Decide(in Inputs) server.Config {
 	if h.normalIdx >= 0 && cells[h.normalIdx].ok {
 		normalGood = cells[h.normalIdx].e.Goodput
 	}
-	// Probe each profiled action's sprint fraction once; both passes
-	// below read it.
+	h.sprintFractions(in, h.byPower[level], cells)
 	fracs := h.fracs
-	for ai := range cells {
-		if c := &cells[ai]; c.ok {
-			fracs[ai] = in.fraction(c.e.Power)
-		}
-	}
 	// Greedy Q action among fully sustainable settings. The row is
 	// fetched once (nil for an unseen state, meaning all-zero
 	// estimates) and the profiling cells are indexed densely, so the
@@ -504,6 +524,61 @@ func (h *Hybrid) Decide(in Inputs) server.Config {
 	h.last.state = st
 	h.last.action = chosen
 	return h.table.Actions()[chosen]
+}
+
+// sprintFractions fills fracs with the sprint fraction of every
+// profiled action at the level; order is the level's byPower list.
+// SprintFraction does not increase with demand, so along order the
+// fractions run from a prefix of exact 1s through a partial band down
+// to a suffix of exact 0s. Two bisections with the real predicate find
+// the band's ends; the prefix and suffix take 1 and 0 without a probe,
+// and only the band is probed, each action at most once. The values are
+// those probing every action would give.
+func (h *Hybrid) sprintFractions(in Inputs, order []int, cells []actionCell) {
+	for _, ai := range order {
+		h.probed[ai] = false
+	}
+	// order[:one] have fraction 1.
+	lo, hi := 0, len(order)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if h.probe(in, order[mid], cells) < 1 {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	one := lo
+	// order[zero:] have fraction 0.
+	lo, hi = one, len(order)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if h.probe(in, order[mid], cells) > 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	zero := lo
+	for _, ai := range order[:one] {
+		h.fracs[ai] = 1
+	}
+	for _, ai := range order[one:zero] {
+		h.probe(in, ai, cells)
+	}
+	for _, ai := range order[zero:] {
+		h.fracs[ai] = 0
+	}
+}
+
+// probe returns action ai's sprint fraction, asking SprintFraction only
+// on the first call of a Decide.
+func (h *Hybrid) probe(in Inputs, ai int, cells []actionCell) float64 {
+	if !h.probed[ai] {
+		h.fracs[ai] = in.fraction(cells[ai].e.Power)
+		h.probed[ai] = true
+	}
+	return h.fracs[ai]
 }
 
 // Learn implements Strategy: updates R(c_t, a_t) from the measured
