@@ -68,10 +68,11 @@ type key struct {
 
 // Build profiles p exhaustively over every knob setting and `levels`
 // intensity levels spaced evenly from MaxRate/levels to MaxRate, where
-// MaxRate is the Int=12 saturation rate. It profiles through a
-// workload.Kernel, so the per-config QoS bisection runs once per
-// setting instead of once per (level, setting) cell; the resulting
-// entries are bit-identical to profiling the raw Profile.
+// MaxRate is the Int=12 saturation rate. It profiles through the
+// workload's shared workload.Kernel, so the per-config QoS bisection
+// runs once per setting and process instead of once per (level,
+// setting) cell; the resulting entries are bit-identical to profiling
+// the raw Profile.
 func Build(p workload.Profile, levels int) (*Table, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -79,7 +80,7 @@ func Build(p workload.Profile, levels int) (*Table, error) {
 	if levels < 1 {
 		return nil, fmt.Errorf("profile: need at least one level, got %d", levels)
 	}
-	k := workload.NewKernel(p)
+	k := workload.SharedKernel(p)
 	maxRate := k.IntensityRate(server.MaxCores)
 	base := k.MaxGoodput(server.Normal())
 	t := &Table{Workload: p.Name, Levels: levels, MaxRate: maxRate}

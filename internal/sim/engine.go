@@ -61,9 +61,9 @@ type Engine struct {
 	classEv         []obs.ClassStat //greensprint:allow(statecov) per-epoch scratch: truncated and refilled before every event emission
 	perAliveGoodput float64         //greensprint:allow(statecov) per-epoch intermediate: written by every epoch before any read
 
-	// kernel memoizes the per-config queueing constants (max rates,
-	// service rates) so the per-epoch hot path runs without bisections;
-	// lat caches the last effective latency per knob setting (see
+	// kernel is the workload's process-wide shared kernel: it memoizes
+	// the per-config queueing constants (max rates, service rates) so
+	// the per-epoch hot path runs without bisections; lat caches the last effective latency per knob setting (see
 	// latency). Both are derived data rebuilt identically by
 	// New/Restore and never checkpointed.
 	kernel *workload.Kernel
@@ -194,9 +194,7 @@ func New(cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
 
-	// One kernel per Engine: the per-config QoS bisections run once at
-	// construction, and parallel sweep cells share nothing by design.
-	kernel := workload.NewKernel(cfg.Workload)
+	kernel := workload.SharedKernel(cfg.Workload)
 	baseGoodput := kernel.MaxGoodput(server.Normal())
 	burstRate := cfg.Burst.Rate(cfg.Workload)
 	burstStart := cfg.Supply.Start.Add(cfg.Lead)
@@ -233,10 +231,10 @@ func New(cfg Config) (*Engine, error) {
 			prof.PeakPower = c.PeakPower
 		}
 		// The reference class (no power override) reuses the engine's
-		// own table and kernel — including a caller-built cfg.Table —
+		// own table — including a caller-built cfg.Table — and kernel,
 		// so the paper's rack computes on exactly those structures.
-		// Overridden classes share process-wide caches keyed by
-		// profile.
+		// Overridden classes use the process-wide caches keyed by
+		// their own profile.
 		ctab, ck, normalPower := tab, kernel, kernel.LoadPower(server.Normal(), burstRate)
 		if prof != cfg.Workload {
 			if err := prof.Validate(); err != nil {

@@ -21,9 +21,7 @@ import (
 // bit-identical to the corresponding Profile method, which is what
 // keeps the golden determinism suites (DoD sweep, Fig10a, sharded
 // event streams) byte-identical. A Kernel is immutable after NewKernel
-// returns and therefore safe to share across goroutines; sim.New still
-// builds one per Engine so parallel sweep cells share nothing by
-// construction.
+// returns and therefore safe to share across goroutines.
 type Kernel struct {
 	p  Profile
 	pm server.PowerModel
@@ -148,8 +146,7 @@ var (
 )
 
 // SharedKernel returns the process-wide memoized kernel for p,
-// building it on first use. Callers that need strict per-instance
-// isolation (e.g. one kernel per sim.Engine) use NewKernel instead.
+// building it on first use.
 func SharedKernel(p Profile) *Kernel {
 	sharedMu.Lock()
 	defer sharedMu.Unlock()
