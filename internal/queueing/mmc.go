@@ -177,11 +177,11 @@ func (s Station) SojournTail(lambda, d float64) float64 {
 // to itself, so every later iteration is a no-op: the loop stops at
 // that fixed point (~54 steps) with the bits the full 80 would give.
 //
-// The search is guided by a Newton root of the tail (see tailBand): a
-// probe outside the verified band around it takes its known outcome
-// instead of evaluating Tail. The doubling steps, the midpoints and
-// every probe's outcome are those of the unguided loops, so the result
-// is bit-identical to them.
+// The search is guided by a Newton root of the tail (see
+// TailParams.band): a probe outside the verified band around it takes
+// its known outcome instead of evaluating Tail. The doubling steps, the
+// midpoints and every probe's outcome are those of the unguided loops,
+// so the result is bit-identical to them.
 func (s Station) SojournPercentile(lambda, q float64) float64 {
 	if q <= 0 {
 		return 0
@@ -226,7 +226,7 @@ func (s Station) SojournPercentile(lambda, q float64) float64 {
 // argument moves it by at most x·e^−x·2⁻⁵³ ≤ 2⁻⁵³/e, the waited term's
 // numerator a·e^−μd − μ·e^−ad carries about 4.4(a+μ)·2⁻⁵³ and its
 // division by a−μ scales that by 1/|a−μ|; the remaining products and
-// sums add a few 2⁻⁵³. 16 is twice that sum.
+// sums add a few 2⁻⁵³. 16 is about twice that sum.
 //
 // Newton's method converges quadratically near the root, so the
 // iterate after a step below tailNewtonTol·d is within about

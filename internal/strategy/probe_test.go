@@ -14,10 +14,10 @@ import (
 	"greensprint/internal/units"
 )
 
-// refDecide is Hybrid.Decide as it was before the sorted-band probes: it
-// asks for the sprint fraction of every profiled action at the level,
-// then runs the same Q pass and burn pass. It returns the choice and
-// the fractions, and leaves h untouched.
+// refDecide is the all-probe reference for Hybrid.Decide: it asks for
+// the sprint fraction of every profiled action at the level, then runs
+// the same Q pass and burn pass. It returns the choice and the
+// fractions, and leaves h untouched.
 func refDecide(h *Hybrid, in Inputs) (server.Config, []float64) {
 	st := h.stateFor(in)
 	level := h.profTable.LevelFor(in.PredictedRate)
