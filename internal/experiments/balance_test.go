@@ -1,4 +1,4 @@
-package dispatch
+package experiments
 
 import (
 	"math"
@@ -10,7 +10,7 @@ import (
 )
 
 func TestSplitProportional(t *testing.T) {
-	shares := Split([]float64{100, 200, 100}, 200)
+	shares := split([]float64{100, 200, 100}, 200)
 	want := []float64{50, 100, 50}
 	for i := range want {
 		if math.Abs(shares[i]-want[i]) > 1e-9 {
@@ -20,26 +20,26 @@ func TestSplitProportional(t *testing.T) {
 }
 
 func TestSplitCapsAtCapacity(t *testing.T) {
-	shares := Split([]float64{100, 200}, 1000)
+	shares := split([]float64{100, 200}, 1000)
 	if shares[0] != 100 || shares[1] != 200 {
 		t.Errorf("overload shares = %v", shares)
 	}
 }
 
 func TestSplitEdges(t *testing.T) {
-	if got := Split(nil, 100); len(got) != 0 {
+	if got := split(nil, 100); len(got) != 0 {
 		t.Error("nil servers")
 	}
-	got := Split([]float64{0, 0}, 100)
+	got := split([]float64{0, 0}, 100)
 	if got[0] != 0 || got[1] != 0 {
 		t.Errorf("zero-capacity shares = %v", got)
 	}
-	got = Split([]float64{100}, 0)
+	got = split([]float64{100}, 0)
 	if got[0] != 0 {
 		t.Errorf("zero total = %v", got)
 	}
 	// Dead server gets nothing; the rest carry the load.
-	got = Split([]float64{0, 100}, 50)
+	got = split([]float64{0, 100}, 50)
 	if got[0] != 0 || got[1] != 50 {
 		t.Errorf("mixed shares = %v", got)
 	}
@@ -56,7 +56,7 @@ func TestSplitInvariantProperty(t *testing.T) {
 			capSum += maxRates[i]
 		}
 		total := float64(totalRaw % 3000)
-		shares := Split(maxRates, total)
+		shares := split(maxRates, total)
 		var sum float64
 		for i, s := range shares {
 			if s < -1e-9 || s > maxRates[i]+1e-9 {
@@ -84,7 +84,7 @@ func TestClusterGoodput(t *testing.T) {
 		configs = append(configs, server.MaxSprint())
 	}
 	total := 10 * p.IntensityRate(12)
-	sum, assigns, err := ClusterGoodput(p, configs, total)
+	sum, assigns, err := clusterGoodput(p, configs, total)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,13 +103,13 @@ func TestClusterGoodput(t *testing.T) {
 		t.Errorf("sum mismatch: %v vs %v", check, sum)
 	}
 	// Errors.
-	if _, _, err := ClusterGoodput(workload.Profile{}, configs, total); err == nil {
+	if _, _, err := clusterGoodput(workload.Profile{}, configs, total); err == nil {
 		t.Error("invalid profile should fail")
 	}
-	if _, _, err := ClusterGoodput(p, configs, -1); err == nil {
+	if _, _, err := clusterGoodput(p, configs, -1); err == nil {
 		t.Error("negative rate should fail")
 	}
-	if _, _, err := ClusterGoodput(p, []server.Config{{Cores: 1, Freq: 1}}, 10); err == nil {
+	if _, _, err := clusterGoodput(p, []server.Config{{Cores: 1, Freq: 1}}, 10); err == nil {
 		t.Error("invalid config should fail")
 	}
 }
@@ -122,7 +122,7 @@ func TestNormalizedClusterPerf(t *testing.T) {
 		normals[i] = server.Normal()
 	}
 	total := 10 * p.IntensityRate(12)
-	if got, err := NormalizedClusterPerf(p, normals, total); err != nil || math.Abs(got-1) > 1e-9 {
+	if got, err := normalizedClusterPerf(p, normals, total); err != nil || math.Abs(got-1) > 1e-9 {
 		t.Errorf("all-Normal perf = %v, %v", got, err)
 	}
 	// The paper's mixed burst topology lands between 1x and the
@@ -134,7 +134,7 @@ func TestNormalizedClusterPerf(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		configs = append(configs, server.MaxSprint())
 	}
-	got, err := NormalizedClusterPerf(p, configs, total)
+	got, err := normalizedClusterPerf(p, configs, total)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestNormalizedClusterPerf(t *testing.T) {
 	for i := range maxed {
 		maxed[i] = server.MaxSprint()
 	}
-	got, err = NormalizedClusterPerf(p, maxed, total)
+	got, err = normalizedClusterPerf(p, maxed, total)
 	if err != nil {
 		t.Fatal(err)
 	}

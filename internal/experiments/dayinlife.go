@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"greensprint/internal/cluster"
-	"greensprint/internal/dispatch"
 	"greensprint/internal/obs"
 	"greensprint/internal/server"
 	"greensprint/internal/sim"
@@ -158,7 +157,7 @@ func summarizeDay(cfg sim.Config, res *sim.Result) (*DayResult, error) {
 		for i := 0; i < green.GreenServers; i++ {
 			configs = append(configs, rec.Config)
 		}
-		perf, err := dispatch.NormalizedClusterPerf(p, configs, rec.Offered*float64(cl.Servers))
+		perf, err := normalizedClusterPerf(p, configs, rec.Offered*float64(cl.Servers))
 		if err != nil {
 			return nil, err
 		}

@@ -1,8 +1,9 @@
 package obs
 
 import (
-	"math"
 	"strconv"
+
+	"greensprint/internal/units"
 )
 
 // appendEvent appends ev as one JSON line, byte-identical to what
@@ -108,26 +109,12 @@ func (w *jsonWriter) optBool(key string, v bool) {
 	}
 }
 
-// float renders f as encoding/json does: the shortest 'f' form, or the
-// 'e' form outside [1e-6, 1e21) with a single-digit negative exponent
-// unpadded (e-07 → e-7).
+// float renders f as encoding/json does (units.AppendJSONFloat).
 func (w *jsonWriter) float(key string, f float64) {
-	if math.IsInf(f, 0) || math.IsNaN(f) {
-		w.ok = false
-		return
-	}
 	w.b = append(w.b, key...)
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	w.b = strconv.AppendFloat(w.b, f, format, -1, 64)
-	if format == 'e' {
-		n := len(w.b)
-		if n >= 4 && w.b[n-4] == 'e' && w.b[n-3] == '-' && w.b[n-2] == '0' {
-			w.b[n-2] = w.b[n-1]
-			w.b = w.b[:n-1]
-		}
+	var ok bool
+	if w.b, ok = units.AppendJSONFloat(w.b, f); !ok {
+		w.ok = false
 	}
 }
 

@@ -1,6 +1,12 @@
 package rl
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"io"
+	"math"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -19,6 +25,144 @@ func FuzzReadJSON(f *testing.F) {
 		}
 		if len(tab.Actions()) != 63 {
 			t.Fatalf("accepted table with %d actions", len(tab.Actions()))
+		}
+	})
+}
+
+// refWriteJSON is the reflection encoder WriteJSON replaced: tableJSON
+// through json.Encoder with SetIndent, states sorted by (power, load,
+// degraded).
+func refWriteJSON(t *Table, w io.Writer) error {
+	out := tableJSON{
+		Alpha:   t.alpha,
+		Gamma:   t.gamma,
+		Actions: len(t.actions),
+		First:   t.actions[0].String(),
+		Last:    t.actions[len(t.actions)-1].String(),
+	}
+	for s, r := range t.q {
+		out.States = append(out.States, stateJSON{
+			PowerLevel: s.PowerLevel,
+			LoadLevel:  s.LoadLevel,
+			Degraded:   s.Degraded,
+			Q:          append([]float64(nil), r.q...),
+		})
+	}
+	sort.Slice(out.States, func(i, j int) bool {
+		a, b := out.States[i], out.States[j]
+		if a.PowerLevel != b.PowerLevel {
+			return a.PowerLevel < b.PowerLevel
+		}
+		if a.LoadLevel != b.LoadLevel {
+			return a.LoadLevel < b.LoadLevel
+		}
+		return a.Degraded < b.Degraded
+	})
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(out)
+}
+
+// errText renders an error for comparison; nil is the empty string.
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
+// checkEncoding compares AppendJSON with json.Marshal of the reference
+// output as a json.RawMessage (the bytes a snapshot embedding the
+// table writes), and WriteJSON with the reference output itself, errors
+// included.
+func checkEncoding(t *testing.T, tab *Table, step int) {
+	t.Helper()
+	var ref bytes.Buffer
+	refErr := refWriteJSON(tab, &ref)
+	var want []byte
+	if refErr == nil {
+		var err error
+		if want, err = json.Marshal(json.RawMessage(ref.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := tab.AppendJSON([]byte("prefix"))
+	if errText(err) != errText(refErr) {
+		t.Fatalf("step %d: AppendJSON error %q, want %q", step, errText(err), errText(refErr))
+	}
+	if err == nil && !bytes.Equal(got, append([]byte("prefix"), want...)) {
+		t.Fatalf("step %d: AppendJSON\n got %s\nwant prefix%s", step, got, want)
+	}
+	var out bytes.Buffer
+	err = tab.WriteJSON(&out)
+	if errText(err) != errText(refErr) {
+		t.Fatalf("step %d: WriteJSON error %q, want %q", step, errText(err), errText(refErr))
+	}
+	if !bytes.Equal(out.Bytes(), ref.Bytes()) {
+		t.Fatalf("step %d: WriteJSON\n got %s\nwant %s", step, out.Bytes(), ref.Bytes())
+	}
+}
+
+// fuzzValues are the floats encoding/json renders at a format edge, or
+// rejects.
+var fuzzValues = []float64{
+	0, math.Copysign(0, -1), 5e-324, 2.2250738585072009e-308, -1e-300,
+	1e-7, 9.999999999999999e-7, 1e-6, -1e-6, 0.1, 1, -2.5,
+	123456789.125, 1e20, 9.999999999999999e20, 1e21, -1e21, 1.7976931348623157e308,
+	math.NaN(), math.Inf(1), math.Inf(-1),
+}
+
+// FuzzTableEncoding drives a table through random Seed, Update and
+// ReadJSON steps and checks its encoders against the reference after
+// every step, so a row whose cached encoding went stale shows at once.
+// Each step reads four bytes: the operation, a state, an action and a
+// value, which picks an edge value or takes a float from the next
+// eight bytes.
+func FuzzTableEncoding(f *testing.F) {
+	f.Add([]byte{})
+	// Edge values into new and existing rows, a read-back, then a NaN
+	// seeded and overwritten, and ±Inf learned into a degraded row.
+	f.Add([]byte{
+		0, 0x15, 2, 0x81, 0, 0x15, 7, 0x82, 0, 0x05, 1, 0x85, 0, 0x2a, 4, 0x8f,
+		3, 0, 0, 0x80, 2, 0x15, 5, 0x84, 1, 0x05, 3, 0x86,
+		0, 0x05, 1, 0x92, 0, 0x15, 9, 0x80, 0, 0x05, 1, 0x80, 3, 0, 0, 0x80,
+		1, 0x3b, 4, 0x93, 1, 0x3b, 4, 0x94, 0, 0x3b, 5, 0x80,
+	})
+	// A raw float64 value (1/3) taken from the input.
+	f.Add([]byte{0, 0x06, 3, 0x00, 0x55, 0x55, 0x55, 0x55, 0x55, 0x55, 0xd5, 0x3f, 3, 0, 0, 0x80})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		tab, err := NewTable(DefaultLearningRate, DefaultDiscount)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkEncoding(t, tab, -1)
+		for step := 0; len(in) >= 4; step++ {
+			op, st, a, v := in[0], in[1], int(in[2]), in[3]
+			in = in[4:]
+			s := State{PowerLevel: int(st&3) - 1, LoadLevel: int(st>>2&3) - 1, Degraded: int(st >> 4 & 3)}
+			val := fuzzValues[int(v&0x7f)%len(fuzzValues)]
+			if v&0x80 == 0 && len(in) >= 8 {
+				val = math.Float64frombits(binary.LittleEndian.Uint64(in))
+				in = in[8:]
+			}
+			switch op % 4 {
+			case 0:
+				tab.Seed(s, a-1, val)
+			case 1:
+				tab.Update(s, a, val, State{PowerLevel: s.LoadLevel, LoadLevel: s.PowerLevel})
+			case 2:
+				// A write followed by another before any snapshot.
+				tab.Seed(s, a%len(tab.actions), val)
+				tab.Update(s, (a+1)%len(tab.actions), 1, s)
+			case 3:
+				var buf bytes.Buffer
+				if tab.WriteJSON(&buf) == nil {
+					if tab, err = ReadJSON(&buf); err != nil {
+						t.Fatalf("step %d: table does not re-read its own output: %v", step, err)
+					}
+				}
+			}
+			checkEncoding(t, tab, step)
 		}
 	})
 }

@@ -1,12 +1,15 @@
 package rl
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"strconv"
 
 	"greensprint/internal/server"
+	"greensprint/internal/units"
 )
 
 // Persistence: a learned Q-table survives controller restarts by
@@ -14,7 +17,8 @@ import (
 // space (the knob-space size and endpoints) so a table trained against
 // one knob space cannot be silently loaded into another.
 
-// tableJSON is the serialized form.
+// tableJSON is the serialized form, as ReadJSON decodes it. AppendJSON
+// writes the same form without reflection.
 type tableJSON struct {
 	Alpha   float64     `json:"alpha"`
 	Gamma   float64     `json:"gamma"`
@@ -33,39 +37,122 @@ type stateJSON struct {
 	Q        []float64 `json:"q"`
 }
 
-// WriteJSON serializes the table.
+// WriteJSON serializes the table: AppendJSON's compact form indented
+// by two spaces, plus a trailing newline — the bytes json.Encoder with
+// SetIndent("", "  ") writes for tableJSON.
 func (t *Table) WriteJSON(w io.Writer) error {
-	out := tableJSON{
-		Alpha:   t.alpha,
-		Gamma:   t.gamma,
-		Actions: len(t.actions),
-		First:   t.actions[0].String(),
-		Last:    t.actions[len(t.actions)-1].String(),
+	b, err := t.AppendJSON(nil)
+	if err != nil {
+		return err
 	}
-	for s, row := range t.q {
-		q := make([]float64, len(row))
-		copy(q, row)
-		out.States = append(out.States, stateJSON{
-			PowerLevel: s.PowerLevel,
-			LoadLevel:  s.LoadLevel,
-			Degraded:   s.Degraded,
-			Q:          q,
-		})
+	var buf bytes.Buffer
+	if err := json.Indent(&buf, b, "", "  "); err != nil {
+		return err
 	}
-	// Deterministic output for diffable snapshots.
-	sort.Slice(out.States, func(i, j int) bool {
-		a, b := out.States[i], out.States[j]
-		if a.PowerLevel != b.PowerLevel {
-			return a.PowerLevel < b.PowerLevel
+	buf.WriteByte('\n')
+	_, err = w.Write(buf.Bytes())
+	return err
+}
+
+// AppendJSON appends the table's compact serialized form to b: the
+// bytes json.Marshal writes for tableJSON, states in (power, load,
+// degraded) order, "states":null when no row exists. It re-encodes
+// only the rows written since its last call and copies the cached
+// encoding of every other row. A NaN or ±Inf value fails with
+// encoding/json's own error for it, and b is then not returned.
+func (t *Table) AppendJSON(b []byte) ([]byte, error) {
+	if t.head == nil {
+		head, err := t.appendHead(nil)
+		if err != nil {
+			return nil, err
 		}
-		if a.LoadLevel != b.LoadLevel {
-			return a.LoadLevel < b.LoadLevel
+		t.head = head
+	}
+	if len(t.rows) == 0 {
+		b = append(b, t.head...)
+		return append(b, "null}"...), nil
+	}
+	// Bring every row's encoding up to date first, so b grows once to
+	// the exact size instead of doubling through the copy.
+	n := len(t.head) + len("[]}")
+	for _, r := range t.rows {
+		if r.dirty {
+			enc, err := r.appendJSON(r.enc[:0])
+			if err != nil {
+				return nil, err
+			}
+			r.enc, r.dirty = enc, false
 		}
-		return a.Degraded < b.Degraded
-	})
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+		n += len(r.enc) + len(",")
+	}
+	b = slices.Grow(b, n)
+	b = append(b, t.head...)
+	b = append(b, '[')
+	for i, r := range t.rows {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, r.enc...)
+	}
+	return append(b, "]}"...), nil
+}
+
+// appendHead appends the members before the states: everything up to
+// and including `"states":`.
+func (t *Table) appendHead(b []byte) ([]byte, error) {
+	var err error
+	b = append(b, `{"alpha":`...)
+	if b, err = appendFloat(b, t.alpha); err != nil {
+		return nil, err
+	}
+	b = append(b, `,"gamma":`...)
+	if b, err = appendFloat(b, t.gamma); err != nil {
+		return nil, err
+	}
+	b = append(b, `,"actions":`...)
+	b = strconv.AppendInt(b, int64(len(t.actions)), 10)
+	// Marshalling a string cannot fail.
+	first, _ := json.Marshal(t.actions[0].String())
+	last, _ := json.Marshal(t.actions[len(t.actions)-1].String())
+	b = append(b, `,"first_action":`...)
+	b = append(b, first...)
+	b = append(b, `,"last_action":`...)
+	b = append(b, last...)
+	return append(b, `,"states":`...), nil
+}
+
+// appendJSON appends the row's serialized stateJSON entry.
+func (r *qRow) appendJSON(b []byte) ([]byte, error) {
+	b = append(b, `{"power_level":`...)
+	b = strconv.AppendInt(b, int64(r.s.PowerLevel), 10)
+	b = append(b, `,"load_level":`...)
+	b = strconv.AppendInt(b, int64(r.s.LoadLevel), 10)
+	if r.s.Degraded != 0 {
+		b = append(b, `,"degraded":`...)
+		b = strconv.AppendInt(b, int64(r.s.Degraded), 10)
+	}
+	b = append(b, `,"q":[`...)
+	for i, v := range r.q {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		var err error
+		if b, err = appendFloat(b, v); err != nil {
+			return nil, err
+		}
+	}
+	return append(b, "]}"...), nil
+}
+
+// appendFloat appends f in encoding/json's form, or returns the error
+// encoding/json gives for it.
+func appendFloat(b []byte, f float64) ([]byte, error) {
+	b, ok := units.AppendJSONFloat(b, f)
+	if !ok {
+		_, err := json.Marshal(f)
+		return nil, err
+	}
+	return b, nil
 }
 
 // ReadJSON deserializes a table written by WriteJSON. It fails if the
@@ -91,8 +178,7 @@ func ReadJSON(r io.Reader) (*Table, error) {
 			return nil, fmt.Errorf("rl: state (%d,%d) has %d Q values, want %d",
 				s.PowerLevel, s.LoadLevel, len(s.Q), len(t.actions))
 		}
-		row := t.row(State{PowerLevel: s.PowerLevel, LoadLevel: s.LoadLevel, Degraded: s.Degraded})
-		copy(row, s.Q)
+		copy(t.row(State{PowerLevel: s.PowerLevel, LoadLevel: s.LoadLevel, Degraded: s.Degraded}).q, s.Q)
 	}
 	return t, nil
 }

@@ -192,7 +192,25 @@ func ratio(num, den float64) float64 {
 type Table struct {
 	alpha, gamma float64
 	actions      []server.Config
-	q            map[State][]float64
+	q            map[State]*qRow
+	// rows holds every materialized row in (power, load, degraded)
+	// order, the order the persisted form lists them in. It changes
+	// only when a row is created.
+	rows []*qRow
+	// head caches the persisted form's constant prefix, up to and
+	// including `"states":`; AppendJSON builds it on first use.
+	head []byte
+}
+
+// qRow is one state's Q estimates and the compact JSON encoding of its
+// persisted entry. enc is a pure function of (s, q); every write to q
+// sets dirty, and AppendJSON re-encodes a dirty row before copying
+// enc, so a snapshot only pays for the rows written since the last.
+type qRow struct {
+	s     State
+	q     []float64
+	enc   []byte
+	dirty bool
 }
 
 // NewTable creates a Q-table over the full knob space with the paper's
@@ -208,26 +226,57 @@ func NewTable(alpha, gamma float64) (*Table, error) {
 		alpha:   alpha,
 		gamma:   gamma,
 		actions: server.Configs(),
-		q:       make(map[State][]float64),
+		q:       make(map[State]*qRow),
 	}, nil
 }
 
 // Actions returns the action set (the knob space).
 func (t *Table) Actions() []server.Config { return t.actions }
 
-// row returns (allocating if needed) the Q row for a state. Only the
-// write paths (Update, Seed, ReadJSON) materialize rows; the read
-// paths treat a missing row as all-zero so the per-epoch Decide loop
-// never allocates and never bloats the persisted table with untouched
-// states.
-func (t *Table) row(s State) []float64 {
+// row returns (allocating if needed) the Q row for a state, marked
+// dirty because every caller writes to it. Only the write paths
+// (Update, Seed, ReadJSON) materialize rows; the read paths treat a
+// missing row as all-zero so the per-epoch Decide loop never allocates
+// and never bloats the persisted table with untouched states.
+func (t *Table) row(s State) *qRow {
 	r, ok := t.q[s]
 	if !ok {
-		//greensprint:allow(allocfree) materializes a Q row once per newly visited state; revisits (the steady state) never reach this
-		r = make([]float64, len(t.actions))
-		t.q[s] = r
+		r = t.insert(s)
 	}
+	r.dirty = true
 	return r
+}
+
+// insert materializes an all-zero row for s and files it in order.
+func (t *Table) insert(s State) *qRow {
+	//greensprint:allow(allocfree) materializes a Q row once per newly visited state; revisits (the steady state) never reach this
+	r := &qRow{s: s, q: make([]float64, len(t.actions))}
+	t.q[s] = r
+	i, hi := 0, len(t.rows)
+	for i < hi {
+		if mid := int(uint(i+hi) >> 1); t.rows[mid].s.less(s) {
+			i = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	//greensprint:allow(allocfree) the ordered row list grows once per newly visited state, like the map
+	t.rows = append(t.rows, nil)
+	copy(t.rows[i+1:], t.rows[i:])
+	t.rows[i] = r
+	return r
+}
+
+// less orders states by power level, then load level, then degraded
+// level.
+func (s State) less(o State) bool {
+	if s.PowerLevel != o.PowerLevel {
+		return s.PowerLevel < o.PowerLevel
+	}
+	if s.LoadLevel != o.LoadLevel {
+		return s.LoadLevel < o.LoadLevel
+	}
+	return s.Degraded < o.Degraded
 }
 
 // Row returns a read-only view of the Q row for s, or nil when the
@@ -235,7 +284,12 @@ func (t *Table) row(s State) []float64 {
 // It never allocates; callers iterating many actions of one state
 // fetch the row once instead of paying a map lookup per action.
 // Callers must not modify the returned slice.
-func (t *Table) Row(s State) []float64 { return t.q[s] }
+func (t *Table) Row(s State) []float64 {
+	if r, ok := t.q[s]; ok {
+		return r.q
+	}
+	return nil
+}
 
 // Q returns the current estimate R(s, a).
 func (t *Table) Q(s State, action int) float64 {
@@ -243,15 +297,15 @@ func (t *Table) Q(s State, action int) float64 {
 		return 0
 	}
 	if r, ok := t.q[s]; ok {
-		return r[action]
+		return r.q[action]
 	}
 	return 0
 }
 
 // maxQ returns max_a R(s,a).
 func (t *Table) maxQ(s State) float64 {
-	row, ok := t.q[s]
-	if !ok {
+	row := t.Row(s)
+	if row == nil {
 		return 0 // all-zero row
 	}
 	best := math.Inf(-1)
@@ -268,8 +322,8 @@ func (t *Table) maxQ(s State) float64 {
 // returns the last action (the maximum sprint), matching the paper's
 // optimistic initial behaviour of sprinting when nothing is known.
 func (t *Table) Best(s State) (int, server.Config) {
-	row, ok := t.q[s]
-	if !ok {
+	row := t.Row(s)
+	if row == nil {
 		idx := len(t.actions) - 1
 		return idx, t.actions[idx]
 	}
@@ -296,7 +350,7 @@ func (t *Table) Update(s State, action int, reward float64, next State) {
 	if action < 0 || action >= len(t.actions) {
 		return
 	}
-	row := t.row(s)
+	row := t.row(s).q
 	row[action] += t.alpha * (reward + t.gamma*t.maxQ(next) - row[action])
 }
 
@@ -306,7 +360,7 @@ func (t *Table) Seed(s State, action int, value float64) {
 	if action < 0 || action >= len(t.actions) {
 		return
 	}
-	t.row(s)[action] = value
+	t.row(s).q[action] = value
 }
 
 // States returns the number of states materialized so far.

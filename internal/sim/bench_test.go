@@ -107,6 +107,33 @@ func BenchmarkEngineNew(b *testing.B) {
 	}
 }
 
+// BenchmarkCheckpointEncode measures a checkpoint cut every epoch:
+// after one Step outside the timer, which has the Hybrid learn one Q
+// row, Checkpoint and Encode run timed. The engine is rebuilt outside
+// the timer when its horizon is consumed, so the record list the
+// checkpoint carries cycles through the run's length.
+func BenchmarkCheckpointEncode(b *testing.B) {
+	e := benchEngine(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if _, ok, err := e.Step(); err != nil {
+			b.Fatal(err)
+		} else if !ok {
+			e = benchEngine(b)
+		}
+		b.StartTimer()
+		cp, err := e.Checkpoint()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := cp.Encode(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // benchFleetEngine builds an Engine over a generated fleet of total
 // servers split across the given class count: class 0 is the default
 // profile, the rest step their sprint envelope up in 1 W increments so

@@ -25,7 +25,7 @@ import (
 // is spread over its members (any split with the same total is a valid
 // flat checkpoint of the run). It returns the result as a field map
 // for the version helpers below to edit.
-func flatLayout(t *testing.T, b []byte) map[string]json.RawMessage {
+func flatLayout(t testing.TB, b []byte) map[string]json.RawMessage {
 	t.Helper()
 	cp, err := DecodeCheckpoint(b)
 	if err != nil {
@@ -260,7 +260,7 @@ func TestCheckpointV3Migration(t *testing.T) {
 // version stamped 1 and every later addition stripped — the strategy fingerprint (v2), the
 // injector state (v3) and the fleet fields (v4). The pairwise helpers
 // above each remove one version's fields; this removes them all.
-func asOldestBlob(t *testing.T, b []byte) []byte {
+func asOldestBlob(t testing.TB, b []byte) []byte {
 	t.Helper()
 	m := flatLayout(t, b)
 	m["version"] = json.RawMessage(`1`)
@@ -376,7 +376,7 @@ func TestCheckpointStrategyMismatch(t *testing.T) {
 	}
 }
 
-func mustNew(t *testing.T, cfg Config) *Engine {
+func mustNew(t testing.TB, cfg Config) *Engine {
 	t.Helper()
 	e, err := New(cfg)
 	if err != nil {
@@ -389,7 +389,7 @@ func mustNew(t *testing.T, cfg Config) *Engine {
 // was cut from, five epochs in, by an engine that still stored the
 // paper's rack as a per-unit bank and a per-knob fleet: server 1 is
 // down (epochs 2–8) and battery unit 0 was degraded at epoch 3.
-func legacyFixtureConfig(t *testing.T) Config {
+func legacyFixtureConfig(t testing.TB) Config {
 	t.Helper()
 	cfg := ckptConfig(t)
 	cfg.Strategy = strategy.Greedy{}

@@ -21,7 +21,7 @@ import (
 // ckptConfig builds a medium-availability run with a mix of idle and
 // burst epochs and a fresh Hybrid strategy, so a checkpoint carries
 // every stateful layer (battery, PSS accounting, predictors, Q-table).
-func ckptConfig(t *testing.T) Config {
+func ckptConfig(t testing.TB) Config {
 	t.Helper()
 	d := 30 * time.Minute
 	lead, tail := 10*time.Minute, 10*time.Minute

@@ -20,7 +20,7 @@ const hybridFixtureCut = 6
 // Hybrid rack under the "light" chaos profile at seed 12, which takes
 // server 2 down over epochs 4–8 and drops the green feed over epochs
 // 4–6. It returns the config and its Hybrid.
-func hybridFixtureConfig(t *testing.T) (Config, *strategy.Hybrid) {
+func hybridFixtureConfig(t testing.TB) (Config, *strategy.Hybrid) {
 	t.Helper()
 	cfg := ckptConfig(t)
 	prof, err := chaos.ParseProfile("light")

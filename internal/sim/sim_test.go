@@ -48,7 +48,7 @@ func runCase(t *testing.T, level solar.Availability, d time.Duration, strat stra
 	return res
 }
 
-func hybrid(t *testing.T) strategy.Strategy {
+func hybrid(t testing.TB) strategy.Strategy {
 	t.Helper()
 	h, err := strategy.NewHybrid(testProfile, testTable)
 	if err != nil {

@@ -25,6 +25,7 @@ import (
 	"io"
 	"math"
 	"slices"
+	"strconv"
 	"time"
 
 	"greensprint/internal/profile"
@@ -673,7 +674,8 @@ func (h *Hybrid) LoadQ(r io.Reader) error {
 // hybridState is the serialized form of a Hybrid's mutable state: the
 // learned Q-table (in the rl package's persisted format, which pins
 // the knob space) plus the pending decision→feedback link when a
-// snapshot is taken between Decide and Learn.
+// snapshot is taken between Decide and Learn. RestoreState decodes
+// it; SnapshotState writes the same bytes without reflection.
 type hybridState struct {
 	QTable json.RawMessage `json:"q_table"`
 	Last   *hybridLast     `json:"last,omitempty"`
@@ -684,22 +686,27 @@ type hybridLast struct {
 	Action int      `json:"action"`
 }
 
-// SnapshotState implements Strategy by delegating to the rl package's
-// JSON persistence.
+// SnapshotState implements Strategy. It writes the bytes json.Marshal
+// writes for hybridState, with the Q-table appended by rl's row-cached
+// encoder instead of a marshal round trip.
 func (h *Hybrid) SnapshotState() (json.RawMessage, error) {
-	var buf bytes.Buffer
-	if err := h.table.WriteJSON(&buf); err != nil {
-		return nil, fmt.Errorf("strategy: snapshot hybrid: %w", err)
-	}
-	st := hybridState{QTable: buf.Bytes()}
-	if h.last.valid {
-		st.Last = &hybridLast{State: h.last.state, Action: h.last.action}
-	}
-	raw, err := json.Marshal(st)
+	b, err := h.table.AppendJSON(append([]byte(nil), `{"q_table":`...))
 	if err != nil {
 		return nil, fmt.Errorf("strategy: snapshot hybrid: %w", err)
 	}
-	return raw, nil
+	if h.last.valid {
+		st := h.last.state
+		b = append(b, `,"last":{"state":{"PowerLevel":`...)
+		b = strconv.AppendInt(b, int64(st.PowerLevel), 10)
+		b = append(b, `,"LoadLevel":`...)
+		b = strconv.AppendInt(b, int64(st.LoadLevel), 10)
+		b = append(b, `,"Degraded":`...)
+		b = strconv.AppendInt(b, int64(st.Degraded), 10)
+		b = append(b, `},"action":`...)
+		b = strconv.AppendInt(b, int64(h.last.action), 10)
+		b = append(b, '}')
+	}
+	return append(b, '}'), nil
 }
 
 // RestoreState implements Strategy. The embedded Q-table is validated

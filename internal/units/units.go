@@ -177,3 +177,27 @@ func NearlyEqual(a, b, tol float64) bool {
 	}
 	return diff <= tol*math.Max(math.Abs(a), math.Abs(b))
 }
+
+// AppendJSONFloat appends f as encoding/json renders a float64: the
+// shortest 'f' form, or the 'e' form outside [1e-6, 1e21) with a
+// single-digit negative exponent unpadded (e-07 → e-7). It reports
+// false for NaN and ±Inf, which encoding/json rejects, with b's
+// appended contents unspecified.
+func AppendJSONFloat(b []byte, f float64) ([]byte, bool) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return b, false
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		n := len(b)
+		if n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b, true
+}
