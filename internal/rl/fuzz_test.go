@@ -40,12 +40,12 @@ func refWriteJSON(t *Table, w io.Writer) error {
 		First:   t.actions[0].String(),
 		Last:    t.actions[len(t.actions)-1].String(),
 	}
-	for s, r := range t.q {
+	for s, i := range t.q {
 		out.States = append(out.States, stateJSON{
 			PowerLevel: s.PowerLevel,
 			LoadLevel:  s.LoadLevel,
 			Degraded:   s.Degraded,
-			Q:          append([]float64(nil), r.q...),
+			Q:          append([]float64(nil), t.rows[i].q...),
 		})
 	}
 	sort.Slice(out.States, func(i, j int) bool {
@@ -115,6 +115,9 @@ var fuzzValues = []float64{
 // FuzzTableEncoding drives a table through random Seed, Update and
 // ReadJSON steps and checks its encoders against the reference after
 // every step, so a row whose cached encoding went stale shows at once.
+// A model of the values written checks that each write lands in its
+// own row and cell: Seed's value as given, Update's as the table
+// computed it.
 // Each step reads four bytes: the operation, a state, an action and a
 // value, which picks an edge value or takes a float from the next
 // eight bytes.
@@ -136,6 +139,21 @@ func FuzzTableEncoding(f *testing.F) {
 			t.Fatal(err)
 		}
 		checkEncoding(t, tab, -1)
+		model := map[State][]float64{}
+		set := func(s State, a int, v float64) {
+			if a < 0 || a >= len(tab.actions) {
+				return
+			}
+			if model[s] == nil {
+				model[s] = make([]float64, len(tab.actions))
+			}
+			model[s][a] = v
+		}
+		learned := func(s State, a int) {
+			if row := tab.Row(s); row != nil && a >= 0 && a < len(row) {
+				set(s, a, row[a])
+			}
+		}
 		for step := 0; len(in) >= 4; step++ {
 			op, st, a, v := in[0], in[1], int(in[2]), in[3]
 			in = in[4:]
@@ -148,12 +166,17 @@ func FuzzTableEncoding(f *testing.F) {
 			switch op % 4 {
 			case 0:
 				tab.Seed(s, a-1, val)
+				set(s, a-1, val)
 			case 1:
 				tab.Update(s, a, val, State{PowerLevel: s.LoadLevel, LoadLevel: s.PowerLevel})
+				learned(s, a)
 			case 2:
 				// A write followed by another before any snapshot.
-				tab.Seed(s, a%len(tab.actions), val)
+				a %= len(tab.actions)
+				tab.Seed(s, a, val)
+				set(s, a, val)
 				tab.Update(s, (a+1)%len(tab.actions), 1, s)
+				learned(s, (a+1)%len(tab.actions))
 			case 3:
 				var buf bytes.Buffer
 				if tab.WriteJSON(&buf) == nil {
@@ -163,6 +186,16 @@ func FuzzTableEncoding(f *testing.F) {
 				}
 			}
 			checkEncoding(t, tab, step)
+			if tab.States() != len(model) {
+				t.Fatalf("step %d: %d states, want %d", step, tab.States(), len(model))
+			}
+			for s, want := range model {
+				for a, v := range tab.Row(s) {
+					if math.Float64bits(v) != math.Float64bits(want[a]) {
+						t.Fatalf("step %d: Q(%+v, %d) = %v, want %v", step, s, a, v, want[a])
+					}
+				}
+			}
 		}
 	})
 }

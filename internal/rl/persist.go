@@ -75,7 +75,8 @@ func (t *Table) AppendJSON(b []byte) ([]byte, error) {
 	// Bring every row's encoding up to date first, so b grows once to
 	// the exact size instead of doubling through the copy.
 	n := len(t.head) + len("[]}")
-	for _, r := range t.rows {
+	for _, i := range t.order {
+		r := &t.rows[i]
 		if r.dirty {
 			enc, err := r.appendJSON(r.enc[:0])
 			if err != nil {
@@ -88,11 +89,11 @@ func (t *Table) AppendJSON(b []byte) ([]byte, error) {
 	b = slices.Grow(b, n)
 	b = append(b, t.head...)
 	b = append(b, '[')
-	for i, r := range t.rows {
-		if i > 0 {
+	for k, i := range t.order {
+		if k > 0 {
 			b = append(b, ',')
 		}
-		b = append(b, r.enc...)
+		b = append(b, t.rows[i].enc...)
 	}
 	return append(b, "]}"...), nil
 }

@@ -192,11 +192,17 @@ func ratio(num, den float64) float64 {
 type Table struct {
 	alpha, gamma float64
 	actions      []server.Config
-	q            map[State]*qRow
-	// rows holds every materialized row in (power, load, degraded)
+	// q maps each materialized state to its row in rows, which holds
+	// the rows in creation order.
+	q    map[State]int
+	rows []qRow
+	// order lists the indices of rows in (power, load, degraded)
 	// order, the order the persisted form lists them in. It changes
 	// only when a row is created.
-	rows []*qRow
+	order []int
+	// hot is the index of the row written last: Seed fills a state's
+	// actions one after another, so row checks it before hashing.
+	hot int
 	// head caches the persisted form's constant prefix, up to and
 	// including `"states":`; AppendJSON builds it on first use.
 	head []byte
@@ -226,7 +232,7 @@ func NewTable(alpha, gamma float64) (*Table, error) {
 		alpha:   alpha,
 		gamma:   gamma,
 		actions: server.Configs(),
-		q:       make(map[State]*qRow),
+		q:       make(map[State]int),
 	}, nil
 }
 
@@ -234,37 +240,44 @@ func NewTable(alpha, gamma float64) (*Table, error) {
 func (t *Table) Actions() []server.Config { return t.actions }
 
 // row returns (allocating if needed) the Q row for a state, marked
-// dirty because every caller writes to it. Only the write paths
-// (Update, Seed, ReadJSON) materialize rows; the read paths treat a
-// missing row as all-zero so the per-epoch Decide loop never allocates
-// and never bloats the persisted table with untouched states.
+// dirty because every caller writes to it. The pointer is valid until
+// the next row is created. Only the write paths (Update, Seed,
+// ReadJSON) materialize rows; the read paths treat a missing row as
+// all-zero so the per-epoch Decide loop never allocates and never
+// bloats the persisted table with untouched states.
 func (t *Table) row(s State) *qRow {
-	r, ok := t.q[s]
-	if !ok {
-		r = t.insert(s)
+	if t.hot >= len(t.rows) || t.rows[t.hot].s != s {
+		i, ok := t.q[s]
+		if !ok {
+			i = t.insert(s)
+		}
+		t.hot = i
 	}
+	r := &t.rows[t.hot]
 	r.dirty = true
 	return r
 }
 
-// insert materializes an all-zero row for s and files it in order.
-func (t *Table) insert(s State) *qRow {
+// insert materializes an all-zero row for s, files it in order and
+// returns its index in rows.
+func (t *Table) insert(s State) int {
+	idx := len(t.rows)
 	//greensprint:allow(allocfree) materializes a Q row once per newly visited state; revisits (the steady state) never reach this
-	r := &qRow{s: s, q: make([]float64, len(t.actions))}
-	t.q[s] = r
-	i, hi := 0, len(t.rows)
+	t.rows = append(t.rows, qRow{s: s, q: make([]float64, len(t.actions))})
+	t.q[s] = idx
+	i, hi := 0, len(t.order)
 	for i < hi {
-		if mid := int(uint(i+hi) >> 1); t.rows[mid].s.less(s) {
+		if mid := int(uint(i+hi) >> 1); t.rows[t.order[mid]].s.less(s) {
 			i = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	//greensprint:allow(allocfree) the ordered row list grows once per newly visited state, like the map
-	t.rows = append(t.rows, nil)
-	copy(t.rows[i+1:], t.rows[i:])
-	t.rows[i] = r
-	return r
+	//greensprint:allow(allocfree) the state order grows once per newly visited state, like the rows
+	t.order = append(t.order, 0)
+	copy(t.order[i+1:], t.order[i:])
+	t.order[i] = idx
+	return idx
 }
 
 // less orders states by power level, then load level, then degraded
@@ -285,8 +298,8 @@ func (s State) less(o State) bool {
 // fetch the row once instead of paying a map lookup per action.
 // Callers must not modify the returned slice.
 func (t *Table) Row(s State) []float64 {
-	if r, ok := t.q[s]; ok {
-		return r.q
+	if i, ok := t.q[s]; ok {
+		return t.rows[i].q
 	}
 	return nil
 }
@@ -296,8 +309,8 @@ func (t *Table) Q(s State, action int) float64 {
 	if action < 0 || action >= len(t.actions) {
 		return 0
 	}
-	if r, ok := t.q[s]; ok {
-		return r.q[action]
+	if i, ok := t.q[s]; ok {
+		return t.rows[i].q[action]
 	}
 	return 0
 }
