@@ -308,13 +308,9 @@ func resolveChaos(w io.Writer, cfg config.Config, green cluster.GreenConfig, top
 	if epoch == 0 {
 		epoch = sim.DefaultEpoch
 	}
-	// Mirror Engine.TotalEpochs: the horizon spans lead + burst + tail,
-	// rounded up to whole epochs.
-	total := cfg.Lead.Std() + cfg.BurstDuration.Std() + cfg.Tail.Std()
-	epochs := int(total / epoch)
-	if time.Duration(epochs)*epoch < total {
-		epochs++
-	}
+	// The horizon spans lead + burst + tail, as Engine.TotalEpochs
+	// counts it.
+	epochs := sim.EpochsIn(cfg.Lead.Std()+cfg.BurstDuration.Std()+cfg.Tail.Std(), epoch)
 	var sched *chaos.Schedule
 	if topo != nil {
 		// Fleet run: draw targets from the generated topology so zone

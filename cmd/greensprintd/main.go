@@ -95,6 +95,7 @@ import (
 	"greensprint/internal/obs"
 	"greensprint/internal/pmk"
 	"greensprint/internal/server"
+	"greensprint/internal/sim"
 	"greensprint/internal/solar"
 	"greensprint/internal/units"
 )
@@ -492,11 +493,7 @@ func buildInjector(cfg config.Config, topo *fleet.Topology, epoch time.Duration,
 	if err != nil {
 		return nil, err
 	}
-	window := cfg.BurstDuration.Std() + time.Hour
-	epochs := int(window / epoch)
-	if time.Duration(epochs)*epoch < window {
-		epochs++
-	}
+	epochs := sim.EpochsIn(cfg.BurstDuration.Std()+time.Hour, epoch)
 	var sched *chaos.Schedule
 	if o.fleetSpec != nil {
 		// Fleet run: draw fault targets from the generated topology so

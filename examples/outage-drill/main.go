@@ -17,7 +17,6 @@ import (
 	"greensprint/internal/battery"
 	"greensprint/internal/cluster"
 	"greensprint/internal/core"
-	"greensprint/internal/power"
 	"greensprint/internal/server"
 	"greensprint/internal/units"
 	"greensprint/internal/workload"
@@ -34,7 +33,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	pdu, err := power.NewPDU(power.DefaultATS())
+	pdu, err := NewPDU(DefaultATS())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -58,7 +57,7 @@ func main() {
 			note = "UTILITY FAILS: ATS cranks the diesel generator"
 			// The crank gap is seconds; the per-server batteries
 			// carry the whole cluster's Normal load through it.
-			crank := power.DefaultATS().DieselStart
+			crank := DefaultATS().DieselStart
 			took, err := bridge.Discharge(units.Watt(10*100), crank)
 			if err != nil || took < crank {
 				log.Fatalf("batteries failed to bridge the crank: %v %v", took, err)

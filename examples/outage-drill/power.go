@@ -1,13 +1,14 @@
-// Package power models the upstream power hierarchy of Figure 2: the
-// utility substation feeding the PDU through an automatic transfer
-// switch (ATS), with a diesel generator (DG) as the backup source, and
-// the on-site green bus attached at the PDU level. GreenSprint's
-// controller only sees the PDU-level supplies, but the evaluation's
-// premise — that the grid side is capped and occasionally unavailable
-// — lives here: the ATS switches the dirty feed between utility and
-// diesel with a start-up gap that the distributed batteries ride
-// through (the classic role of server-level UPS the paper builds on).
-package power
+package main
+
+// The upstream power hierarchy of Figure 2: the utility substation
+// feeding the PDU through an automatic transfer switch (ATS), with a
+// diesel generator (DG) as the backup source, and the on-site green
+// bus attached at the PDU level. GreenSprint's controller only sees
+// the PDU-level supplies, but the evaluation's premise — that the grid
+// side is capped and occasionally unavailable — lives here: the ATS
+// switches the dirty feed between utility and diesel with a start-up
+// gap that the distributed batteries ride through (the classic role of
+// server-level UPS the paper builds on).
 
 import (
 	"fmt"

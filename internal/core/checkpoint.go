@@ -142,10 +142,7 @@ func (c *Controller) Restore(cp *Checkpoint) error {
 	}
 	c.count = cp.Count
 	c.last = cp.Last
-	c.history = append([]Decision(nil), cp.History...)
-	if len(c.history) > HistoryLimit {
-		c.history = c.history[len(c.history)-HistoryLimit:]
-	}
+	c.history = boundHistory(append([]Decision(nil), cp.History...))
 	return nil
 }
 

@@ -453,23 +453,7 @@ func (c *Controller) stepLocked(t Telemetry) (Decision, error) {
 		Demand:         demand,
 		SprintFraction: al.SprintFraction,
 	}
-	c.count++
-	c.last = d
-	c.history = append(c.history, d)
-	if len(c.history) > HistoryLimit {
-		c.history = c.history[len(c.history)-HistoryLimit:]
-	}
-	if c.sink != nil {
-		if err := c.sink.Emit(c.event(t, d, al)); err != nil && sinkErr == nil {
-			sinkErr = err
-		}
-	}
-	if sinkErr != nil {
-		// The decision has been applied and recorded; the caller
-		// learns the telemetry was not fully observed.
-		return d, &SinkError{Err: sinkErr}
-	}
-	return d, nil
+	return c.commit(t, d, al, sinkErr)
 }
 
 // stepOutage handles an epoch with every green server down: nothing
@@ -490,21 +474,36 @@ func (c *Controller) stepOutage(t Telemetry, sinkErr error) (Decision, error) {
 		PredictedGreen: c.rack.Selector.PredictedSupply(),
 		PredictedRate:  c.loadPred.Predict(),
 	}
+	return c.commit(t, d, pss.Allocation{Case: pss.CaseGridFallback}, sinkErr)
+}
+
+// commit records an applied decision: it advances the epoch count,
+// appends to the bounded history and emits the epoch event. sinkErr
+// is an earlier emission failure of the same epoch (a chaos event);
+// the first failure wins. c.mu must be held.
+func (c *Controller) commit(t Telemetry, d Decision, al pss.Allocation, sinkErr error) (Decision, error) {
 	c.count++
 	c.last = d
-	c.history = append(c.history, d)
-	if len(c.history) > HistoryLimit {
-		c.history = c.history[len(c.history)-HistoryLimit:]
-	}
+	c.history = boundHistory(append(c.history, d))
 	if c.sink != nil {
-		if err := c.sink.Emit(c.event(t, d, pss.Allocation{Case: pss.CaseGridFallback})); err != nil && sinkErr == nil {
+		if err := c.sink.Emit(c.event(t, d, al)); err != nil && sinkErr == nil {
 			sinkErr = err
 		}
 	}
 	if sinkErr != nil {
+		// The decision has been applied and recorded; the caller
+		// learns the telemetry was not fully observed.
 		return d, &SinkError{Err: sinkErr}
 	}
 	return d, nil
+}
+
+// boundHistory keeps the newest HistoryLimit decisions of h.
+func boundHistory(h []Decision) []Decision {
+	if len(h) > HistoryLimit {
+		return h[len(h)-HistoryLimit:]
+	}
+	return h
 }
 
 // applyChaos applies the epoch's fault and recovery transitions to the

@@ -79,17 +79,10 @@ type Engine struct {
 	// reused across epochs.
 	timeBuf []byte //greensprint:allow(statecov) formatting arena: overwritten from scratch at each use, carries no run state
 
-	// Batched-stepping state (StepN). While batching is set, emit
-	// appends events to evBuf instead of calling the sink per epoch;
-	// the buffer is flushed once per StepN call, preserving emission
-	// order, so the sink receives the exact byte stream a sequential
-	// Step loop would have produced. classArena backs deep copies of
-	// the per-event class stats (the classEv buffer is reused across
-	// epochs, so buffered events must not alias it). Both are arenas:
-	// grown once, truncated to length zero per batch.
-	batching   bool            //greensprint:allow(statecov) StepN-scoped: set and cleared within one call; checkpoints are cut between calls
-	evBuf      []obs.Event     //greensprint:allow(statecov) batching arena: flushed and truncated before StepN returns
-	classArena []obs.ClassStat //greensprint:allow(statecov) batching arena: truncated with evBuf before StepN returns
+	// sinkErr is the first sink failure of the running Step or StepN
+	// call: once set, emit drops the call's later events, and endCall
+	// reports and clears it when the call returns.
+	sinkErr error //greensprint:allow(statecov) call-scoped: set and cleared within one Step/StepN call; checkpoints are cut between calls
 
 	baseGoodput  float64
 	burstStart   time.Time
@@ -279,12 +272,16 @@ func New(cfg Config) (*Engine, error) {
 
 // Step advances the simulation by one scheduling epoch. It returns the
 // epoch's record and true while the run is in progress, and a zero
-// record and false once the configured horizon has been consumed.
-func (e *Engine) Step() (EpochRecord, bool, error) { return e.step() }
+// record and false once the configured horizon has been consumed. A
+// sink failure is reported after the epoch has run (see emit).
+func (e *Engine) Step() (EpochRecord, bool, error) {
+	rec, ok, err := e.step()
+	return rec, ok, e.endCall(err)
+}
 
-// step is the shared single-epoch path behind Step and StepN. The only
-// difference under StepN is that emit buffers events instead of
-// handing them to the sink immediately.
+// step runs one epoch through the general path: chaos transitions,
+// then the outage, burst or idle physics, then commit. Its only error
+// is a failed chaos application, which leaves the epoch unrun.
 func (e *Engine) step() (EpochRecord, bool, error) {
 	if !e.at.Before(e.runEnd) {
 		return EpochRecord{}, false, nil
@@ -300,179 +297,119 @@ func (e *Engine) step() (EpochRecord, bool, error) {
 		offered = meanWindow(e.cfg.Offered, at, e.epoch)
 		predicted = e.loadPred.Predict()
 	}
-	greenObserved := units.Watt(meanWindow(e.cfg.Supply, at, e.epoch))
 	if e.rack.Injector != nil {
 		// Fault and recovery transitions land at the epoch boundary,
-		// before the epoch's physics; an active inverter dropout then
-		// zeroes the observed green supply.
+		// before the epoch's physics.
 		if err := e.applyChaos(at); err != nil {
 			return EpochRecord{}, true, err
 		}
-		greenObserved = units.Watt(float64(greenObserved) * e.rack.Injector.SolarFactor())
 	}
-
-	var rec EpochRecord
-	rec.Start = at
-	rec.InBurst = inBurst
-	rec.Supply = greenObserved
-	rec.Offered = offered
-
+	rec := EpochRecord{Start: at, InBurst: inBurst, Supply: e.observedSupply(at), Offered: offered}
 	switch {
 	case e.rack.Alive() == 0:
 		// Every green server is down (a full zone outage, or worse):
 		// nothing serves, nothing sprints, the strategy has nothing to
 		// decide. Surviving infrastructure still runs — batteries bank
 		// whatever green output remains — and the breaker cools.
-		rec = e.runOutageEpoch(rec, greenObserved)
-		if e.rack.Breaker != nil {
-			e.rack.Breaker.Step(0, e.epoch)
-		}
+		rec.Case = pss.CaseGridFallback
+		rec.Config = server.Normal()
+		e.perAliveGoodput = 0
+		e.idleUpkeep(rec.Supply, offered)
 	case inBurst:
-		rec = e.runBurstEpoch(rec, greenObserved, offered, predicted, at)
+		rec = e.runBurstEpoch(rec, predicted)
 	default:
-		rec = e.runIdleEpoch(rec, greenObserved, offered)
-		if e.rack.Breaker != nil {
-			// Non-burst epochs stay within the budget and cool the
-			// breaker.
-			e.rack.Breaker.Step(0, e.epoch)
-		}
+		rec = e.idleRecord(rec)
+		e.idleUpkeep(rec.Supply, offered)
 	}
+	e.commit(&rec)
+	return rec, true, nil
+}
 
+// observedSupply is the green supply observed over the epoch starting
+// at at: the trace's window mean, zeroed by an active inverter dropout.
+func (e *Engine) observedSupply(at time.Time) units.Watt {
+	green := units.Watt(meanWindow(e.cfg.Supply, at, e.epoch))
+	if e.rack.Injector != nil {
+		green = units.Watt(float64(green) * e.rack.Injector.SolarFactor())
+	}
+	return green
+}
+
+// commit closes an epoch, whichever path ran it: it derives rec's
+// NormPerf and SoC, feeds the predictors, appends the record, folds
+// burst epochs into the mean, advances the clock and emits the event.
+func (e *Engine) commit(rec *EpochRecord) {
 	if e.baseGoodput > 0 {
 		rec.NormPerf = rec.Goodput / e.baseGoodput
 	}
 	rec.SoC = e.rack.Selector.Bank().SoC()
-	e.rack.Selector.ObserveSupply(greenObserved)
-	e.loadPred.Observe(offered)
-	//greensprint:allow(allocfree) the per-epoch record log is the simulation's product; growth is amortized doubling
-	e.records = append(e.records, rec)
-	if inBurst {
+	e.rack.Selector.ObserveSupply(rec.Supply)
+	e.loadPred.Observe(rec.Offered)
+	//greensprint:allow(allocfree) the per-epoch record log is the simulation's product; New presizes it to the horizon
+	e.records = append(e.records, *rec)
+	if rec.InBurst {
 		e.burstPerfSum += rec.NormPerf
 		e.burstEpochs++
 	}
 	index := e.epochIndex
-	e.at = at.Add(e.epoch)
+	e.at = e.at.Add(e.epoch)
 	e.epochIndex++
 	if e.cfg.Sink != nil {
-		if err := e.emit(e.event(index, rec)); err != nil {
-			return rec, true, fmt.Errorf("sim: event sink: %w", err)
-		}
+		e.emit(e.event(index, *rec))
 	}
-	return rec, true, nil
 }
 
-// emit hands one event to the sink, or — under StepN — appends it to
-// the batch buffer for the end-of-batch flush. Buffered events have
-// their class stats copied into the arena because the classEv buffer
-// they point at is overwritten every epoch. Buffering never fails;
-// sink errors surface from flushEvents.
-func (e *Engine) emit(ev obs.Event) error {
-	if !e.batching {
-		return e.cfg.Sink.Emit(ev)
+// emit hands one event to the sink unless an earlier emission of the
+// running Step or StepN call failed, so a sink only ever sees an
+// in-order prefix of the stream. The sink consumes the event during
+// Emit, so the reused timestamp and class-stat buffers it points into
+// are free again once Emit returns.
+func (e *Engine) emit(ev obs.Event) {
+	if e.sinkErr == nil {
+		e.sinkErr = e.cfg.Sink.Emit(ev)
 	}
-	e.bufferEvent(ev)
-	return nil
 }
 
-// bufferEvent appends one event to the batch buffer. Only valid while
-// batching: the fast segment calls it directly because under StepN the
-// sink is never touched before the flush.
-func (e *Engine) bufferEvent(ev obs.Event) {
-	if n := len(ev.Classes); n > 0 {
-		start := len(e.classArena)
-		//greensprint:allow(allocfree) arena growth is amortized: the backing array is reused across batches and grows to classes x batch once
-		e.classArena = append(e.classArena, ev.Classes...)
-		ev.Classes = e.classArena[start : start+n : start+n]
+// endCall closes a Step or StepN call: err, a failed chaos
+// application, wins; otherwise the call's first sink failure is
+// returned, wrapped, and cleared for the next call.
+func (e *Engine) endCall(err error) error {
+	sinkErr := e.sinkErr
+	e.sinkErr = nil
+	if err == nil && sinkErr != nil {
+		err = fmt.Errorf("sim: event sink: %w", sinkErr)
 	}
-	//greensprint:allow(allocfree) arena growth is amortized: the event buffer is reused across batches and grows to the batch size once
-	e.evBuf = append(e.evBuf, ev)
+	return err
 }
 
-// flushEvents drains the batch buffer into the sink in emission order.
-// The first sink error aborts the flush, mirroring Step's fail-fast
-// contract; already-emitted events stay emitted either way.
-func (e *Engine) flushEvents() error {
-	sink := e.cfg.Sink
-	for i := range e.evBuf {
-		if err := sink.Emit(e.evBuf[i]); err != nil {
-			e.evBuf = e.evBuf[:0]
-			e.classArena = e.classArena[:0]
-			return fmt.Errorf("sim: event sink: %w", err)
-		}
-	}
-	e.evBuf = e.evBuf[:0]
-	e.classArena = e.classArena[:0]
-	return nil
-}
-
-// StepN advances the simulation by up to n scheduling epochs in one
-// call and returns how many epochs actually ran (fewer than n only
-// when the horizon is consumed first or an epoch fails). It is
-// byte-identical to n individual Step calls — same records, same event
-// stream, same checkpoint at every batch boundary — while hoisting
-// per-epoch overheads out of the loop:
+// StepN advances the simulation by up to n scheduling epochs and
+// returns how many ran: fewer than n only when the horizon is consumed
+// first or a chaos application fails. It runs the epochs Step runs, in
+// the same order, through the same commit, so n Step calls and one
+// StepN(n) leave identical records, events and checkpoints.
 //
-//   - events are buffered and flushed to the sink once per batch, in
-//     emission order (chaos transitions interleaved exactly as Step
-//     emits them);
-//   - contiguous idle (non-burst, alive, square-burst) epochs run
-//     through a fast segment that applies the Normal knob setting and
-//     resolves the constant goodput/latency/grid figures once per
-//     segment instead of once per epoch, keeping only the genuinely
-//     state-bearing work per epoch (battery recharge, EWMA
-//     observations, breaker cooling, record and event emission);
-//   - segments are clipped at the burst window, the horizon, and every
-//     fault or recovery epoch in the resolved chaos timeline, so the
-//     skipped chaos Advance calls are provably empty and the resilience
-//     goldens hold bit-for-bit.
+// The one shortcut is the idle segment: a run of idle epochs (square
+// burst model, no burst, at least one server alive) clipped at the
+// burst window, the horizon and the next chaos transition. Its record
+// template comes from idleRecord once, and each epoch runs only
+// idleUpkeep and commit, which are exactly what step runs for it.
 //
-// A sink failure surfaces after the batch (first failed emission,
-// flush aborted there), wrapped exactly like Step's sink error; the
-// epochs themselves have still run.
+// A sink failure drops the call's later events and is returned,
+// wrapped like Step's, once the call's epochs have run.
 func (e *Engine) StepN(n int) (int, error) {
-	if n <= 0 {
-		return 0, nil
-	}
-	batch := e.cfg.Sink != nil
-	e.batching = batch
-	if batch && e.evBuf == nil {
-		sz := e.TotalEpochs() - e.epochIndex
-		if sz > n {
-			sz = n
-		}
-		if sz > 0 {
-			//greensprint:allow(allocfree) one-time arena presize; reused (truncated, not freed) across every later batch
-			e.evBuf = make([]obs.Event, 0, sz)
-		}
-	}
 	ran := 0
-	var stepErr error
 	for ran < n && e.at.Before(e.runEnd) {
 		if k := e.idleSegmentLen(n - ran); k > 0 {
 			e.runIdleSegment(k)
 			ran += k
 			continue
 		}
-		_, ok, err := e.step()
-		if err != nil {
-			// step fails before consuming the epoch (chaos apply) or,
-			// when not batching, after it; under batching the sink path
-			// cannot fail here, so ran stays accurate either way.
-			stepErr = err
-			break
-		}
-		if !ok {
-			break
+		if _, _, err := e.step(); err != nil {
+			return ran, e.endCall(err)
 		}
 		ran++
 	}
-	if batch {
-		e.batching = false
-		if err := e.flushEvents(); err != nil && stepErr == nil {
-			stepErr = err
-		}
-	}
-	return ran, stepErr
+	return ran, e.endCall(nil)
 }
 
 // idleSegmentLen returns how many epochs starting at the engine's
@@ -492,9 +429,9 @@ func (e *Engine) idleSegmentLen(limit int) int {
 	var k int
 	switch {
 	case at.Before(e.burstStart):
-		k = epochsUntil(e.burstStart.Sub(at), e.epoch)
+		k = EpochsIn(e.burstStart.Sub(at), e.epoch)
 	case !at.Before(e.burstEnd):
-		k = epochsUntil(e.runEnd.Sub(at), e.epoch)
+		k = EpochsIn(e.runEnd.Sub(at), e.epoch)
 	default:
 		return 0
 	}
@@ -514,87 +451,19 @@ func (e *Engine) idleSegmentLen(limit int) int {
 	return k
 }
 
-// epochsUntil counts the epoch starts that land strictly before the
-// boundary d away: ceil(d/epoch) — the last counted epoch may extend
-// past the boundary, matching TotalEpochs' rounding.
-func epochsUntil(d, epoch time.Duration) int {
-	if d <= 0 {
-		return 0
-	}
-	n := int(d / epoch)
-	if time.Duration(n)*epoch < d {
-		n++
-	}
-	return n
-}
-
-// runIdleSegment executes k contiguous idle epochs with the
-// segment-invariant work hoisted out of the loop. Every floating-point
-// value it produces is computed by the exact expressions runIdleEpoch
-// and step use — hoisting only ever reuses a value that per-epoch code
-// would have recomputed identically (knob re-application is a counted
-// no-op, kernel lookups are pure, chaos transitions are clipped out by
-// idleSegmentLen) — so records, events and checkpoints stay
-// bit-identical to the per-epoch path.
+// runIdleSegment runs k idle epochs that idleSegmentLen has cleared.
+// Nothing idleRecord reads changes inside the segment, so its template
+// is built once; the per-epoch state (supply, recharge, breaker, class
+// energy, predictors, record, event) runs through idleUpkeep and
+// commit, the code step runs for an idle epoch.
 func (e *Engine) runIdleSegment(k int) {
-	rack, epoch := e.rack, e.epoch
-	offered := e.offeredIdle
-	// Hoisted: re-applying Normal to a fleet already at Normal is a
-	// no-op (knob herds count transitions, not applications), so one
-	// application replaces k.
-	_ = rack.Actuate(server.Normal())
-	var tmpl EpochRecord
-	tmpl.Offered = offered
-	tmpl.Case = pss.CaseGridFallback
-	tmpl.Config = server.Normal()
-	tmpl.Goodput = e.kernel.Goodput(server.Normal(), offered)
-	tmpl.Latency = e.latency(server.Normal(), offered)
-	tmpl.Grid = e.kernel.LoadPower(server.Normal(), offered)
-	if m := rack.Alive(); m != e.n {
-		scale := float64(m) / float64(e.n)
-		tmpl.Goodput *= scale
-		tmpl.Grid = units.Watt(float64(tmpl.Grid) * scale)
-	}
-	e.perAliveGoodput = e.kernel.Goodput(server.Normal(), offered)
-	if len(e.classes) > 1 {
-		tmpl.Grid = e.classNormalGrid(offered)
-	}
-	if e.baseGoodput > 0 {
-		tmpl.NormPerf = tmpl.Goodput / e.baseGoodput
-	}
-	solar := 1.0
-	if rack.Injector != nil {
-		solar = rack.Injector.SolarFactor()
-	}
-	sink := e.cfg.Sink
+	tmpl := e.idleRecord(EpochRecord{Offered: e.offeredIdle})
 	for i := 0; i < k; i++ {
-		at := e.at
-		greenObserved := units.Watt(meanWindow(e.cfg.Supply, at, epoch))
-		if rack.Injector != nil {
-			greenObserved = units.Watt(float64(greenObserved) * solar)
-		}
 		rec := tmpl
-		rec.Start = at
-		rec.Supply = greenObserved
-		rack.Recharge(greenObserved, epoch)
-		if rack.Breaker != nil {
-			rack.Breaker.Step(0, epoch)
-		}
-		rec.SoC = rack.Selector.Bank().SoC()
-		rack.Selector.ObserveSupply(greenObserved)
-		e.loadPred.Observe(offered)
-		// Cumulative per-class energy must accumulate per epoch
-		// (x+d+d is not 2d+x in floating point); the expression is the
-		// same one the per-epoch path runs.
-		e.accumulateClassEnergy(server.Normal(), 0, offered)
-		//greensprint:allow(allocfree) the per-epoch record log is the simulation's product; growth is amortized doubling
-		e.records = append(e.records, rec)
-		index := e.epochIndex
-		e.at = at.Add(epoch)
-		e.epochIndex++
-		if sink != nil {
-			e.bufferEvent(e.event(index, rec))
-		}
+		rec.Start = e.at
+		rec.Supply = e.observedSupply(e.at)
+		e.idleUpkeep(rec.Supply, rec.Offered)
+		e.commit(&rec)
 	}
 }
 
@@ -663,9 +532,7 @@ func (e *Engine) applyChaos(at time.Time) error {
 	}
 	e.timeBuf = at.UTC().AppendFormat(e.timeBuf[:0], time.RFC3339Nano)
 	for _, a := range actions {
-		if err := e.emit(e.rack.ChaosEvent(a, e.epochIndex, string(e.timeBuf), e.epoch, e.cfg.Strategy.Name())); err != nil {
-			return fmt.Errorf("sim: event sink: %w", err)
-		}
+		e.emit(e.rack.ChaosEvent(a, e.epochIndex, string(e.timeBuf), e.epoch, e.cfg.Strategy.Name()))
 	}
 	return nil
 }
@@ -694,17 +561,7 @@ func (e *Engine) EpochIndex() int { return e.epochIndex }
 
 // TotalEpochs returns the number of epochs the configured horizon
 // spans (the run covers [Supply.Start, burst end + tail)).
-func (e *Engine) TotalEpochs() int {
-	d := e.runEnd.Sub(e.cfg.Supply.Start)
-	if d <= 0 {
-		return 0
-	}
-	n := int(d / e.epoch)
-	if time.Duration(n)*e.epoch < d {
-		n++
-	}
-	return n
-}
+func (e *Engine) TotalEpochs() int { return EpochsIn(e.runEnd.Sub(e.cfg.Supply.Start), e.epoch) }
 
 // Rack exposes the modelled rack: its PSS, knob herd, breaker (nil
 // unless the run allows overdraw), chaos injector and alive census.

@@ -390,14 +390,17 @@ func TestEngineBreakerOverdrawBurst(t *testing.T) {
 	}
 }
 
-// failAfterSink accepts n emissions, then fails every subsequent one.
+// failAfterSink accepts n emissions, then fails every subsequent one,
+// noting the epoch of each refused event.
 type failAfterSink struct {
-	n      int
-	events []obs.Event
+	n       int
+	events  []obs.Event
+	refused []int
 }
 
 func (s *failAfterSink) Emit(ev obs.Event) error {
 	if len(s.events) >= s.n {
+		s.refused = append(s.refused, ev.Epoch)
 		return errors.New("sink full")
 	}
 	s.events = append(s.events, ev)

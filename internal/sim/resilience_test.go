@@ -260,8 +260,8 @@ func TestChaosGoldenResilience(t *testing.T) {
 				}
 			}
 
-			// Whole-run StepN batch: the idle fast path and buffered
-			// event flush must reproduce the golden bytes exactly.
+			// Whole-run StepN batch: the idle fast path must reproduce
+			// the golden bytes exactly.
 			if got, res := runResilience(t, mkCfg(), batchedRun); !bytes.Equal(got, stream) {
 				t.Error("batched StepN run emitted a different stream")
 			} else {

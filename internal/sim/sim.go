@@ -33,6 +33,21 @@ import (
 // DefaultEpoch is the paper's scheduling-epoch length.
 const DefaultEpoch = 5 * time.Minute
 
+// EpochsIn returns how many epochs of length epoch it takes to cover
+// d: ceil(d/epoch), 0 when d <= 0. The last counted epoch may extend
+// past d. It sizes a run's horizon (Engine.TotalEpochs), idle
+// segments, and the chaos timelines the CLIs resolve for a run.
+func EpochsIn(d, epoch time.Duration) int {
+	if d <= 0 {
+		return 0
+	}
+	n := int(d / epoch)
+	if time.Duration(n)*epoch < d {
+		n++
+	}
+	return n
+}
+
 // Config describes one simulation run.
 type Config struct {
 	// Workload is the interactive application under test.
@@ -179,9 +194,8 @@ func (c *Config) Validate() error {
 // come from the engine's memoized kernel and latency cache (exact value
 // reuse — see workload.Kernel and latency), so an epoch of a square
 // burst runs without a single bisection.
-func (e *Engine) runBurstEpoch(rec EpochRecord, greenObserved units.Watt,
-	offered, predicted float64, at time.Time) EpochRecord {
-
+func (e *Engine) runBurstEpoch(rec EpochRecord, predicted float64) EpochRecord {
+	greenObserved, offered, at := rec.Supply, rec.Offered, rec.Start
 	cfg, tab, selector, breaker := &e.cfg, e.tab, e.rack.Selector, e.rack.Breaker
 	epoch := e.epoch
 	// All demand arithmetic runs over the servers actually up this
@@ -316,19 +330,18 @@ func (e *Engine) runBurstEpoch(rec EpochRecord, greenObserved units.Watt,
 	return rec
 }
 
-// runIdleEpoch executes one non-burst epoch: Normal mode on the grid,
-// batteries recharging from green surplus (or the grid once the DoD
-// trigger fires).
-func (e *Engine) runIdleEpoch(rec EpochRecord, greenObserved units.Watt, offered float64) EpochRecord {
+// idleRecord fills in a non-burst epoch's record from rec.Offered and
+// the alive census: Normal mode on the grid. Neither input changes
+// inside an idle segment, so runIdleSegment calls it once per segment
+// and step once per epoch.
+func (e *Engine) idleRecord(rec EpochRecord) EpochRecord {
+	offered := rec.Offered
 	_ = e.rack.Actuate(server.Normal())
 	rec.Case = pss.CaseGridFallback
 	rec.Config = server.Normal()
 	rec.Goodput = e.kernel.Goodput(server.Normal(), offered)
 	e.perAliveGoodput = rec.Goodput
 	rec.Latency = e.latency(server.Normal(), offered)
-	// Outside bursts the green servers ride the grid and the batteries
-	// recharge.
-	e.rack.Recharge(greenObserved, e.epoch)
 	rec.Grid = e.kernel.LoadPower(server.Normal(), offered)
 	if m := e.rack.Alive(); m != e.n {
 		// Crashed servers neither serve nor draw: the per-provisioned-
@@ -337,7 +350,6 @@ func (e *Engine) runIdleEpoch(rec EpochRecord, greenObserved units.Watt, offered
 		rec.Goodput *= scale
 		rec.Grid = units.Watt(float64(rec.Grid) * scale)
 	}
-	e.accumulateClassEnergy(server.Normal(), 0, offered)
 	if len(e.classes) > 1 {
 		// Heterogeneous classes draw different Normal-mode power: the
 		// per-provisioned-server grid figure is the class-weighted
@@ -347,16 +359,18 @@ func (e *Engine) runIdleEpoch(rec EpochRecord, greenObserved units.Watt, offered
 	return rec
 }
 
-// runOutageEpoch executes an epoch with every green server down: zero
-// goodput, zero draw, no decision to make. Surviving infrastructure
-// still runs — the batteries bank whatever green output remains and
-// grid recharge continues once the DoD trigger has fired.
-func (e *Engine) runOutageEpoch(rec EpochRecord, greenObserved units.Watt) EpochRecord {
-	rec.Case = pss.CaseGridFallback
-	rec.Config = server.Normal()
+// idleUpkeep runs the per-epoch state of a non-burst or outage epoch:
+// the batteries recharge from green surplus (or the grid once the DoD
+// trigger fires), the breaker cools, and each alive class accumulates
+// its Normal-mode energy. Cumulative sums must accumulate per epoch
+// (x+d+d is not x+2d in floating point), so an idle segment runs it
+// every epoch too.
+func (e *Engine) idleUpkeep(greenObserved units.Watt, offered float64) {
 	e.rack.Recharge(greenObserved, e.epoch)
-	e.perAliveGoodput = 0
-	return rec
+	if e.rack.Breaker != nil {
+		e.rack.Breaker.Step(0, e.epoch)
+	}
+	e.accumulateClassEnergy(server.Normal(), 0, offered)
 }
 
 // sprintDemand returns the fleet's aggregate power demand at config c:

@@ -3,10 +3,12 @@ package sim
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"greensprint/internal/chaos"
 	"greensprint/internal/cluster"
 	"greensprint/internal/obs"
 	"greensprint/internal/strategy"
@@ -198,8 +200,8 @@ func TestStepNDegenerate(t *testing.T) {
 }
 
 // TestStepNSinkError pins the batched sink-failure contract: the
-// epochs run to completion, the flush surfaces the first emission
-// error wrapped like Step's, and the events before the failure were
+// epochs run to completion, the call returns the first emission error
+// wrapped like Step's, and the events before the failure were
 // delivered in order.
 func TestStepNSinkError(t *testing.T) {
 	cfg := ckptConfig(t)
@@ -209,7 +211,7 @@ func TestStepNSinkError(t *testing.T) {
 	total := e.TotalEpochs()
 	ran, err := e.StepN(total)
 	if ran != total {
-		t.Fatalf("ran = %d, want %d (epochs commit before the flush fails)", ran, total)
+		t.Fatalf("ran = %d, want %d (epochs commit before the sink error is returned)", ran, total)
 	}
 	if err == nil || !strings.Contains(err.Error(), "sink full") {
 		t.Fatalf("err = %v, want wrapped sink error", err)
@@ -224,5 +226,103 @@ func TestStepNSinkError(t *testing.T) {
 	}
 	if got := len(e.Result().Records); got != total {
 		t.Errorf("records = %d, want %d", got, total)
+	}
+}
+
+// TestStepSinkErrorMatchesStepN pins Step ≡ StepN(1) on the sink-error
+// path. A chaos timeline makes transitions in the first epochs, so the
+// first emissions interleave chaos events with epoch records. For a
+// sink failing at each of those emissions in turn, Step loops, StepN(1)
+// loops and one whole-run StepN must deliver the same events, records
+// and final checkpoint, and the failure must surface from the call
+// that ran the failing emission's epoch, after that epoch has run.
+func TestStepSinkErrorMatchesStepN(t *testing.T) {
+	cfgFor := func(sink obs.Sink) Config {
+		cfg := ckptConfig(t)
+		cfg.Epoch = time.Minute
+		cfg.Chaos = &chaos.Schedule{
+			Seed: 1, Epochs: 50, Servers: 3, Units: 3,
+			Faults: []chaos.Fault{
+				{Epoch: 1, Mode: chaos.ServerCrash, Target: 0, Recover: 4},
+				{Epoch: 2, Mode: chaos.SolarDropout, Recover: 3},
+				{Epoch: 2, Mode: chaos.ServerCrash, Target: 2, Recover: 5},
+			},
+		}
+		cfg.Sink = sink
+		return cfg
+	}
+	full := &failAfterSink{n: 1 << 30}
+	total := mustNew(t, cfgFor(full)).TotalEpochs()
+	if total != 50 {
+		t.Fatalf("horizon = %d epochs, want the schedule's 50", total)
+	}
+	const emissions = 14
+	whole := mustNew(t, cfgFor(full))
+	if ran, err := whole.StepN(total); ran != total || err != nil {
+		t.Fatalf("fault-free sink: StepN = (%d, %v)", ran, err)
+	}
+	chaosEvents := 0
+	for _, ev := range full.events[:emissions] {
+		if ev.Chaos != "" {
+			chaosEvents++
+		}
+	}
+	if chaosEvents != 6 {
+		t.Fatalf("first %d emissions hold %d chaos events, want 6", emissions, chaosEvents)
+	}
+
+	// run drives a fresh engine to its horizon, one call at a time,
+	// and returns the epoch index after the first call that failed.
+	run := func(sink *failAfterSink, call func(*Engine) error) (*Engine, int) {
+		e := mustNew(t, cfgFor(sink))
+		errAt := -1
+		for i := 0; !e.Done(); i++ {
+			if i > 2*total {
+				t.Fatalf("no progress after %d calls", i)
+			}
+			if err := call(e); err != nil {
+				if !strings.Contains(err.Error(), "sim: event sink: sink full") {
+					t.Fatalf("err = %v, want wrapped sink error", err)
+				}
+				if errAt < 0 {
+					errAt = e.EpochIndex()
+				}
+			}
+		}
+		return e, errAt
+	}
+	step := func(e *Engine) error { _, _, err := e.Step(); return err }
+	stepN1 := func(e *Engine) error { _, err := e.StepN(1); return err }
+	stepAll := func(e *Engine) error { _, err := e.StepN(total); return err }
+
+	for k := 0; k <= emissions; k++ {
+		seqSink, oneSink, allSink := &failAfterSink{n: k}, &failAfterSink{n: k}, &failAfterSink{n: k}
+		seq, seqAt := run(seqSink, step)
+		one, oneAt := run(oneSink, stepN1)
+		all, allAt := run(allSink, stepAll)
+
+		wantAt := -1
+		if k < len(full.events) {
+			// The refused emission belongs to epoch j; its call has
+			// run epoch j when it reports.
+			wantAt = full.events[k].Epoch + 1
+		}
+		if seqAt != wantAt || oneAt != wantAt {
+			t.Errorf("k=%d: error after %d epochs under Step, %d under StepN(1), want %d",
+				k, seqAt, oneAt, wantAt)
+		}
+		if wantAt >= 0 && (allAt != total || len(allSink.refused) == 0 || allSink.refused[0] != wantAt-1) {
+			t.Errorf("k=%d: whole-run StepN reported after %d epochs refusing %v, want after %d refusing epoch %d first",
+				k, allAt, allSink.refused, total, wantAt-1)
+		}
+		for _, s := range []*failAfterSink{seqSink, oneSink, allSink} {
+			if len(s.events) != k || k > 0 && !reflect.DeepEqual(s.events, full.events[:k]) {
+				t.Fatalf("k=%d: delivered %d events, want the stream's first %d", k, len(s.events), k)
+			}
+		}
+		assertSameResult(t, seq.Result(), one.Result())
+		assertSameResult(t, seq.Result(), all.Result())
+		assertSameCheckpoint(t, seq, one)
+		assertSameCheckpoint(t, seq, all)
 	}
 }

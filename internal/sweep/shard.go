@@ -16,9 +16,9 @@ import (
 // is bit-identical to an uninterrupted sim.Run over the same config.
 //
 // Each window runs as one StepN batch (batch size = shard window), so
-// sharded replays ride the engine's hoisted fast path and per-batch
-// event flush; StepN is bit-identical to per-epoch stepping, so the
-// stitched-output guarantee is unchanged.
+// sharded replays ride the engine's idle fast path; StepN is
+// bit-identical to per-epoch stepping, so the stitched-output
+// guarantee is unchanged.
 //
 // windows <= 1 degenerates to the plain sequential run. ctx is checked
 // between batches; cancellation returns ctx.Err().
