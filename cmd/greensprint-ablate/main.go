@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	greensprint-ablate [-which all|ewma|quant|reward|dod|source|integration|calibration|overdraw|failures] [-parallel] [-workers N]
+//	greensprint-ablate [-which all|ewma|quant|reward|dod|source|integration|calibration|overdraw|failures] [-workers N]
 package main
 
 import (
@@ -24,16 +24,11 @@ import (
 
 func main() {
 	which := flag.String("which", "all", "ablation to run")
-	parallel := flag.Bool("parallel", true,
-		"fan independent sweep cells out across CPUs (results are bit-identical to -parallel=false)")
 	workers := flag.Int("workers", 0,
-		"cap the sweep worker pool at N (0 = GOMAXPROCS; overrides -parallel when set)")
+		"cap the sweep worker pool at N (0 = GOMAXPROCS; 1 runs serially, bit-identical to any other N)")
 	flag.Parse()
-	switch {
-	case *workers > 0:
+	if *workers > 0 {
 		sweep.SetDefaultWorkers(*workers)
-	case !*parallel:
-		sweep.SetDefaultWorkers(1)
 	}
 	if err := run(os.Stdout, *which); err != nil {
 		fmt.Fprintln(os.Stderr, "greensprint-ablate:", err)

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	greensprint-bench [-fig all|1|5|6|7|8|9|10a|10b|11|day|tables|headline] [-out DIR] [-parallel] [-workers N]
+//	greensprint-bench [-fig all|1|5|6|7|8|9|10a|10b|11|day|tables|headline] [-out DIR] [-workers N]
 //	                  [-windows N] [-events FILE]
 //
 // -windows splits the -fig day replay into N contiguous time shards
@@ -32,20 +32,15 @@ import (
 func main() {
 	fig := flag.String("fig", "all", "which figure/table to regenerate")
 	out := flag.String("out", "", "directory for CSV outputs (optional)")
-	parallel := flag.Bool("parallel", true,
-		"fan independent figure cells out across CPUs (results are bit-identical to -parallel=false)")
 	workers := flag.Int("workers", 0,
-		"cap the sweep worker pool at N (0 = GOMAXPROCS; overrides -parallel when set)")
+		"cap the sweep worker pool at N (0 = GOMAXPROCS; 1 runs serially, bit-identical to any other N)")
 	windows := flag.Int("windows", 1,
 		"split the -fig day replay into N checkpoint-chained time shards (result is bit-identical to 1)")
 	eventsPath := flag.String("events", "",
 		"stream the -fig day replay's per-epoch JSONL observability records to this file")
 	flag.Parse()
-	switch {
-	case *workers > 0:
+	if *workers > 0 {
 		sweep.SetDefaultWorkers(*workers)
-	case !*parallel:
-		sweep.SetDefaultWorkers(1)
 	}
 	if *windows < 1 {
 		fmt.Fprintln(os.Stderr, "greensprint-bench: -windows must be >= 1")

@@ -17,9 +17,8 @@ import (
 // chaos injector's replay state, the forced-breaker thermal state and
 // the epoch-length fingerprint; version 3 replaces the per-knob fleet
 // with the rack's knob herd (class_fleet). DecodeCheckpoint
-// transparently migrates version-1 and version-2 files (see
-// migrateV1/migrateV2), and Restore migrates their per-knob fleet
-// through pmk.ClassFleet.RestoreFlat.
+// transparently migrates version-1 and version-2 files, and Restore
+// migrates their per-knob fleet through pmk.ClassFleet.RestoreFlat.
 const CheckpointVersion = 3
 
 // Checkpoint is the serializable state of a Controller between two
@@ -147,42 +146,22 @@ func (c *Controller) Restore(cp *Checkpoint) error {
 }
 
 // DecodeCheckpoint parses a JSON checkpoint and checks its version.
-// Version-1 and version-2 checkpoints are migrated in place (see
-// migrateV1/migrateV2) so files cut before the chaos fields or the
-// knob herd still restore cleanly; any other version mismatch fails
-// loudly.
+// Version-1 and version-2 files migrate in place by their version
+// stamp. v1 predates chaos: the injector and breaker state are absent
+// (a fault-free run) and the epoch fingerprint is zero, which Restore
+// treats as unknown. v2 carries the per-knob fleet, which Restore
+// migrates once the injector says which servers are down; the next
+// save persists the file as v3. Any other version fails loudly.
 func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 	var cp Checkpoint
 	if err := json.Unmarshal(b, &cp); err != nil {
 		return nil, fmt.Errorf("core: decode checkpoint: %w", err)
 	}
-	if cp.Version == 1 {
-		migrateV1(&cp)
-	}
-	if cp.Version == 2 {
-		migrateV2(&cp)
+	if cp.Version == 1 || cp.Version == 2 {
+		cp.Version = CheckpointVersion
 	}
 	if cp.Version != CheckpointVersion {
 		return nil, fmt.Errorf("core: decode checkpoint: version %d, supported %d", cp.Version, CheckpointVersion)
 	}
 	return &cp, nil
-}
-
-// migrateV1 lifts a version-1 checkpoint to version 2. The v1 layout
-// is a strict subset of v2: it predates chaos, so the injector and
-// breaker state are absent (a fault-free run, which Restore accepts
-// for controllers without a chaos schedule) and the epoch fingerprint
-// is zero, which Restore treats as "unknown, skip the check".
-// migrateV2 then carries the result the rest of the way.
-func migrateV1(cp *Checkpoint) {
-	cp.Version = 2
-}
-
-// migrateV2 lifts a version-2 checkpoint to version 3. The v2 layout
-// carries the per-knob fleet in place of the knob herd, which Restore
-// migrates once the injector says which servers are down, so migration
-// is just the version stamp; the next Checkpoint/save cycle persists
-// the file as full v3.
-func migrateV2(cp *Checkpoint) {
-	cp.Version = CheckpointVersion
 }

@@ -233,8 +233,13 @@ func New(opts Options) (*Controller, error) {
 		}
 	}
 	// The controller decides one setting for every green server, so
-	// its knob herd is one class.
-	rack, err := sim.NewRack([]int{opts.Green.GreenServers}, func(int) int { return 0 }, bank, breaker, opts.Chaos)
+	// its rack is one class. It never overdraws the breaker.
+	rack, err := sim.NewRack(sim.RackConfig{
+		Counts: []int{opts.Green.GreenServers}, ClassOf: func(int) int { return 0 },
+		Tables: []*profile.Table{tab}, Kernels: []*workload.Kernel{workload.SharedKernel(opts.Workload)},
+		Bank: bank, Breaker: breaker, Injector: opts.Chaos,
+		Strategy: strat, Table: tab, Epoch: epoch,
+	})
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -342,19 +347,24 @@ func (c *Controller) StepN(n int, tel func(epoch int, last Decision) (Telemetry,
 // stepLocked is one control-loop epoch; c.mu must be held.
 func (c *Controller) stepLocked(t Telemetry) (Decision, error) {
 	t = t.sanitize()
-	n := c.opts.Green.GreenServers
-	m := n // servers actually up; == n whenever chaos is off
 
 	// 0. Chaos transitions land at the epoch boundary, before the
-	// epoch's physics.
+	// epoch's physics, each emitted as a chaos event ahead of the
+	// epoch record (Time left empty: daemon epochs run on the wall
+	// clock). A failed emission does not undo its transition.
 	var sinkErr error
 	if inj := c.rack.Injector; inj != nil {
-		se, err := c.applyChaos()
+		actions, err := c.rack.ApplyChaos(c.count)
 		if err != nil {
-			return Decision{}, err
+			return Decision{}, fmt.Errorf("core: %w", err)
 		}
-		sinkErr = se
-		m = c.rack.Alive()
+		if c.sink != nil {
+			for _, a := range actions {
+				if err := c.sink.Emit(c.rack.ChaosEvent(a, c.count, "")); err != nil && sinkErr == nil {
+					sinkErr = err
+				}
+			}
+		}
 		// An active inverter dropout zeroes the observed green
 		// supply; crashed servers neither serve nor draw, so the
 		// per-provisioned-server telemetry means shrink coherently by
@@ -362,119 +372,48 @@ func (c *Controller) stepLocked(t Telemetry) (Decision, error) {
 		// together keeps the learner's ratios intact: losses caused
 		// by dead servers are never blamed on the chosen config.
 		t.GreenPower = units.Watt(float64(t.GreenPower) * inj.SolarFactor())
-		if m < n {
+		if m, n := c.rack.Alive(), c.opts.Green.GreenServers; m < n {
 			scale := float64(m) / float64(n)
 			t.OfferedRate *= scale
 			t.Goodput *= scale
 			t.ServerPower = units.Watt(float64(t.ServerPower) * scale)
 		}
 	}
-	if m == 0 {
-		return c.stepOutage(t, sinkErr)
-	}
 
 	// 1. Monitor → Predictor: feed observations.
-	selector := c.rack.Selector
-	selector.ObserveSupply(t.GreenPower)
-	c.loadPred.Observe(t.OfferedRate)
-
-	// 2. Predictor → strategy inputs for the upcoming epoch. All
-	// demand arithmetic runs over the servers actually up.
-	predGreen := selector.PredictedSupply()
-	predRate := c.loadPred.Predict()
-	budget := units.Watt(float64(selector.AvailablePower(c.epoch)) / float64(m))
-	in := strategy.Inputs{
-		Table:         c.table,
-		PredictedRate: predRate,
-		Budget:        budget,
-		Epoch:         c.epoch,
-		SprintFraction: func(perServer units.Watt) float64 {
-			return selector.SustainFraction(units.Watt(float64(perServer)*float64(m)), predGreen, c.epoch)
-		},
-		AliveFraction: float64(m) / float64(n),
-		BatteryHealth: selector.Bank().Health(),
-	}
-
-	// 3. Learn from the epoch that just finished.
-	if c.count > 0 {
-		c.strat.Learn(strategy.Feedback{
-			Chosen:  c.last.Config,
-			Supply:  units.Watt(float64(t.GreenPower)/float64(n)) + units.Watt(float64(selector.BatterySustainable(c.epoch))/float64(n)),
-			Power:   t.ServerPower,
-			Offered: t.OfferedRate,
-			Goodput: t.Goodput,
-			Latency: t.Latency,
-			Next:    in,
-		})
-	}
-
-	// 4. Decide and actuate. Green energy and batteries are called
-	// upon only for sprinting (§V): a Normal-mode decision rides the
-	// grid while green output recharges the batteries (topped up
-	// from the grid once the DoD trigger fires).
-	chosen := c.strat.Decide(in)
-	level := c.table.LevelFor(predRate)
-	perServer, ok := c.table.LoadPower(level, chosen)
-	if !ok {
-		perServer = c.opts.Workload.LoadPower(chosen, predRate)
-	}
-	demand := units.Watt(float64(perServer) * float64(m))
-	normalFallback := units.Watt(float64(c.opts.Workload.LoadPower(server.Normal(), predRate)) * float64(m))
-	var al pss.Allocation
-	if chosen.IsSprinting() {
-		al = selector.Allocate(demand, t.GreenPower, c.epoch, normalFallback)
-	} else {
-		al = pss.Allocation{Case: pss.CaseGridFallback, Grid: normalFallback}
-		selector.RechargeFromGreen(t.GreenPower, c.epoch)
-		// Grid recharge only outside bursts: during a burst the
-		// grid budget is fully committed to the grid-fed servers
-		// (§III-A Case 3 recharges "when the workload burst can be
-		// completed in this period").
-		bursting := c.table.MaxRate > 0 && predRate > 0.5*c.table.MaxRate
-		if !bursting && selector.NeedsRecharge() {
-			selector.RechargeFromGrid(units.Watt(float64(sim.GridRechargePower)*float64(m)), c.epoch)
-		}
-	}
-	applied := chosen
-	if al.Case == pss.CaseGridFallback {
-		applied = server.Normal()
-	}
-	if err := c.actuate(applied); err != nil {
-		return Decision{}, fmt.Errorf("core: apply %v: %w", applied, err)
-	}
-
-	d := Decision{
-		Epoch:          c.count,
-		Config:         applied,
-		Budget:         budget,
-		Case:           al.Case,
-		PredictedGreen: predGreen,
-		PredictedRate:  predRate,
-		Demand:         demand,
-		SprintFraction: al.SprintFraction,
-	}
-	return c.commit(t, d, al, sinkErr)
-}
-
-// stepOutage handles an epoch with every green server down: nothing
-// serves, nothing sprints, the strategy has nothing to decide.
-// Surviving infrastructure still runs — the batteries bank whatever
-// green output remains, topped up from the grid once the DoD trigger
-// fires — and the decision log records the outage as a zero-demand
-// grid-fallback epoch so numbering stays gap-free. Called from
-// stepLocked: c.mu must be held.
-func (c *Controller) stepOutage(t Telemetry, sinkErr error) (Decision, error) {
 	c.rack.Selector.ObserveSupply(t.GreenPower)
 	c.loadPred.Observe(t.OfferedRate)
-	c.rack.Recharge(t.GreenPower, c.epoch)
-	d := Decision{
-		Epoch:          c.count,
-		Config:         server.Normal(),
-		Case:           pss.CaseGridFallback,
-		PredictedGreen: c.rack.Selector.PredictedSupply(),
-		PredictedRate:  c.loadPred.Predict(),
+	predRate := c.loadPred.Predict()
+
+	var rd sim.Decision
+	if c.rack.Alive() == 0 {
+		// Every green server is down: nothing serves, nothing sprints,
+		// the strategy has nothing to decide. The rack still runs its
+		// upkeep, and the log records a zero-demand grid-fallback epoch
+		// so numbering stays gap-free.
+		c.rack.Upkeep(t.GreenPower)
+		rd = sim.Decision{Applied: server.Normal(), PredictedGreen: c.rack.Selector.PredictedSupply()}
+		rd.Alloc.Case = pss.CaseGridFallback
+	} else {
+		// 2. The rack's decision epoch over the controller's plant: the
+		// prediction stands in for every rate an oracle would know, and
+		// the strategy first learns from the epoch that just finished.
+		p := sim.Plant{Green: t.GreenPower, Predicted: predRate, Rate: predRate, NormalRate: predRate,
+			Burst: c.table.MaxRate > 0 && predRate > 0.5*c.table.MaxRate}
+		if c.count > 0 {
+			p.Learn = &strategy.Feedback{Chosen: c.last.Config, Power: t.ServerPower,
+				Offered: t.OfferedRate, Goodput: t.Goodput, Latency: t.Latency}
+		}
+		rd = c.rack.Decide(p)
+		if err := c.actuate(rd); err != nil {
+			return Decision{}, fmt.Errorf("core: apply %v: %w", rd.Applied, err)
+		}
 	}
-	return c.commit(t, d, pss.Allocation{Case: pss.CaseGridFallback}, sinkErr)
+	d := Decision{
+		Epoch: c.count, Config: rd.Applied, Case: rd.Alloc.Case, SprintFraction: rd.Alloc.SprintFraction,
+		Budget: rd.Budget, Demand: rd.Demand, PredictedGreen: rd.PredictedGreen, PredictedRate: predRate,
+	}
+	return c.commit(t, d, rd.Alloc, sinkErr)
 }
 
 // commit records an applied decision: it advances the epoch count,
@@ -506,37 +445,16 @@ func boundHistory(h []Decision) []Decision {
 	return h
 }
 
-// applyChaos applies the epoch's fault and recovery transitions to the
-// rack and emits one chaos event per transition ahead of the epoch
-// record. Time is left empty as in every controller event: daemon
-// epochs run on the wall clock. Emission failures are reported
-// separately from component failures: the transitions are applied
-// regardless. Called from stepLocked: c.mu must be held.
-func (c *Controller) applyChaos() (sinkErr, hard error) {
-	actions, err := c.rack.ApplyChaos(c.count)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	if c.sink != nil {
-		for _, a := range actions {
-			if err := c.sink.Emit(c.rack.ChaosEvent(a, c.count, "", c.epoch, c.strat.Name())); err != nil && sinkErr == nil {
-				sinkErr = err
-			}
-		}
-	}
-	return sinkErr, nil
-}
-
-// actuate applies a decision's setting to the host, when one is
-// attached, and then to the rack's running servers, so a failed host
-// write leaves the modelled herd unchanged.
-func (c *Controller) actuate(cfg server.Config) error {
+// actuate writes a decision's applied setting to the host, when one is
+// attached, and then actuates the rack's running servers, so a failed
+// host write leaves the modelled herd unchanged.
+func (c *Controller) actuate(d sim.Decision) error {
 	if c.opts.Host != nil {
-		if err := c.opts.Host.Apply(cfg); err != nil {
+		if err := c.opts.Host.Apply(d.Applied); err != nil {
 			return err
 		}
 	}
-	return c.rack.Actuate(cfg)
+	return c.rack.Apply(d)
 }
 
 // event flattens one control-loop step into the observability schema.

@@ -26,7 +26,7 @@ import (
 // (per-knob fleet, per-unit battery bank); Restore migrates them (see
 // pmk.ClassFleet.RestoreFlat and battery.ClassBank.Restore).
 // DecodeCheckpoint transparently migrates version-1 through version-3
-// files (see migrateV1/migrateV2/migrateV3).
+// files.
 const CheckpointVersion = 4
 
 // Checkpoint is the complete serializable state of an Engine between
@@ -179,58 +179,28 @@ func (c *Checkpoint) Encode() ([]byte, error) {
 }
 
 // DecodeCheckpoint parses a JSON checkpoint and checks its version.
-// Version-1 through version-3 checkpoints are migrated in place (see
-// migrateV1/migrateV2/migrateV3) so files cut before the newer fields
-// still restore cleanly; any other version mismatch fails loudly.
+// Version-1 through version-3 files migrate in place by their version
+// stamp, each layout being a strict subset of the next. v1 lacks the
+// StrategyName fingerprint, left empty so Restore skips the check. v2
+// predates chaos: the injector state is absent (a fault-free run) and
+// battery units decode with undegraded defaults. v3 predates generated
+// fleets and carries the flat layout, which Restore migrates. Any other
+// version fails loudly.
 func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 	var cp Checkpoint
 	if err := json.Unmarshal(b, &cp); err != nil {
 		return nil, fmt.Errorf("sim: decode checkpoint: %w", err)
 	}
 	if cp.Version == 1 {
-		migrateV1(&cp)
+		cp.StrategyName = ""
 	}
-	if cp.Version == 2 {
-		migrateV2(&cp)
-	}
-	if cp.Version == 3 {
-		migrateV3(&cp)
+	if cp.Version >= 1 && cp.Version < CheckpointVersion {
+		cp.Version = CheckpointVersion
 	}
 	if cp.Version != CheckpointVersion {
 		return nil, fmt.Errorf("sim: decode checkpoint: version %d, supported %d", cp.Version, CheckpointVersion)
 	}
 	return &cp, nil
-}
-
-// migrateV1 lifts a version-1 checkpoint to version 2. The v1 layout
-// is a strict subset of v2 — it lacks only the StrategyName
-// fingerprint — so migration stamps the new version and leaves the
-// name empty, which Restore treats as "unknown, skip the check".
-// migrateV2 then carries the result the rest of the way.
-func migrateV1(cp *Checkpoint) {
-	cp.Version = 2
-	cp.StrategyName = ""
-}
-
-// migrateV2 lifts a version-2 checkpoint to version 3. The v2 layout
-// is a strict subset of v3: it predates chaos, so the injector state
-// is absent (a fault-free run, which Restore accepts for engines
-// without a chaos schedule) and every battery unit decodes with the
-// degradation fields at their undegraded defaults. Migration is
-// therefore just the version stamp; the next Checkpoint/WriteFile
-// cycle persists the file as full v3.
-func migrateV2(cp *Checkpoint) {
-	cp.Version = 3
-}
-
-// migrateV3 lifts a version-3 checkpoint to version 4. The v3 layout
-// is a strict subset of v4's flat layout: it predates generated
-// fleets, so the fleet fingerprint, class-fleet snapshot and per-class
-// energy counters are all absent, and Restore migrates its per-knob
-// fleet and per-unit bank like any flat-layout checkpoint. Migration
-// is therefore just the version stamp.
-func migrateV3(cp *Checkpoint) {
-	cp.Version = CheckpointVersion
 }
 
 // WriteFile atomically persists the checkpoint through the shared

@@ -281,9 +281,8 @@ func asOldestBlob(t testing.TB, b []byte) []byte {
 }
 
 // TestCheckpointMigrationChain walks one canned v1 blob through the
-// whole shim chain — migrateV1, migrateV2 and migrateV3 composing in a
-// single decode — where the tests above each prove one hop in
-// isolation. The end-to-end contract: the migrated checkpoint restores
+// whole migration chain in a single decode, where the tests above
+// each prove one hop in isolation. The end-to-end contract: the migrated checkpoint restores
 // into a fresh engine whose own re-cut checkpoint encodes byte-for-byte
 // identical to the uninterrupted reference's at the same epoch (the
 // chain recovered the full state, not merely enough to limp forward),

@@ -35,28 +35,26 @@ const GridRechargePower units.Watt = 100
 type Engine struct {
 	cfg      Config
 	epoch    time.Duration
-	tab      *profile.Table
 	loadPred *predictor.EWMA
 	n        int
 
 	// rack is the modelled rack — PSS selector and bank, knob herd,
-	// optional breaker and chaos injector, alive census — that
+	// optional breaker and chaos injector, alive census, per-class
+	// tables and kernels — and its decision epoch, which
 	// core.Controller drives through the same code.
 	rack *Rack
 
 	// Topology state, structure-of-arrays: the paper's rack is a
 	// one-class, one-rack topology (fleet.FromGreen), a generated fleet
 	// has one class per template. topo is the topology and fingerprint
-	// its digest, pinned into checkpoints; classes is the per-class
-	// runtime (profiling table, kernel, Normal draw). The per-class
-	// observability — classEnergyWh, the cumulative per-class server
-	// energy (checkpointed so resumed streams continue the counters),
-	// and the classEv event buffer — is kept only for runs with a
-	// Config.Fleet. perAliveGoodput is the epoch's per-alive-server
-	// goodput before alive-fraction scaling, feeding the class stats.
+	// its digest, pinned into checkpoints. The per-class observability
+	// — classEnergyWh, the cumulative per-class server energy
+	// (checkpointed so resumed streams continue the counters), and the
+	// classEv event buffer — is kept only for runs with a Config.Fleet.
+	// perAliveGoodput is the epoch's per-alive-server goodput before
+	// alive-fraction scaling, feeding the class stats.
 	topo            *fleet.Topology
 	fingerprint     string
-	classes         []classRT
 	classEnergyWh   []float64
 	classEv         []obs.ClassStat //greensprint:allow(statecov) per-epoch scratch: truncated and refilled before every event emission
 	perAliveGoodput float64         //greensprint:allow(statecov) per-epoch intermediate: written by every epoch before any read
@@ -68,13 +66,6 @@ type Engine struct {
 	// New/Restore and never checkpointed.
 	kernel *workload.Kernel
 	lat    []latEntry
-	// sprintFrac is the SprintFraction closure handed to the strategy
-	// each burst epoch; it reads predGreen and alive instead of
-	// capturing fresh values, so it is allocated once instead of once
-	// per epoch. Each call runs SustainFraction directly: the strategy
-	// probes every candidate power at most once per Decide.
-	sprintFrac func(units.Watt) float64
-	predGreen  units.Watt //greensprint:allow(statecov) per-epoch intermediate: runBurstEpoch writes it before the strategy can probe sprintFrac
 	// timeBuf backs the RFC3339Nano timestamp formatting in event(),
 	// reused across epochs.
 	timeBuf []byte //greensprint:allow(statecov) formatting arena: overwritten from scratch at each use, carries no run state
@@ -96,18 +87,6 @@ type Engine struct {
 	records      []EpochRecord
 	burstPerfSum float64
 	burstEpochs  int
-}
-
-// classRT is one server class's engine-side runtime: its census and
-// the derived per-class lookup structures (profiling table, queueing
-// kernel, Normal-mode draw at the burst rate). Derived data: rebuilt
-// identically by New/Restore, never checkpointed.
-type classRT struct {
-	name        string
-	count       int
-	tab         *profile.Table
-	kernel      *workload.Kernel
-	normalPower units.Watt
 }
 
 // New validates cfg and builds an Engine positioned at the first
@@ -182,19 +161,43 @@ func New(cfg Config) (*Engine, error) {
 			return nil, err
 		}
 	}
-	rack, err := NewRack(topo.ClassCounts(), topo.ClassOf, bank, breaker, injector)
+	// The reference class (no power override) uses the engine's own
+	// table — including a caller-built cfg.Table — and kernel, so the
+	// paper's rack computes on exactly those structures. Overridden
+	// classes use the process-wide caches keyed by their own profile.
+	kernel := workload.SharedKernel(cfg.Workload)
+	tables := make([]*profile.Table, len(topo.Classes))
+	kernels := make([]*workload.Kernel, len(topo.Classes))
+	for i, c := range topo.Classes {
+		prof := cfg.Workload
+		if c.PeakPower > 0 {
+			prof.PeakPower = c.PeakPower
+		}
+		tables[i], kernels[i] = tab, kernel
+		if prof != cfg.Workload {
+			if err := prof.Validate(); err != nil {
+				return nil, fmt.Errorf("sim: fleet class %q: %w", c.Name, err)
+			}
+			if tables[i], err = profile.BuildCached(prof, profile.DefaultLevels); err != nil {
+				return nil, fmt.Errorf("sim: fleet class %q: %w", c.Name, err)
+			}
+			kernels[i] = workload.SharedKernel(prof)
+		}
+	}
+	rack, err := NewRack(RackConfig{
+		Counts: topo.ClassCounts(), ClassOf: topo.ClassOf, Tables: tables, Kernels: kernels,
+		Bank: bank, Breaker: breaker, Injector: injector,
+		Strategy: cfg.Strategy, Table: tab, Epoch: epoch, Overdraw: cfg.AllowBreakerOverdraw,
+	})
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
 
-	kernel := workload.SharedKernel(cfg.Workload)
 	baseGoodput := kernel.MaxGoodput(server.Normal())
-	burstRate := cfg.Burst.Rate(cfg.Workload)
 	burstStart := cfg.Supply.Start.Add(cfg.Lead)
 	e := &Engine{
 		cfg:      cfg,
 		epoch:    epoch,
-		tab:      tab,
 		loadPred: predictor.NewEWMA(predictor.DefaultAlpha),
 		n:        n,
 		rack:     rack,
@@ -204,7 +207,7 @@ func New(cfg Config) (*Engine, error) {
 		baseGoodput:  baseGoodput,
 		burstStart:   burstStart,
 		burstEnd:     burstStart.Add(cfg.Burst.Duration),
-		offeredBurst: burstRate,
+		offeredBurst: cfg.Burst.Rate(cfg.Workload),
 		// Outside the burst the rack serves a comfortable background
 		// load, as SquareTrace models.
 		offeredIdle: 0.6 * baseGoodput,
@@ -213,50 +216,14 @@ func New(cfg Config) (*Engine, error) {
 
 		topo:        topo,
 		fingerprint: topo.Fingerprint(),
-		classes:     make([]classRT, len(topo.Classes)),
 	}
 	if cfg.Fleet != nil {
 		e.classEnergyWh = make([]float64, len(topo.Classes))
-	}
-	for i, c := range topo.Classes {
-		prof := cfg.Workload
-		if c.PeakPower > 0 {
-			prof.PeakPower = c.PeakPower
-		}
-		// The reference class (no power override) reuses the engine's
-		// own table — including a caller-built cfg.Table — and kernel,
-		// so the paper's rack computes on exactly those structures.
-		// Overridden classes use the process-wide caches keyed by
-		// their own profile.
-		ctab, ck, normalPower := tab, kernel, kernel.LoadPower(server.Normal(), burstRate)
-		if prof != cfg.Workload {
-			if err := prof.Validate(); err != nil {
-				return nil, fmt.Errorf("sim: fleet class %q: %w", c.Name, err)
-			}
-			if ctab, err = profile.BuildCached(prof, profile.DefaultLevels); err != nil {
-				return nil, fmt.Errorf("sim: fleet class %q: %w", c.Name, err)
-			}
-			ck = workload.SharedKernel(prof)
-			normalPower = ck.LoadPower(server.Normal(), cfg.Burst.Rate(prof))
-		}
-		e.classes[i] = classRT{
-			name:        c.Name,
-			count:       c.Servers,
-			tab:         ctab,
-			kernel:      ck,
-			normalPower: normalPower,
-		}
 	}
 	e.runEnd = e.burstEnd.Add(cfg.Tail)
 	// The horizon is fixed at construction, so the record slice can be
 	// sized once instead of growing by doubling across the run.
 	e.records = make([]EpochRecord, 0, e.TotalEpochs())
-	e.sprintFrac = func(perServer units.Watt) float64 {
-		// Demand scales with the servers actually running (alive == n
-		// for fault-free runs, so this stays bit-identical to the
-		// pre-chaos closure).
-		return rack.Selector.SustainFraction(units.Watt(float64(perServer)*float64(rack.Alive())), e.predGreen, e.epoch)
-	}
 
 	// Prime the supply predictor with the pre-run observation so the
 	// first epoch has a sensible forecast (the paper's predictor has
@@ -505,10 +472,10 @@ func (e *Engine) event(index int, rec EpochRecord) obs.Event {
 		// aggregate (alive servers × per-alive-server goodput — the
 		// queueing model is uniform across classes; power is not).
 		e.classEv = e.classEv[:0]
-		for i := range e.classes {
+		for i := range e.topo.Classes {
 			//greensprint:allow(allocfree) appends into the reused per-epoch class buffer; grows to the class count once, then stays flat
 			e.classEv = append(e.classEv, obs.ClassStat{
-				Name:     e.classes[i].name,
+				Name:     e.topo.Classes[i].Name,
 				Alive:    e.rack.ClassAlive(i),
 				Goodput:  float64(e.rack.ClassAlive(i)) * e.perAliveGoodput,
 				EnergyWh: e.classEnergyWh[i],
@@ -532,7 +499,7 @@ func (e *Engine) applyChaos(at time.Time) error {
 	}
 	e.timeBuf = at.UTC().AppendFormat(e.timeBuf[:0], time.RFC3339Nano)
 	for _, a := range actions {
-		e.emit(e.rack.ChaosEvent(a, e.epochIndex, string(e.timeBuf), e.epoch, e.cfg.Strategy.Name()))
+		e.emit(e.rack.ChaosEvent(a, e.epochIndex, string(e.timeBuf)))
 	}
 	return nil
 }

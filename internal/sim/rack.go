@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"greensprint/internal/battery"
@@ -10,20 +11,24 @@ import (
 	"greensprint/internal/cluster"
 	"greensprint/internal/obs"
 	"greensprint/internal/pmk"
+	"greensprint/internal/profile"
 	"greensprint/internal/pss"
 	"greensprint/internal/server"
+	"greensprint/internal/strategy"
 	"greensprint/internal/units"
+	"greensprint/internal/workload"
 )
 
 // Rack is the modelled state of the green servers one control loop
 // manages — the paper's rack, or a generated fleet: the PSS selector
 // over the battery bank, the knob herd, the optional PDU breaker, the
 // optional chaos injector and the alive census derived from it. Engine
-// and core.Controller each drive one, so both loops share one fault
-// path — applying chaos transitions, rendering chaos events, actuating
-// the live servers, the outage-epoch recharge and checkpointing the
-// components — while each keeps its own clock, decision epoch, events
-// and locking. A Rack is not safe for concurrent use.
+// and core.Controller each drive one, so both loops share one decision
+// epoch (Decide, over the Plant each loop supplies) and one fault path
+// — applying chaos transitions, rendering chaos events, actuating the
+// live servers, the idle upkeep and checkpointing the components —
+// while each keeps its own clock, learning, events and locking. A Rack
+// is not safe for concurrent use.
 type Rack struct {
 	// Selector is the PSS over the rack's battery bank.
 	Selector *pss.Selector
@@ -36,43 +41,73 @@ type Rack struct {
 	// chaos.
 	Injector *chaos.Injector
 
-	servers    int
-	counts     []int
-	classOf    func(int) int
+	cfg        RackConfig
 	alive      int   //greensprint:allow(statecov) derived: Restore recounts it from the restored injector's ref-counts (all servers when chaos is off)
 	classAlive []int //greensprint:allow(statecov) derived: Restore recounts the per-class census from the restored injector's ref-counts
+	// sprintFrac is the SprintFraction closure handed to the strategy.
+	// It reads predGreen and the alive census instead of capturing
+	// them, so it is allocated once per rack, not once per epoch.
+	sprintFrac func(units.Watt) float64
+	predGreen  units.Watt //greensprint:allow(statecov) per-epoch intermediate: Decide writes it before the strategy can probe sprintFrac
+	// normal caches each class's per-server Normal-mode draw at
+	// normalRate (NaN until normalDraw first runs).
+	normal     []units.Watt //greensprint:allow(statecov) derived cache: a pure function of normalRate and the class kernels
+	normalRate float64      //greensprint:allow(statecov) derived cache key: normalDraw recomputes the draws for any other rate
 }
 
-// NewRack assembles a rack of counts[c] servers of class c — classOf
-// maps a server index to its class and must be total over the rack —
-// with the PSS over bank. breaker and inj may be nil. A chaos
-// schedule's fault targets were drawn for a concrete rack, so inj must
-// be resolved for this rack's server and battery-unit census.
-func NewRack(counts []int, classOf func(int) int, bank battery.Store, breaker *cluster.Breaker, inj *chaos.Injector) (*Rack, error) {
-	n := 0
-	for _, c := range counts {
-		n += c
-	}
-	if inj != nil {
+// RackConfig describes a Rack: its census, components and decision
+// context.
+type RackConfig struct {
+	// Counts[c] servers are of class c, each with the profiling table
+	// Tables[c] and the queueing kernel Kernels[c]. ClassOf maps a
+	// server index to its class and must be total over the rack.
+	Counts  []int
+	ClassOf func(int) int
+	Tables  []*profile.Table
+	Kernels []*workload.Kernel
+	// Bank backs the PSS. Breaker and Injector may be nil; Injector
+	// must be resolved for the rack's server and battery-unit census.
+	Bank     battery.Store
+	Breaker  *cluster.Breaker
+	Injector *chaos.Injector
+	// Strategy decides one setting for every server; Table keys its
+	// levels; Epoch is the scheduling-epoch length.
+	Strategy strategy.Strategy
+	Table    *profile.Table
+	Epoch    time.Duration
+	// Overdraw enables the breaker-overdraw last resort (see
+	// Config.AllowBreakerOverdraw) on a rack with a Breaker.
+	Overdraw bool
+}
+
+// NewRack assembles the rack c describes.
+func NewRack(c RackConfig) (*Rack, error) {
+	knobs := pmk.NewClassFleet(c.Counts, c.ClassOf)
+	n := knobs.Size()
+	if inj := c.Injector; inj != nil {
 		s := inj.Schedule()
 		if s.Servers != n {
 			return nil, fmt.Errorf("chaos schedule resolved for %d servers, rack has %d", s.Servers, n)
 		}
-		if s.Units != bank.Size() {
-			return nil, fmt.Errorf("chaos schedule resolved for %d battery units, bank has %d", s.Units, bank.Size())
+		if s.Units != c.Bank.Size() {
+			return nil, fmt.Errorf("chaos schedule resolved for %d battery units, bank has %d", s.Units, c.Bank.Size())
 		}
 	}
-	return &Rack{
-		Selector:   pss.New(bank),
-		Knobs:      pmk.NewClassFleet(counts, classOf),
-		Breaker:    breaker,
-		Injector:   inj,
-		servers:    n,
-		counts:     counts,
-		classOf:    classOf,
+	r := &Rack{
+		Selector:   pss.New(c.Bank),
+		Knobs:      knobs,
+		Breaker:    c.Breaker,
+		Injector:   c.Injector,
+		cfg:        c,
 		alive:      n,
-		classAlive: append([]int(nil), counts...),
-	}, nil
+		classAlive: append([]int(nil), c.Counts...),
+		normal:     make([]units.Watt, len(c.Counts)),
+		normalRate: math.NaN(),
+	}
+	r.sprintFrac = func(perServer units.Watt) float64 {
+		return r.Selector.SustainFraction(units.Watt(float64(perServer)*float64(r.alive)), r.predGreen, r.cfg.Epoch)
+	}
+	return r, nil
 }
 
 // PDUBreaker models the breaker on the PDU feed of green's rack, rated
@@ -143,10 +178,10 @@ func (r *Rack) ApplyChaos(index int) ([]chaos.Action, error) {
 func (r *Rack) recount() {
 	r.alive = r.Injector.AliveServers()
 	r.Selector.SetStuck(r.Injector.Stuck())
-	copy(r.classAlive, r.counts)
-	for s := 0; s < r.servers; s++ {
+	copy(r.classAlive, r.cfg.Counts)
+	for s := 0; s < r.Knobs.Size(); s++ {
 		if r.Injector.ServerDown(s) {
-			r.classAlive[r.classOf(s)]--
+			r.classAlive[r.cfg.ClassOf(s)]--
 		}
 	}
 }
@@ -154,7 +189,7 @@ func (r *Rack) recount() {
 // ChaosEvent renders one fault or recovery transition for the event
 // stream, stamped with the epoch index it strikes in and the caller's
 // clock reading at (empty for loops on the wall clock).
-func (r *Rack) ChaosEvent(a chaos.Action, index int, at string, epoch time.Duration, strategy string) obs.Event {
+func (r *Rack) ChaosEvent(a chaos.Action, index int, at string) obs.Event {
 	kind := "fault"
 	if a.Recovered {
 		kind = "recover"
@@ -162,9 +197,9 @@ func (r *Rack) ChaosEvent(a chaos.Action, index int, at string, epoch time.Durat
 	return obs.Event{
 		Epoch:        index,
 		Time:         at,
-		EpochSeconds: epoch.Seconds(),
-		Strategy:     strategy,
-		Servers:      r.servers,
+		EpochSeconds: r.cfg.Epoch.Seconds(),
+		Strategy:     r.cfg.Strategy.Name(),
+		Servers:      r.Knobs.Size(),
 		Chaos:        kind,
 		ChaosMode:    a.Fault.Mode.String(),
 		ChaosTarget:  a.Fault.Target,
@@ -185,14 +220,201 @@ func (r *Rack) Actuate(c server.Config) error {
 	return r.Knobs.ApplyAll(c)
 }
 
-// Recharge is a non-sprinting epoch's battery upkeep: the bank takes
-// the green output, topped up from the grid at GridRechargePower once
-// the DoD trigger has fired (§III-A Case 3).
-func (r *Rack) Recharge(green units.Watt, epoch time.Duration) {
-	r.Selector.RechargeFromGreen(green, epoch)
+// Upkeep is a non-sprinting epoch's rack upkeep: the bank takes the
+// green output, topped up from the grid at GridRechargePower once the
+// DoD trigger has fired (§III-A Case 3), and the breaker cools.
+func (r *Rack) Upkeep(green units.Watt) {
+	r.Selector.RechargeFromGreen(green, r.cfg.Epoch)
 	if r.Selector.NeedsRecharge() {
-		r.Selector.RechargeFromGrid(GridRechargePower, epoch)
+		r.Selector.RechargeFromGrid(GridRechargePower, r.cfg.Epoch)
 	}
+	if r.Breaker != nil {
+		r.Breaker.Step(0, r.cfg.Epoch)
+	}
+}
+
+// Plant is what a loop knows about the epoch it decides beyond the
+// rack's state; its fields name the lookahead. Engine models the plant
+// and passes oracle values: the epoch's true offered rate and green
+// supply, and its burst window. A live loop (core.Controller) passes
+// its last measurements and its predictions instead.
+//
+// Learning is lookahead too, and stays with each loop. Engine learns
+// after the epoch from its modelled outcome, with a Next built from the
+// burst schedule, which knows when the burst ends. A live loop learns
+// before deciding, from the telemetry of the epoch that just ended,
+// with this epoch's inputs as Next: Learn carries that feedback.
+type Plant struct {
+	// Green is the supply the allocation runs against: the epoch's
+	// observed supply, or the last measured one.
+	Green units.Watt
+	// Predicted is the workload predictor's rate the strategy sees.
+	Predicted float64
+	// Rate keys the profiling level and the demand: the epoch's
+	// offered rate, or the prediction.
+	Rate float64
+	// NormalRate prices the Normal-mode draw the allocator falls back
+	// to: the burst rate, or the prediction.
+	NormalRate float64
+	// Burst reports whether the grid budget is committed to the grid-fed
+	// servers: the burst window, or a predicted rate above half the
+	// table's MaxRate. During a burst every decision is allocated;
+	// outside one a Normal decision rides the grid during Upkeep.
+	Burst bool
+	// Learn, when set, is learned after the inputs are built and before
+	// the strategy decides, with Supply and Next filled in.
+	Learn *strategy.Feedback
+}
+
+// Decision is one decision epoch's outcome. Decided is the strategy's
+// pick; Chosen is what the epoch sprints at, Decided or its overdraw
+// downgrade; Applied is what the servers run after allocation, Normal
+// under grid fallback. Budget is the per-alive-server power the PSS
+// committed against PredictedGreen, and Demand the rack's aggregate
+// demand at Chosen.
+type Decision struct {
+	Decided, Chosen, Applied       server.Config
+	Budget, PredictedGreen, Demand units.Watt
+	Alloc                          pss.Allocation
+}
+
+// Decide runs one decision epoch: the PSS budget, the strategy's inputs
+// and decision, the demand, and then the breaker-overdraw last resort,
+// the PSS allocation or the idle upkeep. It changes the bank, the
+// accounting and the breaker but not the knob herd, which Apply
+// actuates, so a caller can write a real host first. The rack must
+// have a server alive.
+func (r *Rack) Decide(p Plant) Decision {
+	in := r.inputs(p.Predicted)
+	in.SprintFraction = r.sprintFrac
+	r.predGreen = r.Selector.PredictedSupply()
+	if p.Learn != nil {
+		p.Learn.Supply = r.learnerSupply(p.Green)
+		p.Learn.Next = in
+		r.cfg.Strategy.Learn(*p.Learn)
+	}
+	d := Decision{Decided: r.cfg.Strategy.Decide(in), Budget: in.Budget, PredictedGreen: r.predGreen}
+	d.Chosen = d.Decided
+	level := r.cfg.Table.LevelFor(p.Rate)
+	d.Demand = r.demand(level, d.Chosen, p.Rate)
+	switch {
+	case !p.Burst && !d.Chosen.IsSprinting():
+		d.Alloc = pss.Allocation{Case: pss.CaseGridFallback, Grid: r.normalDraw(p.NormalRate)}
+		r.Upkeep(p.Green)
+	case r.tryOverdraw(&d, level, p):
+		d.Alloc = r.Selector.AllocateOverdraw(d.Demand, p.Green, r.cfg.Epoch)
+	default:
+		d.Alloc = r.Selector.Allocate(d.Demand, p.Green, r.cfg.Epoch, r.normalDraw(p.NormalRate))
+		if r.Breaker != nil {
+			r.Breaker.Step(r.Breaker.Rated, r.cfg.Epoch) // within budget: no extra stress
+		}
+	}
+	d.Applied = d.Chosen
+	if d.Alloc.Case == pss.CaseGridFallback {
+		d.Applied = server.Normal()
+	}
+	return d
+}
+
+// Apply actuates a decision in the order its epoch took it: the
+// strategy's pick, the overdraw downgrade, Normal on grid fallback.
+// Re-applying the running setting changes nothing.
+func (r *Rack) Apply(d Decision) error {
+	for _, c := range [...]server.Config{d.Decided, d.Chosen, d.Applied} {
+		if err := r.Actuate(c); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// inputs is the strategy's view of the rack at a predicted rate, less
+// SprintFraction: the PSS's committed budget (predicted green plus
+// Peukert-sustainable battery power) per alive server, and the
+// degraded-capacity features, both 1 on a fault-free rack.
+func (r *Rack) inputs(predicted float64) strategy.Inputs {
+	return strategy.Inputs{
+		Table:         r.cfg.Table,
+		PredictedRate: predicted,
+		Budget:        units.Watt(float64(r.Selector.AvailablePower(r.cfg.Epoch)) / float64(r.alive)),
+		Epoch:         r.cfg.Epoch,
+		AliveFraction: float64(r.alive) / float64(r.Knobs.Size()),
+		BatteryHealth: r.Selector.Bank().Health(),
+	}
+}
+
+// learnerSupply is the per-alive-server supply a strategy learns
+// against: green plus Peukert-sustainable battery power.
+func (r *Rack) learnerSupply(green units.Watt) units.Watt {
+	return units.Watt(float64(green)/float64(r.alive)) + r.Selector.BatterySustainable(r.cfg.Epoch)/units.Watt(r.alive)
+}
+
+// tryOverdraw is the paper's last resort (§III-A Case 3) on a rack
+// built with it: when green and battery cannot carry the sprint at
+// all, the setting is downgraded to fit the green supply plus what the
+// breaker's remaining thermal budget tolerates for a full epoch, and
+// the excess is drawn from the grid above the budget. It reports
+// whether the epoch overdraws; a downgrade that fits the green supply
+// alone is left to the regular allocation.
+func (r *Rack) tryOverdraw(d *Decision, level int, p Plant) bool {
+	b, epoch := r.Breaker, r.cfg.Epoch
+	if !r.cfg.Overdraw || b == nil || b.Tripped() || !d.Chosen.IsSprinting() ||
+		r.Selector.SustainFraction(d.Demand, p.Green, epoch) > 0 {
+		return false
+	}
+	maxExtra := units.Watt(float64(b.Rated) * (b.MaxOverload - 1) *
+		(1 - b.Stress()) * float64(b.TripAfter) / float64(epoch))
+	budget := units.Watt((float64(p.Green) + float64(maxExtra)) / float64(r.alive))
+	en, ok := r.cfg.Table.BestWithin(level, budget, nil)
+	if !ok || !en.Config().IsSprinting() {
+		return false
+	}
+	d.Chosen = en.Config()
+	d.Demand = r.demand(level, d.Chosen, p.Rate)
+	overdraw := d.Demand - p.Green
+	if overdraw <= 0 {
+		return false
+	}
+	b.Step(b.Rated+overdraw, epoch)
+	return true
+}
+
+// demand is the rack's aggregate power demand at config c: the sum
+// over alive classes of each class's table entry, or its kernel at
+// rate off the table — O(classes), not O(servers). A one-class rack
+// gets the per-server load times the alive count (0 + x is exact).
+func (r *Rack) demand(level int, c server.Config, rate float64) units.Watt {
+	var sum float64
+	for i, alive := range r.classAlive {
+		if alive == 0 {
+			continue
+		}
+		perServer, ok := r.cfg.Tables[i].LoadPower(level, c)
+		if !ok {
+			perServer = r.cfg.Kernels[i].LoadPower(c, rate)
+		}
+		sum += float64(perServer) * float64(alive)
+	}
+	return units.Watt(sum)
+}
+
+// normalDraw is the rack's aggregate Normal-mode draw at rate, summed
+// like demand. The per-class draws are cached for the last rate, so a
+// loop with a constant rate (Engine's burst rate) computes them once.
+func (r *Rack) normalDraw(rate float64) units.Watt {
+	if math.Float64bits(rate) != math.Float64bits(r.normalRate) {
+		for i, k := range r.cfg.Kernels {
+			r.normal[i] = k.LoadPower(server.Normal(), rate)
+		}
+		r.normalRate = rate
+	}
+	var sum float64
+	for i, alive := range r.classAlive {
+		if alive > 0 {
+			sum += float64(r.normal[i]) * float64(alive)
+		}
+	}
+	return units.Watt(sum)
 }
 
 // RackSnapshot is a rack's component state. Breaker and Chaos are

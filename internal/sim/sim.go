@@ -190,87 +190,35 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// runBurstEpoch executes one sprinting epoch. All queueing quantities
+// runBurstEpoch executes one sprinting epoch: the rack's decision
+// epoch over the oracle plant — the epoch's actual offered rate and
+// green supply, the burst rate for the Normal fallback — then the
+// modelled outcome and the learner's feedback. All queueing quantities
 // come from the engine's memoized kernel and latency cache (exact value
 // reuse — see workload.Kernel and latency), so an epoch of a square
 // burst runs without a single bisection.
 func (e *Engine) runBurstEpoch(rec EpochRecord, predicted float64) EpochRecord {
-	greenObserved, offered, at := rec.Supply, rec.Offered, rec.Start
-	cfg, tab, selector, breaker := &e.cfg, e.tab, e.rack.Selector, e.rack.Breaker
-	epoch := e.epoch
-	// All demand arithmetic runs over the servers actually up this
-	// epoch; m == n on fault-free runs, so every expression below is
-	// bit-identical to the pre-chaos engine there.
+	offered := rec.Offered
+	// Per-server figures are normalized per provisioned server n; the
+	// rack's demand arithmetic runs over the m servers actually up
+	// (m == n on fault-free runs).
 	n, m := e.n, e.rack.Alive()
-
-	// The strategy sees the PSS's committed budget: predicted green
-	// plus Peukert-sustainable battery power, per server.
-	budget := units.Watt(float64(selector.AvailablePower(epoch)) / float64(m))
-	e.predGreen = selector.PredictedSupply()
-	in := strategy.Inputs{
-		Table:         tab,
-		PredictedRate: predicted, // EWMA of the offered rate; equals it for square bursts
-		Budget:        budget,
-		Epoch:         epoch,
-		// sprintFrac reads e.predGreen; the closure is allocated once
-		// in New rather than once per epoch.
-		SprintFraction: e.sprintFrac,
-		// Degraded-capacity state features: both are exactly 1 on a
-		// fault-free engine, so the Hybrid's state (and its decisions)
-		// are bit-identical to the pre-chaos engine there.
-		AliveFraction: float64(m) / float64(n),
-		BatteryHealth: selector.Bank().Health(),
-	}
-	chosen := cfg.Strategy.Decide(in)
-	_ = e.rack.Actuate(chosen)
-
-	level := tab.LevelFor(offered)
-	demand := e.sprintDemand(level, chosen, offered)
-	var al pss.Allocation
-	useOverdraw := false
-	if breaker != nil && !breaker.Tripped() && chosen.IsSprinting() &&
-		selector.SustainFraction(demand, greenObserved, epoch) <= 0 {
-		// Last resort (§III-A Case 3): green+battery cannot carry the
-		// sprint; keep sprinting on bounded grid overdraw. To avoid
-		// tripping the breaker, the total downstream power is limited
-		// to what the breaker's remaining thermal budget tolerates
-		// for a full epoch, and the setting is downgraded to fit.
-		stressLeft := 1 - breaker.Stress()
-		maxExtra := units.Watt(float64(breaker.Rated) * (breaker.MaxOverload - 1) *
-			stressLeft * float64(breaker.TripAfter) / float64(epoch))
-		budget := units.Watt((float64(greenObserved) + float64(maxExtra)) / float64(m))
-		if en, ok := tab.BestWithin(level, budget, nil); ok && en.Config().IsSprinting() {
-			chosen = en.Config()
-			_ = e.rack.Actuate(chosen)
-			demand = e.sprintDemand(level, chosen, offered)
-			if overdraw := demand - greenObserved; overdraw > 0 {
-				breaker.Step(breaker.Rated+overdraw, epoch)
-				useOverdraw = true
-			}
-			// If the downgraded setting fits the green supply
-			// alone, the regular allocation below handles it as
-			// a green-only epoch.
-		}
-	}
-	if useOverdraw {
-		al = selector.AllocateOverdraw(demand, greenObserved, epoch)
-	} else {
-		al = selector.Allocate(demand, greenObserved, epoch, e.normalFleetPower())
-		if breaker != nil {
-			breaker.Step(breaker.Rated, epoch) // within budget: no extra stress
-		}
-	}
+	d := e.rack.Decide(Plant{
+		Green:      rec.Supply,
+		Predicted:  predicted, // EWMA of the offered rate; equals it for square bursts
+		Rate:       offered,
+		NormalRate: e.offeredBurst,
+		Burst:      rec.InBurst,
+	})
+	_ = e.rack.Apply(d)
+	chosen, al := d.Chosen, d.Alloc
 
 	// The sprint runs for al.SprintFraction of the epoch; for the
 	// remainder the servers are back on grid-powered Normal mode.
 	frac := al.SprintFraction
 	executed := chosen
-	if frac < 0.5 {
+	if frac < 0.5 || al.Case == pss.CaseGridFallback {
 		executed = server.Normal()
-	}
-	if al.Case == pss.CaseGridFallback {
-		executed = server.Normal()
-		_ = e.rack.Actuate(executed)
 	}
 	rec.Case = al.Case
 	rec.Config = executed
@@ -302,30 +250,22 @@ func (e *Engine) runBurstEpoch(rec EpochRecord, predicted float64) EpochRecord {
 	}
 	e.accumulateClassEnergy(chosen, frac, offered)
 
-	// Feed the measured epoch back to the learner with the next
-	// epoch's state.
-	nextBudget := units.Watt(float64(selector.AvailablePower(epoch)) / float64(m))
+	// Feed the modelled epoch back to the learner with the next
+	// epoch's state; the burst schedule knows when the burst ends.
 	nextOffered := offered
-	if !at.Add(epoch).Before(e.burstEnd) {
+	if !rec.Start.Add(e.epoch).Before(e.burstEnd) {
 		nextOffered = 0
 	}
 	actualPower := units.Watt(frac*float64(e.kernel.LoadPower(chosen, offered)) +
 		(1-frac)*float64(e.kernel.LoadPower(server.Normal(), offered)))
-	cfg.Strategy.Learn(strategy.Feedback{
+	e.cfg.Strategy.Learn(strategy.Feedback{
 		Chosen:  executed,
-		Supply:  units.Watt(float64(greenObserved)/float64(m)) + selector.BatterySustainable(epoch)/units.Watt(m),
+		Supply:  e.rack.learnerSupply(rec.Supply),
 		Power:   actualPower,
 		Offered: offered,
 		Goodput: rec.Goodput,
 		Latency: rec.Latency,
-		Next: strategy.Inputs{
-			Table:         tab,
-			PredictedRate: nextOffered,
-			Budget:        nextBudget,
-			Epoch:         epoch,
-			AliveFraction: float64(m) / float64(n),
-			BatteryHealth: selector.Bank().Health(),
-		},
+		Next:    e.rack.inputs(nextOffered),
 	})
 	return rec
 }
@@ -350,74 +290,23 @@ func (e *Engine) idleRecord(rec EpochRecord) EpochRecord {
 		rec.Goodput *= scale
 		rec.Grid = units.Watt(float64(rec.Grid) * scale)
 	}
-	if len(e.classes) > 1 {
+	if len(e.topo.Classes) > 1 {
 		// Heterogeneous classes draw different Normal-mode power: the
 		// per-provisioned-server grid figure is the class-weighted
 		// mean. (A single class keeps the exact expression above.)
-		rec.Grid = e.classNormalGrid(offered)
+		rec.Grid = units.Watt(float64(e.rack.normalDraw(offered)) / float64(e.n))
 	}
 	return rec
 }
 
 // idleUpkeep runs the per-epoch state of a non-burst or outage epoch:
-// the batteries recharge from green surplus (or the grid once the DoD
-// trigger fires), the breaker cools, and each alive class accumulates
-// its Normal-mode energy. Cumulative sums must accumulate per epoch
-// (x+d+d is not x+2d in floating point), so an idle segment runs it
-// every epoch too.
+// the rack's upkeep (battery recharge, breaker cooling), and each
+// alive class accumulates its Normal-mode energy. Cumulative sums must
+// accumulate per epoch (x+d+d is not x+2d in floating point), so an
+// idle segment runs it every epoch too.
 func (e *Engine) idleUpkeep(greenObserved units.Watt, offered float64) {
-	e.rack.Recharge(greenObserved, e.epoch)
-	if e.rack.Breaker != nil {
-		e.rack.Breaker.Step(0, e.epoch)
-	}
+	e.rack.Upkeep(greenObserved)
 	e.accumulateClassEnergy(server.Normal(), 0, offered)
-}
-
-// sprintDemand returns the fleet's aggregate power demand at config c:
-// the class-weighted sum over each class's own profiling table and
-// kernel — O(classes), not O(servers). For the paper's one-class rack
-// it is the per-server load times the alive count (0 + x is exact).
-func (e *Engine) sprintDemand(level int, c server.Config, offered float64) units.Watt {
-	var demand float64
-	for i := range e.classes {
-		cl := &e.classes[i]
-		alive := e.rack.ClassAlive(i)
-		if alive == 0 {
-			continue
-		}
-		perServer, ok := cl.tab.LoadPower(level, c)
-		if !ok {
-			perServer = cl.kernel.LoadPower(c, offered)
-		}
-		demand += float64(perServer) * float64(alive)
-	}
-	return units.Watt(demand)
-}
-
-// normalFleetPower returns the fleet's aggregate Normal-mode draw at
-// the burst rate — the grid-fallback demand handed to the allocator.
-// Same class-weighted sum as sprintDemand.
-func (e *Engine) normalFleetPower() units.Watt {
-	var sum float64
-	for i := range e.classes {
-		if a := e.rack.ClassAlive(i); a > 0 {
-			sum += float64(e.classes[i].normalPower) * float64(a)
-		}
-	}
-	return units.Watt(sum)
-}
-
-// classNormalGrid returns a heterogeneous fleet's per-provisioned-
-// server Normal-mode grid draw at the offered rate: the class-weighted
-// mean, each class on its own load curve.
-func (e *Engine) classNormalGrid(offered float64) units.Watt {
-	var sum float64
-	for i := range e.classes {
-		if a := e.rack.ClassAlive(i); a > 0 {
-			sum += float64(e.classes[i].kernel.LoadPower(server.Normal(), offered)) * float64(a)
-		}
-	}
-	return units.Watt(sum / float64(e.n))
 }
 
 // accumulateClassEnergy folds one epoch's per-class server energy into
@@ -429,12 +318,11 @@ func (e *Engine) accumulateClassEnergy(c server.Config, frac float64, offered fl
 		return
 	}
 	hours := e.epoch.Hours()
-	for i := range e.classes {
+	for i, k := range e.rack.cfg.Kernels {
 		alive := e.rack.ClassAlive(i)
 		if alive == 0 {
 			continue
 		}
-		k := e.classes[i].kernel
 		p := frac*float64(k.LoadPower(c, offered)) + (1-frac)*float64(k.LoadPower(server.Normal(), offered))
 		e.classEnergyWh[i] += p * float64(alive) * hours
 	}

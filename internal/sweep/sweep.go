@@ -34,8 +34,8 @@ import (
 )
 
 // defaultWorkers is the process-wide default worker count; 0 means
-// runtime.GOMAXPROCS(0). The CLIs' -parallel=false maps to
-// SetDefaultWorkers(1).
+// runtime.GOMAXPROCS(0). The CLIs' -workers N maps to
+// SetDefaultWorkers(N).
 var defaultWorkers atomic.Int64
 
 // DefaultWorkers returns the current default worker count for sweeps
