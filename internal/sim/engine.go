@@ -36,7 +36,6 @@ type Engine struct {
 	cfg      Config
 	epoch    time.Duration
 	loadPred *predictor.EWMA
-	n        int
 
 	// rack is the modelled rack — PSS selector and bank, knob herd,
 	// optional breaker and chaos injector, alive census, per-class
@@ -131,7 +130,6 @@ func New(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
-	n := topo.Servers
 	var injector *chaos.Injector
 	if cfg.Chaos != nil {
 		// Zone outages cascade across zone membership, so the schedule
@@ -199,7 +197,6 @@ func New(cfg Config) (*Engine, error) {
 		cfg:      cfg,
 		epoch:    epoch,
 		loadPred: predictor.NewEWMA(predictor.DefaultAlpha),
-		n:        n,
 		rack:     rack,
 		kernel:   kernel,
 		lat:      make([]latEntry, server.NumConfigs()),
@@ -446,7 +443,7 @@ func (e *Engine) event(index int, rec EpochRecord) obs.Event {
 		Time:           string(e.timeBuf),
 		EpochSeconds:   e.epoch.Seconds(),
 		Strategy:       e.cfg.Strategy.Name(),
-		Servers:        e.n,
+		Servers:        e.rack.Knobs.Size(),
 		InBurst:        rec.InBurst,
 		GreenSupplyW:   float64(rec.Supply),
 		OfferedRate:    rec.Offered,

@@ -318,14 +318,16 @@ func (r *Rack) Decide(p Plant) Decision {
 
 // Apply actuates a decision in the order its epoch took it: the
 // strategy's pick, the overdraw downgrade, Normal on grid fallback.
-// Re-applying the running setting changes nothing.
+// Each step after the first runs only when it changes the setting.
 func (r *Rack) Apply(d Decision) error {
-	for _, c := range [...]server.Config{d.Decided, d.Chosen, d.Applied} {
-		if err := r.Actuate(c); err != nil {
-			return err
-		}
+	err := r.Actuate(d.Decided)
+	if err == nil && d.Chosen != d.Decided {
+		err = r.Actuate(d.Chosen)
 	}
-	return nil
+	if err == nil && d.Applied != d.Chosen {
+		err = r.Actuate(d.Applied)
+	}
+	return err
 }
 
 // inputs is the strategy's view of the rack at a predicted rate, less

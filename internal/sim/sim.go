@@ -202,7 +202,7 @@ func (e *Engine) runBurstEpoch(rec EpochRecord, predicted float64) EpochRecord {
 	// Per-server figures are normalized per provisioned server n; the
 	// rack's demand arithmetic runs over the m servers actually up
 	// (m == n on fault-free runs).
-	n, m := e.n, e.rack.Alive()
+	n, m := e.rack.Knobs.Size(), e.rack.Alive()
 	d := e.rack.Decide(Plant{
 		Green:      rec.Supply,
 		Predicted:  predicted, // EWMA of the offered rate; equals it for square bursts
@@ -283,10 +283,11 @@ func (e *Engine) idleRecord(rec EpochRecord) EpochRecord {
 	e.perAliveGoodput = rec.Goodput
 	rec.Latency = e.latency(server.Normal(), offered)
 	rec.Grid = e.kernel.LoadPower(server.Normal(), offered)
-	if m := e.rack.Alive(); m != e.n {
+	n, m := e.rack.Knobs.Size(), e.rack.Alive()
+	if m != n {
 		// Crashed servers neither serve nor draw: the per-provisioned-
 		// server aggregates shrink by the alive fraction.
-		scale := float64(m) / float64(e.n)
+		scale := float64(m) / float64(n)
 		rec.Goodput *= scale
 		rec.Grid = units.Watt(float64(rec.Grid) * scale)
 	}
@@ -294,7 +295,7 @@ func (e *Engine) idleRecord(rec EpochRecord) EpochRecord {
 		// Heterogeneous classes draw different Normal-mode power: the
 		// per-provisioned-server grid figure is the class-weighted
 		// mean. (A single class keeps the exact expression above.)
-		rec.Grid = units.Watt(float64(e.rack.normalDraw(offered)) / float64(e.n))
+		rec.Grid = units.Watt(float64(e.rack.normalDraw(offered)) / float64(n))
 	}
 	return rec
 }
