@@ -24,11 +24,11 @@
 //	             [-chaos-profile P] [-chaos-seed N] [-fleet FILE]
 //	             [-catchup N]
 //
-// With -catchup N a resumed daemon first replays up to N missed
-// epochs as one batched controller step (core.Controller.StepN) —
-// telemetry synthesized exactly as the live loop would have measured
-// it, one checkpoint for the whole batch — before settling into
-// real-time ticking.
+// With -catchup N a resumed daemon first steps N missed epochs back to
+// back before settling into real-time ticking: they are the tick
+// loop's first iterations, measured and stepped exactly as live ticks
+// are, but they do not wait on the ticker, do not count against -once,
+// and share one checkpoint written after the last of them.
 //
 // With -fleet FILE (sim backend only) the daemon manages a generated
 // heterogeneous fleet instead of the flat Table I rack: FILE is a
@@ -135,7 +135,7 @@ func main() {
 	flag.BoolVar(&o.pprof, "pprof", false, "serve net/http/pprof under /debug/pprof/")
 	flag.StringVar(&o.chaos, "chaos-profile", "", "failure profile enabling chaos injection: light, heavy, or key=weight[:MIN-MAX] spec (sim backend)")
 	flag.Int64Var(&o.chaosSeed, "chaos-seed", 1, "seed resolving the -chaos-profile failure timeline")
-	flag.IntVar(&o.catchup, "catchup", 0, "with -resume: replay up to N missed epochs as one batched controller step before real-time ticking")
+	flag.IntVar(&o.catchup, "catchup", 0, "with -resume: step N missed epochs back to back, checkpointed once, before real-time ticking")
 	fleetPath := flag.String("fleet", "", "fleet spec JSON file replacing the flat rack with a generated heterogeneous fleet (sim backend)")
 	flag.Parse()
 	if o.resume && o.ckpt == "" {
@@ -545,79 +545,15 @@ func tickLoop(ctx context.Context, ctrl *core.Controller, cfg config.Config,
 		return
 	}
 	mon := core.NewMonitor(p)
-	// synth measures one epoch's synthetic telemetry: green production
-	// from the trace at the absolute epoch index, request latencies
-	// from the load generator run against the currently applied
-	// setting. Shared by the live tick below and the batched catch-up
-	// replay.
-	synth := func(i int, current server.Config) (core.Telemetry, error) {
-		at := supply.Start.Add(time.Duration(i) * epoch)
-		rate := offered
-		if time.Duration(i)*epoch >= burst {
-			rate = 0.6 * offered
-		}
-		load, err := gen.Run(current, rate, epoch)
-		if err != nil {
-			return core.Telemetry{}, err
-		}
-		load.FeedMonitor(mon.RecordLatency)
-		mon.RecordGreenPower(units.Watt(supply.At(at)))
-		mon.RecordServerPower(p.LoadPower(current, rate))
-		tel := mon.Close(epoch)
-		tel.OfferedRate = rate
-		tel.Goodput = load.Goodput()
-		return tel, nil
-	}
-	start := ctrl.Snapshot().Epoch
+	// A resumed daemon's first -catchup iterations replay missed epochs
+	// through the same measure-and-step body as a live tick, back to
+	// back: they neither wait on the ticker (a shutdown still stops
+	// them) nor count against -once, and only the last of them is
+	// checkpointed.
+	start, catchup := ctrl.Snapshot().Epoch, 0
 	if start > 0 {
-		log.Printf("greensprintd: tick loop continuing at epoch %d", start)
-	}
-	if o.catchup > 0 && start > 0 {
-		// Replay the missed epochs back to back under one controller
-		// lock acquisition — telemetry for each is synthesized against
-		// the previous epoch's applied config, exactly as the live
-		// loop would have measured it — then checkpoint once for the
-		// whole batch.
-		var synthErr error
-		ds, err := ctrl.StepN(o.catchup, func(i int, last core.Decision) (core.Telemetry, bool) {
-			current := last.Config
-			if !current.Valid() {
-				current = server.Normal()
-			}
-			tel, err := synth(i, current)
-			if err != nil {
-				synthErr = err
-				return core.Telemetry{}, false
-			}
-			return tel, true
-		})
-		var se *core.SinkError
-		if err != nil && !errors.As(err, &se) {
-			log.Printf("greensprintd: catch-up: %v", err)
-			stop()
-			return
-		}
-		if se != nil {
-			log.Printf("greensprintd: catch-up event sink: %v", se.Err)
-		}
-		if synthErr != nil {
-			log.Printf("greensprintd: catch-up loadgen: %v", synthErr)
-			stop()
-			return
-		}
-		if len(ds) > 0 {
-			start = ctrl.Snapshot().Epoch
-			if o.ckpt != "" {
-				if err := saveCheckpoint(ctrl, o.ckpt); err != nil {
-					log.Printf("greensprintd: checkpoint: %v", err)
-				} else if o.ckptKeep > 0 {
-					if err := rotateCheckpoints(o.ckpt, ds[len(ds)-1].Epoch, o.ckptKeep); err != nil {
-						log.Printf("greensprintd: checkpoint rotate: %v", err)
-					}
-				}
-			}
-			log.Printf("greensprintd: caught up %d missed epochs in one batch (now at epoch %d)", len(ds), start)
-		}
+		catchup = max(o.catchup, 0)
+		log.Printf("greensprintd: tick loop continuing at epoch %d (-catchup %d)", start, catchup)
 	}
 	// Last chaos state logged, so operators see transitions without
 	// tailing the event stream.
@@ -626,26 +562,37 @@ func tickLoop(ctx context.Context, ctrl *core.Controller, cfg config.Config,
 	t := time.NewTicker(epoch)
 	defer t.Stop()
 	for k := 0; ; k++ {
-		if o.once > 0 && k >= o.once {
+		if o.once > 0 && k-catchup >= o.once {
 			stop()
 			return
 		}
 		// Measure the epoch that just ended: green production from
 		// the trace, request latencies from the load generator run
 		// against the currently applied setting. i is the absolute
-		// epoch index across restarts; k counts this process's ticks
-		// (-once budgets the session, not the lifetime).
+		// epoch index across restarts; k counts this process's epochs,
+		// caught-up ones first (-once budgets the session's live
+		// ticks, not the lifetime).
 		i := start + k
 		current := ctrl.Snapshot().Last.Config
 		if !current.Valid() {
 			current = server.Normal() // before the first decision
 		}
-		tel, err := synth(i, current)
+		rate := offered
+		if time.Duration(i)*epoch >= burst {
+			rate = 0.6 * offered
+		}
+		load, err := gen.Run(current, rate, epoch)
 		if err != nil {
 			log.Printf("greensprintd: loadgen: %v", err)
 			stop()
 			return
 		}
+		load.FeedMonitor(mon.RecordLatency)
+		mon.RecordGreenPower(units.Watt(supply.At(supply.Start.Add(time.Duration(i) * epoch))))
+		mon.RecordServerPower(p.LoadPower(current, rate))
+		tel := mon.Close(epoch)
+		tel.OfferedRate = rate
+		tel.Goodput = load.Goodput()
 
 		d, err := ctrl.Step(tel)
 		var se *core.SinkError
@@ -660,7 +607,7 @@ func tickLoop(ctx context.Context, ctrl *core.Controller, cfg config.Config,
 				// checkpoint and the epoch log still happen.
 				log.Printf("greensprintd: event sink: %v", se.Err)
 			}
-			if o.ckpt != "" {
+			if o.ckpt != "" && k >= catchup-1 {
 				if err := saveCheckpoint(ctrl, o.ckpt); err != nil {
 					log.Printf("greensprintd: checkpoint: %v", err)
 				} else if o.ckptKeep > 0 {
@@ -679,6 +626,9 @@ func tickLoop(ctx context.Context, ctrl *core.Controller, cfg config.Config,
 					prevAlive, prevStuck, prevTripped = st.Alive, st.PSSStuck, st.BreakerTripped
 				}
 			}
+		}
+		if k < catchup && ctx.Err() == nil {
+			continue
 		}
 		select {
 		case <-ctx.Done():

@@ -458,43 +458,43 @@ func TestChaosResumeReplaysTimeline(t *testing.T) {
 	}
 }
 
-// TestCatchupMatchesLiveTicking proves the -catchup batch is
-// equivalent to live ticking through the same epochs: after a
-// checkpointed 6-epoch run, resuming with -catchup 2 -once 1 must
-// produce byte-identical events 6-8 to resuming with three live ticks,
-// because the catch-up callback synthesizes telemetry exactly as the
-// tick loop measures it and Controller.StepN replays the same
-// per-epoch step under one lock.
-func TestCatchupMatchesLiveTicking(t *testing.T) {
+// resumeBothWays seeds a checkpoint with a six-epoch run of base, then
+// resumes two copies of it with -events: one for three live ticks and
+// one with -catchup 2 -once 1. It returns the two resumed runs.
+func resumeBothWays(t *testing.T, cfg config.Config, base options) (live, bat options) {
+	t.Helper()
 	dir := t.TempDir()
-	cfg := demoConfig()
-	cfg.BurstDuration = config.Duration(25 * time.Millisecond) // epochs 0-4 at 5 ms
-
-	seedCkpt := filepath.Join(dir, "seed.json")
-	seed := options{addr: "127.0.0.1:0", backend: "sim", epoch: 5 * time.Millisecond,
-		once: 6, ckpt: seedCkpt}
+	seed := base
+	seed.once, seed.ckpt = 6, filepath.Join(dir, "seed.json")
 	runWith(t, context.Background(), cfg, seed)
-	ck, err := os.ReadFile(seedCkpt)
+	ck, err := os.ReadFile(seed.ckpt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	liveCkpt := filepath.Join(dir, "live.json")
-	batCkpt := filepath.Join(dir, "bat.json")
-	for _, p := range []string{liveCkpt, batCkpt} {
-		if err := os.WriteFile(p, ck, 0o644); err != nil {
+	live, bat = base, base
+	live.once, live.ckpt, live.events = 3, filepath.Join(dir, "live.json"), filepath.Join(dir, "live.jsonl")
+	bat.once, bat.catchup, bat.ckpt, bat.events = 1, 2, filepath.Join(dir, "bat.json"), filepath.Join(dir, "bat.jsonl")
+	live.resume, bat.resume = true, true
+	for _, o := range []options{live, bat} {
+		if err := os.WriteFile(o.ckpt, ck, 0o644); err != nil {
 			t.Fatal(err)
 		}
+		runWith(t, context.Background(), cfg, o)
 	}
+	return live, bat
+}
 
-	liveEvents := filepath.Join(dir, "live.jsonl")
-	live := options{addr: "127.0.0.1:0", backend: "sim", epoch: 5 * time.Millisecond,
-		once: 3, ckpt: liveCkpt, resume: true, events: liveEvents}
-	runWith(t, context.Background(), cfg, live)
-
-	batEvents := filepath.Join(dir, "bat.jsonl")
-	bat := options{addr: "127.0.0.1:0", backend: "sim", epoch: 5 * time.Millisecond,
-		once: 1, catchup: 2, ckpt: batCkpt, resume: true, events: batEvents}
-	runWith(t, context.Background(), cfg, bat)
+// TestCatchupMatchesLiveTicking proves -catchup equivalent to live
+// ticking through the same epochs: after a checkpointed 6-epoch run,
+// resuming with -catchup 2 -once 1 must produce byte-identical events
+// 6-8 to resuming with three live ticks, because the caught-up epochs
+// are the tick loop's own first iterations, measured and stepped as
+// live ticks are.
+func TestCatchupMatchesLiveTicking(t *testing.T) {
+	cfg := demoConfig()
+	cfg.BurstDuration = config.Duration(25 * time.Millisecond) // epochs 0-4 at 5 ms
+	live, bat := resumeBothWays(t, cfg, options{addr: "127.0.0.1:0", backend: "sim", epoch: 5 * time.Millisecond})
+	liveEvents, batEvents, batCkpt := live.events, bat.events, bat.ckpt
 
 	lb, err := os.ReadFile(liveEvents)
 	if err != nil {
@@ -529,5 +529,97 @@ func TestCatchupMatchesLiveTicking(t *testing.T) {
 	}
 	if cp.Count != 9 {
 		t.Errorf("batched resume ended at epoch %d, want 9", cp.Count)
+	}
+}
+
+// TestCatchupMatchesLiveTickingUnderChaos is the chaos variant, with the
+// CI chaos smoke's profile and seed. At a 50 ms epoch the timeline
+// crashes server 0 at epoch 2 and heals it at epoch 7, inside the
+// catch-up, and sticks the PSS at epoch 5 until epoch 8, the first live
+// tick. Catch-up must emit byte-identical events with the same chaos
+// transitions, end at the same epoch, and rotate one -checkpoint-keep
+// snapshot for the whole caught-up batch.
+func TestCatchupMatchesLiveTickingUnderChaos(t *testing.T) {
+	live, bat := resumeBothWays(t, demoConfig(), options{addr: "127.0.0.1:0", backend: "sim",
+		epoch: 50 * time.Millisecond, ckptKeep: 4,
+		chaos: "crash=2000,solar=2000,stuck=3000,degrade=3000", chaosSeed: 7})
+
+	lb, err := os.ReadFile(live.events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bb, err := os.ReadFile(bat.events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(lb) != string(bb) {
+		t.Errorf("catch-up events differ from live ticking:\nlive:\n%s\ncatch-up:\n%s", lb, bb)
+	}
+	transitions := func(path string) (out []string, caughtUp int) {
+		for _, ev := range readEvents(t, path) {
+			if ev.Chaos != "" {
+				out = append(out, fmt.Sprintf("%d %s %s %d", ev.Epoch, ev.Chaos, ev.ChaosMode, ev.ChaosTarget))
+				if ev.Epoch < 8 {
+					caughtUp++
+				}
+			}
+		}
+		return out, caughtUp
+	}
+	lt, _ := transitions(live.events)
+	bt, caughtUp := transitions(bat.events)
+	if caughtUp == 0 {
+		t.Fatalf("no chaos transition in the caught-up epochs %v; the test no longer crosses a fault", bt)
+	}
+	if fmt.Sprint(lt) != fmt.Sprint(bt) {
+		t.Errorf("chaos transitions: catch-up %v, live %v", bt, lt)
+	}
+
+	count := func(path string) int {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp, err := core.DecodeCheckpoint(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cp.Count
+	}
+	if l, b := count(live.ckpt), count(bat.ckpt); l != 9 || b != 9 {
+		t.Errorf("final epochs: live %d, catch-up %d, want 9", l, b)
+	}
+	// One rotation for the caught-up epochs 6-7, one for live tick 8.
+	if _, err := os.Stat(fmt.Sprintf("%s.%08d", bat.ckpt, 6)); !os.IsNotExist(err) {
+		t.Errorf("catch-up rotated a snapshot for epoch 6 (err=%v), want one rotation for the batch", err)
+	}
+	for epoch, want := range map[int]int{7: 8, 8: 9} {
+		if got := count(fmt.Sprintf("%s.%08d", bat.ckpt, epoch)); got != want {
+			t.Errorf("snapshot %d at epoch count %d, want %d", epoch, got, want)
+		}
+	}
+}
+
+// TestCatchupStopsOnShutdown: caught-up epochs skip the ticker but not
+// a shutdown. A daemon cancelled during -catchup stops after the epoch
+// in flight, and the shutdown save checkpoints it.
+func TestCatchupStopsOnShutdown(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	o := options{addr: "127.0.0.1:0", backend: "sim", epoch: time.Second,
+		ckpt: filepath.Join(t.TempDir(), "ck.json")}
+	runWith(t, ctx, demoConfig(), o) // one epoch, then the shutdown
+	o.resume, o.catchup = true, 50
+	runWith(t, ctx, demoConfig(), o)
+	b, err := os.ReadFile(o.ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := core.DecodeCheckpoint(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cp.Count != 2 {
+		t.Errorf("cancelled catch-up ended at epoch %d, want 2 (one caught-up epoch)", cp.Count)
 	}
 }

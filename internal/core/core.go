@@ -25,7 +25,6 @@ package core
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -300,52 +299,6 @@ func (t Telemetry) sanitize() Telemetry {
 func (c *Controller) Step(t Telemetry) (Decision, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.stepLocked(t)
-}
-
-// StepN closes the control loop for up to n consecutive epochs under
-// one lock acquisition — the daemon's catch-up-after-resume path, where
-// the missed epochs are replayed back to back instead of paying a lock
-// round-trip and a sink flush per tick. Telemetry for each epoch comes
-// from the tel callback, which receives the absolute epoch number about
-// to be stepped and the previously applied decision (what a live loop
-// would read back from Snapshot — the callback must not call back into
-// the controller, which would deadlock); returning ok == false stops
-// the batch early.
-//
-// Each epoch is the same stepLocked the live loop runs, so the decision
-// log, chaos timeline and checkpoint state are identical to n separate
-// Step calls. A *SinkError is recorded and the batch continues —
-// matching the live loop's log-and-continue contract — with the last
-// one returned after the batch; any other error aborts the batch and
-// returns the decisions already applied.
-func (c *Controller) StepN(n int, tel func(epoch int, last Decision) (Telemetry, bool)) ([]Decision, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var (
-		ds      []Decision
-		sinkErr error
-	)
-	for i := 0; i < n; i++ {
-		t, ok := tel(c.count, c.last)
-		if !ok {
-			break
-		}
-		d, err := c.stepLocked(t)
-		if err != nil {
-			var se *SinkError
-			if !errors.As(err, &se) {
-				return ds, err
-			}
-			sinkErr = err
-		}
-		ds = append(ds, d)
-	}
-	return ds, sinkErr
-}
-
-// stepLocked is one control-loop epoch; c.mu must be held.
-func (c *Controller) stepLocked(t Telemetry) (Decision, error) {
 	t = t.sanitize()
 
 	// 0. Chaos transitions land at the epoch boundary, before the

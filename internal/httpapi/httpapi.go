@@ -9,7 +9,9 @@
 //	POST /step     — feed one epoch of telemetry and run the control
 //	                 loop; body is exactly one core.Telemetry JSON
 //	                 object of at most MaxStepBody bytes and the
-//	                 response is the resulting Decision.
+//	                 response is the resulting Decision (200 also when
+//	                 the event sink failed: the epoch was applied, and
+//	                 the SinkErrorHeader names the lost observation).
 //
 // POST /step exists so external monitors (or the simulator) can drive
 // the daemon; when greensprintd runs with its internal ticker the
@@ -33,6 +35,10 @@ import (
 // numbers, so the cap leaves ample room for formatting while bounding
 // what a client can make the daemon buffer; larger bodies get 413.
 const MaxStepBody = 64 << 10
+
+// SinkErrorHeader carries the event-sink failure of a POST /step whose
+// epoch was applied but not fully observed.
+const SinkErrorHeader = "Greensprint-Sink-Error"
 
 // Server wraps a controller with HTTP handlers.
 type Server struct {
@@ -140,8 +146,14 @@ func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) {
 	}
 	d, err := s.ctrl.Step(tel)
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
-		return
+		var se *core.SinkError
+		if !errors.As(err, &se) {
+			writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
+			return
+		}
+		// The epoch was applied and recorded; only its observation was
+		// lost. A 5xx would invite a retry that steps twice.
+		w.Header().Set(SinkErrorHeader, se.Err.Error())
 	}
 	writeJSON(w, http.StatusOK, d)
 }

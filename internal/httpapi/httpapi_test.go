@@ -86,6 +86,47 @@ func TestStepAndHistory(t *testing.T) {
 	}
 }
 
+// failSink fails every emission.
+type failSink struct{}
+
+func (failSink) Emit(obs.Event) error { return errors.New("disk full") }
+
+// TestStepSinkErrorIsOK pins /step's answer to a sink failure: the
+// epoch was applied and recorded, so the response is 200 with the
+// decision, the lost observation rides SinkErrorHeader, and the
+// controller has stepped exactly once — a client that retried a 500
+// would step it twice.
+func TestStepSinkErrorIsOK(t *testing.T) {
+	ctrl, err := core.New(core.Options{
+		Workload:     workload.SPECjbb(),
+		Green:        cluster.REBatt(),
+		StrategyName: "Hybrid",
+		Sink:         failSink{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := `{"GreenPower":635,"OfferedRate":1400,"Goodput":120,"Latency":0.4,"ServerPower":100}`
+	rec := httptest.NewRecorder()
+	New(ctrl).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/step", strings.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("step with failing sink: code = %d: %s", rec.Code, rec.Body.String())
+	}
+	var d core.Decision
+	if err := json.Unmarshal(rec.Body.Bytes(), &d); err != nil {
+		t.Fatalf("body is not a decision: %v: %s", err, rec.Body.String())
+	}
+	if d.Epoch != 0 || !d.Config.Valid() || d != ctrl.Snapshot().Last {
+		t.Errorf("decision = %+v, want the applied epoch-0 decision %+v", d, ctrl.Snapshot().Last)
+	}
+	if got := ctrl.Snapshot().Epoch; got != 1 {
+		t.Errorf("controller epoch = %d, want 1", got)
+	}
+	if h := rec.Header().Get(SinkErrorHeader); h != "disk full" {
+		t.Errorf("%s = %q, want the sink's error", SinkErrorHeader, h)
+	}
+}
+
 // TestStepBadBody feeds /step malformed, trailing-data and oversized
 // bodies: each is rejected with its status code and none steps the
 // controller.
