@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"greensprint/internal/ablation"
 	"greensprint/internal/experiments"
 	"greensprint/internal/solar"
 	"greensprint/internal/sweep"
@@ -150,7 +149,7 @@ func benchDoDSweep(b *testing.B, workers int) {
 	dods := []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8}
 	var last float64
 	for i := 0; i < b.N; i++ {
-		pts, err := ablation.DoDSweep(dods)
+		pts, err := experiments.DoDSweep(dods)
 		if err != nil {
 			b.Fatal(err)
 		}

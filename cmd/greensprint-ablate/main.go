@@ -16,7 +16,7 @@ import (
 	"os"
 	"time"
 
-	"greensprint/internal/ablation"
+	"greensprint/internal/experiments"
 	"greensprint/internal/report"
 	"greensprint/internal/sim"
 	"greensprint/internal/sweep"
@@ -77,7 +77,7 @@ func run(w io.Writer, which string) error {
 }
 
 func ewma(w io.Writer) error {
-	pts, err := ablation.EWMASweep([]float64{0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.7, 0.9})
+	pts, err := experiments.EWMASweep([]float64{0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.7, 0.9})
 	if err != nil {
 		return err
 	}
@@ -90,7 +90,7 @@ func ewma(w io.Writer) error {
 }
 
 func quant(w io.Writer) error {
-	pts, err := ablation.QuantizationSweep([]float64{0.025, 0.05, 0.10})
+	pts, err := experiments.QuantizationSweep([]float64{0.025, 0.05, 0.10})
 	if err != nil {
 		return err
 	}
@@ -106,7 +106,7 @@ func quant(w io.Writer) error {
 }
 
 func reward(w io.Writer) error {
-	shaped, literal, naive, err := ablation.RewardAblation()
+	shaped, literal, naive, err := experiments.RewardAblation()
 	if err != nil {
 		return err
 	}
@@ -118,7 +118,7 @@ func reward(w io.Writer) error {
 }
 
 func dod(w io.Writer) error {
-	pts, err := ablation.DoDSweep([]float64{0.2, 0.4, 0.6, 0.8})
+	pts, err := experiments.DoDSweep([]float64{0.2, 0.4, 0.6, 0.8})
 	if err != nil {
 		return err
 	}
@@ -134,7 +134,7 @@ func dod(w io.Writer) error {
 }
 
 func source(w io.Writer) error {
-	s, wd, err := ablation.SourceComparison(30 * time.Minute)
+	s, wd, err := experiments.SourceComparison(30 * time.Minute)
 	if err != nil {
 		return err
 	}
@@ -144,7 +144,7 @@ func source(w io.Writer) error {
 }
 
 func integration(w io.Writer) error {
-	dist, cent, err := ablation.IntegrationComparison()
+	dist, cent, err := experiments.IntegrationComparison()
 	if err != nil {
 		return err
 	}
@@ -154,7 +154,7 @@ func integration(w io.Writer) error {
 }
 
 func calibration(w io.Writer) error {
-	pts, err := ablation.CalibrationSensitivity()
+	pts, err := experiments.CalibrationSensitivity()
 	if err != nil {
 		return err
 	}
@@ -167,7 +167,7 @@ func calibration(w io.Writer) error {
 }
 
 func overdraw(w io.Writer) error {
-	plain, boosted, err := ablation.OverdrawComparison()
+	plain, boosted, err := experiments.OverdrawComparison()
 	if err != nil {
 		return err
 	}
@@ -178,8 +178,8 @@ func overdraw(w io.Writer) error {
 }
 
 func failures(w io.Writer) error {
-	for _, k := range []ablation.FailureKind{ablation.CloudTransient, ablation.BatteryDead} {
-		res, err := ablation.InjectFailure(k)
+	for _, k := range []experiments.FailureKind{experiments.CloudTransient, experiments.BatteryDead} {
+		res, err := experiments.InjectFailure(k)
 		if err != nil {
 			return err
 		}

@@ -522,10 +522,10 @@ func buildInjector(cfg config.Config, topo *fleet.Topology, epoch time.Duration,
 // synthesizes fault-free, full-fleet telemetry — the controller owns
 // the chaos injector, applying solar dropouts and alive-fraction
 // degradation itself and emitting fault transitions on the event
-// stream. The epoch index is seeded from the controller's (possibly
-// restored) epoch count, so a resumed daemon continues the supply
-// trace, the burst schedule and the chaos timeline where the previous
-// run stopped instead of replaying them from zero.
+// stream. The epoch index is read from the controller's (possibly
+// restored) epoch count every tick, so a resumed daemon continues the
+// supply trace, the burst schedule and the chaos timeline where the
+// previous run stopped instead of replaying them from zero.
 func tickLoop(ctx context.Context, ctrl *core.Controller, cfg config.Config,
 	green cluster.GreenConfig, epoch time.Duration, o options, stop func()) {
 
@@ -568,12 +568,14 @@ func tickLoop(ctx context.Context, ctrl *core.Controller, cfg config.Config,
 		}
 		// Measure the epoch that just ended: green production from
 		// the trace, request latencies from the load generator run
-		// against the currently applied setting. i is the absolute
-		// epoch index across restarts; k counts this process's epochs,
+		// against the currently applied setting. i is the controller's
+		// epoch count, so the supply sample and burst window follow
+		// the epochs actually stepped across restarts, failed steps
+		// and POST /step calls alike; k counts this process's ticks,
 		// caught-up ones first (-once budgets the session's live
 		// ticks, not the lifetime).
-		i := start + k
-		current := ctrl.Snapshot().Last.Config
+		st := ctrl.Snapshot()
+		i, current := st.Epoch, st.Last.Config
 		if !current.Valid() {
 			current = server.Normal() // before the first decision
 		}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -14,6 +15,7 @@ import (
 	"greensprint/internal/core"
 	"greensprint/internal/fleet"
 	"greensprint/internal/obs"
+	"greensprint/internal/server"
 )
 
 func demoConfig() config.Config {
@@ -621,5 +623,71 @@ func TestCatchupStopsOnShutdown(t *testing.T) {
 	}
 	if cp.Count != 2 {
 		t.Errorf("cancelled catch-up ended at epoch %d, want 2 (one caught-up epoch)", cp.Count)
+	}
+}
+
+// failFirstKnob is a host knob whose first Apply fails.
+type failFirstKnob struct {
+	failed bool
+	cur    server.Config
+}
+
+func (k *failFirstKnob) Apply(c server.Config) error {
+	if !k.failed {
+		k.failed = true
+		return errors.New("host knob: injected failure")
+	}
+	k.cur = c
+	return nil
+}
+
+func (k *failFirstKnob) Current() server.Config { return k.cur }
+
+// eventRecorder is an obs.Sink keeping every event it receives.
+type eventRecorder struct{ evs []obs.Event }
+
+func (r *eventRecorder) Emit(ev obs.Event) error {
+	r.evs = append(r.evs, ev)
+	return nil
+}
+
+// TestTickLoopFollowsControllerEpoch is the regression test for the
+// telemetry drift: the tick loop used to index the supply trace and
+// the burst schedule by ticks taken, so a Step that failed (here, the
+// host knob's first Apply) pushed every later epoch's telemetry one
+// tick ahead. With a one-epoch burst, recorded epoch 0 must carry the
+// in-burst offered rate and epoch 1 the post-burst rate — before the
+// fix epoch 0 carried the post-burst rate of tick 1.
+func TestTickLoopFollowsControllerEpoch(t *testing.T) {
+	const epoch = 5 * time.Millisecond
+	cfg := demoConfig()
+	cfg.BurstDuration = config.Duration(epoch)
+	o := options{backend: "sim", epoch: epoch, once: 3}
+	p, err := cfg.WorkloadProfile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	green, _, err := fleetView(cfg, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &eventRecorder{}
+	ctrl, err := core.New(core.Options{Workload: p, Green: green, StrategyName: cfg.Strategy,
+		Epoch: epoch, Host: &failFirstKnob{}, Sink: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tickLoop(context.Background(), ctrl, cfg, green, epoch, o, func() {})
+
+	// Three ticks: the first Step fails, the next two record epochs
+	// 0 and 1.
+	if len(rec.evs) != 2 {
+		t.Fatalf("events = %d, want 2", len(rec.evs))
+	}
+	inBurst := p.IntensityRate(cfg.BurstIntensity)
+	for i, want := range []float64{inBurst, 0.6 * inBurst} {
+		if ev := rec.evs[i]; ev.Epoch != i || ev.OfferedRate != want {
+			t.Errorf("event %d: epoch %d offered rate %v, want epoch %d at %v", i, ev.Epoch, ev.OfferedRate, i, want)
+		}
 	}
 }

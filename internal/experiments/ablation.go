@@ -1,19 +1,12 @@
-// Package ablation studies the design choices DESIGN.md calls out,
-// beyond the paper's published figures:
-//
-//   - EWMA smoothing factor (the paper fixed α = 0.3 "as the most
-//     consistent"): one-step prediction error across α on real-shaped
-//     solar epochs.
-//   - Q-table power quantization (the paper fixed 5 %): performance vs
-//     table size across step sizes.
-//   - Reward shaping: the verbatim Algorithm 1 reward vs the shaped
-//     variant the Hybrid strategy learns from (see rl.ShapedReward).
-//   - Battery depth-of-discharge: sprint performance vs battery wear
-//     across DoD limits (the paper fixed 40 % for a 1300-cycle life).
-//   - Renewable source: solar vs the far burstier wind generator.
-//   - Distributed (per-PDU) vs centralized renewable integration —
-//     §II's architectural argument, quantified.
-package ablation
+package experiments
+
+// The design-choice ablations go beyond the paper's figures: the EWMA
+// smoothing factor (paper: α = 0.3), Q-table power quantization (5 %),
+// reward shaping (see rl.ShapedReward), battery depth of discharge
+// (40 % for a 1300-cycle life), solar vs the burstier wind source,
+// distributed (per-PDU) vs centralized renewable integration (§II),
+// breaker overdraw (§III-A), calibration sensitivity and injected
+// failures.
 
 import (
 	"context"
@@ -22,7 +15,6 @@ import (
 
 	"greensprint/internal/cluster"
 	"greensprint/internal/predictor"
-	"greensprint/internal/profile"
 	"greensprint/internal/server"
 	"greensprint/internal/sim"
 	"greensprint/internal/solar"
@@ -33,9 +25,6 @@ import (
 	"greensprint/internal/wind"
 	"greensprint/internal/workload"
 )
-
-// Seed fixes all stochastic inputs.
-const Seed = 42
 
 // AlphaPoint is one EWMA-sweep sample.
 type AlphaPoint struct {
@@ -85,7 +74,7 @@ type QuantizationPoint struct {
 // the paper's rationale for settling on 5 %.
 func QuantizationSweep(steps []float64) ([]QuantizationPoint, error) {
 	p := workload.SPECjbb()
-	tab, err := profile.Build(p, profile.DefaultLevels)
+	tab, err := tableFor(p)
 	if err != nil {
 		return nil, err
 	}
@@ -97,7 +86,7 @@ func QuantizationSweep(steps []float64) ([]QuantizationPoint, error) {
 		if err != nil {
 			return QuantizationPoint{}, err
 		}
-		res, err := runCell(ctx, p, tab, green, h, solar.Med, 30*time.Minute)
+		res, err := simulate(ctx, p, tab, green, h, SupplyTraceForLevel(solar.Med, 30*time.Minute, green), 12)
 		if err != nil {
 			return QuantizationPoint{}, err
 		}
@@ -124,7 +113,7 @@ func QuantizationSweep(steps []float64) ([]QuantizationPoint, error) {
 //	          low power, and it collapses toward Normal mode.
 func RewardAblation() (shaped, literal, naive float64, err error) {
 	p := workload.SPECjbb()
-	tab, err := profile.Build(p, profile.DefaultLevels)
+	tab, err := tableFor(p)
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -139,7 +128,7 @@ func RewardAblation() (shaped, literal, naive float64, err error) {
 		if err != nil {
 			return 0, err
 		}
-		res, err := runCell(ctx, p, tab, green, h, solar.Med, 60*time.Minute)
+		res, err := simulate(ctx, p, tab, green, h, SupplyTraceForLevel(solar.Med, 60*time.Minute, green), 12)
 		if err != nil {
 			return 0, err
 		}
@@ -167,12 +156,12 @@ type DoDPoint struct {
 // cycle life.
 func DoDSweep(dods []float64) ([]DoDPoint, error) {
 	p := workload.SPECjbb()
-	tab, err := profile.Build(p, profile.DefaultLevels)
+	tab, err := tableFor(p)
 	if err != nil {
 		return nil, err
 	}
 	// Each cell gets its own GreenConfig value (and battery bank via
-	// sim.Run) and its own Hybrid learner.
+	// simulate) and its own Hybrid learner.
 	return sweep.Map(context.Background(), dods, func(ctx context.Context, _ int, dod float64) (DoDPoint, error) {
 		green := cluster.REBatt()
 		green.MaxDoD = dod
@@ -180,7 +169,7 @@ func DoDSweep(dods []float64) ([]DoDPoint, error) {
 		if err != nil {
 			return DoDPoint{}, err
 		}
-		res, err := runCell(ctx, p, tab, green, h, solar.Min, 30*time.Minute)
+		res, err := simulate(ctx, p, tab, green, h, SupplyTraceForLevel(solar.Min, 30*time.Minute, green), 12)
 		if err != nil {
 			return DoDPoint{}, err
 		}
@@ -198,12 +187,12 @@ func DoDSweep(dods []float64) ([]DoDPoint, error) {
 // Hybrid performance under each.
 func SourceComparison(d time.Duration) (solarPerf, windPerf float64, err error) {
 	p := workload.SPECjbb()
-	tab, err := profile.Build(p, profile.DefaultLevels)
+	tab, err := tableFor(p)
 	if err != nil {
 		return 0, 0, err
 	}
 	green := cluster.REBatt()
-	sun := solar.Synthesize(solar.Med, d, time.Minute, float64(green.PeakGreen()), Seed)
+	sun := SupplyTraceForLevel(solar.Med, d, green)
 
 	wcfg := wind.DefaultGeneratorConfig()
 	wcfg.Duration = d
@@ -224,14 +213,7 @@ func SourceComparison(d time.Duration) (solarPerf, windPerf float64, err error) 
 			if err != nil {
 				return 0, err
 			}
-			res, err := sim.Run(ctx, sim.Config{
-				Workload: p,
-				Green:    green,
-				Strategy: h,
-				Table:    tab,
-				Burst:    workload.Burst{Intensity: 12, Duration: d},
-				Supply:   supply,
-			})
+			res, err := simulate(ctx, p, tab, green, h, supply, 12)
 			if err != nil {
 				return 0, err
 			}
@@ -252,7 +234,7 @@ func SourceComparison(d time.Duration) (solarPerf, windPerf float64, err error) 
 // normalized performance under each integration at peak supply.
 func IntegrationComparison() (distributed, centralized float64, err error) {
 	p := workload.SPECjbb()
-	tab, err := profile.Build(p, profile.DefaultLevels)
+	tab, err := tableFor(p)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -286,27 +268,13 @@ func IntegrationComparison() (distributed, centralized float64, err error) {
 	return perfs[0], perfs[1], nil
 }
 
-func runCell(ctx context.Context, p workload.Profile, tab *profile.Table, green cluster.GreenConfig,
-	strat strategy.Strategy, level solar.Availability, d time.Duration) (*sim.Result, error) {
-
-	supply := solar.Synthesize(level, d, time.Minute, float64(green.PeakGreen()), Seed)
-	return sim.Run(ctx, sim.Config{
-		Workload: p,
-		Green:    green,
-		Strategy: strat,
-		Table:    tab,
-		Burst:    workload.Burst{Intensity: 12, Duration: d},
-		Supply:   supply,
-	})
-}
-
 // OverdrawComparison quantifies §III-A's last resort: a green-supply
 // dip mid-burst with no batteries (REOnly), with and without bounded
 // circuit-breaker overdraw. Overdraw bridges the dip; without it the
 // rack falls back to Normal mode.
 func OverdrawComparison() (plain, overdraw float64, err error) {
 	p := workload.SPECjbb()
-	tab, err := profile.Build(p, profile.DefaultLevels)
+	tab, err := tableFor(p)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -372,13 +340,12 @@ func (k FailureKind) String() string {
 // fault clears.
 func InjectFailure(kind FailureKind) (*sim.Result, error) {
 	p := workload.SPECjbb()
-	tab, err := profile.Build(p, profile.DefaultLevels)
+	tab, err := tableFor(p)
 	if err != nil {
 		return nil, err
 	}
 	green := cluster.REBatt()
-	d := 30 * time.Minute
-	supply := solar.Synthesize(solar.Med, d, time.Minute, float64(green.PeakGreen()), Seed)
+	supply := SupplyTraceForLevel(solar.Med, 30*time.Minute, green)
 	switch kind {
 	case CloudTransient:
 		// Zero the middle third of the supply.
@@ -395,14 +362,7 @@ func InjectFailure(kind FailureKind) (*sim.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return sim.Run(context.Background(), sim.Config{
-		Workload: p,
-		Green:    green,
-		Strategy: h,
-		Table:    tab,
-		Burst:    workload.Burst{Intensity: 12, Duration: d},
-		Supply:   supply,
-	})
+	return simulate(context.Background(), p, tab, green, h, supply, 12)
 }
 
 // CalibrationPoint is one calibration-sensitivity sample.

@@ -1,4 +1,4 @@
-package ablation
+package experiments
 
 import (
 	"testing"

@@ -43,20 +43,15 @@ type DayResult struct {
 // pattern drives the cluster-wide offered rate (1.0 = ten Normal-mode
 // servers fully used); the spikes above 1.0 are the sprinting windows.
 func DayInTheLife() (*DayResult, error) {
-	return DayInTheLifeSharded(context.Background(), 1)
+	return DayInTheLifeWithSink(context.Background(), 1, nil)
 }
 
-// DayInTheLifeSharded is DayInTheLife split into `windows` contiguous
+// DayInTheLifeWithSink is DayInTheLife split into `windows` contiguous
 // time shards chained through sim.Checkpoint hand-off (windows <= 1
-// runs the plain sequential engine). The stitched result is
-// bit-identical to the sequential replay; sharding exists so
-// multi-day replays can persist progress between windows.
-func DayInTheLifeSharded(ctx context.Context, windows int) (*DayResult, error) {
-	return DayInTheLifeWithSink(ctx, windows, nil)
-}
-
-// DayInTheLifeWithSink is DayInTheLifeSharded with an observability
-// sink attached to the replay engine: every epoch emits one obs.Event.
+// runs the plain sequential engine), with an observability sink
+// attached to the replay engine: every epoch emits one obs.Event. The
+// stitched result is bit-identical to the sequential replay; sharding
+// exists so multi-day replays can persist progress between windows.
 // Because restored shard engines re-emit nothing for epochs already
 // run, the event stream is bit-identical whatever the window count.
 func DayInTheLifeWithSink(ctx context.Context, windows int, sink obs.Sink) (*DayResult, error) {

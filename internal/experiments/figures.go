@@ -92,14 +92,7 @@ func Fig5() ([]report.Series, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := sim.Run(context.Background(), sim.Config{
-		Workload: p,
-		Green:    green,
-		Strategy: strat,
-		Table:    tab,
-		Burst:    workload.Burst{Intensity: 12, Duration: 24 * time.Hour},
-		Supply:   sun,
-	})
+	res, err := simulate(context.Background(), p, tab, green, strat, sun, 12)
 	if err != nil {
 		return nil, err
 	}
@@ -123,32 +116,14 @@ func Fig10a() (*FigureGrid, error) {
 	p := workload.SPECjbb()
 	green := cluster.RESBatt()
 	intensities := []int{12, 10, 9, 7}
-	g := &FigureGrid{
-		ID:        "Fig10a",
-		Workload:  p.Name,
-		GreenName: green.Name + ", Med availability, Hybrid",
-		Durations: workload.Durations(),
-		Levels:    []solar.Availability{solar.Med},
-		Perf:      map[time.Duration]map[solar.Availability]map[string]float64{},
-	}
+	var names []string
 	for _, in := range intensities {
-		g.Variants = append(g.Variants, fmt.Sprintf("Int=%d", in))
+		names = append(names, fmt.Sprintf("Int=%d", in))
 	}
-	vals, err := sweep.Grid(context.Background(),
-		[]int{len(g.Durations), len(intensities)},
-		func(ctx context.Context, _ int, c []int) (float64, error) {
-			d, in := g.Durations[c[0]], intensities[c[1]]
-			v, err := runCell(ctx, p, green, "Hybrid", solar.Med, d, in)
-			if err != nil {
-				return 0, fmt.Errorf("Fig10a %v Int=%d: %w", d, in, err)
-			}
-			return v, nil
+	return runGrid("Fig10a", p.Name, green.Name+", Med availability, Hybrid", []solar.Availability{solar.Med}, names,
+		func(ctx context.Context, d time.Duration, level solar.Availability, in int) (float64, error) {
+			return runCell(ctx, p, green, "Hybrid", level, d, intensities[in])
 		})
-	if err != nil {
-		return nil, err
-	}
-	g.fill(vals)
-	return g, nil
 }
 
 // Fig10b reproduces Figure 10(b): the four strategies at Int=9 with
@@ -212,9 +187,9 @@ func TableII() *report.Table {
 	return t
 }
 
-// SupplyTraceForLevel is a helper for examples and the trace
-// generator: the canonical synthetic supply window used by the figure
-// grids.
+// SupplyTraceForLevel is the canonical synthetic supply window: the
+// one runCell synthesizes for the figure grids, and the one the
+// ablations replay.
 func SupplyTraceForLevel(level solar.Availability, d time.Duration, green cluster.GreenConfig) *trace.Trace {
 	return solar.Synthesize(level, d, time.Minute, float64(green.PeakGreen()), Seed)
 }

@@ -1,8 +1,10 @@
 // Package experiments regenerates every table and figure of the
-// paper's evaluation (§IV). Each Fig*/Table* function runs the
-// corresponding experiment against the simulated testbed and returns
-// structured results that the greensprint-bench harness prints and the
-// test suite asserts shape properties on.
+// paper's evaluation (§IV) and the design-choice ablations beyond it
+// (ablation.go). Each Fig*/Table* function runs the corresponding
+// experiment against the simulated testbed and returns structured
+// results that the greensprint-bench harness prints and the test suite
+// asserts shape properties on; greensprint-ablate prints the
+// ablations.
 package experiments
 
 import (
@@ -17,6 +19,7 @@ import (
 	"greensprint/internal/solar"
 	"greensprint/internal/strategy"
 	"greensprint/internal/sweep"
+	"greensprint/internal/trace"
 	"greensprint/internal/workload"
 )
 
@@ -54,18 +57,25 @@ func runCellSeeded(ctx context.Context, p workload.Profile, green cluster.GreenC
 		return 0, err
 	}
 	supply := solar.Synthesize(level, d, time.Minute, float64(green.PeakGreen()), seed)
-	res, err := sim.Run(ctx, sim.Config{
-		Workload: p,
-		Green:    green,
-		Strategy: strat,
-		Table:    tab,
-		Burst:    workload.Burst{Intensity: intensity, Duration: d},
-		Supply:   supply,
-	})
+	res, err := simulate(ctx, p, tab, green, strat, supply, intensity)
 	if err != nil {
 		return 0, err
 	}
 	return res.MeanNormPerf, nil
+}
+
+// simulate runs one burst of the given intensity over the whole supply
+// trace: every simulated burst cell in the package goes through it.
+func simulate(ctx context.Context, p workload.Profile, tab *profile.Table, green cluster.GreenConfig,
+	strat strategy.Strategy, supply *trace.Trace, intensity int) (*sim.Result, error) {
+	return sim.Run(ctx, sim.Config{
+		Workload: p,
+		Green:    green,
+		Strategy: strat,
+		Table:    tab,
+		Burst:    workload.Burst{Intensity: intensity, Duration: supply.Duration()},
+		Supply:   supply,
+	})
 }
 
 // FigureGrid holds a strategies × availability × duration performance
@@ -124,52 +134,56 @@ func (g *FigureGrid) Series(level solar.Availability) []report.Series {
 	return out
 }
 
-// strategyGrid runs the standard 4-strategy grid for a workload/config
-// pair (Figures 6, 8 and 9).
-func strategyGrid(id string, p workload.Profile, green cluster.GreenConfig) (*FigureGrid, error) {
+// runGrid fans a duration × level × variant grid out across the sweep
+// pool and collects it into a FigureGrid. cell gets the variant's
+// index and builds its own strategy instance.
+func runGrid(id, workloadName, greenName string, levels []solar.Availability, variants []string,
+	cell func(ctx context.Context, d time.Duration, level solar.Availability, variant int) (float64, error)) (*FigureGrid, error) {
 	g := &FigureGrid{
 		ID:        id,
-		Workload:  p.Name,
-		GreenName: green.Name,
+		Workload:  workloadName,
+		GreenName: greenName,
 		Durations: workload.Durations(),
-		Levels:    solar.Levels(),
-		Variants:  []string{"Greedy", "Parallel", "Pacing", "Hybrid"},
+		Levels:    levels,
+		Variants:  variants,
 		Perf:      map[time.Duration]map[solar.Availability]map[string]float64{},
 	}
-	// Fan the duration x availability x strategy cells out across the
-	// sweep pool (each cell builds its own strategy instance inside
-	// runCell), then fill the nested result maps serially.
 	vals, err := sweep.Grid(context.Background(),
-		[]int{len(g.Durations), len(g.Levels), len(g.Variants)},
+		[]int{len(g.Durations), len(levels), len(variants)},
 		func(ctx context.Context, _ int, c []int) (float64, error) {
-			d, level, s := g.Durations[c[0]], g.Levels[c[1]], g.Variants[c[2]]
-			v, err := runCell(ctx, p, green, s, level, d, 12)
+			d, level := g.Durations[c[0]], levels[c[1]]
+			v, err := cell(ctx, d, level, c[2])
 			if err != nil {
-				return 0, fmt.Errorf("%s %v/%v/%s: %w", id, d, level, s, err)
+				return 0, fmt.Errorf("%s %v/%v/%s: %w", id, d, level, variants[c[2]], err)
 			}
 			return v, nil
 		})
 	if err != nil {
 		return nil, err
 	}
-	g.fill(vals)
-	return g, nil
-}
-
-// fill populates the nested Perf maps from a flat row-major
-// duration x level x variant value slice (sweep.Grid's output order).
-func (g *FigureGrid) fill(vals []float64) {
+	// Fill the nested maps serially from sweep.Grid's row-major order.
 	i := 0
 	for _, d := range g.Durations {
 		g.Perf[d] = map[solar.Availability]map[string]float64{}
-		for _, level := range g.Levels {
+		for _, level := range levels {
 			g.Perf[d][level] = map[string]float64{}
-			for _, s := range g.Variants {
-				g.Perf[d][level][s] = vals[i]
+			for _, v := range variants {
+				g.Perf[d][level][v] = vals[i]
 				i++
 			}
 		}
 	}
+	return g, nil
+}
+
+// strategyGrid runs the standard 4-strategy grid for a workload/config
+// pair (Figures 6, 8 and 9).
+func strategyGrid(id string, p workload.Profile, green cluster.GreenConfig) (*FigureGrid, error) {
+	strats := []string{"Greedy", "Parallel", "Pacing", "Hybrid"}
+	return runGrid(id, p.Name, green.Name, solar.Levels(), strats,
+		func(ctx context.Context, d time.Duration, level solar.Availability, s int) (float64, error) {
+			return runCell(ctx, p, green, strats[s], level, d, 12)
+		})
 }
 
 // Fig6 reproduces Figure 6: SPECjbb under RE-Batt, four strategies ×
@@ -193,32 +207,14 @@ func Fig9() (*FigureGrid, error) {
 func Fig7() (*FigureGrid, error) {
 	p := workload.SPECjbb()
 	configs := cluster.TableI()
-	g := &FigureGrid{
-		ID:        "Fig7",
-		Workload:  p.Name,
-		GreenName: "Hybrid strategy",
-		Durations: workload.Durations(),
-		Levels:    solar.Levels(),
-		Perf:      map[time.Duration]map[solar.Availability]map[string]float64{},
-	}
+	var names []string
 	for _, c := range configs {
-		g.Variants = append(g.Variants, c.Name)
+		names = append(names, c.Name)
 	}
-	vals, err := sweep.Grid(context.Background(),
-		[]int{len(g.Durations), len(g.Levels), len(configs)},
-		func(ctx context.Context, _ int, c []int) (float64, error) {
-			d, level, green := g.Durations[c[0]], g.Levels[c[1]], configs[c[2]]
-			v, err := runCell(ctx, p, green, "Hybrid", level, d, 12)
-			if err != nil {
-				return 0, fmt.Errorf("Fig7 %v/%v/%s: %w", d, level, green.Name, err)
-			}
-			return v, nil
+	return runGrid("Fig7", p.Name, "Hybrid strategy", solar.Levels(), names,
+		func(ctx context.Context, d time.Duration, level solar.Availability, c int) (float64, error) {
+			return runCell(ctx, p, configs[c], "Hybrid", level, d, 12)
 		})
-	if err != nil {
-		return nil, err
-	}
-	g.fill(vals)
-	return g, nil
 }
 
 // SeedSensitivity quantifies how much the Med-availability results

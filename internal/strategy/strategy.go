@@ -307,7 +307,8 @@ type actionCell struct {
 
 // HybridOptions tunes the Hybrid strategy away from the paper's
 // defaults; the zero value reproduces the paper (5% quantization,
-// shaped reward). Used by the ablation experiments.
+// shaped reward). Used by experiments.QuantizationSweep and
+// experiments.RewardAblation.
 type HybridOptions struct {
 	// QuantizationStep overrides the 5% power-state step.
 	QuantizationStep float64

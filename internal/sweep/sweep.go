@@ -1,10 +1,10 @@
 // Package sweep is the deterministic parallel execution engine behind
 // the repo's ablation sweeps and figure grids. Every evaluation in
-// internal/experiments and internal/ablation decomposes into
-// independent simulation cells (one seeded sim.Run, one predictor
-// evaluation, one table lookup); sweep fans those cells out across
-// runtime.GOMAXPROCS worker goroutines while guaranteeing that the
-// results are bit-identical to a serial run:
+// internal/experiments decomposes into independent simulation cells
+// (one seeded sim.Run, one predictor evaluation, one table lookup);
+// sweep fans those cells out across runtime.GOMAXPROCS worker
+// goroutines while guaranteeing that the results are bit-identical to
+// a serial run:
 //
 //   - Results are returned in input order, regardless of completion
 //     order.
