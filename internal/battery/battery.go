@@ -129,18 +129,6 @@ func durationOf(ns float64) time.Duration {
 	return time.Duration(ns)
 }
 
-// EffectiveCapacity returns the deliverable charge at constant power p,
-// illustrating the rate dependence the paper quotes (24 Ah @ 20 h rate
-// → 12 Ah @ 12 min rate).
-func (c Config) EffectiveCapacity(p units.Watt) units.AmpHour {
-	t := c.TimeToEmpty(p)
-	if t == time.Duration(math.MaxInt64) {
-		return c.Capacity
-	}
-	i := p.Current(c.Voltage)
-	return units.AmpHour(float64(i) * t.Hours())
-}
-
 // Battery is a stateful battery unit.
 type Battery struct {
 	cfg Config
@@ -447,15 +435,6 @@ func (b *Battery) EquivalentCycles() float64 {
 		return 0
 	}
 	return b.dischargedAh / depthAh
-}
-
-// WearFraction returns the consumed fraction of the battery's cycle
-// life in [0,1+).
-func (b *Battery) WearFraction() float64 {
-	if b.cfg.CycleLife <= 0 {
-		return 0
-	}
-	return b.EquivalentCycles() / b.cfg.CycleLife
 }
 
 // Reset restores a full charge without clearing wear accounting,

@@ -75,13 +75,13 @@ func TestEffectiveCapacityDropsWithRate(t *testing.T) {
 	// Find the power with a ~12-minute time-to-empty via the rate
 	// quoted in the paper: 12 Ah over 12 min = 60 A.
 	p := units.Amp(60).Power(c.Voltage)
-	eff := c.EffectiveCapacity(p)
-	if eff > 14 || eff < 9 {
+	if eff := 60 * c.TimeToEmpty(p).Hours(); eff > 14 || eff < 9 {
 		t.Errorf("effective capacity at 60A = %v Ah, want ~12", eff)
 	}
-	// Gentle rates recover the full rating.
-	if got := c.EffectiveCapacity(0); !units.NearlyEqual(float64(got), 24, 1e-9) {
-		t.Errorf("zero-rate capacity = %v", got)
+	// The 20-hour rate recovers the full rating.
+	rated := units.Amp(24.0 / 20).Power(c.Voltage)
+	if eff := 24.0 / 20 * c.TimeToEmpty(rated).Hours(); !units.NearlyEqual(eff, 24, 1e-6) {
+		t.Errorf("20-hour-rate capacity = %v Ah, want 24", eff)
 	}
 }
 
@@ -217,7 +217,7 @@ func TestChargeCapsAtMaxRate(t *testing.T) {
 
 func TestCycleAccounting(t *testing.T) {
 	b, _ := New(ServerBattery())
-	if b.EquivalentCycles() != 0 || b.WearFraction() != 0 {
+	if b.EquivalentCycles() != 0 {
 		t.Error("fresh battery should have zero wear")
 	}
 	// One full trip to the DoD floor is one equivalent cycle.
@@ -232,9 +232,6 @@ func TestCycleAccounting(t *testing.T) {
 	b.Discharge(155, time.Hour)
 	if got := b.EquivalentCycles(); !units.NearlyEqual(got, 2, 1e-6) {
 		t.Errorf("two floor trips = %v cycles", got)
-	}
-	if wf := b.WearFraction(); !units.NearlyEqual(wf, 2.0/1300, 1e-6) {
-		t.Errorf("wear fraction = %v", wf)
 	}
 }
 

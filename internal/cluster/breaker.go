@@ -141,12 +141,3 @@ func (a EnergyAccount) GreenFraction() float64 {
 	}
 	return float64(a.Green) / float64(t)
 }
-
-// Add merges another account.
-func (a *EnergyAccount) Add(o EnergyAccount) {
-	a.Grid += o.Grid
-	a.Green += o.Green
-	a.Battery += o.Battery
-	a.GreenCharged += o.GreenCharged
-	a.GridCharged += o.GridCharged
-}

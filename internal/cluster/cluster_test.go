@@ -217,8 +217,4 @@ func TestEnergyAccount(t *testing.T) {
 	if zero.GreenFraction() != 0 {
 		t.Error("empty account green fraction = 0")
 	}
-	a.Add(EnergyAccount{Grid: 10, Green: 20, Battery: 5, GreenCharged: 7, GridCharged: 3})
-	if a.Grid != 110 || a.Green != 70 || a.Battery != 30 || a.GreenCharged != 7 || a.GridCharged != 3 {
-		t.Errorf("after Add: %+v", a)
-	}
 }

@@ -68,6 +68,11 @@ type Checkpoint struct {
 func (c *Controller) Checkpoint() (*Checkpoint, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.checkpoint()
+}
+
+// checkpoint captures the controller's state. c.mu must be held.
+func (c *Controller) checkpoint() (*Checkpoint, error) {
 	raw, err := c.strat.SnapshotState()
 	if err != nil {
 		return nil, fmt.Errorf("core: checkpoint strategy: %w", err)
@@ -122,16 +127,7 @@ func (c *Controller) Restore(cp *Checkpoint) error {
 	if cp.Count < 0 {
 		return fmt.Errorf("core: restore: negative epoch count %d", cp.Count)
 	}
-	err := c.rack.Restore(sim.RackSnapshot{
-		Selector: cp.Selector, Breaker: cp.Breaker, Chaos: cp.Chaos, Knobs: cp.ClassFleet, Flat: cp.Fleet,
-	})
-	if err != nil {
-		return fmt.Errorf("core: restore: %w", err)
-	}
-	if err := c.loadPred.Restore(cp.LoadPred); err != nil {
-		return fmt.Errorf("core: restore: %w", err)
-	}
-	if err := c.strat.RestoreState(cp.StrategyState); err != nil {
+	if err := c.restoreLayers(cp); err != nil {
 		return fmt.Errorf("core: restore: %w", err)
 	}
 	if c.opts.Host != nil {
@@ -143,6 +139,22 @@ func (c *Controller) Restore(cp *Checkpoint) error {
 	c.last = cp.Last
 	c.history = boundHistory(append([]Decision(nil), cp.History...))
 	return nil
+}
+
+// restoreLayers puts back the stateful layers of cp: the rack, the
+// load predictor and the strategy. It writes nothing to the host.
+// c.mu must be held.
+func (c *Controller) restoreLayers(cp *Checkpoint) error {
+	err := c.rack.Restore(sim.RackSnapshot{
+		Selector: cp.Selector, Breaker: cp.Breaker, Chaos: cp.Chaos, Knobs: cp.ClassFleet, Flat: cp.Fleet,
+	})
+	if err != nil {
+		return err
+	}
+	if err := c.loadPred.Restore(cp.LoadPred); err != nil {
+		return err
+	}
+	return c.strat.RestoreState(cp.StrategyState)
 }
 
 // DecodeCheckpoint parses a JSON checkpoint and checks its version.

@@ -25,6 +25,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -65,8 +66,9 @@ type Options struct {
 	// when nil.
 	Table *profile.Table
 	// Bank optionally supplies the battery store backing the PSS —
-	// e.g. a battery.ClassBank for a generated fleet; when nil a
-	// per-unit bank is built from Green.NewBank.
+	// e.g. a multi-class battery.ClassBank for a generated fleet;
+	// when nil Green.NewBank builds a one-class bank of the green
+	// servers' units.
 	Bank battery.Store
 	// Sink optionally receives one obs.Event per Step: the telemetry
 	// that drove the decision, the decision itself and the
@@ -295,7 +297,8 @@ func (t Telemetry) sanitize() Telemetry {
 // same lock, so the decision below already sees the degraded world. A
 // failed event emission returns the valid, already-applied Decision
 // alongside a *SinkError; every other error means the step itself
-// failed.
+// failed. A step whose host write fails leaves no trace but its chaos
+// transitions, so retrying the epoch sees its telemetry once.
 func (c *Controller) Step(t Telemetry) (Decision, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -333,6 +336,17 @@ func (c *Controller) Step(t Telemetry) (Decision, error) {
 		}
 	}
 
+	// The steps below feed the predictors, let the strategy learn and
+	// discharge the bank before the host write; with a host attached,
+	// save the state to put back should that write fail.
+	var saved *Checkpoint
+	if c.opts.Host != nil {
+		var err error
+		if saved, err = c.checkpoint(); err != nil {
+			return Decision{}, err
+		}
+	}
+
 	// 1. Monitor → Predictor: feed observations.
 	c.rack.Selector.ObserveSupply(t.GreenPower)
 	c.loadPred.Observe(t.OfferedRate)
@@ -359,7 +373,13 @@ func (c *Controller) Step(t Telemetry) (Decision, error) {
 		}
 		rd = c.rack.Decide(p)
 		if err := c.actuate(rd); err != nil {
-			return Decision{}, fmt.Errorf("core: apply %v: %w", rd.Applied, err)
+			err = fmt.Errorf("core: apply %v: %w", rd.Applied, err)
+			if saved != nil {
+				if rerr := c.restoreLayers(saved); rerr != nil {
+					err = errors.Join(err, fmt.Errorf("core: roll back: %w", rerr))
+				}
+			}
+			return Decision{}, err
 		}
 	}
 	d := Decision{

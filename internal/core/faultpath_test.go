@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 	"greensprint/internal/chaos"
 	"greensprint/internal/cluster"
 	"greensprint/internal/obs"
+	"greensprint/internal/server"
 	"greensprint/internal/sim"
 	"greensprint/internal/solar"
 	"greensprint/internal/strategy"
@@ -97,5 +99,72 @@ func TestFaultPathMatchesSim(t *testing.T) {
 				t.Fatal("the schedule produced no transitions")
 			}
 		})
+	}
+}
+
+// flakyKnob is a host knob whose next Apply fails once armed.
+type flakyKnob struct {
+	armed bool
+	calls int
+	cur   server.Config
+}
+
+func (k *flakyKnob) Apply(c server.Config) error {
+	k.calls++
+	if k.armed {
+		k.armed = false
+		return errors.New("host write failed")
+	}
+	k.cur = c
+	return nil
+}
+
+func (k *flakyKnob) Current() server.Config { return k.cur }
+
+// TestFailedHostWriteLeavesNoTrace fails one host write mid-run and
+// checks the controller forgets that epoch: its next decision and its
+// checkpoint bytes equal those of a twin that never saw the failed
+// step, and the rollback writes nothing more to the host. The failed
+// step's telemetry (600 W, full burst) differs from the retried one
+// (100 W, a third of the rate), so a leaked observation shows in the
+// predictors, the Q-table and the bank.
+func TestFailedHostWriteLeavesNoTrace(t *testing.T) {
+	hosted := func(k *flakyKnob) *Controller {
+		c, err := New(Options{Workload: workload.SPECjbb(), Green: cluster.REBatt(), StrategyName: "Hybrid", Host: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	flaky, steady := &flakyKnob{}, &flakyKnob{}
+	a, twin := hosted(flaky), hosted(steady)
+	for i := 0; i < 3; i++ {
+		mustStep(t, a, burstTelemetry(400))
+		mustStep(t, twin, burstTelemetry(400))
+	}
+	flaky.armed = true
+	if _, err := a.Step(burstTelemetry(600)); err == nil {
+		t.Fatal("a failed host write should fail the step")
+	}
+	if flaky.calls != steady.calls+1 {
+		t.Errorf("host writes: %d, want the twin's %d plus the failed one", flaky.calls, steady.calls)
+	}
+	low := burstTelemetry(100)
+	low.OfferedRate *= 0.3
+	if da, dt := mustStep(t, a, low), mustStep(t, twin, low); da != dt {
+		t.Errorf("after a failed step the controller decides %+v, its twin %+v", da, dt)
+	}
+	cpA, err := a.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpT, err := twin.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ja, _ := json.Marshal(cpA)
+	jt, _ := json.Marshal(cpT)
+	if string(ja) != string(jt) {
+		t.Errorf("checkpoints differ after a failed step:\n%s\n%s", ja, jt)
 	}
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // FuzzHistogram hardens the latency histogram against arbitrary
-// observation streams: percentiles must be monotone in q, Count/Mean
+// observation streams: percentiles must be monotone in q, Count/Sum
 // must stay consistent with the stream, and clamped extremes (values
 // outside [min,max], infinities) must neither panic nor corrupt the
 // counters. NaNs are dropped by contract.
@@ -43,12 +43,8 @@ func FuzzHistogram(f *testing.F) {
 		if h.Count() != want {
 			t.Fatalf("Count = %d, want %d", h.Count(), want)
 		}
-		wantMean := 0.0
-		if want > 0 {
-			wantMean = wantSum / float64(want)
-		}
-		if got := h.Mean(); math.Float64bits(got) != math.Float64bits(wantMean) {
-			t.Fatalf("Mean = %v, want %v", got, wantMean)
+		if got := h.Sum(); math.Float64bits(got) != math.Float64bits(wantSum) {
+			t.Fatalf("Sum = %v, want %v", got, wantSum)
 		}
 
 		// Percentile monotonicity over a q ladder, and every quantile
@@ -75,22 +71,22 @@ func FuzzHistogram(f *testing.F) {
 		}
 		_ = h.Quantile(2)
 
-		// FractionBelow is monotone in the deadline.
-		prevFrac := -1.0
+		// CountBelow is monotone in the deadline and bounded by Count.
+		var prevCount uint64
 		for _, d := range []float64{1e-6, 1e-3, 1, 10, 1e6} {
-			fr := h.FractionBelow(d)
-			if fr < 0 || fr > 1 {
-				t.Fatalf("FractionBelow(%v) = %v out of [0,1]", d, fr)
+			c := h.CountBelow(d)
+			if c > h.Count() {
+				t.Fatalf("CountBelow(%v) = %d beyond Count %d", d, c, h.Count())
 			}
-			if fr < prevFrac {
-				t.Fatalf("FractionBelow(%v) = %v < previous %v", d, fr, prevFrac)
+			if c < prevCount {
+				t.Fatalf("CountBelow(%v) = %d < previous %d", d, c, prevCount)
 			}
-			prevFrac = fr
+			prevCount = c
 		}
 
 		// Reset really clears.
 		h.Reset()
-		if h.Count() != 0 || h.Mean() != 0 || h.Quantile(0.99) != 0 {
+		if h.Count() != 0 || h.Sum() != 0 || h.Quantile(0.99) != 0 {
 			t.Fatal("Reset left residual state")
 		}
 	})

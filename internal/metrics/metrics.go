@@ -1,13 +1,12 @@
 // Package metrics provides the measurement primitives behind
-// GreenSprint's Monitor component: latency histograms with percentile
-// estimation, throughput counters, and QoS accounting against an SLA
-// (deadline at a percentile).
+// GreenSprint's Monitor component: log-bucketed histograms with
+// quantile estimation and Prometheus-style cumulative counts, and
+// per-epoch throughput/goodput windows.
 package metrics
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"time"
 )
@@ -117,8 +116,8 @@ func (h *Histogram) Sum() float64 {
 
 // CountBelow returns the number of samples whose bucket lies entirely
 // at or below d seconds — the cumulative count behind a Prometheus
-// `le` bucket. Like FractionBelow it is conservative: a bucket
-// straddling d is not counted.
+// `le` bucket. It is conservative: a bucket straddling d is not
+// counted.
 func (h *Histogram) CountBelow(d float64) uint64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -130,16 +129,6 @@ func (h *Histogram) CountBelow(d float64) uint64 {
 		cum += h.counts[i]
 	}
 	return cum
-}
-
-// Mean returns the mean of recorded samples (0 when empty).
-func (h *Histogram) Mean() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.total == 0 {
-		return 0
-	}
-	return h.sum / float64(h.total)
 }
 
 // Quantile returns an upper-bound estimate of the q-quantile
@@ -164,24 +153,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.max
 }
 
-// FractionBelow returns the fraction of samples at or below d seconds
-// (1 for an empty histogram, which violates nothing).
-func (h *Histogram) FractionBelow(d float64) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.total == 0 {
-		return 1
-	}
-	var cum uint64
-	for i := range h.counts {
-		if h.bucketUpper(i) > d {
-			break
-		}
-		cum += h.counts[i]
-	}
-	return float64(cum) / float64(h.total)
-}
-
 // Reset clears all samples.
 func (h *Histogram) Reset() {
 	h.mu.Lock()
@@ -190,38 +161,6 @@ func (h *Histogram) Reset() {
 		h.counts[i] = 0
 	}
 	h.total, h.sum = 0, 0
-}
-
-// Merge adds the samples of o (same shape required) into h. The source
-// histogram must not be observed into concurrently.
-func (h *Histogram) Merge(o *Histogram) error {
-	if len(h.counts) != len(o.counts) || h.min != o.min || h.max != o.max {
-		return fmt.Errorf("metrics: histogram shape mismatch")
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for i, c := range o.counts {
-		h.counts[i] += c
-	}
-	h.total += o.total
-	h.sum += o.sum
-	return nil
-}
-
-// QoS is a latency SLA: the Quantile of latencies must be at or below
-// Deadline.
-type QoS struct {
-	Deadline time.Duration
-	Quantile float64
-}
-
-// Met reports whether the histogram satisfies the SLA. Empty
-// histograms trivially satisfy it.
-func (q QoS) Met(h *Histogram) bool {
-	if h.Count() == 0 {
-		return true
-	}
-	return h.Quantile(q.Quantile) <= q.Deadline.Seconds()
 }
 
 // Window accumulates throughput and QoS statistics for one scheduling
@@ -250,48 +189,4 @@ func (w Window) Goodput() float64 {
 		return 0
 	}
 	return float64(w.Compliant) / w.Elapsed.Seconds()
-}
-
-// ComplianceRatio returns Compliant/Completed (1 when idle).
-func (w Window) ComplianceRatio() float64 {
-	if w.Completed == 0 {
-		return 1
-	}
-	return float64(w.Compliant) / float64(w.Completed)
-}
-
-// Add merges another window.
-func (w *Window) Add(o Window) {
-	w.Completed += o.Completed
-	w.Compliant += o.Compliant
-	if o.Elapsed > w.Elapsed {
-		w.Elapsed = o.Elapsed
-	}
-}
-
-// Percentile returns the p-quantile (0..100) of a float slice using
-// linear interpolation; it is the exact companion to the histogram's
-// bucketed estimate, used where samples are few (per-epoch power
-// readings).
-func Percentile(samples []float64, p float64) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	s := make([]float64, len(samples))
-	copy(s, samples)
-	sort.Float64s(s)
-	if p <= 0 {
-		return s[0]
-	}
-	if p >= 100 {
-		return s[len(s)-1]
-	}
-	pos := p / 100 * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return s[lo]
-	}
-	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
 }

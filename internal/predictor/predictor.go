@@ -6,7 +6,9 @@
 //	RESupp(t) = α·RESupp(t−1) + (1−α)·Obs(t)
 //
 // with α = 0.3 chosen as the most consistent trade-off between
-// stability and responsiveness.
+// stability and responsiveness. Evaluate scores a predictor's
+// one-step-ahead error over a trace; experiments.EWMASweep runs it
+// across α to regenerate that choice.
 package predictor
 
 import (
@@ -93,17 +95,6 @@ func (e *EWMA) Restore(s EWMASnapshot) error {
 // Alpha returns the smoothing factor.
 func (e *EWMA) Alpha() float64 { return e.alpha }
 
-// Persistence forecasts the next value as the last observation
-// (α = 0); it serves as the naive baseline when evaluating predictor
-// accuracy.
-type Persistence struct{ last float64 }
-
-// Observe implements Predictor.
-func (p *Persistence) Observe(v float64) { p.last = v }
-
-// Predict implements Predictor.
-func (p *Persistence) Predict() float64 { return p.last }
-
 // Accuracy summarizes one-step-ahead prediction error over a signal.
 type Accuracy struct {
 	// MAPE is the mean absolute percentage error, computed only
@@ -143,15 +134,4 @@ func Evaluate(p Predictor, tr *trace.Trace) Accuracy {
 		acc.MAPE = sumAPE / float64(nAPE)
 	}
 	return acc
-}
-
-// SweepAlpha evaluates EWMA predictors over tr for each alpha and
-// returns the per-alpha accuracies. This regenerates the paper's
-// "when α varies, we find α = 0.3 to be the most consistent" analysis.
-func SweepAlpha(tr *trace.Trace, alphas []float64) map[float64]Accuracy {
-	out := make(map[float64]Accuracy, len(alphas))
-	for _, a := range alphas {
-		out[a] = Evaluate(NewEWMA(a), tr)
-	}
-	return out
 }

@@ -66,18 +66,6 @@ func TestEWMAConvergence(t *testing.T) {
 	}
 }
 
-func TestPersistence(t *testing.T) {
-	var p Persistence
-	if p.Predict() != 0 {
-		t.Error("fresh persistence = 0")
-	}
-	p.Observe(7)
-	p.Observe(13)
-	if p.Predict() != 13 {
-		t.Errorf("persistence = %v, want 13", p.Predict())
-	}
-}
-
 func TestEvaluatePerfectSignal(t *testing.T) {
 	// A constant signal is perfectly predictable.
 	tr := trace.New("c", time.Now(), time.Minute, []float64{5, 5, 5, 5, 5})
@@ -129,6 +117,8 @@ func TestEWMABeatsNothingOnSolar(t *testing.T) {
 	}
 }
 
+// TestSweepAlpha evaluates EWMA predictors across α on a generated
+// two-day solar trace.
 func TestSweepAlpha(t *testing.T) {
 	cfg := solar.DefaultGeneratorConfig()
 	cfg.Days = 2
@@ -140,21 +130,18 @@ func TestSweepAlpha(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	alphas := []float64{0.1, 0.3, 0.5, 0.7, 0.9}
-	res := SweepAlpha(epochs, alphas)
-	if len(res) != len(alphas) {
-		t.Fatalf("results = %d", len(res))
+	res := map[float64]Accuracy{}
+	for _, a := range []float64{0.1, 0.3, 0.5, 0.7, 0.9} {
+		res[a] = Evaluate(NewEWMA(a), epochs)
+		if res[a].N == 0 {
+			t.Errorf("alpha %v evaluated no samples", a)
+		}
 	}
 	// Heavier weighting toward the current observation (small alpha)
 	// must beat near-frozen predictors (alpha 0.9) on a diurnal ramp
 	// — the paper's rationale for α = 0.3.
 	if res[0.3].RMSE >= res[0.9].RMSE {
 		t.Errorf("alpha 0.3 RMSE %v should beat alpha 0.9 RMSE %v", res[0.3].RMSE, res[0.9].RMSE)
-	}
-	for a, acc := range res {
-		if acc.N == 0 {
-			t.Errorf("alpha %v evaluated no samples", a)
-		}
 	}
 }
 

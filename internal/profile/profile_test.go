@@ -3,6 +3,7 @@ package profile
 import (
 	"bytes"
 	"testing"
+	"testing/quick"
 
 	"greensprint/internal/server"
 	"greensprint/internal/units"
@@ -132,6 +133,24 @@ func TestBestWithin(t *testing.T) {
 	// Impossible budget.
 	if _, ok := tab.BestWithin(top, 10, nil); ok {
 		t.Error("10W budget should fit nothing")
+	}
+}
+
+// Property: BestWithin never returns a setting above budget when it
+// reports ok.
+func TestBestWithinBudgetProperty(t *testing.T) {
+	tab := buildSPEC(t)
+	f := func(lRaw uint8, bRaw uint16) bool {
+		level := int(lRaw) % tab.Levels
+		budget := units.Watt(float64(bRaw%200) + 20)
+		e, ok := tab.BestWithin(level, budget, nil)
+		if !ok {
+			return true
+		}
+		return e.Power <= budget && e.Config().Valid()
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -84,8 +84,8 @@ type Selector struct {
 	stuck bool
 }
 
-// New creates a Selector over a battery store — the paper's per-unit
-// Bank or a fleet-scale ClassBank — with the paper's EWMA smoothing
+// New creates a Selector over a battery store (a ClassBank holding
+// one state per battery class) with the paper's EWMA smoothing
 // (α = 0.3).
 func New(bank battery.Store) *Selector {
 	return &Selector{bank: bank, pred: predictor.NewEWMA(predictor.DefaultAlpha)}
@@ -160,28 +160,6 @@ func (s *Selector) SustainFraction(demand, green units.Watt, epoch time.Duration
 	return float64(sustain) / float64(epoch)
 }
 
-// Classify returns the supply case for a demand against an observed
-// green supply, given the battery's current ability to cover the
-// shortfall for the epoch.
-func (s *Selector) Classify(demand, green units.Watt, epoch time.Duration) Case {
-	if s.stuck {
-		return CaseGridFallback
-	}
-	if green >= demand {
-		return CaseGreenOnly
-	}
-	shortfall := demand - green
-	covered := s.bank.MaxSustainablePower(epoch) >= shortfall
-	switch {
-	case green > greenFloor && covered:
-		return CaseGreenPlusBattery
-	case green <= greenFloor && covered:
-		return CaseBatteryOnly
-	default:
-		return CaseGridFallback
-	}
-}
-
 // Allocation describes how one epoch's demand was actually powered.
 type Allocation struct {
 	Case Case
@@ -204,9 +182,6 @@ type Allocation struct {
 	// whole epoch.
 	Sustained bool
 }
-
-// Total returns the average power delivered to the servers.
-func (a Allocation) Total() units.Watt { return a.Green + a.Battery + a.Grid }
 
 // Allocate powers `demand` for one epoch from the green bus, mutating
 // battery state and energy accounting. gridFallback is the power the

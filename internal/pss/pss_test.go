@@ -66,31 +66,46 @@ func TestAvailablePower(t *testing.T) {
 	}
 }
 
+// TestClassifyCases classifies the paper's three supply cases and the
+// no-battery fallback through Allocate, the rule both control loops
+// run, each on a fresh bank.
 func TestClassifyCases(t *testing.T) {
-	s := newSelector(t, cluster.REBatt())
-	// Case 1: green covers everything.
-	if got := s.Classify(400, 600, epoch); got != CaseGreenOnly {
-		t.Errorf("abundant green = %v", got)
+	cases := []struct {
+		name          string
+		g             cluster.GreenConfig
+		demand, green units.Watt
+		want          Case
+		wantFrac      float64
+	}{
+		{"case 1: green covers everything", cluster.REBatt(), 400, 600, CaseGreenOnly, 1},
+		{"case 2: battery covers the shortfall", cluster.REBatt(), 465, 300, CaseGreenPlusBattery, 1},
+		{"case 3: battery alone", cluster.REBatt(), 465, 0, CaseBatteryOnly, 1},
+		{"REOnly: no battery", cluster.REOnly(), 465, 0, CaseGridFallback, 0},
+		{"REOnly: abundant green", cluster.REOnly(), 465, 600, CaseGreenOnly, 1},
 	}
-	// Case 2: green short, battery covers.
-	if got := s.Classify(465, 300, epoch); got != CaseGreenPlusBattery {
-		t.Errorf("green shortfall = %v", got)
+	for _, c := range cases {
+		al := newSelector(t, c.g).Allocate(c.demand, c.green, epoch, 300)
+		if al.Case != c.want || al.SprintFraction != c.wantFrac {
+			t.Errorf("%s: %v at fraction %v, want %v at %v", c.name, al.Case, al.SprintFraction, c.want, c.wantFrac)
+		}
 	}
-	// Case 3: no green, battery covers.
-	if got := s.Classify(465, 0, epoch); got != CaseBatteryOnly {
-		t.Errorf("no green = %v", got)
+}
+
+// TestAllocatePartialEpochSprint pins the partial-epoch rule (§III-A):
+// a fresh RE-Batt bank cannot carry a 1200 W shortfall for the whole
+// epoch, so the sprint runs green+battery until the bank reaches its
+// floor, about 0.767 of the epoch, and the rest is grid-fed Normal
+// mode.
+func TestAllocatePartialEpochSprint(t *testing.T) {
+	al := newSelector(t, cluster.REBatt()).Allocate(1500, 300, epoch, 300)
+	if al.Case != CaseGreenPlusBattery || al.Sustained {
+		t.Fatalf("allocation = %+v, want an unsustained green+battery sprint", al)
 	}
-	// Fallback: demand beyond battery capability.
-	if got := s.Classify(5000, 0, epoch); got != CaseGridFallback {
-		t.Errorf("excess demand = %v", got)
+	if !units.NearlyEqual(al.SprintFraction, 0.767, 1e-3) {
+		t.Errorf("sprint fraction = %v, want about 0.767", al.SprintFraction)
 	}
-	// REOnly: no battery at all.
-	ro := newSelector(t, cluster.REOnly())
-	if got := ro.Classify(465, 0, epoch); got != CaseGridFallback {
-		t.Errorf("REOnly no green = %v", got)
-	}
-	if got := ro.Classify(465, 600, epoch); got != CaseGreenOnly {
-		t.Errorf("REOnly abundant green = %v", got)
+	if want := units.Watt(1200 * al.SprintFraction); al.Battery != want {
+		t.Errorf("battery = %v, want the 1200 W shortfall over the sprint, %v", al.Battery, want)
 	}
 }
 
@@ -116,7 +131,7 @@ func TestAllocateGreenOnlyChargesSurplus(t *testing.T) {
 	if acct.Green <= 0 || acct.GreenCharged <= 0 {
 		t.Errorf("accounting = %+v", acct)
 	}
-	if got := al.Total(); got != 300 {
+	if got := al.Green + al.Battery + al.Grid; got != 300 {
 		t.Errorf("total = %v", got)
 	}
 }
@@ -170,7 +185,7 @@ func TestAllocateGridFallback(t *testing.T) {
 func TestAllocateNegativeInputsClamp(t *testing.T) {
 	s := newSelector(t, cluster.REBatt())
 	al := s.Allocate(-5, -10, epoch, 100)
-	if al.Total() != 0 && al.Case != CaseGreenOnly {
+	if al.Green+al.Battery+al.Grid != 0 && al.Case != CaseGreenOnly {
 		t.Errorf("negative inputs = %+v", al)
 	}
 }

@@ -330,32 +330,6 @@ func (t *Table) maxQ(s State) float64 {
 	return best
 }
 
-// Best returns the greedy action for s: argmax_a R(s,a), with ties
-// broken toward the lowest-power (earliest) action. An untrained state
-// returns the last action (the maximum sprint), matching the paper's
-// optimistic initial behaviour of sprinting when nothing is known.
-func (t *Table) Best(s State) (int, server.Config) {
-	row := t.Row(s)
-	if row == nil {
-		idx := len(t.actions) - 1
-		return idx, t.actions[idx]
-	}
-	bestIdx, bestVal := len(row)-1, math.Inf(-1)
-	allZero := true
-	for i, v := range row {
-		if v != 0 {
-			allZero = false
-		}
-		if v > bestVal {
-			bestIdx, bestVal = i, v
-		}
-	}
-	if allZero {
-		bestIdx = len(row) - 1
-	}
-	return bestIdx, t.actions[bestIdx]
-}
-
 // Update applies the paper's line 15:
 //
 //	R(c,a) ← R(c,a) + α[r + γ·max_a' R(c',a') − R(c,a)]

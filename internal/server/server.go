@@ -188,23 +188,3 @@ func (m PowerModel) perCore(f units.MHz) float64 {
 func (m PowerModel) PeakPower() units.Watt {
 	return m.Power(MaxSprint(), 1)
 }
-
-// MaxConfigWithin returns the highest-performance config whose
-// fully-utilized power fits within budget, preferring more cores, then
-// higher frequency; perf orders candidate configs. It returns Normal
-// and false when even Normal mode does not fit.
-func (m PowerModel) MaxConfigWithin(budget units.Watt, perf func(Config) float64) (Config, bool) {
-	best := Normal()
-	found := false
-	bestPerf := math.Inf(-1)
-	for _, c := range Configs() {
-		if m.Power(c, 1) > budget {
-			continue
-		}
-		p := perf(c)
-		if !found || p > bestPerf {
-			best, bestPerf, found = c, p, true
-		}
-	}
-	return best, found
-}

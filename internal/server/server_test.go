@@ -154,39 +154,6 @@ func TestFrequencyScalingSuperlinear(t *testing.T) {
 	}
 }
 
-func TestMaxConfigWithin(t *testing.T) {
-	m := NewPowerModel(155)
-	perf := func(c Config) float64 { return float64(c.Cores) * float64(c.Freq) }
-	// A generous budget admits the max sprint.
-	got, ok := m.MaxConfigWithin(200, perf)
-	if !ok || got != MaxSprint() {
-		t.Errorf("200W budget: %v ok=%v", got, ok)
-	}
-	// A tight budget admits only Normal-ish settings.
-	got, ok = m.MaxConfigWithin(float64OfWatt(m.Power(Normal(), 1)), perf)
-	if !ok {
-		t.Fatal("Normal power budget should admit Normal")
-	}
-	if m.Power(got, 1) > m.Power(Normal(), 1) {
-		t.Errorf("config %v exceeds budget", got)
-	}
-	// An impossible budget fails.
-	if _, ok := m.MaxConfigWithin(50, perf); ok {
-		t.Error("50W budget should admit nothing")
-	}
-	// Budget between Normal and max picks something sprinting but
-	// affordable.
-	got, ok = m.MaxConfigWithin(130, perf)
-	if !ok || !got.IsSprinting() {
-		t.Errorf("130W: %v ok=%v", got, ok)
-	}
-	if m.Power(got, 1) > 130 {
-		t.Errorf("%v draws %v > 130W", got, m.Power(got, 1))
-	}
-}
-
-func float64OfWatt(w units.Watt) units.Watt { return w }
-
 // Property: power is always within [Idle, PeakPower] for valid configs
 // and any utilization.
 func TestPowerBoundedProperty(t *testing.T) {
@@ -200,24 +167,6 @@ func TestPowerBoundedProperty(t *testing.T) {
 		p := m.Power(c, u)
 		floor := m.Idle - units.Watt(float64(MaxCores-MinCores)*float64(m.CoreSleepSave))
 		return p >= floor-1e-9 && p <= m.PeakPower()+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: MaxConfigWithin never returns a config above budget when it
-// reports ok.
-func TestMaxConfigWithinBudgetProperty(t *testing.T) {
-	m := NewPowerModel(155)
-	perf := func(c Config) float64 { return float64(c.Cores)*10 + c.Freq.GHz() }
-	f := func(bRaw uint16) bool {
-		budget := units.Watt(float64(bRaw%200) + 20)
-		c, ok := m.MaxConfigWithin(budget, perf)
-		if !ok {
-			return true
-		}
-		return m.Power(c, 1) <= budget && c.Valid()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -206,7 +206,7 @@ func New(cfg Config) (*Engine, error) {
 		burstEnd:     burstStart.Add(cfg.Burst.Duration),
 		offeredBurst: cfg.Burst.Rate(cfg.Workload),
 		// Outside the burst the rack serves a comfortable background
-		// load, as SquareTrace models.
+		// load of 60 % of its Normal-mode capacity.
 		offeredIdle: 0.6 * baseGoodput,
 
 		at: cfg.Supply.Start,

@@ -368,9 +368,3 @@ func meanWindow(tr *trace.Trace, at time.Time, d time.Duration) float64 {
 	}
 	return sum / float64(len(w))
 }
-
-// PeakDemand returns the aggregate full-sprint power demand of the
-// green servers, used to scale Figure 5's demand line.
-func PeakDemand(p workload.Profile, greenServers int) units.Watt {
-	return units.Watt(float64(p.PeakPower) * float64(greenServers))
-}

@@ -57,6 +57,36 @@ func hybrid(t testing.TB) strategy.Strategy {
 	return h
 }
 
+// TestSquareBurstOffered pins the square burst the engine offers: the
+// lead-in and tail-out run at 60 % of Normal-mode capacity, the burst
+// epochs at the burst's rate.
+func TestSquareBurstOffered(t *testing.T) {
+	burst := workload.Burst{Intensity: 12, Duration: 10 * time.Minute}
+	res, err := Run(context.Background(), Config{
+		Workload: testProfile,
+		Green:    cluster.REBatt(),
+		Strategy: strategy.Greedy{},
+		Table:    testTable,
+		Burst:    burst,
+		Supply:   solar.Synthesize(solar.Max, 20*time.Minute, time.Minute, 635.25, 1),
+		Lead:     5 * time.Minute,
+		Tail:     5 * time.Minute,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	idle := 0.6 * testProfile.MaxGoodput(server.Normal())
+	want := []float64{idle, burst.Rate(testProfile), burst.Rate(testProfile), idle}
+	if len(res.Records) != len(want) {
+		t.Fatalf("records = %d, want %d", len(res.Records), len(want))
+	}
+	for i, r := range res.Records {
+		if r.InBurst != (i == 1 || i == 2) || !units.NearlyEqual(r.Offered, want[i], 1e-9) {
+			t.Errorf("epoch %d: offered %v in burst %v, want %v", i, r.Offered, r.InBurst, want[i])
+		}
+	}
+}
+
 func TestValidate(t *testing.T) {
 	good := Config{
 		Workload: testProfile,
@@ -313,12 +343,6 @@ func TestDeterminism(t *testing.T) {
 		if a.Records[i] != b.Records[i] {
 			t.Errorf("record %d differs", i)
 		}
-	}
-}
-
-func TestPeakDemand(t *testing.T) {
-	if got := PeakDemand(testProfile, 3); got != 465 {
-		t.Errorf("peak demand = %v, want 465", got)
 	}
 }
 

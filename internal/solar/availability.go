@@ -40,57 +40,11 @@ func (a Availability) String() string {
 // Levels lists the availability classes in evaluation order.
 func Levels() []Availability { return []Availability{Min, Med, Max} }
 
-// band returns the [lo,hi] fraction-of-peak band that defines an
-// availability class for window classification.
-func (a Availability) band() (lo, hi float64) {
-	switch a {
-	case Min:
-		return 0, 0.05
-	case Med:
-		return 0.35, 0.65
-	default: // Max
-		return 0.90, 1.01
-	}
-}
-
-// FindWindow scans tr for the first window of length d whose mean
-// output, as a fraction of peakAC, falls inside the availability band
-// of level. It returns the window start time. The scan advances in
-// steps of d/4 for efficiency.
-func FindWindow(tr *trace.Trace, d time.Duration, level Availability, peakAC float64) (time.Time, error) {
-	if peakAC <= 0 {
-		return time.Time{}, fmt.Errorf("solar: non-positive peak %v", peakAC)
-	}
-	if d <= 0 {
-		return time.Time{}, fmt.Errorf("solar: non-positive window %v", d)
-	}
-	lo, hi := level.band()
-	stride := d / 4
-	if stride < tr.Step {
-		stride = tr.Step
-	}
-	for at := tr.Start; !at.Add(d).After(tr.End()); at = at.Add(stride) {
-		w := tr.Window(at, d)
-		if len(w) == 0 {
-			break
-		}
-		sum := 0.0
-		for _, v := range w {
-			sum += v
-		}
-		frac := sum / float64(len(w)) / peakAC
-		if frac >= lo && frac <= hi {
-			return at, nil
-		}
-	}
-	return time.Time{}, fmt.Errorf("solar: no %v-availability window of %v in trace %q", level, d, tr.Name)
-}
-
 // Synthesize produces a canonical supply trace for an availability
 // class: Min is zero output, Med is a half-peak plateau with a mild
 // diurnal slope and passing-cloud ripple, Max is a full-peak plateau.
-// It is used when a scanned trace lacks a matching window, and by unit
-// tests that need a deterministic supply shape.
+// Every experiment cell runs against it, so a cell's supply depends
+// only on its class, length and seed.
 func Synthesize(level Availability, d, step time.Duration, peakAC float64, seed int64) *trace.Trace {
 	if step <= 0 {
 		step = time.Minute

@@ -189,50 +189,16 @@ func TestAvailabilityString(t *testing.T) {
 	}
 }
 
-func TestFindWindow(t *testing.T) {
-	cfg := DefaultGeneratorConfig()
-	cfg.Days = 3
-	cfg.Skies = []Sky{Clear, Clear, Clear}
-	tr, err := Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	peak := float64(cfg.Array.PeakAC())
-	for _, level := range Levels() {
-		at, err := FindWindow(tr, 30*time.Minute, level, peak)
-		if err != nil {
-			t.Fatalf("%v: %v", level, err)
-		}
-		w := tr.Window(at, 30*time.Minute)
-		sum := 0.0
-		for _, v := range w {
-			sum += v
-		}
-		frac := sum / float64(len(w)) / peak
-		lo, hi := level.band()
-		if frac < lo || frac > hi {
-			t.Errorf("%v window mean fraction %v outside [%v,%v]", level, frac, lo, hi)
-		}
-	}
-}
-
-func TestFindWindowErrors(t *testing.T) {
-	cfg := DefaultGeneratorConfig()
-	cfg.Days = 1
-	cfg.Skies = []Sky{Overcast}
-	tr, err := Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	peak := float64(cfg.Array.PeakAC())
-	if _, err := FindWindow(tr, 30*time.Minute, Max, peak); err == nil {
-		t.Error("overcast day should have no Max window")
-	}
-	if _, err := FindWindow(tr, 0, Max, peak); err == nil {
-		t.Error("zero duration should error")
-	}
-	if _, err := FindWindow(tr, time.Hour, Max, 0); err == nil {
-		t.Error("zero peak should error")
+// band returns the [lo,hi] fraction-of-peak band that defines an
+// availability class.
+func band(a Availability) (lo, hi float64) {
+	switch a {
+	case Min:
+		return 0, 0.05
+	case Med:
+		return 0.35, 0.65
+	default: // Max
+		return 0.90, 1.01
 	}
 }
 
@@ -245,7 +211,7 @@ func TestSynthesize(t *testing.T) {
 			t.Fatalf("%v: len = %d", level, tr.Len())
 		}
 		mean := tr.Mean()
-		lo, hi := level.band()
+		lo, hi := band(level)
 		frac := mean / peak
 		// Synthesized traces should land in (or very near) the band.
 		if frac < lo-0.1 || frac > hi+0.1 {

@@ -625,16 +625,6 @@ func EffectiveLatency(p workload.Profile, c server.Config, offered float64) floa
 	return workload.SharedKernel(p).EffectiveLatency(c, offered)
 }
 
-// Evaluated returns the four sprinting strategies compared in every
-// figure, in the paper's plotting order.
-func Evaluated(p workload.Profile, tab *profile.Table) ([]Strategy, error) {
-	h, err := NewHybrid(p, tab)
-	if err != nil {
-		return nil, err
-	}
-	return []Strategy{Greedy{}, Parallel{}, Pacing{}, h}, nil
-}
-
 // ByName builds a single strategy by its paper name.
 func ByName(name string, p workload.Profile, tab *profile.Table) (Strategy, error) {
 	switch name {

@@ -21,10 +21,11 @@ import (
 func TestBuildCachedConcurrent(t *testing.T) {
 	profiles := workload.All()
 	const perProfile = 32
+	useWorkers(t, 8)
 	tabs, err := Map(context.Background(), make([]struct{}, perProfile*len(profiles)),
 		func(ctx context.Context, i int, _ struct{}) (*profile.Table, error) {
 			return profile.BuildCached(profiles[i%len(profiles)], profile.DefaultLevels)
-		}, WithWorkers(8))
+		})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -236,12 +236,13 @@ func TestShardedRunCancellation(t *testing.T) {
 func TestMapCancellationStopsMidRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	useWorkers(t, 2)
 	_, err := Map(ctx, []int{0, 1, 2, 3}, func(ctx context.Context, i, _ int) (*sim.Result, error) {
 		if i == 0 {
 			cancel()
 		}
 		return sim.Run(ctx, shardConfig(t, "Pacing"))
-	}, WithWorkers(2))
+	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

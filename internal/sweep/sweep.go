@@ -17,15 +17,14 @@
 //
 // Map handles flat cell slices; Grid handles cartesian products
 // (duration x availability x variant figure grids). Both propagate the
-// first error in input order (or aggregate all errors via an option),
-// honor context cancellation mid-sweep, and convert a worker panic
-// back into a panic on the calling goroutine tagged with the offending
-// cell index.
+// first error in input order, honor context cancellation mid-sweep,
+// and convert a worker panic back into a panic on the calling
+// goroutine tagged with the offending cell index. The worker count is
+// process-wide (SetDefaultWorkers).
 package sweep
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -38,8 +37,8 @@ import (
 // SetDefaultWorkers(N).
 var defaultWorkers atomic.Int64
 
-// DefaultWorkers returns the current default worker count for sweeps
-// that do not set WithWorkers explicitly.
+// DefaultWorkers returns the worker count Map and Grid use; 1 runs the
+// cells serially in input order on the calling goroutine.
 func DefaultWorkers() int {
 	if n := int(defaultWorkers.Load()); n > 0 {
 		return n
@@ -57,27 +56,6 @@ func SetDefaultWorkers(n int) int {
 	}
 	defaultWorkers.Store(int64(n))
 	return prev
-}
-
-type options struct {
-	workers   int
-	aggregate bool
-}
-
-// Option configures one Map/Grid call.
-type Option func(*options)
-
-// WithWorkers bounds the number of worker goroutines for this call.
-// n <= 0 means DefaultWorkers(); 1 runs the cells serially in input
-// order on the calling goroutine.
-func WithWorkers(n int) Option {
-	return func(o *options) { o.workers = n }
-}
-
-// AggregateErrors runs every cell even after failures and returns all
-// cell errors joined in input order, instead of stopping at the first.
-func AggregateErrors() Option {
-	return func(o *options) { o.aggregate = true }
 }
 
 // CellError wraps the error of one failed cell with its input index.
@@ -109,14 +87,14 @@ func CellSeed(root int64, index int) int64 {
 
 // Map evaluates fn over every cell in cells across a worker pool and
 // returns the results in input order. The first cell error (by input
-// index, wrapped in *CellError) cancels the remaining cells unless
-// AggregateErrors is set; a canceled ctx stops dispatch and returns
-// ctx.Err() when no cell failed first. A panicking fn re-panics on the
-// calling goroutine with the cell index prepended.
-func Map[I, O any](ctx context.Context, cells []I, fn func(ctx context.Context, index int, cell I) (O, error), opts ...Option) ([]O, error) {
+// index, wrapped in *CellError) cancels the remaining cells; a
+// canceled ctx stops dispatch and returns ctx.Err() when no cell
+// failed first. A panicking fn re-panics on the calling goroutine with
+// the cell index prepended.
+func Map[I, O any](ctx context.Context, cells []I, fn func(ctx context.Context, index int, cell I) (O, error)) ([]O, error) {
 	return mapN(ctx, len(cells), func(ctx context.Context, i int) (O, error) {
 		return fn(ctx, i, cells[i])
-	}, opts)
+	})
 }
 
 // Grid evaluates fn over the cartesian product of dims in row-major
@@ -124,7 +102,7 @@ func Map[I, O any](ctx context.Context, cells []I, fn func(ctx context.Context, 
 // that order. fn receives both the flat index and the per-dimension
 // coordinate (the coord slice is owned by the callee and must not be
 // retained). Error, cancellation, and panic semantics match Map.
-func Grid[O any](ctx context.Context, dims []int, fn func(ctx context.Context, flat int, coord []int) (O, error), opts ...Option) ([]O, error) {
+func Grid[O any](ctx context.Context, dims []int, fn func(ctx context.Context, flat int, coord []int) (O, error)) ([]O, error) {
 	n := 1
 	for _, d := range dims {
 		if d < 0 {
@@ -140,7 +118,7 @@ func Grid[O any](ctx context.Context, dims []int, fn func(ctx context.Context, f
 			rem /= dims[k]
 		}
 		return fn(ctx, i, coord)
-	}, opts)
+	})
 }
 
 // cellPanic carries a recovered worker panic back to the caller.
@@ -150,15 +128,8 @@ type cellPanic struct {
 	stack []byte
 }
 
-func mapN[O any](ctx context.Context, n int, fn func(ctx context.Context, i int) (O, error), opts []Option) ([]O, error) {
-	o := options{}
-	for _, opt := range opts {
-		opt(&o)
-	}
-	workers := o.workers
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
+func mapN[O any](ctx context.Context, n int, fn func(ctx context.Context, i int) (O, error)) ([]O, error) {
+	workers := DefaultWorkers()
 	if workers > n {
 		workers = n
 	}
@@ -171,9 +142,9 @@ func mapN[O any](ctx context.Context, n int, fn func(ctx context.Context, i int)
 	}
 
 	errs := make([]error, n)
-	// stop cancels remaining cells on the first failure (unless
-	// aggregating); cellCtx is what the cells observe, so a caller's
-	// cancellation and the engine's early-stop look the same to fn.
+	// stop cancels remaining cells on the first failure; cellCtx is
+	// what the cells observe, so a caller's cancellation and the
+	// engine's early-stop look the same to fn.
 	cellCtx, stop := context.WithCancel(ctx)
 	defer stop()
 
@@ -198,9 +169,7 @@ func mapN[O any](ctx context.Context, n int, fn func(ctx context.Context, i int)
 		v, err := fn(cellCtx, i)
 		if err != nil {
 			errs[i] = err
-			if !o.aggregate {
-				stop()
-			}
+			stop()
 			return
 		}
 		results[i] = v
@@ -211,10 +180,9 @@ func mapN[O any](ctx context.Context, n int, fn func(ctx context.Context, i int)
 			if i >= n {
 				return
 			}
-			// The caller's cancellation always halts dispatch;
-			// engine-internal early-stop only does when not
-			// aggregating errors.
-			if ctx.Err() != nil || (cellCtx.Err() != nil && !o.aggregate) {
+			// The caller's cancellation and the engine's
+			// early-stop both halt dispatch.
+			if ctx.Err() != nil || cellCtx.Err() != nil {
 				return
 			}
 			runCell(i)
@@ -238,21 +206,9 @@ func mapN[O any](ctx context.Context, n int, fn func(ctx context.Context, i int)
 	if panicked != nil {
 		panic(fmt.Sprintf("sweep: cell %d panicked: %v\n%s", panicked.index, panicked.value, panicked.stack))
 	}
-	if o.aggregate {
-		var all []error
-		for i, err := range errs {
-			if err != nil {
-				all = append(all, &CellError{Index: i, Err: err})
-			}
-		}
-		if len(all) > 0 {
-			return results, errors.Join(all...)
-		}
-	} else {
-		for i, err := range errs {
-			if err != nil {
-				return results, &CellError{Index: i, Err: err}
-			}
+	for i, err := range errs {
+		if err != nil {
+			return results, &CellError{Index: i, Err: err}
 		}
 	}
 	if err := ctx.Err(); err != nil {

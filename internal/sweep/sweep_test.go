@@ -11,12 +11,21 @@ import (
 	"time"
 )
 
+// useWorkers sets the process-wide sweep worker count for the rest of
+// the test and restores the previous setting when the test ends.
+func useWorkers(t *testing.T, n int) {
+	t.Helper()
+	prev := SetDefaultWorkers(n)
+	t.Cleanup(func() { SetDefaultWorkers(prev) })
+}
+
 func TestMapPreservesInputOrder(t *testing.T) {
 	cells := make([]int, 100)
 	for i := range cells {
 		cells[i] = i
 	}
 	for _, workers := range []int{1, 2, 4, 8, 16} {
+		useWorkers(t, workers)
 		got, err := Map(context.Background(), cells, func(_ context.Context, i, cell int) (int, error) {
 			if i != cell {
 				t.Errorf("workers=%d: index %d got cell %d", workers, i, cell)
@@ -26,7 +35,7 @@ func TestMapPreservesInputOrder(t *testing.T) {
 				time.Sleep(time.Millisecond)
 			}
 			return cell * cell, nil
-		}, WithWorkers(workers))
+		})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -56,10 +65,11 @@ func TestMapZeroCells(t *testing.T) {
 
 func TestMapSingleWorkerIsSerial(t *testing.T) {
 	var order []int
+	useWorkers(t, 1)
 	_, err := Map(context.Background(), []int{0, 1, 2, 3, 4}, func(_ context.Context, i, _ int) (int, error) {
 		order = append(order, i) // safe: one worker runs on the calling goroutine
 		return i, nil
-	}, WithWorkers(1))
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,6 +84,7 @@ func TestMapFirstErrorWins(t *testing.T) {
 	cells := make([]int, 64)
 	boom := errors.New("boom")
 	var ran atomic.Int64
+	useWorkers(t, 4)
 	_, err := Map(context.Background(), cells, func(_ context.Context, i, _ int) (int, error) {
 		ran.Add(1)
 		if i == 3 || i == 40 {
@@ -81,7 +92,7 @@ func TestMapFirstErrorWins(t *testing.T) {
 		}
 		time.Sleep(100 * time.Microsecond) // let the early-stop win the dispatch race
 		return 0, nil
-	}, WithWorkers(4))
+	})
 	if err == nil {
 		t.Fatal("want error")
 	}
@@ -102,39 +113,17 @@ func TestMapFirstErrorWins(t *testing.T) {
 	}
 }
 
-func TestMapAggregateErrors(t *testing.T) {
-	cells := make([]int, 20)
-	var ran atomic.Int64
-	_, err := Map(context.Background(), cells, func(_ context.Context, i, _ int) (int, error) {
-		ran.Add(1)
-		if i%5 == 0 {
-			return 0, fmt.Errorf("fail %d", i)
-		}
-		return 0, nil
-	}, WithWorkers(4), AggregateErrors())
-	if err == nil {
-		t.Fatal("want error")
-	}
-	if ran.Load() != int64(len(cells)) {
-		t.Fatalf("aggregate mode ran %d of %d cells", ran.Load(), len(cells))
-	}
-	for _, i := range []int{0, 5, 10, 15} {
-		if !strings.Contains(err.Error(), fmt.Sprintf("cell %d", i)) {
-			t.Errorf("aggregate error missing cell %d: %v", i, err)
-		}
-	}
-}
-
 func TestMapContextCancellationMidSweep(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cells := make([]int, 1000)
 	var ran atomic.Int64
+	useWorkers(t, 4)
 	_, err := Map(ctx, cells, func(ctx context.Context, i, _ int) (int, error) {
 		if ran.Add(1) == 10 {
 			cancel()
 		}
 		return i, nil
-	}, WithWorkers(4))
+	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -148,6 +137,7 @@ func TestMapCellSeesCancellation(t *testing.T) {
 	// earlier cell fails, so long-running sims can bail out.
 	var sawCancel atomic.Bool
 	started := make(chan struct{})
+	useWorkers(t, 2)
 	_, err := Map(context.Background(), make([]int, 8), func(ctx context.Context, i, _ int) (int, error) {
 		if i == 0 {
 			<-started // fail only once a long-running cell is in flight
@@ -166,7 +156,7 @@ func TestMapCellSeesCancellation(t *testing.T) {
 				return i, nil
 			}
 		}
-	}, WithWorkers(2))
+	})
 	if err == nil {
 		t.Fatal("want error")
 	}
@@ -188,12 +178,13 @@ func TestMapPanicCarriesCellIndex(t *testing.T) {
 					t.Fatalf("workers=%d: panic message %q lacks cell index or cause", workers, msg)
 				}
 			}()
+			useWorkers(t, workers)
 			Map(context.Background(), make([]int, 20), func(_ context.Context, i, _ int) (int, error) {
 				if i == 13 {
 					panic("kaboom")
 				}
 				return i, nil
-			}, WithWorkers(workers))
+			})
 		}()
 	}
 }
@@ -204,9 +195,10 @@ func TestGridRowMajorCoordinates(t *testing.T) {
 		flat  int
 		coord [3]int
 	}
+	useWorkers(t, 4)
 	got, err := Grid(context.Background(), dims, func(_ context.Context, flat int, coord []int) (cell, error) {
 		return cell{flat: flat, coord: [3]int{coord[0], coord[1], coord[2]}}, nil
-	}, WithWorkers(4))
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

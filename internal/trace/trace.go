@@ -3,14 +3,12 @@
 // irradiance/power records), workload intensity traces and power-draw
 // logs. A Trace is a start time, a sampling step and a slice of float64
 // samples; the package supplies slicing, resampling, scaling,
-// aggregation and CSV round-tripping.
+// summary statistics and CSV round-tripping.
 package trace
 
 import (
 	"errors"
-	"fmt"
 	"math"
-	"sort"
 	"time"
 )
 
@@ -67,22 +65,6 @@ func (t *Trace) At(ts time.Time) float64 {
 		i = len(t.Samples) - 1
 	}
 	return t.Samples[i]
-}
-
-// Index returns the sample index covering instant ts, clamped to the
-// valid range. An empty trace returns -1.
-func (t *Trace) Index(ts time.Time) int {
-	if len(t.Samples) == 0 {
-		return -1
-	}
-	i := int(ts.Sub(t.Start) / t.Step)
-	if i < 0 {
-		return 0
-	}
-	if i >= len(t.Samples) {
-		return len(t.Samples) - 1
-	}
-	return i
 }
 
 // Clone returns a deep copy.
@@ -199,24 +181,6 @@ func (t *Trace) Repeat(n int) *Trace {
 	return &Trace{Name: t.Name, Start: t.Start, Step: t.Step, Samples: s}
 }
 
-// Add returns the pointwise sum of t and o. Both traces must share the
-// same step; the result covers t's period and treats o as zero outside
-// its own bounds.
-func (t *Trace) Add(o *Trace) (*Trace, error) {
-	if t.Step != o.Step {
-		return nil, fmt.Errorf("trace: step mismatch %v vs %v", t.Step, o.Step)
-	}
-	out := t.Clone()
-	for i := range out.Samples {
-		ts := t.TimeAt(i)
-		if ts.Before(o.Start) || !ts.Before(o.End()) {
-			continue
-		}
-		out.Samples[i] += o.At(ts)
-	}
-	return out, nil
-}
-
 // Stats summarizes a trace.
 type Stats struct {
 	Min, Max, Mean, Std float64
@@ -268,45 +232,4 @@ func (t *Trace) Integral() float64 {
 		sum += v * h
 	}
 	return sum
-}
-
-// Percentile returns the p-quantile (0 ≤ p ≤ 100) of the samples using
-// nearest-rank on a sorted copy. Empty traces return 0.
-func (t *Trace) Percentile(p float64) float64 {
-	if len(t.Samples) == 0 {
-		return 0
-	}
-	s := make([]float64, len(t.Samples))
-	copy(s, t.Samples)
-	sort.Float64s(s)
-	if p <= 0 {
-		return s[0]
-	}
-	if p >= 100 {
-		return s[len(s)-1]
-	}
-	rank := int(math.Ceil(p / 100 * float64(len(s))))
-	if rank < 1 {
-		rank = 1
-	}
-	return s[rank-1]
-}
-
-// EWMA returns the exponentially weighted moving average of the trace
-// with smoothing factor alpha in [0,1], following the paper's Eq. 1:
-//
-//	pred(t) = alpha*pred(t-1) + (1-alpha)*obs(t)
-//
-// The first prediction equals the first observation.
-func (t *Trace) EWMA(alpha float64) *Trace {
-	out := t.Clone()
-	if len(out.Samples) == 0 {
-		return out
-	}
-	prev := out.Samples[0]
-	for i, v := range t.Samples {
-		prev = alpha*prev + (1-alpha)*v
-		out.Samples[i] = prev
-	}
-	return out
 }

@@ -60,22 +60,6 @@ func TestAt(t *testing.T) {
 	if got := empty.At(t0); got != 0 {
 		t.Errorf("empty At = %v", got)
 	}
-	if got := empty.Index(t0); got != -1 {
-		t.Errorf("empty Index = %v", got)
-	}
-}
-
-func TestIndexClamping(t *testing.T) {
-	tr := mk(1, 2, 3)
-	if got := tr.Index(t0.Add(-time.Hour)); got != 0 {
-		t.Errorf("before start: %d", got)
-	}
-	if got := tr.Index(t0.Add(time.Hour)); got != 2 {
-		t.Errorf("after end: %d", got)
-	}
-	if got := tr.Index(t0.Add(time.Minute)); got != 1 {
-		t.Errorf("middle: %d", got)
-	}
 }
 
 func TestScaleAndClip(t *testing.T) {
@@ -198,25 +182,6 @@ func TestRepeat(t *testing.T) {
 	}
 }
 
-func TestAdd(t *testing.T) {
-	a := mk(1, 1, 1, 1)
-	b := New("b", t0.Add(time.Minute), time.Minute, []float64{5, 5})
-	sum, err := a.Add(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{1, 6, 6, 1}
-	for i, v := range sum.Samples {
-		if v != want[i] {
-			t.Errorf("Add[%d] = %v, want %v", i, v, want[i])
-		}
-	}
-	c := New("c", t0, time.Second, []float64{1})
-	if _, err := a.Add(c); err == nil {
-		t.Error("expected step-mismatch error")
-	}
-}
-
 func TestStats(t *testing.T) {
 	tr := mk(2, 4, 4, 4, 5, 5, 7, 9)
 	st := tr.Stats()
@@ -243,52 +208,6 @@ func TestIntegral(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	tr := mk(1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
-	tests := []struct {
-		p    float64
-		want float64
-	}{
-		{0, 1}, {100, 10}, {50, 5}, {90, 9}, {99, 10},
-	}
-	for _, tt := range tests {
-		if got := tr.Percentile(tt.p); got != tt.want {
-			t.Errorf("P%v = %v, want %v", tt.p, got, tt.want)
-		}
-	}
-	var empty Trace
-	if empty.Percentile(50) != 0 {
-		t.Error("empty percentile should be 0")
-	}
-}
-
-func TestEWMA(t *testing.T) {
-	tr := mk(10, 10, 10)
-	e := tr.EWMA(0.3)
-	for i, v := range e.Samples {
-		if !nearly(v, 10) {
-			t.Errorf("constant EWMA[%d] = %v", i, v)
-		}
-	}
-	// Step input converges toward the new level.
-	step := mk(0, 100, 100, 100, 100, 100, 100, 100)
-	es := step.EWMA(0.3)
-	if es.Samples[1] <= es.Samples[0] {
-		t.Error("EWMA should rise after a step up")
-	}
-	last := es.Samples[es.Len()-1]
-	if last < 99 {
-		t.Errorf("EWMA should converge near 100, got %v", last)
-	}
-	// alpha=0 tracks the observation exactly.
-	e0 := step.EWMA(0)
-	for i := range step.Samples {
-		if e0.Samples[i] != step.Samples[i] {
-			t.Errorf("alpha=0 sample %d = %v", i, e0.Samples[i])
-		}
-	}
-}
-
 func nearly(a, b float64) bool { return math.Abs(a-b) <= 1e-9*math.Max(1, math.Abs(b)) }
 
 // Property: Slice never yields samples outside the original value set
@@ -306,31 +225,6 @@ func TestIntegralAdditiveProperty(t *testing.T) {
 		a := tr.Slice(t0, mid)
 		b := tr.Slice(mid, tr.End())
 		return nearly(a.Integral()+b.Integral(), tr.Integral())
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: EWMA output stays within the [min,max] envelope of the
-// input for any alpha in [0,1].
-func TestEWMABoundedProperty(t *testing.T) {
-	f := func(seed int64, alphaRaw uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		alpha := float64(alphaRaw) / 255
-		s := make([]float64, 40)
-		for i := range s {
-			s[i] = rng.Float64()*200 - 100
-		}
-		tr := mk(s...)
-		st := tr.Stats()
-		e := tr.EWMA(alpha)
-		for _, v := range e.Samples {
-			if v < st.Min-1e-9 || v > st.Max+1e-9 {
-				return false
-			}
-		}
-		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -10,7 +10,6 @@
 package units
 
 import (
-	"fmt"
 	"math"
 	"strconv"
 	"strings"
@@ -126,42 +125,6 @@ func (w Watt) Clamp(lo, hi Watt) Watt {
 		return hi
 	}
 	return w
-}
-
-// ParsePower parses strings like "155W", "1.5kW" or bare numbers
-// (interpreted as watts).
-func ParsePower(s string) (Watt, error) {
-	s = strings.TrimSpace(s)
-	mult := 1.0
-	switch {
-	case strings.HasSuffix(s, "kW"):
-		mult, s = 1000, strings.TrimSuffix(s, "kW")
-	case strings.HasSuffix(s, "W"):
-		s = strings.TrimSuffix(s, "W")
-	}
-	v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-	if err != nil {
-		return 0, fmt.Errorf("units: parse power %q: %w", s, err)
-	}
-	return Watt(v * mult), nil
-}
-
-// ParseFreq parses strings like "2.0GHz", "1200MHz" or bare numbers
-// (interpreted as MHz).
-func ParseFreq(s string) (MHz, error) {
-	s = strings.TrimSpace(s)
-	mult := 1.0
-	switch {
-	case strings.HasSuffix(s, "GHz"):
-		mult, s = 1000, strings.TrimSuffix(s, "GHz")
-	case strings.HasSuffix(s, "MHz"):
-		s = strings.TrimSuffix(s, "MHz")
-	}
-	v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-	if err != nil {
-		return 0, fmt.Errorf("units: parse frequency %q: %w", s, err)
-	}
-	return MHz(v * mult), nil
 }
 
 // NearlyEqual reports whether a and b are equal within a relative

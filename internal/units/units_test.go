@@ -93,54 +93,6 @@ func TestStrings(t *testing.T) {
 	}
 }
 
-func TestParsePower(t *testing.T) {
-	tests := []struct {
-		in      string
-		want    Watt
-		wantErr bool
-	}{
-		{"155W", 155, false},
-		{"1.5kW", 1500, false},
-		{" 76 ", 76, false},
-		{"635.25W", 635.25, false},
-		{"abc", 0, true},
-		{"W", 0, true},
-	}
-	for _, tt := range tests {
-		got, err := ParsePower(tt.in)
-		if (err != nil) != tt.wantErr {
-			t.Errorf("ParsePower(%q) err=%v wantErr=%v", tt.in, err, tt.wantErr)
-			continue
-		}
-		if !tt.wantErr && got != tt.want {
-			t.Errorf("ParsePower(%q) = %v, want %v", tt.in, got, tt.want)
-		}
-	}
-}
-
-func TestParseFreq(t *testing.T) {
-	tests := []struct {
-		in      string
-		want    MHz
-		wantErr bool
-	}{
-		{"2.0GHz", 2000, false},
-		{"1200MHz", 1200, false},
-		{"1500", 1500, false},
-		{"fast", 0, true},
-	}
-	for _, tt := range tests {
-		got, err := ParseFreq(tt.in)
-		if (err != nil) != tt.wantErr {
-			t.Errorf("ParseFreq(%q) err=%v wantErr=%v", tt.in, err, tt.wantErr)
-			continue
-		}
-		if !tt.wantErr && got != tt.want {
-			t.Errorf("ParseFreq(%q) = %v, want %v", tt.in, got, tt.want)
-		}
-	}
-}
-
 func TestNearlyEqual(t *testing.T) {
 	if !NearlyEqual(1.0, 1.0, 0) {
 		t.Error("identical values must compare equal at zero tolerance")

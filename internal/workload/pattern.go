@@ -4,7 +4,6 @@ import (
 	"math"
 	"time"
 
-	"greensprint/internal/server"
 	"greensprint/internal/trace"
 )
 
@@ -28,33 +27,6 @@ func Durations() []time.Duration {
 // Rate returns the offered per-server arrival rate of the burst for
 // profile p.
 func (b Burst) Rate(p Profile) float64 { return p.IntensityRate(b.Intensity) }
-
-// SquareTrace renders the burst as an offered-rate trace: a pre-burst
-// lead-in at the normal-capacity rate, the burst plateau, and a
-// tail-out back at the normal rate. lead and tail may be zero.
-func (b Burst) SquareTrace(p Profile, start time.Time, step, lead, tail time.Duration) *trace.Trace {
-	if step <= 0 {
-		step = time.Minute
-	}
-	// Outside the burst the cluster runs at a comfortable fraction
-	// of Normal capacity.
-	baseRate := 0.6 * p.MaxGoodput(server.Normal())
-	n := int((lead + b.Duration + tail) / step)
-	if n < 1 {
-		n = 1
-	}
-	samples := make([]float64, n)
-	burstRate := b.Rate(p)
-	for i := range samples {
-		at := time.Duration(i) * step
-		if at >= lead && at < lead+b.Duration {
-			samples[i] = burstRate
-		} else {
-			samples[i] = baseRate
-		}
-	}
-	return trace.New("offered_"+p.Name, start, step, samples)
-}
 
 // DiurnalPattern generates the normalized 24-hour workload-intensity
 // curve of the paper's Figure 1 (a Google-datacenter diurnal pattern

@@ -28,47 +28,6 @@ func TestBurstRate(t *testing.T) {
 	}
 }
 
-func TestSquareTrace(t *testing.T) {
-	p := SPECjbb()
-	b := Burst{Intensity: 12, Duration: 10 * time.Minute}
-	tr := b.SquareTrace(p, patternStart, time.Minute, 5*time.Minute, 5*time.Minute)
-	if tr.Len() != 20 {
-		t.Fatalf("len = %d, want 20", tr.Len())
-	}
-	burstRate := b.Rate(p)
-	// Lead-in below burst.
-	if tr.Samples[0] >= burstRate {
-		t.Errorf("lead sample %v >= burst %v", tr.Samples[0], burstRate)
-	}
-	// Plateau at the burst rate.
-	for i := 5; i < 15; i++ {
-		if tr.Samples[i] != burstRate {
-			t.Errorf("sample %d = %v, want %v", i, tr.Samples[i], burstRate)
-		}
-	}
-	// Tail back down.
-	if tr.Samples[19] >= burstRate {
-		t.Errorf("tail sample %v", tr.Samples[19])
-	}
-}
-
-func TestSquareTraceDefaults(t *testing.T) {
-	p := Memcached()
-	b := Burst{Intensity: 12, Duration: 2 * time.Minute}
-	tr := b.SquareTrace(p, patternStart, 0, 0, 0)
-	if tr.Step != time.Minute {
-		t.Errorf("default step = %v", tr.Step)
-	}
-	if tr.Len() != 2 {
-		t.Errorf("len = %d", tr.Len())
-	}
-	for _, v := range tr.Samples {
-		if v != b.Rate(p) {
-			t.Errorf("pure burst sample = %v", v)
-		}
-	}
-}
-
 func TestDiurnalPattern(t *testing.T) {
 	tr := DiurnalPattern(patternStart, time.Minute)
 	if tr.Len() != 24*60 {
