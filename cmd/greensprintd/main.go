@@ -20,7 +20,7 @@
 //	greensprintd [-addr :8479] [-config FILE] [-backend sim|sysfs]
 //	             [-sysfs-root DIR] [-epoch 5m] [-once N]
 //	             [-checkpoint FILE] [-resume] [-checkpoint-keep N]
-//	             [-qtable FILE] [-events FILE] [-pprof]
+//	             [-events FILE] [-pprof]
 //	             [-chaos-profile P] [-chaos-seed N] [-fleet FILE]
 //	             [-catchup N]
 //
@@ -43,9 +43,8 @@
 // Hybrid Q-table) after every epoch and on shutdown; -resume restores
 // it on startup so the control loop continues where it left off, and
 // -checkpoint-keep N additionally retains the N most recent
-// epoch-numbered checkpoint snapshots for long-haul runs. The older
-// -qtable flag persists only the Q-table and is kept for
-// compatibility.
+// epoch-numbered checkpoint snapshots for long-haul runs. GET /qtable
+// serves the learned Q-table for inspection.
 //
 // Observability: GET /metrics serves the Prometheus text-format
 // catalog (always on), -events FILE appends one JSONL record per
@@ -73,6 +72,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"os"
@@ -98,6 +98,7 @@ import (
 	"greensprint/internal/sim"
 	"greensprint/internal/solar"
 	"greensprint/internal/units"
+	"greensprint/internal/workload"
 )
 
 // options collects the daemon's flag-derived configuration.
@@ -107,7 +108,6 @@ type options struct {
 	sysfsRoot string
 	epoch     time.Duration
 	once      int
-	qtable    string
 	ckpt      string
 	ckptKeep  int
 	resume    bool
@@ -127,7 +127,6 @@ func main() {
 	flag.StringVar(&o.sysfsRoot, "sysfs-root", "", "sysfs CPU root for the sysfs backend")
 	flag.DurationVar(&o.epoch, "epoch", 0, "override the scheduling epoch (e.g. 2s for demos)")
 	flag.IntVar(&o.once, "once", 0, "run N epochs and exit (0 = serve forever)")
-	flag.StringVar(&o.qtable, "qtable", "", "file persisting the Hybrid Q-table across restarts")
 	flag.StringVar(&o.ckpt, "checkpoint", "", "file persisting the full controller state after every epoch")
 	flag.IntVar(&o.ckptKeep, "checkpoint-keep", 0, "retain the N most recent epoch-numbered checkpoint snapshots (0 = only the live file)")
 	flag.BoolVar(&o.resume, "resume", false, "restore controller state from the -checkpoint file on startup")
@@ -172,125 +171,129 @@ func main() {
 	}
 }
 
-// run builds the controller stack for cfg and serves until ctx is
-// cancelled (or -once epochs have run).
+// daemon is one greensprintd run, resolved once from the config and
+// the flags: the workload profile, the green view, the controller with
+// its sinks, and the options the tick loop reads.
+type daemon struct {
+	cfg       config.Config
+	o         options
+	p         workload.Profile
+	green     cluster.GreenConfig
+	ctrl      *core.Controller
+	collector *obs.Collector
+	// ticker reports whether the internal epoch loop drives the
+	// controller: false for sysfs, where an external monitor POSTs
+	// /step.
+	ticker bool
+}
+
+// run builds the daemon for cfg and serves until ctx is cancelled (or
+// -once epochs have run). The -events log is opened here, so the JSONL
+// sink joins the Prometheus collector on the controller from its first
+// epoch.
 func run(ctx context.Context, cfg config.Config, o options) error {
-	ctrl, collector, ticker, err := buildController(cfg, o)
-	if err != nil {
-		return err
-	}
-	return serve(ctx, ctrl, collector, ticker, cfg, o)
-}
-
-// buildController assembles the controller, its observability sinks
-// and the actuation backend. ticker reports whether the internal epoch
-// loop should drive the controller (false for sysfs, where an external
-// monitor POSTs /step).
-func buildController(cfg config.Config, o options) (ctrl *core.Controller, collector *obs.Collector, ticker bool, err error) {
-	p, err := cfg.WorkloadProfile()
-	if err != nil {
-		return nil, nil, false, err
-	}
-	green, topo, err := fleetView(cfg, o)
-	if err != nil {
-		return nil, nil, false, err
-	}
-	epoch := o.epoch
-	if epoch == 0 {
-		epoch = cfg.Epoch.Std()
-	}
-
-	if o.fleetSpec != nil {
-		log.Printf("greensprintd: %s", topo.Summary())
-	}
-	// The controller's battery view is the class-indexed bank of the
-	// topology: the generated fleet's, or the paper rack's one class.
-	bank, err := battery.NewClassBank(topo.BatteryClasses())
-	if err != nil {
-		return nil, nil, false, err
-	}
-	// The sim backend models the green servers only; sysfs also drives
-	// the local host, whose one knob mirrors every decision.
-	var host pmk.Knob
-	ticker = true
-	switch o.backend {
-	case "sim":
-	case "sysfs":
-		host = pmk.NewSysfs(o.sysfsRoot)
-		ticker = false // external monitor drives /step
-	default:
-		return nil, nil, false, fmt.Errorf("unknown backend %q", o.backend)
-	}
-
-	inj, err := buildInjector(cfg, topo, epoch, o)
-	if err != nil {
-		return nil, nil, false, err
-	}
-
-	collector = obs.NewCollector()
-	ctrl, err = core.New(core.Options{
-		Workload:     p,
-		Green:        green,
-		StrategyName: cfg.Strategy,
-		Epoch:        epoch,
-		Host:         host,
-		Bank:         bank,
-		Sink:         collector, // the JSONL sink joins in serve, where the file is owned
-		Chaos:        inj,
-	})
-	if err != nil {
-		return nil, nil, false, err
-	}
-
-	if o.qtable != "" {
-		if err := loadQTable(ctrl, o.qtable); err != nil {
-			log.Printf("greensprintd: qtable: %v (starting fresh)", err)
-		}
-	}
-	if o.resume {
-		if err := loadCheckpoint(ctrl, o.ckpt); err != nil {
-			return nil, nil, false, fmt.Errorf("resume: %w", err)
-		}
-	}
-	return ctrl, collector, ticker, nil
-}
-
-// serve runs the HTTP API and (for ticker backends) the epoch loop
-// until ctx is cancelled, then persists final state. The tick loop is
-// joined through a done channel before the final Q-table/checkpoint
-// save: an in-flight Step can neither race the save (the Q-table has
-// no lock of its own) nor land after it and be lost.
-func serve(ctx context.Context, ctrl *core.Controller, collector *obs.Collector, ticker bool, cfg config.Config, o options) error {
-	green, _, err := fleetView(cfg, o)
-	if err != nil {
-		return err
-	}
-	p, err := cfg.WorkloadProfile()
-	if err != nil {
-		return err
-	}
-	epoch := ctrl.Epoch()
-
-	sink := obs.Sink(collector)
+	var events io.Writer
 	if o.events != "" {
 		f, err := os.OpenFile(o.events, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return fmt.Errorf("events: %w", err)
 		}
 		defer f.Close()
-		sink = obs.Multi(collector, obs.NewJSONL(f))
-		ctrl.SetSink(sink)
+		events = f
 	}
+	d, err := build(cfg, o, events)
+	if err != nil {
+		return err
+	}
+	return d.serve(ctx)
+}
 
-	apiOpts := []httpapi.Option{httpapi.WithMetrics(collector)}
-	if o.pprof {
+// build resolves the run and assembles the controller: its rack over
+// the topology's battery bank, the chaos injector, the event sinks (a
+// Prometheus collector, plus a JSONL log on events when it is not nil)
+// and the actuation backend, then restores the -resume checkpoint.
+func build(cfg config.Config, o options, events io.Writer) (*daemon, error) {
+	p, err := cfg.WorkloadProfile()
+	if err != nil {
+		return nil, err
+	}
+	green, topo, err := fleetView(cfg, o)
+	if err != nil {
+		return nil, err
+	}
+	if o.fleetSpec != nil {
+		log.Printf("greensprintd: %s", topo.Summary())
+	}
+	epoch := o.epoch
+	if epoch == 0 {
+		epoch = cfg.Epoch.Std()
+	}
+	if epoch == 0 {
+		epoch = sim.DefaultEpoch
+	}
+	// The sim backend models the green servers only; sysfs also drives
+	// the local host, whose one knob mirrors every decision.
+	var host pmk.Knob
+	ticker := true
+	switch o.backend {
+	case "sim":
+	case "sysfs":
+		host = pmk.NewSysfs(o.sysfsRoot)
+		ticker = false
+	default:
+		return nil, fmt.Errorf("unknown backend %q", o.backend)
+	}
+	// The controller's battery view is the class-indexed bank of the
+	// topology: the generated fleet's, or the paper rack's one class.
+	bank, err := battery.NewClassBank(topo.BatteryClasses())
+	if err != nil {
+		return nil, err
+	}
+	inj, err := buildInjector(cfg, topo, epoch, o)
+	if err != nil {
+		return nil, err
+	}
+	collector := obs.NewCollector()
+	sink := obs.Sink(collector)
+	if events != nil {
+		sink = obs.Multi(collector, obs.NewJSONL(events))
+	}
+	ctrl, err := core.New(core.Options{
+		Workload:     p,
+		Green:        green,
+		StrategyName: cfg.Strategy,
+		Epoch:        epoch,
+		Host:         host,
+		Bank:         bank,
+		Sink:         sink,
+		Chaos:        inj,
+	})
+	if err != nil {
+		return nil, err
+	}
+	if o.resume {
+		if err := loadCheckpoint(ctrl, o.ckpt); err != nil {
+			return nil, fmt.Errorf("resume: %w", err)
+		}
+	}
+	return &daemon{cfg: cfg, o: o, p: p, green: green, ctrl: ctrl, collector: collector, ticker: ticker}, nil
+}
+
+// serve runs the HTTP API and (for ticker backends) the epoch loop
+// until ctx is cancelled, then persists final state. The tick loop is
+// joined through a done channel before the final checkpoint save: an
+// in-flight Step can neither race the save nor land after it and be
+// lost.
+func (d *daemon) serve(ctx context.Context) error {
+	apiOpts := []httpapi.Option{httpapi.WithMetrics(d.collector)}
+	if d.o.pprof {
 		apiOpts = append(apiOpts, httpapi.WithPprof())
 	}
-	srv := &http.Server{Addr: o.addr, Handler: httpapi.New(ctrl, apiOpts...)}
+	srv := &http.Server{Addr: d.o.addr, Handler: httpapi.New(d.ctrl, apiOpts...)}
 	errCh := make(chan error, 1)
 	go func() {
 		log.Printf("greensprintd: serving on %s (workload=%s green=%s strategy=%s epoch=%v backend=%s)",
-			o.addr, p.Name, green.Name, cfg.Strategy, epoch, o.backend)
+			d.o.addr, d.p.Name, d.green.Name, d.cfg.Strategy, d.ctrl.Epoch(), d.o.backend)
 		if err := srv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 			errCh <- err
 		}
@@ -299,10 +302,10 @@ func serve(ctx context.Context, ctrl *core.Controller, collector *obs.Collector,
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	tickDone := make(chan struct{})
-	if ticker {
+	if d.ticker {
 		go func() {
 			defer close(tickDone)
-			tickLoop(ctx, ctrl, cfg, green, epoch, o, cancel)
+			d.tickLoop(ctx, cancel)
 		}()
 	} else {
 		close(tickDone)
@@ -315,38 +318,31 @@ func serve(ctx context.Context, ctrl *core.Controller, collector *obs.Collector,
 		cancel()
 	}
 	// Join the tick loop before persisting: the last in-flight Step
-	// must be in the final save, and nothing may mutate the Q-table
+	// must be in the final save, and nothing may mutate the controller
 	// while it is serialized.
 	<-tickDone
 
-	shutdownCtx, cancelShutdown := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancelShutdown()
-	if o.qtable != "" {
-		if err := saveQTable(ctrl, o.qtable); err != nil {
-			log.Printf("greensprintd: qtable: %v", err)
-		}
-	}
-	if o.ckpt != "" {
-		if err := saveCheckpoint(ctrl, o.ckpt); err != nil {
+	if d.o.ckpt != "" {
+		if _, err := saveCheckpoint(d.ctrl, d.o.ckpt); err != nil {
 			log.Printf("greensprintd: checkpoint: %v", err)
 		}
 	}
-	if srvErr != nil {
-		srv.Shutdown(shutdownCtx)
-		return srvErr
+	shutdownCtx, cancelShutdown := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancelShutdown()
+	if err := srv.Shutdown(shutdownCtx); srvErr == nil {
+		srvErr = err
 	}
-	return srv.Shutdown(shutdownCtx)
+	return srvErr
 }
 
 // fleetView resolves the run's effective green view and topology. For
 // flat runs it is the configured Table I option and the one-class,
 // one-rack topology fleet.FromGreen lifts from it. For -fleet runs the
-// spec is generated (deterministically — every caller sees the
-// identical topology) and the green config becomes the fleet's
+// spec is generated and the green config becomes the fleet's
 // aggregate census: total servers and fleet-level panel count, so the
 // control plane's per-server budgeting and the synthesized supply are
 // both sized to the generated fleet. The class-indexed battery bank is
-// built from the topology (see buildController).
+// built from the topology (see build).
 func fleetView(cfg config.Config, o options) (cluster.GreenConfig, *fleet.Topology, error) {
 	green, err := cfg.GreenConfig()
 	if err != nil {
@@ -365,47 +361,6 @@ func fleetView(cfg config.Config, o options) (cluster.GreenConfig, *fleet.Topolo
 	green.GreenServers = topo.Servers
 	green.Panels = topo.Panels
 	return green, topo, nil
-}
-
-// loadQTable restores a persisted Hybrid Q-table, if the controller
-// runs a Hybrid strategy and the file exists.
-func loadQTable(ctrl *core.Controller, path string) error {
-	h, ok := ctrl.HybridStrategy()
-	if !ok {
-		return fmt.Errorf("strategy %q has no Q-table", ctrl.Strategy())
-	}
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil // first run
-	}
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := h.LoadQ(f); err != nil {
-		return err
-	}
-	log.Printf("greensprintd: restored Q-table from %s", path)
-	return nil
-}
-
-// saveQTable persists the learned Q-table on shutdown: serialized
-// under the controller lock and written through the shared atomic
-// tmp+rename helper, so a crash mid-write cannot truncate a previously
-// learned table.
-func saveQTable(ctrl *core.Controller, path string) error {
-	b, ok, err := ctrl.QTableJSON()
-	if !ok {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	if err := atomicfile.WriteFile(path, b, 0o644); err != nil {
-		return err
-	}
-	log.Printf("greensprintd: saved Q-table to %s", path)
-	return nil
 }
 
 // loadCheckpoint restores the full controller state from a checkpoint
@@ -431,28 +386,24 @@ func loadCheckpoint(ctrl *core.Controller, path string) error {
 
 // saveCheckpoint atomically persists the full controller state through
 // the shared tmp+rename writer, so a crash mid-write never truncates
-// the previous checkpoint.
-func saveCheckpoint(ctrl *core.Controller, path string) error {
+// the previous checkpoint. It returns the bytes it wrote.
+func saveCheckpoint(ctrl *core.Controller, path string) ([]byte, error) {
 	cp, err := ctrl.Checkpoint()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	b, err := json.Marshal(cp)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return atomicfile.WriteFile(path, b, 0o644)
+	return b, atomicfile.WriteFile(path, b, 0o644)
 }
 
-// rotateCheckpoints snapshots the live checkpoint as path.NNNNNNNN
-// (zero-padded epoch) and prunes numbered snapshots beyond keep, so
-// long-haul runs can roll back past a bad epoch without the directory
-// growing without bound.
-func rotateCheckpoints(path string, epoch, keep int) error {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
+// rotateCheckpoints writes b, the bytes just saved to the live
+// checkpoint, as path.NNNNNNNN (zero-padded epoch) and prunes numbered
+// snapshots beyond keep, so long-haul runs can roll back past a bad
+// epoch without the directory growing without bound.
+func rotateCheckpoints(path string, b []byte, epoch, keep int) error {
 	if err := atomicfile.WriteFile(fmt.Sprintf("%s.%08d", path, epoch), b, 0o644); err != nil {
 		return err
 	}
@@ -482,7 +433,7 @@ func rotateCheckpoints(path string, epoch, keep int) error {
 }
 
 // buildInjector resolves -chaos-profile/-chaos-seed into a chaos
-// injector for the tick loop, or nil when chaos is off. The timeline
+// injector for the controller, or nil when chaos is off. The timeline
 // covers the same window the synthesized supply trace does; ticks past
 // it simply see no further faults.
 func buildInjector(cfg config.Config, topo *fleet.Topology, epoch time.Duration, o options) (*chaos.Injector, error) {
@@ -526,17 +477,15 @@ func buildInjector(cfg config.Config, topo *fleet.Topology, epoch time.Duration,
 // restored) epoch count every tick, so a resumed daemon continues the
 // supply trace, the burst schedule and the chaos timeline where the
 // previous run stopped instead of replaying them from zero.
-func tickLoop(ctx context.Context, ctrl *core.Controller, cfg config.Config,
-	green cluster.GreenConfig, epoch time.Duration, o options, stop func()) {
-
+func (d *daemon) tickLoop(ctx context.Context, stop func()) {
+	ctrl, cfg, o, p, epoch := d.ctrl, d.cfg, d.o, d.p, d.ctrl.Epoch()
 	level, err := cfg.AvailabilityLevel()
 	if err != nil {
 		log.Printf("greensprintd: %v; assuming Med", err)
 		level = solar.Med
 	}
 	burst := cfg.BurstDuration.Std()
-	supply := solar.Synthesize(level, burst+time.Hour, time.Minute, float64(green.PeakGreen()), 42)
-	p, _ := cfg.WorkloadProfile()
+	supply := solar.Synthesize(level, burst+time.Hour, time.Minute, float64(d.green.PeakGreen()), 42)
 	offered := p.IntensityRate(cfg.BurstIntensity)
 	gen, err := loadgen.New(p, 42)
 	if err != nil {
@@ -557,7 +506,7 @@ func tickLoop(ctx context.Context, ctrl *core.Controller, cfg config.Config,
 	}
 	// Last chaos state logged, so operators see transitions without
 	// tailing the event stream.
-	prevAlive, prevStuck, prevTripped := green.GreenServers, false, false
+	prevAlive, prevStuck, prevTripped := d.green.GreenServers, false, false
 
 	t := time.NewTicker(epoch)
 	defer t.Stop()
@@ -596,7 +545,7 @@ func tickLoop(ctx context.Context, ctrl *core.Controller, cfg config.Config,
 		tel.OfferedRate = rate
 		tel.Goodput = load.Goodput()
 
-		d, err := ctrl.Step(tel)
+		dec, err := ctrl.Step(tel)
 		var se *core.SinkError
 		if err != nil && !errors.As(err, &se) {
 			// The step itself failed: nothing was decided or applied,
@@ -610,21 +559,21 @@ func tickLoop(ctx context.Context, ctrl *core.Controller, cfg config.Config,
 				log.Printf("greensprintd: event sink: %v", se.Err)
 			}
 			if o.ckpt != "" && k >= catchup-1 {
-				if err := saveCheckpoint(ctrl, o.ckpt); err != nil {
+				if b, err := saveCheckpoint(ctrl, o.ckpt); err != nil {
 					log.Printf("greensprintd: checkpoint: %v", err)
 				} else if o.ckptKeep > 0 {
-					if err := rotateCheckpoints(o.ckpt, d.Epoch, o.ckptKeep); err != nil {
+					if err := rotateCheckpoints(o.ckpt, b, dec.Epoch, o.ckptKeep); err != nil {
 						log.Printf("greensprintd: checkpoint rotate: %v", err)
 					}
 				}
 			}
 			log.Printf("epoch %d: config=%v case=%v budget=%v sprint=%.0f%% goodput=%.0f/s p%v=%.0fms",
-				d.Epoch, d.Config, d.Case, d.Budget, d.SprintFraction*100,
+				dec.Epoch, dec.Config, dec.Case, dec.Budget, dec.SprintFraction*100,
 				tel.Goodput, p.Quantile*100, tel.Latency*1000)
 			if o.chaos != "" {
 				if st := ctrl.Snapshot(); st.Alive != prevAlive || st.PSSStuck != prevStuck || st.BreakerTripped != prevTripped {
 					log.Printf("greensprintd: chaos state: alive=%d/%d pss_stuck=%v breaker_tripped=%v",
-						st.Alive, green.GreenServers, st.PSSStuck, st.BreakerTripped)
+						st.Alive, d.green.GreenServers, st.PSSStuck, st.BreakerTripped)
 					prevAlive, prevStuck, prevTripped = st.Alive, st.PSSStuck, st.BreakerTripped
 				}
 			}

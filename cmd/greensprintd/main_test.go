@@ -16,6 +16,7 @@ import (
 	"greensprint/internal/fleet"
 	"greensprint/internal/obs"
 	"greensprint/internal/server"
+	"greensprint/internal/sim"
 )
 
 func demoConfig() config.Config {
@@ -53,6 +54,30 @@ func TestRunRejectsUnknownBackend(t *testing.T) {
 	}
 }
 
+// TestRunRejectsNegativeEpoch: -epoch -1s is an error, not a ticker
+// panic.
+func TestRunRejectsNegativeEpoch(t *testing.T) {
+	if err := run(context.Background(), demoConfig(),
+		options{addr: "127.0.0.1:0", backend: "sim", epoch: -time.Second, once: 1}); err == nil {
+		t.Error("negative epoch should error")
+	}
+}
+
+// TestBuildDefaultsEpoch: a config without an epoch and no -epoch flag
+// runs at sim.DefaultEpoch, and the chaos timeline is resolved for it
+// rather than dividing by a zero epoch.
+func TestBuildDefaultsEpoch(t *testing.T) {
+	cfg := demoConfig()
+	cfg.Epoch = 0
+	d, err := build(cfg, options{backend: "sim", chaos: "light"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := d.ctrl.Epoch(); got != sim.DefaultEpoch {
+		t.Errorf("epoch = %v, want %v", got, sim.DefaultEpoch)
+	}
+}
+
 func TestRunRejectsBadConfig(t *testing.T) {
 	cfg := config.Default()
 	cfg.Workload = "nope"
@@ -62,46 +87,29 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	}
 }
 
-// TestQTablePersistence runs the daemon twice against the same Q-table
-// file: the first run creates it, the second restores it.
-func TestQTablePersistence(t *testing.T) {
-	cfg := demoConfig()
-	path := filepath.Join(t.TempDir(), "q.json")
-	for i := 0; i < 2; i++ {
-		runWith(t, context.Background(), cfg,
-			options{addr: "127.0.0.1:0", backend: "sim", epoch: 5 * time.Millisecond, once: 3, qtable: path})
-		if _, err := os.Stat(path); err != nil {
-			t.Fatalf("run %d left no Q-table: %v", i, err)
-		}
-	}
-}
-
 // TestShutdownJoinsTickLoop is the regression test for the shutdown
 // race: cancelling the daemon mid-epoch must join the tick loop before
-// the final Q-table/checkpoint save. Before the fix, the final save
-// could serialize the Q-table while an in-flight Step's Learn mutated
-// it (a data race this test exposes under -race), and the final
-// persisted checkpoint could miss — or be overwritten by — the last
-// epoch. After run returns, the file must hold exactly the epochs the
-// controller stepped.
+// the final checkpoint save. Before the fix, the final save could
+// serialize the Q-table while an in-flight Step's Learn mutated it (a
+// data race this test exposes under -race), and the final persisted
+// checkpoint could miss — or be overwritten by — the last epoch. After
+// serve returns, the file must hold exactly the epochs the controller
+// stepped.
 func TestShutdownJoinsTickLoop(t *testing.T) {
-	dir := t.TempDir()
-	ckptPath := filepath.Join(dir, "ck.json")
-	qPath := filepath.Join(dir, "q.json")
-	cfg := demoConfig()
-	o := options{addr: "127.0.0.1:0", backend: "sim", epoch: time.Millisecond,
-		qtable: qPath, ckpt: ckptPath}
+	ckptPath := filepath.Join(t.TempDir(), "ck.json")
+	o := options{addr: "127.0.0.1:0", backend: "sim", epoch: time.Millisecond, ckpt: ckptPath}
 
-	ctrl, collector, ticker, err := buildController(cfg, o)
+	d, err := build(demoConfig(), o, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ticker {
+	if !d.ticker {
 		t.Fatal("sim backend should tick")
 	}
+	ctrl := d.ctrl
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- serve(ctx, ctrl, collector, ticker, cfg, o) }()
+	go func() { done <- d.serve(ctx) }()
 
 	// Let some epochs tick, then cancel — with a 1 ms epoch the
 	// cancellation lands while a Step/save is in flight.
@@ -138,9 +146,6 @@ func TestShutdownJoinsTickLoop(t *testing.T) {
 	}
 	if cp.Count != stepped {
 		t.Errorf("final checkpoint at epoch %d, controller stepped %d — final epoch lost", cp.Count, stepped)
-	}
-	if _, err := os.Stat(qPath); err != nil {
-		t.Errorf("no Q-table saved: %v", err)
 	}
 }
 
@@ -243,7 +248,8 @@ func TestRunFleet(t *testing.T) {
 }
 
 // TestCheckpointRotation verifies -checkpoint-keep retains only the N
-// newest epoch-numbered snapshots beside the live checkpoint.
+// newest epoch-numbered snapshots beside the live checkpoint, the
+// newest of them byte-identical to the live file.
 func TestCheckpointRotation(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ck.json")
@@ -266,10 +272,18 @@ func TestCheckpointRotation(t *testing.T) {
 			t.Errorf("snapshot %s missing: %v", filepath.Base(snap), err)
 		}
 	}
-	// Rotated snapshots must be valid, restorable checkpoints.
+	// Rotated snapshots must be valid, restorable checkpoints, and the
+	// newest one the live checkpoint's bytes.
 	b, err := os.ReadFile(fmt.Sprintf("%s.%08d", path, 4))
 	if err != nil {
 		t.Fatal(err)
+	}
+	live, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(b) != string(live) {
+		t.Error("newest snapshot differs from the live checkpoint")
 	}
 	var cp core.Checkpoint
 	if err := json.Unmarshal(b, &cp); err != nil {
@@ -677,7 +691,8 @@ func TestTickLoopFollowsControllerEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tickLoop(context.Background(), ctrl, cfg, green, epoch, o, func() {})
+	d := &daemon{cfg: cfg, o: o, p: p, green: green, ctrl: ctrl}
+	d.tickLoop(context.Background(), func() {})
 
 	// Three ticks: the first Step fails, the next two record epochs
 	// 0 and 1.

@@ -61,11 +61,12 @@ func TestSysfsBackendActuatesHost(t *testing.T) {
 	}
 	cfg := demoConfig()
 	o := options{backend: "sysfs", sysfsRoot: root, ckpt: filepath.Join(t.TempDir(), "ck.json")}
-	ctrl, _, ticker, err := buildController(cfg, o)
+	dm, err := build(cfg, o, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ticker {
+	ctrl := dm.ctrl
+	if dm.ticker {
 		t.Fatal("sysfs backend runs the internal ticker")
 	}
 
@@ -97,7 +98,7 @@ func TestSysfsBackendActuatesHost(t *testing.T) {
 	}
 	assertHost(t, root, d.Config)
 
-	if err := saveCheckpoint(ctrl, o.ckpt); err != nil {
+	if _, err := saveCheckpoint(ctrl, o.ckpt); err != nil {
 		t.Fatal(err)
 	}
 	// Something else moves the host; resuming must move it back.
@@ -106,11 +107,11 @@ func TestSysfsBackendActuatesHost(t *testing.T) {
 	}
 	assertHost(t, root, server.Normal())
 	o.resume = true
-	resumed, _, _, err := buildController(cfg, o)
+	resumed, err := build(cfg, o, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := resumed.Snapshot().Epoch; got != 1 {
+	if got := resumed.ctrl.Snapshot().Epoch; got != 1 {
 		t.Fatalf("resumed at epoch %d, want 1", got)
 	}
 	assertHost(t, root, d.Config)

@@ -97,6 +97,9 @@ func (c Config) Validate() error {
 	if c.BurstDuration.Std() <= 0 {
 		return fmt.Errorf("config: non-positive burst duration")
 	}
+	if c.Epoch < 0 || c.Lead < 0 || c.Tail < 0 {
+		return fmt.Errorf("config: negative epoch %v, lead %v or tail %v", c.Epoch.Std(), c.Lead.Std(), c.Tail.Std())
+	}
 	if c.SupplyTrace == "" {
 		if _, err := c.AvailabilityLevel(); err != nil {
 			return err

@@ -24,6 +24,9 @@ func TestValidateRejects(t *testing.T) {
 		func(c *Config) { c.BurstIntensity = 13 },
 		func(c *Config) { c.BurstDuration = 0 },
 		func(c *Config) { c.Availability = "Sometimes" },
+		func(c *Config) { c.Epoch = Duration(-5 * time.Minute) },
+		func(c *Config) { c.Lead = Duration(-2 * time.Hour) },
+		func(c *Config) { c.Tail = Duration(-time.Second) },
 	}
 	for i, mut := range mutations {
 		c := Default()

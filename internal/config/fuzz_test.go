@@ -13,6 +13,7 @@ func FuzzRead(f *testing.F) {
 	f.Add(`{}`)
 	f.Add(`{bad`)
 	f.Add(`{"workload":"SPECjbb","green":"RE-Batt","strategy":"Hybrid","burst_intensity":999,"burst_duration":"30m","availability":"Med"}`)
+	f.Add(`{"workload":"SPECjbb","green":"RE-Batt","strategy":"Hybrid","burst_intensity":12,"burst_duration":"30m","availability":"Med","epoch":"-5m","lead":"-2h"}`)
 	f.Fuzz(func(t *testing.T, in string) {
 		c, err := Read(strings.NewReader(in))
 		if err != nil {

@@ -100,7 +100,8 @@ func TestChaosControllerCheckpointRoundTrip(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			sched := chaosSched(tc.faults...)
-			a := newChaosController(t, "Hybrid", sched, nil)
+			ca, cb := &captureSink{}, &captureSink{}
+			a := newChaosController(t, "Hybrid", sched, ca)
 			for i := 0; i < 5; i++ { // fault strikes at 2, recovers at 8: epoch 5 is mid-fault
 				mustStep(t, a, burstTelemetry(500))
 			}
@@ -147,7 +148,7 @@ func TestChaosControllerCheckpointRoundTrip(t *testing.T) {
 				t.Fatalf("chaos checkpoint version %d, chaos %v", decoded.Version, decoded.Chaos)
 			}
 
-			b := newChaosController(t, "Hybrid", sched, nil)
+			b := newChaosController(t, "Hybrid", sched, cb)
 			if err := b.Restore(decoded); err != nil {
 				t.Fatal(err)
 			}
@@ -162,9 +163,7 @@ func TestChaosControllerCheckpointRoundTrip(t *testing.T) {
 			// From here both controllers must march in lockstep through
 			// the recovery at epoch 8 and the healthy epochs after it —
 			// decisions and emitted events bit for bit.
-			ca, cb := &captureSink{}, &captureSink{}
-			a.SetSink(ca)
-			b.SetSink(cb)
+			ca.events = nil
 			for i := 0; i < 8; i++ {
 				da := mustStep(t, a, burstTelemetry(400))
 				db := mustStep(t, b, burstTelemetry(400))
@@ -198,7 +197,8 @@ func TestCheckpointLegacyV2Fixture(t *testing.T) {
 		chaos.Fault{Epoch: 2, Mode: chaos.ServerCrash, Target: 1, Recover: 8},
 		chaos.Fault{Epoch: 3, Mode: chaos.BatteryDegrade, Target: 0, Factor: 0.7, Resist: 1.3},
 	)
-	a := newChaosController(t, "Greedy", sched, nil)
+	ca, cb := &captureSink{}, &captureSink{}
+	a := newChaosController(t, "Greedy", sched, ca)
 	for i := 0; i < 5; i++ {
 		mustStep(t, a, burstTelemetry(250))
 	}
@@ -214,7 +214,7 @@ func TestCheckpointLegacyV2Fixture(t *testing.T) {
 	if len(cp.Selector.Bank.Units) != 3 || cp.Selector.Bank.Groups != nil {
 		t.Fatalf("fixture bank is not per-unit: %+v", cp.Selector.Bank)
 	}
-	b := newChaosController(t, "Greedy", sched, nil)
+	b := newChaosController(t, "Greedy", sched, cb)
 	if err := b.Restore(cp); err != nil {
 		t.Fatalf("restore legacy v2 fixture: %v", err)
 	}
@@ -232,9 +232,7 @@ func TestCheckpointLegacyV2Fixture(t *testing.T) {
 		t.Fatalf("restored controller re-cuts\n%s\nuninterrupted controller\n%s", bb, ab)
 	}
 
-	ca, cb := &captureSink{}, &captureSink{}
-	a.SetSink(ca)
-	b.SetSink(cb)
+	ca.events = nil
 	for i := 0; i < 8; i++ {
 		da := mustStep(t, a, burstTelemetry(300))
 		db := mustStep(t, b, burstTelemetry(300))
@@ -448,20 +446,16 @@ func TestHybridLearnsDegradedStatesSeparately(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		mustStep(t, c, burstTelemetry(500))
 	}
-	h, ok := c.HybridStrategy()
-	if !ok {
-		t.Fatal("no Hybrid strategy")
-	}
-	var buf bytes.Buffer
-	if err := h.SaveQ(&buf); err != nil {
-		t.Fatal(err)
+	b, ok, err := c.QTableJSON()
+	if !ok || err != nil {
+		t.Fatalf("Hybrid controller Q-table: ok=%v err=%v", ok, err)
 	}
 	var table struct {
 		States []struct {
 			Degraded int `json:"degraded"`
 		} `json:"states"`
 	}
-	if err := json.Unmarshal(buf.Bytes(), &table); err != nil {
+	if err := json.Unmarshal(b, &table); err != nil {
 		t.Fatal(err)
 	}
 	deg, healthy := 0, 0

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 
 	"greensprint/internal/chaos"
@@ -102,7 +103,9 @@ func (c *Controller) checkpoint() (*Checkpoint, error) {
 // (bank size, fleet size, chaos schedule) and a strategy snapshot must
 // match the strategy's knob space, so a stale or foreign checkpoint
 // fails loudly. The rack restores exactly as sim.Engine's does, and a
-// host actuator is then driven to the restored herd setting.
+// host actuator is then driven to the restored herd setting. Restore
+// is all or nothing: when a layer rejects its snapshot or the host
+// write fails, the controller keeps the state it had before the call.
 func (c *Controller) Restore(cp *Checkpoint) error {
 	if cp == nil {
 		return fmt.Errorf("core: restore: nil checkpoint")
@@ -127,24 +130,25 @@ func (c *Controller) Restore(cp *Checkpoint) error {
 	if cp.Count < 0 {
 		return fmt.Errorf("core: restore: negative epoch count %d", cp.Count)
 	}
-	if err := c.restoreLayers(cp); err != nil {
+	saved, err := c.checkpoint()
+	if err != nil {
 		return fmt.Errorf("core: restore: %w", err)
+	}
+	if err := c.restoreState(cp); err != nil {
+		return c.rollBack(fmt.Errorf("core: restore: %w", err), saved)
 	}
 	if c.opts.Host != nil {
 		if err := c.opts.Host.Apply(c.rack.Knobs.Snapshot().Classes[0].Config); err != nil {
-			return fmt.Errorf("core: restore: host: %w", err)
+			return c.rollBack(fmt.Errorf("core: restore: host: %w", err), saved)
 		}
 	}
-	c.count = cp.Count
-	c.last = cp.Last
-	c.history = boundHistory(append([]Decision(nil), cp.History...))
 	return nil
 }
 
-// restoreLayers puts back the stateful layers of cp: the rack, the
-// load predictor and the strategy. It writes nothing to the host.
-// c.mu must be held.
-func (c *Controller) restoreLayers(cp *Checkpoint) error {
+// restoreState puts back the state of cp: the rack, the load
+// predictor, the strategy and the decision log. It writes nothing to
+// the host. c.mu must be held.
+func (c *Controller) restoreState(cp *Checkpoint) error {
 	err := c.rack.Restore(sim.RackSnapshot{
 		Selector: cp.Selector, Breaker: cp.Breaker, Chaos: cp.Chaos, Knobs: cp.ClassFleet, Flat: cp.Fleet,
 	})
@@ -154,7 +158,23 @@ func (c *Controller) restoreLayers(cp *Checkpoint) error {
 	if err := c.loadPred.Restore(cp.LoadPred); err != nil {
 		return err
 	}
-	return c.strat.RestoreState(cp.StrategyState)
+	if err := c.strat.RestoreState(cp.StrategyState); err != nil {
+		return err
+	}
+	c.count = cp.Count
+	c.last = cp.Last
+	c.history = boundHistory(append([]Decision(nil), cp.History...))
+	return nil
+}
+
+// rollBack puts back saved, the controller's own state from before a
+// failed Step or Restore, and returns err, the failure, joined with
+// any roll-back failure. c.mu must be held.
+func (c *Controller) rollBack(err error, saved *Checkpoint) error {
+	if rerr := c.restoreState(saved); rerr != nil {
+		err = errors.Join(err, fmt.Errorf("core: roll back: %w", rerr))
+	}
+	return err
 }
 
 // DecodeCheckpoint parses a JSON checkpoint and checks its version.

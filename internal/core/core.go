@@ -25,7 +25,6 @@ package core
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -55,16 +54,14 @@ type Options struct {
 	// StrategyName selects the power-management strategy
 	// ("Greedy", "Parallel", "Pacing", "Hybrid" or "Normal").
 	StrategyName string
-	// Epoch is the scheduling-epoch length (5 minutes if zero).
+	// Epoch is the scheduling-epoch length (sim.DefaultEpoch if
+	// zero); a negative length is rejected.
 	Epoch time.Duration
 	// Host optionally actuates the local machine (e.g. pmk.NewSysfs):
 	// every decision's applied setting is applied to it, and Restore
 	// re-applies the checkpointed herd setting. When nil the green
 	// servers are modelled only, by the rack's knob herd.
 	Host pmk.Knob
-	// Table is the profiling table; built from the workload model
-	// when nil.
-	Table *profile.Table
 	// Bank optionally supplies the battery store backing the PSS —
 	// e.g. a multi-class battery.ClassBank for a generated fleet;
 	// when nil Green.NewBank builds a one-class bank of the green
@@ -167,7 +164,6 @@ type Controller struct {
 	strat    strategy.Strategy
 	loadPred *predictor.EWMA
 	epoch    time.Duration
-	sink     obs.Sink //greensprint:allow(statecov) runtime wiring, not run state: the daemon re-attaches its sink after Restore
 
 	// rack is the modelled rack: the PSS over the bank, a one-class
 	// knob herd of Green.GreenServers servers, and — when chaos is on —
@@ -195,15 +191,15 @@ func New(opts Options) (*Controller, error) {
 		return nil, fmt.Errorf("core: green config %q has no green servers", opts.Green.Name)
 	}
 	epoch := opts.Epoch
-	if epoch == 0 {
-		epoch = 5 * time.Minute
+	if epoch < 0 {
+		return nil, fmt.Errorf("core: negative epoch %v", epoch)
 	}
-	tab := opts.Table
-	if tab == nil {
-		var err error
-		if tab, err = profile.Build(opts.Workload, profile.DefaultLevels); err != nil {
-			return nil, err
-		}
+	if epoch == 0 {
+		epoch = sim.DefaultEpoch
+	}
+	tab, err := profile.BuildCached(opts.Workload, profile.DefaultLevels)
+	if err != nil {
+		return nil, err
 	}
 	name := opts.StrategyName
 	if name == "" {
@@ -250,22 +246,12 @@ func New(opts Options) (*Controller, error) {
 		strat:    strat,
 		loadPred: predictor.NewEWMA(predictor.DefaultAlpha),
 		epoch:    epoch,
-		sink:     opts.Sink,
 		rack:     rack,
 	}, nil
 }
 
 // Epoch returns the scheduling-epoch length.
 func (c *Controller) Epoch() time.Duration { return c.epoch }
-
-// SetSink replaces the controller's event sink (nil disables
-// emission). Step emits under the controller lock, so the swap is
-// safe even while the epoch loop runs.
-func (c *Controller) SetSink(s obs.Sink) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.sink = s
-}
 
 // Strategy returns the active strategy's name.
 func (c *Controller) Strategy() string { return c.strat.Name() }
@@ -314,9 +300,9 @@ func (c *Controller) Step(t Telemetry) (Decision, error) {
 		if err != nil {
 			return Decision{}, fmt.Errorf("core: %w", err)
 		}
-		if c.sink != nil {
+		if c.opts.Sink != nil {
 			for _, a := range actions {
-				if err := c.sink.Emit(c.rack.ChaosEvent(a, c.count, "")); err != nil && sinkErr == nil {
+				if err := c.opts.Sink.Emit(c.rack.ChaosEvent(a, c.count, "")); err != nil && sinkErr == nil {
 					sinkErr = err
 				}
 			}
@@ -375,9 +361,7 @@ func (c *Controller) Step(t Telemetry) (Decision, error) {
 		if err := c.actuate(rd); err != nil {
 			err = fmt.Errorf("core: apply %v: %w", rd.Applied, err)
 			if saved != nil {
-				if rerr := c.restoreLayers(saved); rerr != nil {
-					err = errors.Join(err, fmt.Errorf("core: roll back: %w", rerr))
-				}
+				err = c.rollBack(err, saved)
 			}
 			return Decision{}, err
 		}
@@ -397,8 +381,8 @@ func (c *Controller) commit(t Telemetry, d Decision, al pss.Allocation, sinkErr 
 	c.count++
 	c.last = d
 	c.history = boundHistory(append(c.history, d))
-	if c.sink != nil {
-		if err := c.sink.Emit(c.event(t, d, al)); err != nil && sinkErr == nil {
+	if c.opts.Sink != nil {
+		if err := c.opts.Sink.Emit(c.event(t, d, al)); err != nil && sinkErr == nil {
 			sinkErr = err
 		}
 	}
@@ -506,13 +490,6 @@ func (c *Controller) History() []Decision {
 	out := make([]Decision, len(c.history))
 	copy(out, c.history)
 	return out
-}
-
-// HybridStrategy returns the underlying Hybrid strategy when the
-// controller runs one, for Q-table persistence across restarts.
-func (c *Controller) HybridStrategy() (*strategy.Hybrid, bool) {
-	h, ok := c.strat.(*strategy.Hybrid)
-	return h, ok
 }
 
 // QTableJSON serializes the Hybrid strategy's learned Q-table under

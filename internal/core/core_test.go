@@ -35,6 +35,9 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Options{Workload: workload.SPECjbb(), Green: cluster.REBatt(), StrategyName: "nope"}); err == nil {
 		t.Error("unknown strategy should fail")
 	}
+	if _, err := New(Options{Workload: workload.SPECjbb(), Green: cluster.REBatt(), Epoch: -time.Second}); err == nil {
+		t.Error("negative epoch should fail")
+	}
 	c := newController(t, "", cluster.REBatt())
 	if c.Strategy() != "Hybrid" {
 		t.Errorf("default strategy = %q", c.Strategy())
@@ -228,18 +231,6 @@ func TestControllerStepIntegratesMonitor(t *testing.T) {
 	}
 	if !c.Snapshot().Last.Config.IsSprinting() {
 		t.Error("controller should be sprinting under abundant green")
-	}
-}
-
-func TestHybridStrategyAccessor(t *testing.T) {
-	c := newController(t, "Hybrid", cluster.REBatt())
-	h, ok := c.HybridStrategy()
-	if !ok || h == nil {
-		t.Fatal("Hybrid controller should expose its strategy")
-	}
-	c2 := newController(t, "Pacing", cluster.REBatt())
-	if _, ok := c2.HybridStrategy(); ok {
-		t.Error("non-Hybrid controller should not expose a Hybrid")
 	}
 }
 

@@ -168,3 +168,64 @@ func TestFailedHostWriteLeavesNoTrace(t *testing.T) {
 		t.Errorf("checkpoints differ after a failed step:\n%s\n%s", ja, jt)
 	}
 }
+
+// TestFailedRestoreLeavesNoTrace restores an epoch-3 checkpoint into a
+// Hybrid controller that has run on to epoch 7, and makes the restore
+// fail late: at the host write, or at a corrupt strategy state after
+// the rack and the load predictor took theirs. Either way the
+// controller keeps the state it had before the call: its epoch, its
+// bank and its checkpoint bytes.
+func TestFailedRestoreLeavesNoTrace(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		spoil func(*flakyKnob, *Checkpoint)
+	}{
+		{"host-write", func(k *flakyKnob, _ *Checkpoint) { k.armed = true }},
+		{"strategy-state", func(_ *flakyKnob, cp *Checkpoint) { cp.StrategyState = json.RawMessage(`{"q_table":{bad}`) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := &flakyKnob{}
+			c, err := New(Options{Workload: workload.SPECjbb(), Green: cluster.REBatt(), StrategyName: "Hybrid", Host: k})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var old *Checkpoint
+			for i := 0; i < 7; i++ {
+				if i == 3 {
+					if old, err = c.Checkpoint(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				mustStep(t, c, burstTelemetry(200))
+			}
+			before := c.Snapshot()
+			if before.Epoch != 7 || fmt.Sprintf("%.3f", before.BatterySoC) != "0.600" {
+				t.Fatalf("before the restore: epoch %d, SoC %.3f; want 7 and 0.600", before.Epoch, before.BatterySoC)
+			}
+			cp, err := c.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _ := json.Marshal(cp)
+
+			tc.spoil(k, old)
+			calls := k.calls
+			if err := c.Restore(old); err == nil {
+				t.Fatal("the spoiled restore should fail")
+			}
+			if after := c.Snapshot(); after.Epoch != before.Epoch || after.BatterySoC != before.BatterySoC {
+				t.Errorf("after a failed restore: epoch %d, SoC %.3f; want %d and %.3f",
+					after.Epoch, after.BatterySoC, before.Epoch, before.BatterySoC)
+			}
+			if cp, err = c.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			if got, _ := json.Marshal(cp); string(got) != string(want) {
+				t.Errorf("checkpoint changed across a failed restore:\n%s\n%s", got, want)
+			}
+			if k.calls > calls+1 {
+				t.Errorf("host writes during the restore: %d, want at most the failed one", k.calls-calls)
+			}
+		})
+	}
+}

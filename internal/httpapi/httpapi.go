@@ -158,8 +158,9 @@ func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, d)
 }
 
-// handleQTable serves the Hybrid strategy's learned Q-table (the same
-// JSON the -qtable persistence flag writes); 404 for other strategies.
+// handleQTable serves the Hybrid strategy's learned Q-table (rl's
+// indented persisted format, through Controller.QTableJSON); 404 for
+// other strategies.
 // The table is encoded into a buffer before any byte reaches the wire,
 // so an encoding failure yields a clean 500 instead of truncated JSON
 // with status 200.

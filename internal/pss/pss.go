@@ -186,7 +186,8 @@ type Allocation struct {
 // Allocate powers `demand` for one epoch from the green bus, mutating
 // battery state and energy accounting. gridFallback is the power the
 // servers draw when they must return to the grid (Normal mode); it
-// applies to whatever part of the epoch green+battery cannot carry.
+// applies to whatever part of the epoch green+battery cannot carry,
+// which is what SustainFraction leaves uncovered.
 func (s *Selector) Allocate(demand, green units.Watt, epoch time.Duration, gridFallback units.Watt) Allocation {
 	if demand < 0 {
 		demand = 0
@@ -212,15 +213,9 @@ func (s *Selector) Allocate(demand, green units.Watt, epoch time.Duration, gridF
 		greenUsed = demand
 	}
 	shortfall := demand - greenUsed
-	frac := 1.0
-	if shortfall > 0 {
-		sustain := s.bank.RemainingTime(shortfall)
-		if sustain < epoch {
-			frac = float64(sustain) / float64(epoch)
-		}
-		if frac > 0 {
-			s.bank.Discharge(shortfall, time.Duration(frac*float64(epoch)))
-		}
+	frac := s.SustainFraction(demand, green, epoch)
+	if shortfall > 0 && frac > 0 {
+		s.bank.Discharge(shortfall, time.Duration(frac*float64(epoch)))
 	}
 	al := Allocation{SprintFraction: frac, Sustained: frac >= 1}
 	switch {

@@ -187,6 +187,9 @@ func (c *Config) Validate() error {
 	if c.Epoch < 0 {
 		return fmt.Errorf("sim: negative epoch %v", c.Epoch)
 	}
+	if c.Lead < 0 || c.Tail < 0 {
+		return fmt.Errorf("sim: negative lead %v or tail %v", c.Lead, c.Tail)
+	}
 	return nil
 }
 

@@ -123,6 +123,16 @@ func TestValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("negative epoch should fail")
 	}
+	bad = good
+	bad.Lead = -2 * time.Hour
+	if err := bad.Validate(); err == nil {
+		t.Error("negative lead should fail")
+	}
+	bad = good
+	bad.Tail = -time.Minute
+	if err := bad.Validate(); err == nil {
+		t.Error("negative tail should fail")
+	}
 	// Run rejects a no-green-server config.
 	noGreen := good
 	noGreen.Green = cluster.GreenConfig{Name: "none"}

@@ -646,21 +646,10 @@ func ByName(name string, p workload.Profile, tab *profile.Table) (Strategy, erro
 // Names lists all five strategies.
 func Names() []string { return []string{"Normal", "Greedy", "Parallel", "Pacing", "Hybrid"} }
 
-// SaveQ serializes the learned Q-table so a restarted controller can
-// resume with its accumulated experience.
+// SaveQ writes the learned Q-table in the rl package's indented
+// persisted format, for inspection; SnapshotState carries it across
+// restarts.
 func (h *Hybrid) SaveQ(w io.Writer) error { return h.table.WriteJSON(w) }
-
-// LoadQ replaces the Q-table with a previously saved one (validated
-// against the current knob space).
-func (h *Hybrid) LoadQ(r io.Reader) error {
-	t, err := rl.ReadJSON(r)
-	if err != nil {
-		return err
-	}
-	h.table = t
-	h.last.valid = false
-	return nil
-}
 
 // hybridState is the serialized form of a Hybrid's mutable state: the
 // learned Q-table (in the rl package's persisted format, which pins

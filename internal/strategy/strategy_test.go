@@ -318,23 +318,34 @@ func TestHybridQPersistence(t *testing.T) {
 	h.Learn(Feedback{Chosen: cfg, Supply: 100, Power: 155, Offered: burstRate(specjbb),
 		Goodput: burstRate(specjbb) / 4, Latency: 2.0, Next: in})
 
-	var buf bytes.Buffer
-	if err := h.SaveQ(&buf); err != nil {
+	raw, err := h.SnapshotState()
+	if err != nil {
 		t.Fatal(err)
 	}
 	h2, err := NewHybrid(specjbb, specTab)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h2.LoadQ(bytes.NewReader(buf.Bytes())); err != nil {
+	if err := h2.RestoreState(raw); err != nil {
 		t.Fatal(err)
 	}
-	// The restored strategy makes the same decision as the trained one.
+	// The restored strategy holds the trained table and makes the same
+	// decision as the trained one.
+	var want, got bytes.Buffer
+	if err := h.SaveQ(&want); err != nil {
+		t.Fatal(err)
+	}
+	if err := h2.SaveQ(&got); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Error("restored Q-table differs from the trained one")
+	}
 	if got, want := h2.Decide(in), h.Decide(in); got != want {
 		t.Errorf("restored decision %v, trained %v", got, want)
 	}
-	if err := h2.LoadQ(bytes.NewReader([]byte("{bad"))); err == nil {
-		t.Error("corrupt table should fail to load")
+	if err := h2.RestoreState([]byte(`{"q_table":{bad}`)); err == nil {
+		t.Error("corrupt table should fail to restore")
 	}
 }
 
