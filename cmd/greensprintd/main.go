@@ -385,8 +385,9 @@ func loadCheckpoint(ctrl *core.Controller, path string) error {
 }
 
 // saveCheckpoint atomically persists the full controller state through
-// the shared tmp+rename writer, so a crash mid-write never truncates
-// the previous checkpoint. It returns the bytes it wrote.
+// the shared tmp+rename writer, so a daemon killed mid-write never
+// truncates the previous checkpoint; without an fsync, a power loss
+// still can. It returns the bytes it wrote.
 func saveCheckpoint(ctrl *core.Controller, path string) ([]byte, error) {
 	cp, err := ctrl.Checkpoint()
 	if err != nil {

@@ -1,9 +1,11 @@
-// Package atomicfile provides crash-safe file persistence: data is
-// written to a temporary file in the destination directory and renamed
-// into place, so a crash mid-write never truncates the previous
-// contents. Every state file GreenSprint persists across restarts
-// (simulation checkpoints, controller checkpoints, Q-tables) goes
-// through WriteFile.
+// Package atomicfile provides atomic file replacement: data is written
+// to a temporary file in the destination directory and renamed into
+// place, so a process killed mid-write never truncates the previous
+// contents. Neither the file nor the directory is fsynced, so a power
+// loss or kernel crash can still lose or truncate the new contents;
+// the guarantee covers a killed process only. Every state file
+// GreenSprint persists across restarts (simulation and controller
+// checkpoints) goes through WriteFile.
 package atomicfile
 
 import (

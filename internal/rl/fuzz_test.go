@@ -6,27 +6,99 @@ import (
 	"encoding/json"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 )
 
-// FuzzReadJSON hardens the Q-table loader: arbitrary input must yield
-// an error or a structurally valid table.
+// FuzzReadJSON hardens the Q-table loader differentially: on any
+// input, ReadJSON and encoding/json (readJSON) give the same verdict
+// and bit-identical tables, every accepted table spans the knob space
+// and holds only valid states, and a table ReadCanonical accepts at
+// the head of the input is the one encoding/json decodes from the
+// bytes it spans.
 func FuzzReadJSON(f *testing.F) {
 	f.Add(`{"alpha":0.7,"gamma":0.9,"actions":63,"first_action":"6c@1.2GHz","last_action":"12c@2GHz","states":[]}`)
 	f.Add(`{"alpha":0.7,"gamma":0.9,"actions":63,"first_action":"6c@1.2GHz","last_action":"12c@2GHz","states":[{"power_level":1,"load_level":2,"q":[1]}]}`)
 	f.Add(`{bad`)
 	f.Add(`{"alpha":9,"gamma":0.9,"actions":63}`)
+	tab, err := NewTable(DefaultLearningRate, DefaultDiscount)
+	if err != nil {
+		f.Fatal(err)
+	}
+	tab.Seed(State{PowerLevel: 2, LoadLevel: 1}, 4, 1.5e-7)
+	tab.Seed(State{PowerLevel: 0, LoadLevel: 3, Degraded: 2}, 62, -2.25)
+	canon, err := tab.AppendJSON(nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, in := range []string{
+		string(canon),
+		string(canon) + " ",
+		strings.Replace(string(canon), `"alpha":0.7`, `"alpha": 0.7`, 1),
+		strings.Replace(string(canon), `"actions":63`, `"actions":6.3e1`, 1),
+		strings.Replace(string(canon), `"power_level":2`, `"power_level":-1`, 1),
+		strings.Replace(string(canon), `"degraded":2`, `"degraded":4`, 1),
+		strings.Replace(string(canon), `"degraded":2`, `"degraded":0`, 1),
+		strings.Replace(string(canon), `"states":[`, `"states":[{"power_level":2,"load_level":1,"q":null},`, 1),
+		strings.Replace(string(canon), `"gamma"`, `"Gamma"`, 1),
+		strings.Replace(string(canon), `{"alpha":0.7`, `{"alpha":0.5,"alpha":0.7`, 1),
+		strings.Replace(string(canon), `"first_action":"6c`, `"first_action":"\u0036c`, 1),
+		strings.Replace(string(canon), `1.5e-7`, `1e999`, 1),
+		strings.Replace(string(canon), `"states":[`, `"states":null,"states":[`, 1),
+		strings.Replace(string(canon), `"states":[`, `"extra":1,"states":[`, 1),
+	} {
+		f.Add(in)
+	}
 	f.Fuzz(func(t *testing.T, in string) {
-		tab, err := ReadJSON(strings.NewReader(in))
+		b := []byte(in)
+		tab, err := ReadJSON(b)
+		ref, refErr := readJSON(b)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("ReadJSON error %v, encoding/json error %v", err, refErr)
+		}
+		if fast, n := ReadCanonical(b); fast != nil {
+			head, err := readJSON(b[:n])
+			if err != nil {
+				t.Fatalf("ReadCanonical accepted %q, which encoding/json rejects: %v", b[:n], err)
+			}
+			sameTable(t, fast, head)
+		}
 		if err != nil {
 			return
 		}
+		sameTable(t, tab, ref)
 		if len(tab.Actions()) != 63 {
 			t.Fatalf("accepted table with %d actions", len(tab.Actions()))
 		}
+		for _, r := range tab.rows {
+			if !r.s.Valid() {
+				t.Fatalf("accepted state %+v", r.s)
+			}
+		}
 	})
+}
+
+// sameTable fails unless a and b hold the same parameters, the same
+// rows in the same order and bit-identical Q values.
+func sameTable(t *testing.T, a, b *Table) {
+	t.Helper()
+	if math.Float64bits(a.alpha) != math.Float64bits(b.alpha) || math.Float64bits(a.gamma) != math.Float64bits(b.gamma) ||
+		len(a.rows) != len(b.rows) || !slices.Equal(a.order, b.order) {
+		t.Fatalf("tables differ: alpha %v/%v gamma %v/%v rows %d/%d", a.alpha, b.alpha, a.gamma, b.gamma, len(a.rows), len(b.rows))
+	}
+	for i := range a.rows {
+		ra, rb := &a.rows[i], &b.rows[i]
+		if ra.s != rb.s || b.q[ra.s] != i {
+			t.Fatalf("row %d: state %+v, want %+v", i, ra.s, rb.s)
+		}
+		for k := range ra.q {
+			if math.Float64bits(ra.q[k]) != math.Float64bits(rb.q[k]) {
+				t.Fatalf("Q(%+v, %d) = %v, want %v", ra.s, k, ra.q[k], rb.q[k])
+			}
+		}
+	}
 }
 
 // refWriteJSON is the reflection encoder WriteJSON replaced: tableJSON
@@ -178,10 +250,30 @@ func FuzzTableEncoding(f *testing.F) {
 				tab.Update(s, (a+1)%len(tab.actions), 1, s)
 				learned(s, (a+1)%len(tab.actions))
 			case 3:
+				// Both encodings re-read to the same table through
+				// either reader, unless a row holds a state no
+				// quantizer produces: then both readers reject it.
 				var buf bytes.Buffer
 				if tab.WriteJSON(&buf) == nil {
-					if tab, err = ReadJSON(&buf); err != nil {
-						t.Fatalf("step %d: table does not re-read its own output: %v", step, err)
+					compact, err := tab.AppendJSON(nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					valid := true
+					for s := range model {
+						valid = valid && s.Valid()
+					}
+					back, err := ReadJSON(compact)
+					if fast, _ := ReadCanonical(compact); (fast != nil) != valid || (err == nil) != valid {
+						t.Fatalf("step %d: valid %v, ReadCanonical %v, ReadJSON error %v", step, valid, fast != nil, err)
+					}
+					indented, err := ReadJSON(buf.Bytes())
+					if (err == nil) != valid {
+						t.Fatalf("step %d: valid %v, indented ReadJSON error %v", step, valid, err)
+					}
+					if valid {
+						sameTable(t, back, indented)
+						tab = back
 					}
 				}
 			}

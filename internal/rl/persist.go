@@ -156,11 +156,22 @@ func appendFloat(b []byte, f float64) ([]byte, error) {
 	return b, nil
 }
 
-// ReadJSON deserializes a table written by WriteJSON. It fails if the
-// serialized action space does not match the current knob space.
-func ReadJSON(r io.Reader) (*Table, error) {
+// ReadJSON decodes a table written by AppendJSON or WriteJSON. It
+// fails if the serialized action space does not match the current knob
+// space or a state lies outside the quantizers' range (State.Valid).
+// AppendJSON's compact form is parsed in one pass by ReadCanonical;
+// anything else goes through encoding/json, which gives every error.
+func ReadJSON(b []byte) (*Table, error) {
+	if t, n := ReadCanonical(b); t != nil && n == len(b) {
+		return t, nil
+	}
+	return readJSON(b)
+}
+
+// readJSON is ReadJSON through encoding/json.
+func readJSON(b []byte) (*Table, error) {
 	var in tableJSON
-	if err := json.NewDecoder(r).Decode(&in); err != nil {
+	if err := json.Unmarshal(b, &in); err != nil {
 		return nil, fmt.Errorf("rl: decode table: %w", err)
 	}
 	t, err := NewTable(in.Alpha, in.Gamma)
@@ -175,11 +186,141 @@ func ReadJSON(r io.Reader) (*Table, error) {
 			len(t.actions), server.Normal(), server.MaxSprint())
 	}
 	for _, s := range in.States {
+		st := State{PowerLevel: s.PowerLevel, LoadLevel: s.LoadLevel, Degraded: s.Degraded}
+		if !st.Valid() {
+			return nil, fmt.Errorf("rl: stored state %+v is outside the quantizers' range", st)
+		}
 		if len(s.Q) != len(t.actions) {
 			return nil, fmt.Errorf("rl: state (%d,%d) has %d Q values, want %d",
 				s.PowerLevel, s.LoadLevel, len(s.Q), len(t.actions))
 		}
-		copy(t.row(State{PowerLevel: s.PowerLevel, LoadLevel: s.LoadLevel, Degraded: s.Degraded}).q, s.Q)
+		copy(t.row(st).q, s.Q)
 	}
 	return t, nil
+}
+
+// ReadCanonical parses the compact table AppendJSON writes at the
+// start of b, values straight into rows, and returns the table and
+// the number of bytes it spans. Anything off that shape — whitespace,
+// unknown, reordered or escaped keys and names, exponent-form
+// integers, "q":null — or a table ReadJSON rejects yields a nil table.
+// Whatever it accepts, encoding/json decodes to the same table, bit
+// for bit: both parse floats with strconv.ParseFloat and fill rows in
+// input order.
+func ReadCanonical(b []byte) (*Table, int) {
+	r := tableReader{b: b, ok: true}
+	r.lit(`{"alpha":`)
+	alpha := r.float()
+	r.lit(`,"gamma":`)
+	gamma := r.float()
+	r.lit(`,"actions":`)
+	actions := r.int()
+	r.lit(`,"first_action":"`)
+	r.lit(server.Normal().String())
+	r.lit(`","last_action":"`)
+	r.lit(server.MaxSprint().String())
+	r.lit(`","states":`)
+	if !r.ok {
+		return nil, 0
+	}
+	t, err := NewTable(alpha, gamma)
+	if err != nil || actions != len(t.actions) {
+		return nil, 0
+	}
+	if !r.skip("null") && !r.skip("[]") {
+		r.lit("[")
+		for more := true; more; more = r.skip(",") {
+			var s State
+			r.lit(`{"power_level":`)
+			s.PowerLevel = r.int()
+			r.lit(`,"load_level":`)
+			s.LoadLevel = r.int()
+			if r.skip(`,"degraded":`) {
+				s.Degraded = r.int()
+			}
+			r.lit(`,"q":[`)
+			if !r.ok || !s.Valid() {
+				return nil, 0
+			}
+			q := t.row(s).q
+			for k := range q {
+				if k > 0 {
+					r.lit(",")
+				}
+				q[k] = r.float()
+			}
+			r.lit("]}")
+		}
+		r.lit("]")
+	}
+	r.lit("}")
+	if !r.ok {
+		return nil, 0
+	}
+	return t, r.i
+}
+
+// tableReader walks b from i; ok turns false at the first byte off
+// the shape its caller expects, and every later call then fails too.
+type tableReader struct {
+	b  []byte
+	i  int
+	ok bool
+}
+
+// skip consumes s if b continues with it.
+func (r *tableReader) skip(s string) bool {
+	if r.ok && len(r.b)-r.i >= len(s) && string(r.b[r.i:r.i+len(s)]) == s {
+		r.i += len(s)
+		return true
+	}
+	return false
+}
+
+// lit consumes s, which b must continue with.
+func (r *tableReader) lit(s string) {
+	if !r.skip(s) {
+		r.ok = false
+	}
+}
+
+// number consumes a JSON number and returns its bytes.
+func (r *tableReader) number() []byte {
+	if !r.ok {
+		return nil
+	}
+	n := units.JSONNumberLen(r.b[r.i:])
+	if n == 0 {
+		r.ok = false
+		return nil
+	}
+	r.i += n
+	return r.b[r.i-n : r.i]
+}
+
+// float consumes a number as encoding/json decodes it into a float64.
+func (r *tableReader) float() float64 {
+	tok := r.number()
+	if !r.ok {
+		return 0
+	}
+	f, err := strconv.ParseFloat(string(tok), 64)
+	if err != nil {
+		r.ok = false
+	}
+	return f
+}
+
+// int consumes a number as encoding/json decodes it into an int; a
+// fraction or an exponent fails, as there.
+func (r *tableReader) int() int {
+	tok := r.number()
+	if !r.ok {
+		return 0
+	}
+	v, err := strconv.Atoi(string(tok))
+	if err != nil {
+		r.ok = false
+	}
+	return v
 }

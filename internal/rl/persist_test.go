@@ -2,7 +2,6 @@ package rl
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 )
 
@@ -18,7 +17,7 @@ func TestTableJSONRoundTrip(t *testing.T) {
 	if err := tab.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadJSON(bytes.NewReader(buf.Bytes()))
+	back, err := ReadJSON(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +66,7 @@ func TestReadJSONRejects(t *testing.T) {
 		  "states":[{"power_level":0,"load_level":0,"q":[1,2]}]}`,
 	}
 	for i, in := range cases {
-		if _, err := ReadJSON(strings.NewReader(in)); err == nil {
+		if _, err := ReadJSON([]byte(in)); err == nil {
 			t.Errorf("case %d should fail", i)
 		}
 	}

@@ -50,6 +50,15 @@ type State struct {
 // healthy .. DegradedLevels-1 = mostly lost).
 const DegradedLevels = 4
 
+// Valid reports whether s is a state the quantizers can produce: no
+// negative level and a degraded level below DegradedLevels. A restored
+// table or pending decision holding any other state is rejected, since
+// Table.Update would drop its learning or persist a row no epoch
+// reads.
+func (s State) Valid() bool {
+	return s.PowerLevel >= 0 && s.LoadLevel >= 0 && s.Degraded >= 0 && s.Degraded < DegradedLevels
+}
+
 // DegradedLevel quantizes an effective-capacity fraction (alive
 // fraction × battery health) into a State.Degraded bucket. Fractions
 // at or above 1 map to the healthy bucket 0; non-positive fractions

@@ -24,6 +24,16 @@ func newBenchHybrid() (strategy.Strategy, error) {
 // expensive Decide/Learn pair.
 func benchEngine(b *testing.B) *Engine {
 	b.Helper()
+	e, err := New(benchConfig(b))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return e
+}
+
+// benchConfig is benchEngine's Config, with a fresh Hybrid.
+func benchConfig(b *testing.B) Config {
+	b.Helper()
 	d := 8 * time.Hour
 	green := cluster.REBatt()
 	supply := solar.Synthesize(solar.Med, d, time.Minute, float64(green.PeakGreen()), 42)
@@ -31,18 +41,14 @@ func benchEngine(b *testing.B) *Engine {
 	if err != nil {
 		b.Fatal(err)
 	}
-	e, err := New(Config{
+	return Config{
 		Workload: testProfile,
 		Green:    green,
 		Strategy: h,
 		Table:    testTable,
 		Burst:    workload.Burst{Intensity: 12, Duration: d},
 		Supply:   supply,
-	})
-	if err != nil {
-		b.Fatal(err)
 	}
-	return e
 }
 
 // BenchmarkEngineStep measures the steady-state cost of one scheduling
@@ -129,6 +135,44 @@ func BenchmarkCheckpointEncode(b *testing.B) {
 			b.Fatal(err)
 		}
 		if _, err := cp.Encode(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCheckpointResume measures a crash resume from a Hybrid
+// checkpoint cut halfway through benchEngine's run: DecodeCheckpoint,
+// New and Restore run timed; building the Config and its fresh Hybrid
+// does not.
+func BenchmarkCheckpointResume(b *testing.B) {
+	e := benchEngine(b)
+	if _, err := e.StepN(e.TotalEpochs() / 2); err != nil {
+		b.Fatal(err)
+	}
+	cp, err := e.Checkpoint()
+	if err != nil {
+		b.Fatal(err)
+	}
+	raw, err := cp.Encode()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(raw)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		cfg := benchConfig(b)
+		b.StartTimer()
+		cp, err := DecodeCheckpoint(raw)
+		if err != nil {
+			b.Fatal(err)
+		}
+		e, err := New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := e.Restore(cp); err != nil {
 			b.Fatal(err)
 		}
 	}

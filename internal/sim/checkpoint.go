@@ -2,8 +2,10 @@ package sim
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
+	"sync"
 	"time"
 
 	"greensprint/internal/atomicfile"
@@ -117,7 +119,8 @@ func (e *Engine) Checkpoint() (*Checkpoint, error) {
 // engine built over the same Config. The checkpoint's version and
 // schedule fingerprint must match, component snapshots must fit the
 // engine's layout (bank size, fleet size, breaker presence), and a
-// strategy snapshot must match the strategy's knob space.
+// strategy snapshot must match the strategy's knob space. It is all or
+// nothing: on error the engine is left as it was.
 func (e *Engine) Restore(cp *Checkpoint) error {
 	if cp == nil {
 		return fmt.Errorf("sim: restore: nil checkpoint")
@@ -148,17 +151,20 @@ func (e *Engine) Restore(cp *Checkpoint) error {
 		return fmt.Errorf("sim: restore: %d class energy counters for %d classes",
 			len(cp.ClassEnergyWh), len(e.classEnergyWh))
 	}
+	// The rack and predictor snapshots are cheap; the strategy's is
+	// not, so it restores last and leaves itself untouched on error.
+	rack, pred := e.rack.Snapshot(), e.loadPred.Snapshot()
 	err := e.rack.Restore(RackSnapshot{
 		Selector: cp.Selector, Breaker: cp.Breaker, Chaos: cp.Chaos, Knobs: cp.ClassFleet, Flat: cp.Fleet,
 	})
+	if err == nil {
+		err = e.loadPred.Restore(cp.LoadPred)
+	}
+	if err == nil {
+		err = e.cfg.Strategy.RestoreState(cp.Strategy)
+	}
 	if err != nil {
-		return fmt.Errorf("sim: restore: %w", err)
-	}
-	if err := e.loadPred.Restore(cp.LoadPred); err != nil {
-		return fmt.Errorf("sim: restore: %w", err)
-	}
-	if err := e.cfg.Strategy.RestoreState(cp.Strategy); err != nil {
-		return fmt.Errorf("sim: restore: %w", err)
+		return errors.Join(fmt.Errorf("sim: restore: %w", err), e.rack.Restore(rack), e.loadPred.Restore(pred))
 	}
 	copy(e.classEnergyWh, cp.ClassEnergyWh)
 	e.records = append(make([]EpochRecord, 0, e.TotalEpochs()), cp.Records...)
@@ -169,13 +175,25 @@ func (e *Engine) Restore(cp *Checkpoint) error {
 	return nil
 }
 
-// Encode serializes the checkpoint as JSON.
-func (c *Checkpoint) Encode() ([]byte, error) {
-	b, err := json.Marshal(c)
+// Encode serializes the checkpoint as JSON: exactly the bytes
+// json.Marshal(c) writes, without reflection (appendJSON). The strategy
+// state is copied as it is once compactJSON proves it valid compact
+// JSON that needs no escaping. Anything the fast path cannot write or
+// prove — a NaN or ±Inf, a year outside [0,9999], a string or strategy
+// state that encoding/json would rewrite — goes through json.Marshal
+// whole, so the bytes and every error have one source.
+func (c *Checkpoint) Encode() ([]byte, error) { return c.appendEncoded(nil) }
+
+// appendEncoded appends Encode's bytes to b.
+func (c *Checkpoint) appendEncoded(b []byte) ([]byte, error) {
+	if out, ok := c.appendJSON(b); ok {
+		return out, nil
+	}
+	enc, err := json.Marshal(c)
 	if err != nil {
 		return nil, fmt.Errorf("sim: encode checkpoint: %w", err)
 	}
-	return b, nil
+	return append(b, enc...), nil
 }
 
 // DecodeCheckpoint parses a JSON checkpoint and checks its version.
@@ -204,18 +222,27 @@ func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 }
 
 // WriteFile atomically persists the checkpoint through the shared
-// tmp+rename writer, so a crash mid-write never leaves a truncated
-// checkpoint behind.
+// tmp+rename writer, so a process killed mid-write never leaves a
+// truncated checkpoint behind. It does not fsync: a power loss can
+// still lose the write (see internal/atomicfile).
 func (c *Checkpoint) WriteFile(path string) error {
-	b, err := c.Encode()
+	buf := encodeBufs.Get().(*[]byte)
+	defer encodeBufs.Put(buf)
+	b, err := c.appendEncoded((*buf)[:0])
 	if err != nil {
 		return err
 	}
+	*buf = b
 	if err := atomicfile.WriteFile(path, b, 0o644); err != nil {
 		return fmt.Errorf("sim: write checkpoint: %w", err)
 	}
 	return nil
 }
+
+// encodeBufs recycles WriteFile's encode buffers: a checkpoint cut
+// every epoch would otherwise allocate and clear its full size (about
+// 350 KB for a Hybrid run) on every save.
+var encodeBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // ReadCheckpointFile loads and version-checks a checkpoint file.
 func ReadCheckpointFile(path string) (*Checkpoint, error) {

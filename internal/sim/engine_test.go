@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -193,6 +194,73 @@ func TestCheckpointKnobSpaceMismatch(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "knob space") {
 		t.Errorf("restore with foreign action space = %v, want knob-space error", err)
 	}
+}
+
+// TestFailedRestoreLeavesNoTrace restores the Hybrid fixture, each
+// time broken in one layer, into an engine stepped to another epoch:
+// the knob herd fails after the selector, breaker and injector took
+// their state, the predictor after the whole rack, the strategy after
+// the predictor. Every Restore must fail and leave the engine as it
+// was: its own checkpoint unchanged byte for byte, and its run
+// finishing like an engine never asked to restore.
+func TestFailedRestoreLeavesNoTrace(t *testing.T) {
+	fixture, err := os.ReadFile(hybridFixturePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	breaks := map[string]func(cp *Checkpoint){
+		"knob herd":      func(cp *Checkpoint) { cp.ClassFleet.Classes[0].Transitions = -1 },
+		"load predictor": func(cp *Checkpoint) { cp.LoadPred.Alpha /= 2 },
+		"q-table": func(cp *Checkpoint) {
+			cp.Strategy = bytes.Replace(cp.Strategy, []byte(`"actions":63`), []byte(`"actions":62`), 1)
+		},
+		"pending action": func(cp *Checkpoint) {
+			cp.Strategy = bytes.Replace(cp.Strategy, []byte(`"action":`), []byte(`"action":6`), 1)
+		},
+	}
+	for name, mutate := range breaks {
+		cfg, _ := hybridFixtureConfig(t)
+		e := mustNew(t, cfg)
+		for i := 0; i < 3; i++ {
+			if _, _, err := e.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := encodeEngine(t, e)
+		cp, err := DecodeCheckpoint(fixture)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mutate(cp)
+		if err := e.Restore(cp); err == nil {
+			t.Fatalf("%s: broken checkpoint restored", name)
+		}
+		if after := encodeEngine(t, e); !bytes.Equal(after, before) {
+			t.Errorf("%s: failed restore changed the engine's checkpoint", name)
+		}
+		refCfg, _ := hybridFixtureConfig(t)
+		ref := mustNew(t, refCfg)
+		for i := 0; i < 3; i++ {
+			if _, _, err := ref.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		assertSameResult(t, mustRunAll(t, ref), mustRunAll(t, e))
+	}
+}
+
+// encodeEngine returns the engine's encoded checkpoint.
+func encodeEngine(t testing.TB, e *Engine) []byte {
+	t.Helper()
+	cp, err := e.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := cp.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // TestCheckpointScheduleMismatch rejects checkpoints cut from a

@@ -137,7 +137,9 @@ type Strategy interface {
 	SnapshotState() (json.RawMessage, error)
 	// RestoreState replaces the strategy's internal state with a
 	// previously snapshotted one. Stateless strategies accept only
-	// an empty state.
+	// an empty state. On error the strategy is left as it was, so a
+	// caller restoring several layers can restore it last and roll
+	// back only the others.
 	RestoreState(raw json.RawMessage) error
 }
 
@@ -293,11 +295,15 @@ type Hybrid struct {
 	probed []bool    //greensprint:allow(statecov) per-Decide scratch: cleared for the level's actions at the start of every Decide
 	// last links the previous decision to the next state for the
 	// Q update.
-	last struct {
-		valid  bool
-		state  rl.State
-		action int
-	}
+	last pending
+}
+
+// pending is a decision awaiting its Learn: the state it was taken in
+// and its action index, valid until Learn consumes it.
+type pending struct {
+	valid  bool
+	state  rl.State
+	action int
 }
 
 type actionCell struct {
@@ -654,8 +660,9 @@ func (h *Hybrid) SaveQ(w io.Writer) error { return h.table.WriteJSON(w) }
 // hybridState is the serialized form of a Hybrid's mutable state: the
 // learned Q-table (in the rl package's persisted format, which pins
 // the knob space) plus the pending decision→feedback link when a
-// snapshot is taken between Decide and Learn. RestoreState decodes
-// it; SnapshotState writes the same bytes without reflection.
+// snapshot is taken between Decide and Learn. SnapshotState writes
+// the bytes json.Marshal writes for it without reflection; RestoreState
+// decodes it through encoding/json when its one-pass reader declines.
 type hybridState struct {
 	QTable json.RawMessage `json:"q_table"`
 	Last   *hybridLast     `json:"last,omitempty"`
@@ -675,42 +682,94 @@ func (h *Hybrid) SnapshotState() (json.RawMessage, error) {
 		return nil, fmt.Errorf("strategy: snapshot hybrid: %w", err)
 	}
 	if h.last.valid {
-		st := h.last.state
-		b = append(b, `,"last":{"state":{"PowerLevel":`...)
-		b = strconv.AppendInt(b, int64(st.PowerLevel), 10)
-		b = append(b, `,"LoadLevel":`...)
-		b = strconv.AppendInt(b, int64(st.LoadLevel), 10)
-		b = append(b, `,"Degraded":`...)
-		b = strconv.AppendInt(b, int64(st.Degraded), 10)
-		b = append(b, `},"action":`...)
-		b = strconv.AppendInt(b, int64(h.last.action), 10)
-		b = append(b, '}')
+		b = appendLast(b, h.last)
 	}
 	return append(b, '}'), nil
 }
 
-// RestoreState implements Strategy. The embedded Q-table is validated
-// against the current knob space by rl.ReadJSON, so a snapshot from a
-// different action space is rejected with a clear error.
+// appendLast appends the "last" member of a pending decision.
+func appendLast(b []byte, p pending) []byte {
+	b = append(b, `,"last":{"state":{"PowerLevel":`...)
+	b = strconv.AppendInt(b, int64(p.state.PowerLevel), 10)
+	b = append(b, `,"LoadLevel":`...)
+	b = strconv.AppendInt(b, int64(p.state.LoadLevel), 10)
+	b = append(b, `,"Degraded":`...)
+	b = strconv.AppendInt(b, int64(p.state.Degraded), 10)
+	b = append(b, `},"action":`...)
+	b = strconv.AppendInt(b, int64(p.action), 10)
+	return append(b, '}')
+}
+
+// RestoreState implements Strategy. The bytes SnapshotState writes are
+// parsed in one pass (readCanonicalState); any other input goes
+// through encoding/json (readState), which gives every error. Both
+// reject a Q-table from a different knob space, a state outside the
+// quantizers' range and a pending action outside the knob space. On
+// error the strategy is left as it was.
 func (h *Hybrid) RestoreState(raw json.RawMessage) error {
 	if len(raw) == 0 {
 		return fmt.Errorf("strategy: hybrid cannot restore an empty state")
 	}
+	t, last, ok := readCanonicalState(raw)
+	if !ok {
+		var err error
+		if t, last, err = readState(raw); err != nil {
+			return fmt.Errorf("strategy: restore hybrid: %w", err)
+		}
+	}
+	h.table, h.last = t, last
+	return nil
+}
+
+// readCanonicalState parses exactly the bytes SnapshotState writes:
+// rl.ReadCanonical's table, then either "}" or a "last" member that
+// appendLast re-encodes to the same bytes, then "}". It reports false
+// for anything else and for anything readState rejects.
+func readCanonicalState(raw []byte) (*rl.Table, pending, bool) {
+	const head = `{"q_table":`
+	if !bytes.HasPrefix(raw, []byte(head)) {
+		return nil, pending{}, false
+	}
+	t, n := rl.ReadCanonical(raw[len(head):])
+	if t == nil {
+		return nil, pending{}, false
+	}
+	tail := raw[len(head)+n:]
+	if string(tail) == "}" {
+		return t, pending{}, true
+	}
+	p := pending{valid: true}
+	_, err := fmt.Sscanf(string(tail), `,"last":{"state":{"PowerLevel":%d,"LoadLevel":%d,"Degraded":%d},"action":%d}}`,
+		&p.state.PowerLevel, &p.state.LoadLevel, &p.state.Degraded, &p.action)
+	if err != nil || !validPending(t, p) || string(append(appendLast(nil, p), '}')) != string(tail) {
+		return nil, pending{}, false
+	}
+	return t, p, true
+}
+
+// readState decodes a hybridState through encoding/json.
+func readState(raw []byte) (*rl.Table, pending, error) {
 	var st hybridState
 	if err := json.Unmarshal(raw, &st); err != nil {
-		return fmt.Errorf("strategy: restore hybrid: %w", err)
+		return nil, pending{}, err
 	}
-	t, err := rl.ReadJSON(bytes.NewReader(st.QTable))
+	t, err := rl.ReadJSON(st.QTable)
 	if err != nil {
-		return fmt.Errorf("strategy: restore hybrid: %w", err)
+		return nil, pending{}, err
 	}
-	h.table = t
-	if st.Last != nil {
-		h.last.valid = true
-		h.last.state = st.Last.State
-		h.last.action = st.Last.Action
-	} else {
-		h.last.valid = false
+	if st.Last == nil {
+		return t, pending{}, nil
 	}
-	return nil
+	p := pending{valid: true, state: st.Last.State, action: st.Last.Action}
+	if !validPending(t, p) {
+		return nil, pending{}, fmt.Errorf("pending decision (state %+v, action %d) outside the quantizers' range or the %d-action knob space",
+			p.state, p.action, len(t.Actions()))
+	}
+	return t, p, nil
+}
+
+// validPending reports whether p's state is one the quantizers produce
+// and its action indexes t's knob space.
+func validPending(t *rl.Table, p pending) bool {
+	return p.state.Valid() && p.action >= 0 && p.action < len(t.Actions())
 }

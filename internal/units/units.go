@@ -164,3 +164,51 @@ func AppendJSONFloat(b []byte, f float64) ([]byte, bool) {
 	}
 	return b, true
 }
+
+// JSONNumberLen returns the length of the JSON number at the start of
+// b — an optional minus, an integer part without leading zeros, then
+// an optional fraction and exponent — or 0 when b does not start with
+// one. It checks the grammar only; the bytes after the number are the
+// caller's.
+func JSONNumberLen(b []byte) int {
+	i := 0
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	switch {
+	case i < len(b) && b[i] == '0':
+		i++
+	case i < len(b) && '1' <= b[i] && b[i] <= '9':
+		i = skipDigits(b, i+1)
+	default:
+		return 0
+	}
+	if i < len(b) && b[i] == '.' {
+		j := skipDigits(b, i+1)
+		if j == i+1 {
+			return 0
+		}
+		i = j
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		j := skipDigits(b, i)
+		if j == i {
+			return 0
+		}
+		i = j
+	}
+	return i
+}
+
+func skipDigits(b []byte, i int) int {
+	for ; i < len(b); i++ {
+		if b[i]-'0' > 9 {
+			break
+		}
+	}
+	return i
+}
