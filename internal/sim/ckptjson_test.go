@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"greensprint/internal/cluster"
 )
 
 // checkEncodeParity fails unless cp.Encode writes what json.Marshal
@@ -88,16 +90,29 @@ func TestCheckpointEncodeMatchesReflection(t *testing.T) {
 		}
 	}
 
-	bad := map[string]func(cp *Checkpoint){
+	// Optional members and edge values the fast path writes itself.
+	members := map[string]func(cp *Checkpoint){
+		"zone offset 5h30": func(cp *Checkpoint) {
+			cp.SupplyStart = cp.SupplyStart.In(time.FixedZone("near", 5*3600+1800))
+		},
+		"breaker":             func(cp *Checkpoint) { cp.Breaker = &cluster.BreakerSnapshot{Stress: 0.25, Tripped: true} },
+		"class energy":        func(cp *Checkpoint) { cp.ClassEnergyWh = []float64{1.5, math.Copysign(0, -1), 1e-7, 1e21} },
+		"no names":            func(cp *Checkpoint) { cp.StrategyName, cp.FleetFingerprint = "", "" },
+		"empty strategy":      func(cp *Checkpoint) { cp.Strategy = json.RawMessage{} },
+		"no records":          func(cp *Checkpoint) { cp.Records = []EpochRecord{} },
+		"record float edges":  func(cp *Checkpoint) { cp.Records[0].Offered, cp.Records[0].SoC = math.Copysign(0, -1), 5e-324 },
+		"strategy scalar":     func(cp *Checkpoint) { cp.Strategy = json.RawMessage(`-1.5e+300`) },
+		"strategy all shapes": func(cp *Checkpoint) { cp.Strategy = json.RawMessage(`{"a":[true,false,null,{},[],""],"b":{"c":0}}`) },
+	}
+	// Values encoding/json rejects, or strategy states it rewrites.
+	rewrites := map[string]func(cp *Checkpoint){
 		"NaN record":          func(cp *Checkpoint) { cp.Records[1].Latency = math.NaN() },
 		"+Inf burst perf sum": func(cp *Checkpoint) { cp.BurstPerfSum = math.Inf(1) },
+		"-Inf class energy":   func(cp *Checkpoint) { cp.ClassEnergyWh = []float64{math.Inf(-1)} },
 		"year 10000":          func(cp *Checkpoint) { cp.SupplyStart = time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC) },
 		"record year -1":      func(cp *Checkpoint) { cp.Records[0].Start = time.Date(-1, 1, 1, 0, 0, 0, 0, time.UTC) },
 		"zone offset 24h": func(cp *Checkpoint) {
 			cp.SupplyStart = cp.SupplyStart.In(time.FixedZone("far", 24*3600))
-		},
-		"zone offset 5h30": func(cp *Checkpoint) {
-			cp.SupplyStart = cp.SupplyStart.In(time.FixedZone("near", 5*3600+1800))
 		},
 		"invalid strategy":   func(cp *Checkpoint) { cp.Strategy = json.RawMessage(`{"q_table":}`) },
 		"truncated strategy": func(cp *Checkpoint) { cp.Strategy = cp.Strategy[:len(cp.Strategy)/2] },
@@ -111,21 +126,21 @@ func TestCheckpointEncodeMatchesReflection(t *testing.T) {
 		"strategy with <":      func(cp *Checkpoint) { cp.Strategy = json.RawMessage(`{"a":"<b>"}`) },
 		"strategy with U+2028": func(cp *Checkpoint) { cp.Strategy = json.RawMessage("{\"a\":\"x\u2028y\"}") },
 		"strategy with escape": func(cp *Checkpoint) { cp.Strategy = json.RawMessage(`{"a":"\"\u00e9"}`) },
-		"empty strategy":       func(cp *Checkpoint) { cp.Strategy = json.RawMessage{} },
 		"strategy name with &": func(cp *Checkpoint) { cp.StrategyName = "A&B" },
-		"no records":           func(cp *Checkpoint) { cp.Records = []EpochRecord{} },
 	}
-	for name, mutate := range bad {
-		b, err := os.ReadFile(hybridFixturePath)
-		if err != nil {
-			t.Fatal(err)
+	fixture, err := os.ReadFile(hybridFixturePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for fast, cases := range map[bool]map[string]func(cp *Checkpoint){true: members, false: rewrites} {
+		for name, mutate := range cases {
+			cp, err := DecodeCheckpoint(fixture)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mutate(cp)
+			checkEncodeParity(t, name, cp, fast)
 		}
-		cp, err := DecodeCheckpoint(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mutate(cp)
-		checkEncodeParity(t, name, cp, false)
 	}
 }
 
