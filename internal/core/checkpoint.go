@@ -181,19 +181,22 @@ func (c *Controller) rollBack(err error, saved *Checkpoint) error {
 // Version-1 and version-2 files migrate in place by their version
 // stamp. v1 predates chaos: the injector and breaker state are absent
 // (a fault-free run) and the epoch fingerprint is zero, which Restore
-// treats as unknown. v2 carries the per-knob fleet, which Restore
-// migrates once the injector says which servers are down; the next
-// save persists the file as v3. Any other version fails loudly.
+// treats as unknown; a v2+ file without it fails, since Restore could
+// not tell which epoch length its chaos timeline runs at. v2 carries
+// the per-knob fleet, which Restore migrates once the injector says
+// which servers are down; the next save persists the file as v3. Any
+// other version fails loudly.
 func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 	var cp Checkpoint
 	if err := json.Unmarshal(b, &cp); err != nil {
 		return nil, fmt.Errorf("core: decode checkpoint: %w", err)
 	}
-	if cp.Version == 1 || cp.Version == 2 {
-		cp.Version = CheckpointVersion
-	}
-	if cp.Version != CheckpointVersion {
+	switch {
+	case cp.Version < 1 || cp.Version > CheckpointVersion:
 		return nil, fmt.Errorf("core: decode checkpoint: version %d, supported %d", cp.Version, CheckpointVersion)
+	case cp.Version > 1 && cp.EpochSeconds == 0:
+		return nil, fmt.Errorf("core: decode checkpoint: version %d file has no epoch_seconds", cp.Version)
 	}
+	cp.Version = CheckpointVersion
 	return &cp, nil
 }

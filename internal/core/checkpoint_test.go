@@ -3,11 +3,14 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"greensprint/internal/battery"
 	"greensprint/internal/cluster"
+	"greensprint/internal/workload"
 )
 
 // TestControllerCheckpointRoundTrip drives a controller through a few
@@ -217,5 +220,45 @@ func TestControllerRestoreRejectsMismatch(t *testing.T) {
 	if err := newController(t, "Hybrid", cluster.REBatt()).Restore(&bad); err == nil ||
 		!strings.Contains(err.Error(), "workload") {
 		t.Errorf("workload mismatch = %v, want workload error", err)
+	}
+}
+
+// TestCheckpointMissingEpochSeconds: a v2+ controller checkpoint that
+// lacks its epoch-length fingerprint fails to decode, so a 5-minute
+// run cannot restore into a 1-minute controller. Only v1 files, which
+// predate the field, skip it.
+func TestCheckpointMissingEpochSeconds(t *testing.T) {
+	src := newController(t, "Hybrid", cluster.REBatt())
+	if _, err := src.Step(burstTelemetry(400)); err != nil {
+		t.Fatal(err)
+	}
+	cp, err := src.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy, err := os.ReadFile("testdata/legacy_v2.checkpoint.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, b := range map[string][]byte{"v3": raw, "legacy v2": legacy} {
+		stripped := bytes.Replace(b, []byte(`"epoch_seconds":300,`), nil, 1)
+		if bytes.Equal(stripped, b) {
+			t.Fatalf("%s: no 300 s epoch_seconds to strip", name)
+		}
+		dec, err := DecodeCheckpoint(stripped)
+		if err == nil {
+			short, nerr := New(Options{Workload: workload.SPECjbb(), Green: cluster.REBatt(), StrategyName: dec.Strategy, Epoch: time.Minute})
+			if nerr != nil {
+				t.Fatal(nerr)
+			}
+			t.Fatalf("%s without epoch_seconds decoded; Restore into a 1-minute controller: %v", name, short.Restore(dec))
+		}
+		if !strings.Contains(err.Error(), "epoch_seconds") {
+			t.Errorf("%s without epoch_seconds: %v, want an epoch_seconds error", name, err)
+		}
 	}
 }

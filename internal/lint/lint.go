@@ -67,6 +67,7 @@ var DeterministicPackages = map[string]bool{
 	ModulePath + "/internal/wind":        true,
 	ModulePath + "/internal/sweep":       true,
 	ModulePath + "/internal/experiments": true,
+	ModulePath + "/internal/jsonw":       true,
 }
 
 // StepGraphPackages is the Engine.Step call graph: the packages whose
@@ -89,6 +90,7 @@ var StepGraphPackages = map[string]bool{
 	ModulePath + "/internal/profile":   true,
 	ModulePath + "/internal/rl":        true,
 	ModulePath + "/internal/predictor": true,
+	ModulePath + "/internal/jsonw":     true,
 }
 
 // Diagnostic is one finding, addressed by file (relative to the module

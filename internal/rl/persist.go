@@ -6,10 +6,9 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"strconv"
 
+	"greensprint/internal/jsonw"
 	"greensprint/internal/server"
-	"greensprint/internal/units"
 )
 
 // Persistence: a learned Q-table survives controller restarts by
@@ -62,7 +61,7 @@ func (t *Table) WriteJSON(w io.Writer) error {
 // encoding/json's own error for it, and b is then not returned.
 func (t *Table) AppendJSON(b []byte) ([]byte, error) {
 	if t.head == nil {
-		head, err := t.appendHead(nil)
+		head, err := t.encodeHead()
 		if err != nil {
 			return nil, err
 		}
@@ -98,62 +97,41 @@ func (t *Table) AppendJSON(b []byte) ([]byte, error) {
 	return append(b, "]}"...), nil
 }
 
-// appendHead appends the members before the states: everything up to
-// and including `"states":`.
-func (t *Table) appendHead(b []byte) ([]byte, error) {
-	var err error
-	b = append(b, `{"alpha":`...)
-	if b, err = appendFloat(b, t.alpha); err != nil {
+// encodeHead returns the members before the states, everything up to
+// and including `"states":`, as json.Marshal writes them; a NaN rate
+// fails with its error. AppendJSON encodes them once per table.
+func (t *Table) encodeHead() ([]byte, error) {
+	enc, err := json.Marshal(tableJSON{
+		Alpha:   t.alpha,
+		Gamma:   t.gamma,
+		Actions: len(t.actions),
+		First:   t.actions[0].String(),
+		Last:    t.actions[len(t.actions)-1].String(),
+	})
+	if err != nil {
 		return nil, err
 	}
-	b = append(b, `,"gamma":`...)
-	if b, err = appendFloat(b, t.gamma); err != nil {
-		return nil, err
-	}
-	b = append(b, `,"actions":`...)
-	b = strconv.AppendInt(b, int64(len(t.actions)), 10)
-	// Marshalling a string cannot fail.
-	first, _ := json.Marshal(t.actions[0].String())
-	last, _ := json.Marshal(t.actions[len(t.actions)-1].String())
-	b = append(b, `,"first_action":`...)
-	b = append(b, first...)
-	b = append(b, `,"last_action":`...)
-	b = append(b, last...)
-	return append(b, `,"states":`...), nil
+	return enc[:len(enc)-len("null}")], nil
 }
 
-// appendJSON appends the row's serialized stateJSON entry.
+// appendJSON appends the row's serialized stateJSON entry. A NaN or
+// ±Inf value fails with encoding/json's error for it.
 func (r *qRow) appendJSON(b []byte) ([]byte, error) {
-	b = append(b, `{"power_level":`...)
-	b = strconv.AppendInt(b, int64(r.s.PowerLevel), 10)
-	b = append(b, `,"load_level":`...)
-	b = strconv.AppendInt(b, int64(r.s.LoadLevel), 10)
-	if r.s.Degraded != 0 {
-		b = append(b, `,"degraded":`...)
-		b = strconv.AppendInt(b, int64(r.s.Degraded), 10)
+	w := jsonw.Writer{B: b, OK: true}
+	w.Int(`{"power_level":`, int64(r.s.PowerLevel))
+	w.Int(`,"load_level":`, int64(r.s.LoadLevel))
+	w.OmitInt(`,"degraded":`, int64(r.s.Degraded))
+	w.B = append(w.B, `,"q":[`...)
+	key := ""
+	for _, v := range r.q {
+		w.Float(key, v)
+		key = ","
 	}
-	b = append(b, `,"q":[`...)
-	for i, v := range r.q {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		var err error
-		if b, err = appendFloat(b, v); err != nil {
-			return nil, err
-		}
-	}
-	return append(b, "]}"...), nil
-}
-
-// appendFloat appends f in encoding/json's form, or returns the error
-// encoding/json gives for it.
-func appendFloat(b []byte, f float64) ([]byte, error) {
-	b, ok := units.AppendJSONFloat(b, f)
-	if !ok {
-		_, err := json.Marshal(f)
+	if !w.OK {
+		_, err := json.Marshal(r.q)
 		return nil, err
 	}
-	return b, nil
+	return append(w.B, "]}"...), nil
 }
 
 // ReadJSON decodes a table written by AppendJSON or WriteJSON. It
@@ -208,119 +186,54 @@ func readJSON(b []byte) (*Table, error) {
 // for bit: both parse floats with strconv.ParseFloat and fill rows in
 // input order.
 func ReadCanonical(b []byte) (*Table, int) {
-	r := tableReader{b: b, ok: true}
-	r.lit(`{"alpha":`)
-	alpha := r.float()
-	r.lit(`,"gamma":`)
-	gamma := r.float()
-	r.lit(`,"actions":`)
-	actions := r.int()
-	r.lit(`,"first_action":"`)
-	r.lit(server.Normal().String())
-	r.lit(`","last_action":"`)
-	r.lit(server.MaxSprint().String())
-	r.lit(`","states":`)
-	if !r.ok {
+	r := jsonw.Reader{B: b, OK: true}
+	r.Lit(`{"alpha":`)
+	alpha := r.Float()
+	r.Lit(`,"gamma":`)
+	gamma := r.Float()
+	r.Lit(`,"actions":`)
+	actions := r.Int()
+	r.Lit(`,"first_action":"`)
+	r.Lit(server.Normal().String())
+	r.Lit(`","last_action":"`)
+	r.Lit(server.MaxSprint().String())
+	r.Lit(`","states":`)
+	if !r.OK {
 		return nil, 0
 	}
 	t, err := NewTable(alpha, gamma)
 	if err != nil || actions != len(t.actions) {
 		return nil, 0
 	}
-	if !r.skip("null") && !r.skip("[]") {
-		r.lit("[")
-		for more := true; more; more = r.skip(",") {
+	if !r.Skip("null") && !r.Skip("[]") {
+		r.Lit("[")
+		for more := true; more; more = r.Skip(",") {
 			var s State
-			r.lit(`{"power_level":`)
-			s.PowerLevel = r.int()
-			r.lit(`,"load_level":`)
-			s.LoadLevel = r.int()
-			if r.skip(`,"degraded":`) {
-				s.Degraded = r.int()
+			r.Lit(`{"power_level":`)
+			s.PowerLevel = r.Int()
+			r.Lit(`,"load_level":`)
+			s.LoadLevel = r.Int()
+			if r.Skip(`,"degraded":`) {
+				s.Degraded = r.Int()
 			}
-			r.lit(`,"q":[`)
-			if !r.ok || !s.Valid() {
+			r.Lit(`,"q":[`)
+			if !r.OK || !s.Valid() {
 				return nil, 0
 			}
 			q := t.row(s).q
 			for k := range q {
 				if k > 0 {
-					r.lit(",")
+					r.Lit(",")
 				}
-				q[k] = r.float()
+				q[k] = r.Float()
 			}
-			r.lit("]}")
+			r.Lit("]}")
 		}
-		r.lit("]")
+		r.Lit("]")
 	}
-	r.lit("}")
-	if !r.ok {
+	r.Lit("}")
+	if !r.OK {
 		return nil, 0
 	}
-	return t, r.i
-}
-
-// tableReader walks b from i; ok turns false at the first byte off
-// the shape its caller expects, and every later call then fails too.
-type tableReader struct {
-	b  []byte
-	i  int
-	ok bool
-}
-
-// skip consumes s if b continues with it.
-func (r *tableReader) skip(s string) bool {
-	if r.ok && len(r.b)-r.i >= len(s) && string(r.b[r.i:r.i+len(s)]) == s {
-		r.i += len(s)
-		return true
-	}
-	return false
-}
-
-// lit consumes s, which b must continue with.
-func (r *tableReader) lit(s string) {
-	if !r.skip(s) {
-		r.ok = false
-	}
-}
-
-// number consumes a JSON number and returns its bytes.
-func (r *tableReader) number() []byte {
-	if !r.ok {
-		return nil
-	}
-	n := units.JSONNumberLen(r.b[r.i:])
-	if n == 0 {
-		r.ok = false
-		return nil
-	}
-	r.i += n
-	return r.b[r.i-n : r.i]
-}
-
-// float consumes a number as encoding/json decodes it into a float64.
-func (r *tableReader) float() float64 {
-	tok := r.number()
-	if !r.ok {
-		return 0
-	}
-	f, err := strconv.ParseFloat(string(tok), 64)
-	if err != nil {
-		r.ok = false
-	}
-	return f
-}
-
-// int consumes a number as encoding/json decodes it into an int; a
-// fraction or an exponent fails, as there.
-func (r *tableReader) int() int {
-	tok := r.number()
-	if !r.ok {
-		return 0
-	}
-	v, err := strconv.Atoi(string(tok))
-	if err != nil {
-		r.ok = false
-	}
-	return v
+	return t, r.I
 }

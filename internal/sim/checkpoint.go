@@ -177,11 +177,11 @@ func (e *Engine) Restore(cp *Checkpoint) error {
 
 // Encode serializes the checkpoint as JSON: exactly the bytes
 // json.Marshal(c) writes, without reflection (appendJSON). The strategy
-// state is copied as it is once compactJSON proves it valid compact
-// JSON that needs no escaping. Anything the fast path cannot write or
-// prove — a NaN or ±Inf, a year outside [0,9999], a string or strategy
-// state that encoding/json would rewrite — goes through json.Marshal
-// whole, so the bytes and every error have one source.
+// state is copied as it is once jsonw.IsCompact proves it valid
+// compact JSON that needs no escaping. Anything the fast path cannot
+// write or prove — a NaN or ±Inf, a year outside [0,9999], a string or
+// strategy state that encoding/json would rewrite — goes through
+// json.Marshal whole, so the bytes and every error have one source.
 func (c *Checkpoint) Encode() ([]byte, error) { return c.appendEncoded(nil) }
 
 // appendEncoded appends Encode's bytes to b.
@@ -199,25 +199,26 @@ func (c *Checkpoint) appendEncoded(b []byte) ([]byte, error) {
 // DecodeCheckpoint parses a JSON checkpoint and checks its version.
 // Version-1 through version-3 files migrate in place by their version
 // stamp, each layout being a strict subset of the next. v1 lacks the
-// StrategyName fingerprint, left empty so Restore skips the check. v2
-// predates chaos: the injector state is absent (a fault-free run) and
-// battery units decode with undegraded defaults. v3 predates generated
-// fleets and carries the flat layout, which Restore migrates. Any other
-// version fails loudly.
+// StrategyName fingerprint, left empty so Restore skips the check; a
+// v2+ file without it fails, since Restore could not tell whose
+// strategy state it carries. v2 predates chaos: the injector state is
+// absent (a fault-free run) and battery units decode with undegraded
+// defaults. v3 predates generated fleets and carries the flat layout,
+// which Restore migrates. Any other version fails loudly.
 func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 	var cp Checkpoint
 	if err := json.Unmarshal(b, &cp); err != nil {
 		return nil, fmt.Errorf("sim: decode checkpoint: %w", err)
 	}
-	if cp.Version == 1 {
-		cp.StrategyName = ""
-	}
-	if cp.Version >= 1 && cp.Version < CheckpointVersion {
-		cp.Version = CheckpointVersion
-	}
-	if cp.Version != CheckpointVersion {
+	switch {
+	case cp.Version < 1 || cp.Version > CheckpointVersion:
 		return nil, fmt.Errorf("sim: decode checkpoint: version %d, supported %d", cp.Version, CheckpointVersion)
+	case cp.Version == 1:
+		cp.StrategyName = ""
+	case cp.StrategyName == "":
+		return nil, fmt.Errorf("sim: decode checkpoint: version %d file has no strategy_name", cp.Version)
 	}
+	cp.Version = CheckpointVersion
 	return &cp, nil
 }
 

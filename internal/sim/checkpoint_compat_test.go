@@ -375,6 +375,33 @@ func TestCheckpointStrategyMismatch(t *testing.T) {
 	}
 }
 
+// TestCheckpointMissingStrategyName: a v2+ checkpoint that lacks its
+// strategy fingerprint fails to decode, so it cannot restore into an
+// engine running another strategy (here the Greedy fixture into a
+// Pacing engine). Only v1 files, which predate the field, skip it.
+func TestCheckpointMissingStrategyName(t *testing.T) {
+	b, err := os.ReadFile("testdata/legacy_flat_v4.checkpoint.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stripped := bytes.Replace(b, []byte(`"strategy_name":"Greedy",`), nil, 1)
+	if bytes.Equal(stripped, b) {
+		t.Fatal("the fixture carries no Greedy strategy_name")
+	}
+	for _, v := range []string{"2", "3", "4"} {
+		in := bytes.Replace(stripped, []byte(`{"version":4,`), []byte(`{"version":`+v+`,`), 1)
+		cp, err := DecodeCheckpoint(in)
+		if err == nil {
+			cfg := legacyFixtureConfig(t)
+			cfg.Strategy = strategy.Pacing{}
+			t.Fatalf("v%s without strategy_name decoded; Restore into a Pacing engine: %v", v, mustNew(t, cfg).Restore(cp))
+		}
+		if !strings.Contains(err.Error(), "strategy_name") {
+			t.Errorf("v%s without strategy_name: %v, want a strategy_name error", v, err)
+		}
+	}
+}
+
 func mustNew(t testing.TB, cfg Config) *Engine {
 	t.Helper()
 	e, err := New(cfg)

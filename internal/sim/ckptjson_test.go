@@ -5,11 +5,11 @@ import (
 	"encoding/json"
 	"math"
 	"os"
-	"strings"
 	"testing"
 	"time"
 
 	"greensprint/internal/cluster"
+	"greensprint/internal/jsonw"
 )
 
 // checkEncodeParity fails unless cp.Encode writes what json.Marshal
@@ -144,43 +144,17 @@ func TestCheckpointEncodeMatchesReflection(t *testing.T) {
 	}
 }
 
-// TestCompactJSON checks the strategy-state validator on the shapes it
-// must prove and the ones it must leave to encoding/json.
-func TestCompactJSON(t *testing.T) {
-	for in, want := range map[string]bool{
-		`{"a":[1,-2.5e-7,0,true,false,null,{}],"b":"x y","c":[]}`: true,
-		`0`:           true,
-		`{"a":1,}`:    false,
-		`{"a" :1}`:    false,
-		`[01]`:        false,
-		`[1.]`:        false,
-		`{"a":"\n"}`:  false,
-		`{"a":"b&c"}`: false,
-		"\"\u00e9\"":  false,
-		`[1]x`:        false,
-		``:            false,
-		`nul`:         false,
-		strings.Repeat("[", maxCompactDepth+1) + strings.Repeat("]", maxCompactDepth+1): true,
-		strings.Repeat("[", maxCompactDepth+2) + strings.Repeat("]", maxCompactDepth+2): false,
-	} {
-		if got := compactJSON([]byte(in)); got != want {
-			t.Errorf("compactJSON(%q) = %v, want %v", in, got, want)
-		}
-		checkCompactJSON(t, []byte(in))
-	}
-}
-
-// checkCompactJSON fails if compactJSON accepts b where json.Valid
+// checkCompactJSON fails if jsonw.IsCompact accepts b where json.Valid
 // rejects it or json.Marshal would not copy it unchanged.
 func checkCompactJSON(t *testing.T, b []byte) {
 	t.Helper()
-	if !compactJSON(b) {
+	if !jsonw.IsCompact(b) {
 		return
 	}
 	if !json.Valid(b) {
-		t.Fatalf("compactJSON accepted invalid %q", b)
+		t.Fatalf("IsCompact accepted invalid %q", b)
 	}
 	if out, err := json.Marshal(json.RawMessage(b)); err != nil || !bytes.Equal(out, b) {
-		t.Fatalf("compactJSON accepted %q, which json.Marshal rewrites to %q (%v)", b, out, err)
+		t.Fatalf("IsCompact accepted %q, which json.Marshal rewrites to %q (%v)", b, out, err)
 	}
 }

@@ -25,7 +25,7 @@ func fuzzConfig(t testing.TB, cp *Checkpoint) Config {
 // fail DecodeCheckpoint or Restore, or restore an engine that steps on
 // without panicking and whose own checkpoint round-trips encode →
 // decode → encode byte for byte. It also checks the fast paths against
-// encoding/json: compactJSON proves only what json.Marshal copies
+// encoding/json: jsonw.IsCompact proves only what json.Marshal copies
 // unchanged, Encode writes json.Marshal's bytes or error, a strategy
 // state restores to the same engine whether the one-pass reader or
 // encoding/json (the state indented) reads it, and a rejected Restore

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -57,28 +58,28 @@ func (e *Engine) latCacheLen() int {
 // TestLatencyCacheBoundedOnReplay steps a replayed-Offered day, where
 // no (config, offered) pair repeats, and checks the latency cache
 // stays within one entry per knob setting and that no epoch allocates.
+// The malloc count is process-wide, so an epoch that reads as
+// allocating is measured again on a fresh twin restored from a
+// checkpoint cut just before it: an allocation on another goroutine
+// does not repeat there, an allocation of Step's own does.
 func TestLatencyCacheBoundedOnReplay(t *testing.T) {
-	e, err := New(replayConfig(t, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := mustNew(t, replayConfig(t, 1))
 	steps := 0
 	for !e.Done() {
-		// AllocsPerRun(1, f) calls f twice, measuring the second call
-		// alone, so every epoch's count is exact rather than averaged.
-		var stepErr error
-		allocs := testing.AllocsPerRun(1, func() {
-			if !e.Done() {
-				_, _, stepErr = e.Step()
-				steps++
+		cp, err := e.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stepAllocs(t, e) != 0 {
+			twin := mustNew(t, replayConfig(t, 1))
+			if err := twin.Restore(cp); err != nil {
+				t.Fatal(err)
 			}
-		})
-		if stepErr != nil {
-			t.Fatal(stepErr)
+			if n := stepAllocs(t, twin); n != 0 {
+				t.Fatalf("epoch %d: Step allocated %d times", e.EpochIndex(), n)
+			}
 		}
-		if allocs != 0 {
-			t.Fatalf("epoch %d: Step allocated %v times", e.EpochIndex(), allocs)
-		}
+		steps++
 		if n := e.latCacheLen(); n > server.NumConfigs() {
 			t.Fatalf("epoch %d: latency cache holds %d entries, want <= %d", e.EpochIndex(), n, server.NumConfigs())
 		}
@@ -86,4 +87,18 @@ func TestLatencyCacheBoundedOnReplay(t *testing.T) {
 	if steps != 288 {
 		t.Fatalf("stepped %d epochs, want 288", steps)
 	}
+}
+
+// stepAllocs steps e once and returns the mallocs the process made
+// meanwhile.
+func stepAllocs(t *testing.T, e *Engine) uint64 {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := e.Step()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return after.Mallocs - before.Mallocs
 }

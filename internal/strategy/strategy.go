@@ -18,16 +18,15 @@
 package strategy
 
 import (
-	"bytes"
 	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"slices"
-	"strconv"
 	"time"
 
+	"greensprint/internal/jsonw"
 	"greensprint/internal/profile"
 	"greensprint/internal/rl"
 	"greensprint/internal/server"
@@ -681,23 +680,15 @@ func (h *Hybrid) SnapshotState() (json.RawMessage, error) {
 	if err != nil {
 		return nil, fmt.Errorf("strategy: snapshot hybrid: %w", err)
 	}
-	if h.last.valid {
-		b = appendLast(b, h.last)
+	w := jsonw.Writer{B: b, OK: true}
+	if p := h.last; p.valid {
+		w.Int(`,"last":{"state":{"PowerLevel":`, int64(p.state.PowerLevel))
+		w.Int(`,"LoadLevel":`, int64(p.state.LoadLevel))
+		w.Int(`,"Degraded":`, int64(p.state.Degraded))
+		w.Int(`},"action":`, int64(p.action))
+		w.B = append(w.B, '}')
 	}
-	return append(b, '}'), nil
-}
-
-// appendLast appends the "last" member of a pending decision.
-func appendLast(b []byte, p pending) []byte {
-	b = append(b, `,"last":{"state":{"PowerLevel":`...)
-	b = strconv.AppendInt(b, int64(p.state.PowerLevel), 10)
-	b = append(b, `,"LoadLevel":`...)
-	b = strconv.AppendInt(b, int64(p.state.LoadLevel), 10)
-	b = append(b, `,"Degraded":`...)
-	b = strconv.AppendInt(b, int64(p.state.Degraded), 10)
-	b = append(b, `},"action":`...)
-	b = strconv.AppendInt(b, int64(p.action), 10)
-	return append(b, '}')
+	return append(w.B, '}'), nil
 }
 
 // RestoreState implements Strategy. The bytes SnapshotState writes are
@@ -721,27 +712,35 @@ func (h *Hybrid) RestoreState(raw json.RawMessage) error {
 	return nil
 }
 
-// readCanonicalState parses exactly the bytes SnapshotState writes:
-// rl.ReadCanonical's table, then either "}" or a "last" member that
-// appendLast re-encodes to the same bytes, then "}". It reports false
-// for anything else and for anything readState rejects.
+// readCanonicalState parses the shape SnapshotState writes:
+// rl.ReadCanonical's table, then "}" or a "last" member, then "}". It
+// reports false for anything else and for anything readState rejects;
+// whatever it accepts, readState decodes to the same state.
 func readCanonicalState(raw []byte) (*rl.Table, pending, bool) {
-	const head = `{"q_table":`
-	if !bytes.HasPrefix(raw, []byte(head)) {
+	r := jsonw.Reader{B: raw, OK: true}
+	r.Lit(`{"q_table":`)
+	if !r.OK {
 		return nil, pending{}, false
 	}
-	t, n := rl.ReadCanonical(raw[len(head):])
+	t, n := rl.ReadCanonical(raw[r.I:])
 	if t == nil {
 		return nil, pending{}, false
 	}
-	tail := raw[len(head)+n:]
-	if string(tail) == "}" {
-		return t, pending{}, true
+	r.I += n
+	var p pending
+	if r.Skip(`,"last":{"state":{"PowerLevel":`) {
+		p.valid = true
+		p.state.PowerLevel = r.Int()
+		r.Lit(`,"LoadLevel":`)
+		p.state.LoadLevel = r.Int()
+		r.Lit(`,"Degraded":`)
+		p.state.Degraded = r.Int()
+		r.Lit(`},"action":`)
+		p.action = r.Int()
+		r.Lit("}")
 	}
-	p := pending{valid: true}
-	_, err := fmt.Sscanf(string(tail), `,"last":{"state":{"PowerLevel":%d,"LoadLevel":%d,"Degraded":%d},"action":%d}}`,
-		&p.state.PowerLevel, &p.state.LoadLevel, &p.state.Degraded, &p.action)
-	if err != nil || !validPending(t, p) || string(append(appendLast(nil, p), '}')) != string(tail) {
+	r.Lit("}")
+	if !r.OK || r.I != len(raw) || p.valid && !validPending(t, p) {
 		return nil, pending{}, false
 	}
 	return t, p, true

@@ -140,75 +140,3 @@ func NearlyEqual(a, b, tol float64) bool {
 	}
 	return diff <= tol*math.Max(math.Abs(a), math.Abs(b))
 }
-
-// AppendJSONFloat appends f as encoding/json renders a float64: the
-// shortest 'f' form, or the 'e' form outside [1e-6, 1e21) with a
-// single-digit negative exponent unpadded (e-07 → e-7). It reports
-// false for NaN and ±Inf, which encoding/json rejects, with b's
-// appended contents unspecified.
-func AppendJSONFloat(b []byte, f float64) ([]byte, bool) {
-	if math.IsInf(f, 0) || math.IsNaN(f) {
-		return b, false
-	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		n := len(b)
-		if n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b, true
-}
-
-// JSONNumberLen returns the length of the JSON number at the start of
-// b — an optional minus, an integer part without leading zeros, then
-// an optional fraction and exponent — or 0 when b does not start with
-// one. It checks the grammar only; the bytes after the number are the
-// caller's.
-func JSONNumberLen(b []byte) int {
-	i := 0
-	if i < len(b) && b[i] == '-' {
-		i++
-	}
-	switch {
-	case i < len(b) && b[i] == '0':
-		i++
-	case i < len(b) && '1' <= b[i] && b[i] <= '9':
-		i = skipDigits(b, i+1)
-	default:
-		return 0
-	}
-	if i < len(b) && b[i] == '.' {
-		j := skipDigits(b, i+1)
-		if j == i+1 {
-			return 0
-		}
-		i = j
-	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
-			i++
-		}
-		j := skipDigits(b, i)
-		if j == i {
-			return 0
-		}
-		i = j
-	}
-	return i
-}
-
-func skipDigits(b []byte, i int) int {
-	for ; i < len(b); i++ {
-		if b[i]-'0' > 9 {
-			break
-		}
-	}
-	return i
-}
