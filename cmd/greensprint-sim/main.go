@@ -24,7 +24,8 @@
 // same schedule the uninterrupted run would have. With -events the
 // run streams one JSONL observability record per epoch (telemetry in,
 // decision out, power-source split); for a fixed seed the stream is
-// bit-identical across runs.
+// bit-identical across runs. A run that resumes from a checkpoint
+// appends to the log, so it ends as the uninterrupted run's does.
 //
 // With -chaos-profile the run injects seeded failures: the profile (a
 // preset name like "light" or "heavy", or a spec such as
@@ -126,8 +127,7 @@ func main() {
 	defer stop()
 	var sink obs.Sink
 	if *eventsPath != "" {
-		//greensprint:allow(atomicwrite) JSONL event stream: appended live, partial output is useful, never reloaded as state
-		f, err := os.Create(*eventsPath)
+		f, err := openEvents(*eventsPath, *ckptPath, *resume)
 		if err != nil {
 			fatal(err)
 		}
@@ -137,6 +137,17 @@ func main() {
 	if err := run(ctx, os.Stdout, cfg, fleetSpec, *csvOut, *ckptPath, *resume, sink, *chaosProfile, *chaosSeed, *batch); err != nil {
 		fatal(err)
 	}
+}
+
+// openEvents opens the -events log: for append when -resume finds the
+// checkpoint, since the log already holds the epochs before it, and
+// truncated otherwise.
+func openEvents(path, ckptPath string, resume bool) (*os.File, error) {
+	mode := os.O_TRUNC
+	if _, err := os.Stat(ckptPath); resume && err == nil {
+		mode = os.O_APPEND
+	}
+	return os.OpenFile(path, os.O_CREATE|os.O_WRONLY|mode, 0o644)
 }
 
 func fatal(err error) {

@@ -357,3 +357,55 @@ func TestRunCheckpointResume(t *testing.T) {
 		t.Error("fresh start with -resume differs from the plain run")
 	}
 }
+
+// TestRunResumeKeepsEventLog interrupts a 24 h Hybrid run after epoch
+// 127 and resumes it with the same -events file: the log must equal
+// the uninterrupted run's byte for byte. -resume with no checkpoint
+// file on disk starts a fresh log.
+func TestRunResumeKeepsEventLog(t *testing.T) {
+	dir := t.TempDir()
+	cfg := config.Default()
+	cfg.Strategy = "Hybrid"
+	cfg.BurstDuration = config.Duration(24 * time.Hour)
+	runLogged := func(ctx context.Context, events, ckpt string, resume bool) error {
+		f, err := openEvents(events, ckpt, resume)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		var out bytes.Buffer
+		return run(ctx, &out, cfg, nil, false, ckpt, resume, obs.NewJSONL(f), "", 0, -1)
+	}
+
+	ref := filepath.Join(dir, "ref.jsonl")
+	if err := runLogged(context.Background(), ref, "", false); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	events, ckpt := filepath.Join(dir, "events.jsonl"), filepath.Join(dir, "state.json")
+	if err := runLogged(newCheckCountCtx(127), events, ckpt, false); err != context.Canceled {
+		t.Fatalf("interrupted run err = %v, want context.Canceled", err)
+	}
+	if err := runLogged(context.Background(), events, ckpt, true); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(want, []byte("\n")); n <= 127 || !bytes.Equal(got, want) {
+		t.Errorf("resumed log (%d lines) differs from the uninterrupted run's (%d lines)", bytes.Count(got, []byte("\n")), n)
+	}
+
+	// A fresh start under -resume truncates a stale log.
+	if err := runLogged(context.Background(), events, filepath.Join(dir, "absent.json"), true); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(events); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("fresh start with -resume left a %d-byte log, want the %d-byte fresh one (%v)", len(got), len(want), err)
+	}
+}

@@ -16,11 +16,14 @@ import (
 // CheckpointVersion is the format version written into controller
 // checkpoints; Restore rejects any other version. Version 2 added the
 // chaos injector's replay state, the forced-breaker thermal state and
-// the epoch-length fingerprint; version 3 replaces the per-knob fleet
-// with the rack's knob herd (class_fleet). DecodeCheckpoint
-// transparently migrates version-1 and version-2 files, and Restore
-// migrates their per-knob fleet through pmk.ClassFleet.RestoreFlat.
-const CheckpointVersion = 3
+// the epoch-length fingerprint; version 3 replaced the per-knob fleet
+// with the rack's knob herd (class_fleet); version 4 lists only the
+// Hybrid Q rows that left the bootstrap seed, which an older binary
+// would overlay onto nothing. DecodeCheckpoint transparently migrates
+// version-1 through version-3 files, whose full row lists overlay the
+// seed to the same table, and Restore migrates their per-knob fleet
+// through pmk.ClassFleet.RestoreFlat.
+const CheckpointVersion = 4
 
 // Checkpoint is the serializable state of a Controller between two
 // epochs: every stateful layer (battery bank, PSS accounting,
@@ -53,7 +56,8 @@ type Checkpoint struct {
 	Fleet      *pmk.FleetSnapshot      `json:"fleet,omitempty"`
 	LoadPred   predictor.EWMASnapshot  `json:"load_predictor"`
 	// StrategyState is the strategy's opaque state (nil for stateless
-	// strategies; the Hybrid's persisted Q-table pins the knob space).
+	// strategies; the Hybrid persists the Q rows that left its seed,
+	// in a form that pins the knob space).
 	StrategyState json.RawMessage `json:"strategy_state,omitempty"`
 	// Chaos is the fault injector's replay state (v2+); present
 	// exactly when the controller runs a chaos schedule. Restore
@@ -178,13 +182,14 @@ func (c *Controller) rollBack(err error, saved *Checkpoint) error {
 }
 
 // DecodeCheckpoint parses a JSON checkpoint and checks its version.
-// Version-1 and version-2 files migrate in place by their version
-// stamp. v1 predates chaos: the injector and breaker state are absent
+// Version-1 through version-3 files migrate in place by their version
+// stamp; their Hybrid states list every Q row, which restores as a v4
+// list of changed rows does. v1 predates chaos: the injector and breaker state are absent
 // (a fault-free run) and the epoch fingerprint is zero, which Restore
 // treats as unknown; a v2+ file without it fails, since Restore could
 // not tell which epoch length its chaos timeline runs at. v2 carries
 // the per-knob fleet, which Restore migrates once the injector says
-// which servers are down; the next save persists the file as v3. Any
+// which servers are down; the next save persists the file as v4. Any
 // other version fails loudly.
 func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 	var cp Checkpoint

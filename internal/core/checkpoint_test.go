@@ -47,6 +47,7 @@ func TestControllerCheckpointRoundTrip(t *testing.T) {
 	if got, want := len(b.History()), len(a.History()); got != want {
 		t.Fatalf("restored history = %d decisions, want %d", got, want)
 	}
+	sameQTable(t, a, b)
 	for i := 0; i < 3; i++ {
 		da, err := a.Step(burstTelemetry(300))
 		if err != nil {
@@ -59,6 +60,24 @@ func TestControllerCheckpointRoundTrip(t *testing.T) {
 		if da != db {
 			t.Errorf("post-restore epoch %d diverged:\noriginal %+v\nrestored %+v", i, da, db)
 		}
+		sameQTable(t, a, b)
+	}
+}
+
+// sameQTable fails unless the Hybrid controllers a and b serve the same
+// GET /qtable bytes.
+func sameQTable(t *testing.T, a, b *Controller) {
+	t.Helper()
+	qa, _, err := a.QTableJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	qb, _, err := b.QTableJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(qa, qb) {
+		t.Error("restored controller's Q-table differs from the uninterrupted one's")
 	}
 }
 

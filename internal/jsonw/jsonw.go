@@ -1,10 +1,10 @@
-// Package jsonw writes and reads JSON without reflection, byte for
-// byte as encoding/json does, for the hand-written encoders of the
-// event log (obs), the checkpoint (sim) and the Q-table (rl and
-// strategy). It owns encoding/json's rules for floats, strings, times,
-// compact values and the number grammar; each caller owns its schema
-// (member order, omitempty) and falls back to encoding/json wherever
-// a Writer clears OK or a Reader declines.
+// Package jsonw writes JSON without reflection, byte for byte as
+// encoding/json does, for the hand-written encoders of the event log
+// (obs), the checkpoint (sim) and the Q-table (rl and strategy). It
+// owns encoding/json's rules for floats, strings, times, compact
+// values and the number grammar; each caller owns its schema (member
+// order, omitempty) and falls back to encoding/json wherever a Writer
+// clears OK or IsCompact cannot prove a value.
 package jsonw
 
 import (
@@ -250,73 +250,4 @@ func skipDigits(b []byte, i int) int {
 		}
 	}
 	return i
-}
-
-// Reader reads the values of a fixed JSON shape from B, starting at
-// I. OK turns false at the first byte off the shape its caller
-// expects, and every later call then fails too. Whatever a Reader
-// accepts, encoding/json decodes to the same values: both parse
-// numbers with strconv.
-type Reader struct {
-	B  []byte
-	I  int
-	OK bool
-}
-
-// Skip consumes s if B continues with it.
-func (r *Reader) Skip(s string) bool {
-	if r.OK && len(r.B)-r.I >= len(s) && string(r.B[r.I:r.I+len(s)]) == s {
-		r.I += len(s)
-		return true
-	}
-	return false
-}
-
-// Lit consumes s, which B must continue with.
-func (r *Reader) Lit(s string) {
-	if !r.Skip(s) {
-		r.OK = false
-	}
-}
-
-// number consumes a JSON number and returns its bytes.
-func (r *Reader) number() []byte {
-	if !r.OK {
-		return nil
-	}
-	n := numberLen(r.B[r.I:])
-	if n == 0 {
-		r.OK = false
-		return nil
-	}
-	r.I += n
-	return r.B[r.I-n : r.I]
-}
-
-// Float consumes a number as encoding/json decodes it into a float64;
-// one out of the float64 range fails, as there.
-func (r *Reader) Float() float64 {
-	tok := r.number()
-	if !r.OK {
-		return 0
-	}
-	f, err := strconv.ParseFloat(string(tok), 64)
-	if err != nil {
-		r.OK = false
-	}
-	return f
-}
-
-// Int consumes a number as encoding/json decodes it into an int; a
-// fraction, an exponent or a value out of range fails, as there.
-func (r *Reader) Int() int {
-	tok := r.number()
-	if !r.OK {
-		return 0
-	}
-	v, err := strconv.Atoi(string(tok))
-	if err != nil {
-		r.OK = false
-	}
-	return v
 }

@@ -157,45 +157,11 @@ func TestNumberLen(t *testing.T) {
 	}
 }
 
-// TestReader walks a shape the Q-table reader uses and checks that a
-// failure sticks: every later call fails too.
-func TestReader(t *testing.T) {
-	r := Reader{B: []byte(`{"a":0.7,"n":-63,"q":[1e-7]}`), OK: true}
-	r.Lit(`{"a":`)
-	a := r.Float()
-	r.Lit(`,"n":`)
-	n := r.Int()
-	skipped := r.Skip(`,"d":`)
-	r.Lit(`,"q":[`)
-	q := r.Float()
-	r.Lit("]}")
-	if !r.OK || r.I != len(r.B) || a != 0.7 || n != -63 || skipped || q != 1e-7 {
-		t.Fatalf("read a=%v n=%v q=%v skipped=%v, OK %v at %d", a, n, q, skipped, r.OK, r.I)
-	}
-	for name, read := range map[string]func(r *Reader){
-		"int with exponent":  func(r *Reader) { r.Int() },
-		"no integer part":    func(r *Reader) { r.Lit("6"); r.Int() },
-		"float out of range": func(r *Reader) { r.Lit("6.3e1,"); r.Float() },
-		"int out of range":   func(r *Reader) { r.Lit("6.3e1,1e999,"); r.Int() },
-		"wrong literal":      func(r *Reader) { r.Lit("6.3e2") },
-	} {
-		r := Reader{B: []byte("6.3e1,1e999,9223372036854775808"), OK: true}
-		read(&r)
-		at := r.I
-		if r.OK || r.Skip("") || r.Float() != 0 || r.Int() != 0 || r.I != at {
-			t.Errorf("%s: reader still OK (%v) or moved past %d", name, r.OK, at)
-		}
-	}
-}
-
 // FuzzCodec checks the codec differentially against encoding/json:
 // Float, String and Time write json.Marshal's bytes or clear OK where
 // it fails or writes something else (and String declines no string
 // of printable ASCII json.Marshal copies verbatim); IsCompact proves only values
-// json.Valid accepts and json.Compact and json.Marshal copy unchanged;
-// a number Reader.Float or Reader.Int accepts, json.Unmarshal decodes
-// to the same value, and a bare number json.Unmarshal decodes, the
-// Reader accepts whole.
+// json.Valid accepts and json.Compact and json.Marshal copy unchanged.
 func FuzzCodec(f *testing.F) {
 	for i, x := range floatCases {
 		f.Add([]byte(`{"a":[1,-2.5e-7,0,true,false,null,{}],"b":"x y","c":[]}`), x, int64(i)*1e9, int64(i), int32(0))
@@ -228,28 +194,6 @@ func FuzzCodec(f *testing.F) {
 		}
 
 		checkCompact(t, in)
-
-		bare := len(in) > 0 && (in[0] == '-' || '0' <= in[0] && in[0] <= '9') && bytes.Equal(bytes.TrimSpace(in), in)
-		r := Reader{B: in, OK: true}
-		v := r.Float()
-		var ref float64
-		refErr := json.Unmarshal(in[:r.I], &ref)
-		if r.OK && (refErr != nil || math.Float64bits(v) != math.Float64bits(ref)) {
-			t.Fatalf("Reader.Float read %v from %q, json.Unmarshal %v (%v)", v, in[:r.I], ref, refErr)
-		}
-		if bare && json.Unmarshal(in, &ref) == nil && (!r.OK || r.I != len(in)) {
-			t.Fatalf("Reader.Float declined %q, which json.Unmarshal decodes", in)
-		}
-		r = Reader{B: in, OK: true}
-		n := r.Int()
-		var refInt int
-		refErr = json.Unmarshal(in[:r.I], &refInt)
-		if r.OK && (refErr != nil || n != refInt) {
-			t.Fatalf("Reader.Int read %v from %q, json.Unmarshal %v (%v)", n, in[:r.I], refInt, refErr)
-		}
-		if bare && json.Unmarshal(in, &refInt) == nil && (!r.OK || r.I != len(in)) {
-			t.Fatalf("Reader.Int declined %q, which json.Unmarshal decodes", in)
-		}
 	})
 }
 

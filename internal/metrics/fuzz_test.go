@@ -40,10 +40,10 @@ func FuzzHistogram(f *testing.F) {
 			observe(math.Exp(rng.Float64()*30 - 15)) // ~1e-7 .. 1e6 seconds
 		}
 
-		if h.Count() != want {
-			t.Fatalf("Count = %d, want %d", h.Count(), want)
+		if countOf(h) != want {
+			t.Fatalf("Count = %d, want %d", countOf(h), want)
 		}
-		if got := h.Sum(); math.Float64bits(got) != math.Float64bits(wantSum) {
+		if got := sumOf(h); math.Float64bits(got) != math.Float64bits(wantSum) {
 			t.Fatalf("Sum = %v, want %v", got, wantSum)
 		}
 
@@ -71,22 +71,32 @@ func FuzzHistogram(f *testing.F) {
 		}
 		_ = h.Quantile(2)
 
-		// CountBelow is monotone in the deadline and bounded by Count.
+		// The cumulative counts are monotone in the bound, bounded by
+		// Count, and those of one pass over the ladder are a fresh
+		// walk's for each bound.
+		ladder := []float64{1e-6, 1e-3, 1, 10, 1e6}
+		cum, total, sum := h.Cumulative(ladder)
+		if total != countOf(h) || math.Float64bits(sum) != math.Float64bits(sumOf(h)) {
+			t.Fatalf("Cumulative total %d, sum %v; Count %d, Sum %v", total, sum, countOf(h), sumOf(h))
+		}
 		var prevCount uint64
-		for _, d := range []float64{1e-6, 1e-3, 1, 10, 1e6} {
-			c := h.CountBelow(d)
-			if c > h.Count() {
-				t.Fatalf("CountBelow(%v) = %d beyond Count %d", d, c, h.Count())
+		for k, d := range ladder {
+			c := cum[k]
+			if c > countOf(h) {
+				t.Fatalf("cumulative count at %v = %d beyond Count %d", d, c, countOf(h))
 			}
 			if c < prevCount {
-				t.Fatalf("CountBelow(%v) = %d < previous %d", d, c, prevCount)
+				t.Fatalf("cumulative count at %v = %d < previous %d", d, c, prevCount)
+			}
+			if one, _, _ := h.Cumulative([]float64{d}); one[0] != c {
+				t.Fatalf("cumulative count at %v = %d in the ladder, %d alone", d, c, one[0])
 			}
 			prevCount = c
 		}
 
 		// Reset really clears.
 		h.Reset()
-		if h.Count() != 0 || h.Sum() != 0 || h.Quantile(0.99) != 0 {
+		if countOf(h) != 0 || sumOf(h) != 0 || h.Quantile(0.99) != 0 {
 			t.Fatal("Reset left residual state")
 		}
 	})

@@ -99,36 +99,23 @@ func (h *Histogram) bucketUpper(i int) float64 {
 	return h.min * math.Pow(h.growth, float64(i+1))
 }
 
-// Count returns the number of recorded samples.
-func (h *Histogram) Count() uint64 {
+// Cumulative returns, read under one lock, the cumulative count behind
+// each Prometheus `le` bound — the samples whose bucket lies entirely
+// at or below it, so a bucket straddling the bound is not counted —
+// with the total count and the sum. The bounds must ascend, as a le
+// ladder does: one walk over the buckets serves them all.
+func (h *Histogram) Cumulative(bounds []float64) (cum []uint64, total uint64, sum float64) {
+	cum = make([]uint64, len(bounds))
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.total
-}
-
-// Sum returns the sum of recorded samples in seconds, the companion to
-// Count for Prometheus histogram export.
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
-// CountBelow returns the number of samples whose bucket lies entirely
-// at or below d seconds — the cumulative count behind a Prometheus
-// `le` bucket. It is conservative: a bucket straddling d is not
-// counted.
-func (h *Histogram) CountBelow(d float64) uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	var cum uint64
-	for i := range h.counts {
-		if h.bucketUpper(i) > d {
-			break
+	i, c := 0, uint64(0)
+	for k, d := range bounds {
+		for ; i < len(h.counts) && h.bucketUpper(i) <= d; i++ {
+			c += h.counts[i]
 		}
-		cum += h.counts[i]
+		cum[k] = c
 	}
-	return cum
+	return cum, h.total, h.sum
 }
 
 // Quantile returns an upper-bound estimate of the q-quantile

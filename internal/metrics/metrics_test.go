@@ -3,6 +3,7 @@ package metrics
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -29,24 +30,24 @@ func TestNewHistogramErrors(t *testing.T) {
 
 func TestHistogramBasics(t *testing.T) {
 	h := DefaultLatencyHistogram()
-	if h.Count() != 0 || h.Sum() != 0 || h.Quantile(0.99) != 0 {
+	if countOf(h) != 0 || sumOf(h) != 0 || h.Quantile(0.99) != 0 {
 		t.Error("empty histogram should be zeros")
 	}
 	for _, v := range []float64{0.001, 0.002, 0.003, 0.004} {
 		h.Observe(v)
 	}
-	if h.Count() != 4 {
-		t.Errorf("count = %d", h.Count())
+	if countOf(h) != 4 {
+		t.Errorf("count = %d", countOf(h))
 	}
-	if got := h.Sum(); math.Abs(got-0.01) > 1e-12 {
+	if got := sumOf(h); math.Abs(got-0.01) > 1e-12 {
 		t.Errorf("sum = %v", got)
 	}
 	h.Observe(math.NaN())
-	if h.Count() != 4 {
+	if countOf(h) != 4 {
 		t.Error("NaN should be ignored")
 	}
 	h.Reset()
-	if h.Count() != 0 || h.Sum() != 0 {
+	if countOf(h) != 0 || sumOf(h) != 0 {
 		t.Error("Reset should clear")
 	}
 }
@@ -79,19 +80,38 @@ func TestHistogramClamping(t *testing.T) {
 	}
 	h.Observe(1e-9) // below min
 	h.Observe(50)   // above max
-	if h.Count() != 2 {
-		t.Errorf("count = %d", h.Count())
+	if countOf(h) != 2 {
+		t.Errorf("count = %d", countOf(h))
 	}
 	if q := h.Quantile(1); q < 1 {
 		t.Errorf("max quantile = %v, want >= 1", q)
 	}
 }
 
+// countOf returns the number of recorded samples.
+func countOf(h *Histogram) uint64 {
+	_, total, _ := h.Cumulative(nil)
+	return total
+}
+
+// sumOf returns the sum of recorded samples.
+func sumOf(h *Histogram) float64 {
+	_, _, sum := h.Cumulative(nil)
+	return sum
+}
+
+// countBelow is the cumulative count Cumulative gives for a single
+// bound d, from a fresh walk of the buckets.
+func countBelow(h *Histogram, d float64) uint64 {
+	cum, _, _ := h.Cumulative([]float64{d})
+	return cum[0]
+}
+
 // TestFractionBelow checks the fraction of samples at or below a
-// deadline, CountBelow over Count.
+// deadline, countBelow over Count.
 func TestFractionBelow(t *testing.T) {
 	h, _ := NewHistogram(0.001, 10, 400)
-	if got := h.CountBelow(1); got != 0 {
+	if got := countBelow(h, 1); got != 0 {
 		t.Errorf("empty = %v", got)
 	}
 	for i := 0; i < 90; i++ {
@@ -100,7 +120,7 @@ func TestFractionBelow(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		h.Observe(5)
 	}
-	got := float64(h.CountBelow(0.1)) / float64(h.Count())
+	got := float64(countBelow(h, 0.1)) / float64(countOf(h))
 	if math.Abs(got-0.9) > 0.01 {
 		t.Errorf("fraction below 0.1 s = %v, want ~0.9", got)
 	}
@@ -144,7 +164,7 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 	}
 }
 
-// Property: the fraction of samples below a threshold, CountBelow
+// Property: the fraction of samples below a threshold, countBelow
 // over Count, is monotone in the threshold and never exceeds 1.
 func TestFractionBelowMonotoneProperty(t *testing.T) {
 	f := func(vals []uint16, d1Raw, d2Raw uint16) bool {
@@ -160,7 +180,7 @@ func TestFractionBelowMonotoneProperty(t *testing.T) {
 		if d1 > d2 {
 			d1, d2 = d2, d1
 		}
-		return h.CountBelow(d1) <= h.CountBelow(d2) && h.CountBelow(d2) <= h.Count()
+		return countBelow(h, d1) <= countBelow(h, d2) && countBelow(h, d2) <= countOf(h)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -175,17 +195,22 @@ func TestSumAndCountBelow(t *testing.T) {
 		h.Observe(s)
 		want += s
 	}
-	if got := h.Sum(); math.Abs(got-want) > 1e-12 {
+	if got := sumOf(h); math.Abs(got-want) > 1e-12 {
 		t.Errorf("Sum = %v, want %v", got, want)
 	}
 	// Each threshold sits well clear of every sample's ~1.5%-wide
-	// bucket, so CountBelow counts exactly the samples below it.
+	// bucket, so the cumulative count is exactly the samples below it.
 	for d, want := range map[float64]uint64{0.0005: 0, 0.003: 2, 0.1: 3, 1: 4, 10: 5, 200: 5} {
-		if got := h.CountBelow(d); got != want {
-			t.Errorf("CountBelow(%v) = %d, want %d", d, got, want)
+		if got := countBelow(h, d); got != want {
+			t.Errorf("countBelow(%v) = %d, want %d", d, got, want)
 		}
 	}
-	if h.CountBelow(1000) != h.Count() {
-		t.Errorf("CountBelow above max = %d, want total %d", h.CountBelow(1000), h.Count())
+	if countBelow(h, 1000) != countOf(h) {
+		t.Errorf("countBelow above max = %d, want total %d", countBelow(h, 1000), countOf(h))
+	}
+	// One call gives a whole ladder, the total and the sum.
+	cum, total, sum := h.Cumulative([]float64{0.0005, 0.003, 0.1, 1, 10, 200})
+	if !slices.Equal(cum, []uint64{0, 2, 3, 4, 5, 5}) || total != 5 || sum != sumOf(h) {
+		t.Errorf("Cumulative = %v, %d, %v; want [0 2 3 4 5 5], 5, %v", cum, total, sum, sumOf(h))
 	}
 }

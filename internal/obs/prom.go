@@ -163,19 +163,18 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return nil
 }
 
+// write renders the histogram from one read of it, so the +Inf bucket
+// always equals _count even while observers record.
 func (p *promHistogram) write(w io.Writer, name string) error {
-	for _, b := range p.bounds {
-		if _, err := fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, formatValue(b), p.h.CountBelow(b)); err != nil {
+	cum, total, sum := p.h.Cumulative(p.bounds)
+	for k, b := range p.bounds {
+		if _, err := fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, formatValue(b), cum[k]); err != nil {
 			return err
 		}
 	}
-	if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, p.h.Count()); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%s_sum %s\n%s_count %d\n", name, formatValue(p.h.Sum()), name, p.h.Count()); err != nil {
-		return err
-	}
-	return nil
+	_, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n%s_sum %s\n%s_count %d\n",
+		name, total, name, formatValue(sum), name, total)
+	return err
 }
 
 // renderLabels turns key/value pairs into a sorted, escaped

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -37,6 +38,55 @@ func TestCollectorConcurrentScrapeRace(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+}
+
+// TestScrapeHistogramCountsAgree scrapes while another goroutine
+// observes epochs: in every scrape each histogram's +Inf bucket must
+// equal its _count, as one read of the histogram gives.
+func TestScrapeHistogramCountsAgree(t *testing.T) {
+	c := NewCollector()
+	stop := make(chan struct{})
+	go func() {
+		defer close(stop)
+		for i := 0; i < 20000; i++ {
+			ev := sampleEvent(i)
+			ev.LatencySec = float64(i%97) / 10
+			c.Observe(ev)
+		}
+	}()
+	var buf bytes.Buffer
+	for scrapes := 0; ; scrapes++ {
+		select {
+		case <-stop:
+			if scrapes == 0 {
+				t.Fatal("no scrape ran")
+			}
+			return
+		default:
+		}
+		buf.Reset()
+		if err := c.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"greensprint_epoch_latency_seconds", "greensprint_epoch_goodput"} {
+			inf := sampleValue(t, buf.String(), name+`_bucket{le="+Inf"} `)
+			if count := sampleValue(t, buf.String(), name+"_count "); inf != count {
+				t.Fatalf("scrape %d: %s +Inf bucket %s, _count %s", scrapes, name, inf, count)
+			}
+		}
+	}
+}
+
+// sampleValue returns the value of the exposition line starting with
+// prefix.
+func sampleValue(t *testing.T, out, prefix string) string {
+	t.Helper()
+	i := strings.Index(out, "\n"+prefix)
+	if i < 0 {
+		t.Fatalf("no %q line", prefix)
+	}
+	v, _, _ := strings.Cut(out[i+1+len(prefix):], "\n")
+	return v
 }
 
 // TestJSONLConcurrentEmit shares one JSONL, and so its reused encode

@@ -61,7 +61,7 @@ func TestDegradedStatePersistence(t *testing.T) {
 	if !bytes.Contains(buf.Bytes(), []byte(`"degraded": 3`)) {
 		t.Errorf("serialized table lost the degraded dimension: %s", buf.Bytes())
 	}
-	restored, err := ReadJSON(buf.Bytes())
+	restored, err := ReadJSON(buf.Bytes(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

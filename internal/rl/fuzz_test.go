@@ -12,12 +12,10 @@ import (
 	"testing"
 )
 
-// FuzzReadJSON hardens the Q-table loader differentially: on any
-// input, ReadJSON and encoding/json (readJSON) give the same verdict
-// and bit-identical tables, every accepted table spans the knob space
-// and holds only valid states, and a table ReadCanonical accepts at
-// the head of the input is the one encoding/json decodes from the
-// bytes it spans.
+// FuzzReadJSON hardens the Q-table loader: every table it accepts
+// spans the knob space and holds only valid states, and the same bytes
+// read against a base give the same verdict and base's rows with each
+// stored row overlaid, bit for bit.
 func FuzzReadJSON(f *testing.F) {
 	f.Add(`{"alpha":0.7,"gamma":0.9,"actions":63,"first_action":"6c@1.2GHz","last_action":"12c@2GHz","states":[]}`)
 	f.Add(`{"alpha":0.7,"gamma":0.9,"actions":63,"first_action":"6c@1.2GHz","last_action":"12c@2GHz","states":[{"power_level":1,"load_level":2,"q":[1]}]}`)
@@ -29,7 +27,7 @@ func FuzzReadJSON(f *testing.F) {
 	}
 	tab.Seed(State{PowerLevel: 2, LoadLevel: 1}, 4, 1.5e-7)
 	tab.Seed(State{PowerLevel: 0, LoadLevel: 3, Degraded: 2}, 62, -2.25)
-	canon, err := tab.AppendJSON(nil)
+	canon, err := tab.AppendJSON(nil, nil)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -53,31 +51,46 @@ func FuzzReadJSON(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, in string) {
 		b := []byte(in)
-		tab, err := ReadJSON(b)
-		ref, refErr := readJSON(b)
-		if (err == nil) != (refErr == nil) {
-			t.Fatalf("ReadJSON error %v, encoding/json error %v", err, refErr)
-		}
-		if fast, n := ReadCanonical(b); fast != nil {
-			head, err := readJSON(b[:n])
-			if err != nil {
-				t.Fatalf("ReadCanonical accepted %q, which encoding/json rejects: %v", b[:n], err)
-			}
-			sameTable(t, fast, head)
+		got, err := ReadJSON(b, nil)
+		over, overErr := ReadJSON(b, tab)
+		if (err == nil) != (overErr == nil) {
+			t.Fatalf("ReadJSON error %v, against a base %v", err, overErr)
 		}
 		if err != nil {
 			return
 		}
-		sameTable(t, tab, ref)
-		if len(tab.Actions()) != 63 {
-			t.Fatalf("accepted table with %d actions", len(tab.Actions()))
+		if len(got.Actions()) != 63 {
+			t.Fatalf("accepted table with %d actions", len(got.Actions()))
 		}
-		for _, r := range tab.rows {
+		for _, r := range got.rows {
 			if !r.s.Valid() {
 				t.Fatalf("accepted state %+v", r.s)
 			}
 		}
+		union := got.States()
+		for s := range tab.q {
+			if got.Row(s) == nil {
+				union++
+			}
+		}
+		if over.States() != union {
+			t.Fatalf("overlay holds %d states, want the union of %d stored and %d base", over.States(), got.States(), tab.States())
+		}
+		for s, i := range over.q {
+			want := got.Row(s)
+			if want == nil {
+				want = tab.Row(s)
+			}
+			if !bitsEqual(over.rows[i].q, want) {
+				t.Fatalf("overlay row %+v = %v, want %v", s, over.rows[i].q, want)
+			}
+		}
 	})
+}
+
+// bitsEqual reports whether a and b hold bitwise-equal values.
+func bitsEqual(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
 // sameTable fails unless a and b hold the same parameters, the same
@@ -101,10 +114,26 @@ func sameTable(t *testing.T, a, b *Table) {
 	}
 }
 
+// sameRows fails unless a and b hold the same parameters and states
+// with bit-identical Q values, whatever order their rows were made in.
+func sameRows(t *testing.T, a, b *Table) {
+	t.Helper()
+	if math.Float64bits(a.alpha) != math.Float64bits(b.alpha) || math.Float64bits(a.gamma) != math.Float64bits(b.gamma) ||
+		a.States() != b.States() {
+		t.Fatalf("tables differ: alpha %v/%v gamma %v/%v states %d/%d", a.alpha, b.alpha, a.gamma, b.gamma, a.States(), b.States())
+	}
+	for s, i := range a.q {
+		if !bitsEqual(a.rows[i].q, b.Row(s)) {
+			t.Fatalf("row %+v = %v, want %v", s, a.rows[i].q, b.Row(s))
+		}
+	}
+}
+
 // refWriteJSON is the reflection encoder WriteJSON replaced: tableJSON
 // through json.Encoder with SetIndent, states sorted by (power, load,
-// degraded).
-func refWriteJSON(t *Table, w io.Writer) error {
+// degraded). A non-nil base drops the rows it holds with bitwise-equal
+// values, as AppendJSON does.
+func refWriteJSON(t *Table, base *Table, w io.Writer) error {
 	out := tableJSON{
 		Alpha:   t.alpha,
 		Gamma:   t.gamma,
@@ -113,6 +142,9 @@ func refWriteJSON(t *Table, w io.Writer) error {
 		Last:    t.actions[len(t.actions)-1].String(),
 	}
 	for s, i := range t.q {
+		if base != nil && base.Row(s) != nil && bitsEqual(base.Row(s), t.rows[i].q) {
+			continue
+		}
 		out.States = append(out.States, stateJSON{
 			PowerLevel: s.PowerLevel,
 			LoadLevel:  s.LoadLevel,
@@ -145,33 +177,38 @@ func errText(err error) string {
 
 // checkEncoding compares AppendJSON with json.Marshal of the reference
 // output as a json.RawMessage (the bytes a snapshot embedding the
-// table writes), and WriteJSON with the reference output itself, errors
-// included.
-func checkEncoding(t *testing.T, tab *Table, step int) {
+// table writes), both whole and against base, and WriteJSON with the
+// reference output itself, errors included.
+func checkEncoding(t *testing.T, tab, base *Table, step int) {
 	t.Helper()
-	var ref bytes.Buffer
-	refErr := refWriteJSON(tab, &ref)
-	var want []byte
-	if refErr == nil {
-		var err error
-		if want, err = json.Marshal(json.RawMessage(ref.Bytes())); err != nil {
-			t.Fatal(err)
+	for _, against := range []*Table{nil, base} {
+		var ref bytes.Buffer
+		refErr := refWriteJSON(tab, against, &ref)
+		var want []byte
+		if refErr == nil {
+			var err error
+			if want, err = json.Marshal(json.RawMessage(ref.Bytes())); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	got, err := tab.AppendJSON([]byte("prefix"))
-	if errText(err) != errText(refErr) {
-		t.Fatalf("step %d: AppendJSON error %q, want %q", step, errText(err), errText(refErr))
-	}
-	if err == nil && !bytes.Equal(got, append([]byte("prefix"), want...)) {
-		t.Fatalf("step %d: AppendJSON\n got %s\nwant prefix%s", step, got, want)
-	}
-	var out bytes.Buffer
-	err = tab.WriteJSON(&out)
-	if errText(err) != errText(refErr) {
-		t.Fatalf("step %d: WriteJSON error %q, want %q", step, errText(err), errText(refErr))
-	}
-	if !bytes.Equal(out.Bytes(), ref.Bytes()) {
-		t.Fatalf("step %d: WriteJSON\n got %s\nwant %s", step, out.Bytes(), ref.Bytes())
+		got, err := tab.AppendJSON([]byte("prefix"), against)
+		if errText(err) != errText(refErr) {
+			t.Fatalf("step %d: AppendJSON error %q, want %q", step, errText(err), errText(refErr))
+		}
+		if err == nil && !bytes.Equal(got, append([]byte("prefix"), want...)) {
+			t.Fatalf("step %d: AppendJSON\n got %s\nwant prefix%s", step, got, want)
+		}
+		if against != nil {
+			continue
+		}
+		var out bytes.Buffer
+		err = tab.WriteJSON(&out)
+		if errText(err) != errText(refErr) {
+			t.Fatalf("step %d: WriteJSON error %q, want %q", step, errText(err), errText(refErr))
+		}
+		if !bytes.Equal(out.Bytes(), ref.Bytes()) {
+			t.Fatalf("step %d: WriteJSON\n got %s\nwant %s", step, out.Bytes(), ref.Bytes())
+		}
 	}
 }
 
@@ -187,6 +224,9 @@ var fuzzValues = []float64{
 // FuzzTableEncoding drives a table through random Seed, Update and
 // ReadJSON steps and checks its encoders against the reference after
 // every step, so a row whose cached encoding went stale shows at once.
+// Each read-back also clones the table as the base later steps encode
+// against, and checks the clone's own encoding, so a clone sharing a
+// row's cached bytes with its source shows too.
 // A model of the values written checks that each write lands in its
 // own row and cell: Seed's value as given, Update's as the table
 // computed it.
@@ -210,7 +250,8 @@ func FuzzTableEncoding(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkEncoding(t, tab, -1)
+		var base *Table
+		checkEncoding(t, tab, base, -1)
 		model := map[State][]float64{}
 		set := func(s State, a int, v float64) {
 			if a < 0 || a >= len(tab.actions) {
@@ -250,12 +291,17 @@ func FuzzTableEncoding(f *testing.F) {
 				tab.Update(s, (a+1)%len(tab.actions), 1, s)
 				learned(s, (a+1)%len(tab.actions))
 			case 3:
-				// Both encodings re-read to the same table through
-				// either reader, unless a row holds a state no
-				// quantizer produces: then both readers reject it.
+				// Both encodings re-read to the same table, and the
+				// encoding against base overlays onto base to it,
+				// unless a row holds a state no quantizer produces:
+				// then every read rejects it.
 				var buf bytes.Buffer
 				if tab.WriteJSON(&buf) == nil {
-					compact, err := tab.AppendJSON(nil)
+					compact, err := tab.AppendJSON(nil, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					diff, err := tab.AppendJSON(nil, base)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -263,21 +309,29 @@ func FuzzTableEncoding(f *testing.F) {
 					for s := range model {
 						valid = valid && s.Valid()
 					}
-					back, err := ReadJSON(compact)
-					if fast, _ := ReadCanonical(compact); (fast != nil) != valid || (err == nil) != valid {
-						t.Fatalf("step %d: valid %v, ReadCanonical %v, ReadJSON error %v", step, valid, fast != nil, err)
+					back, err := ReadJSON(compact, nil)
+					if (err == nil) != valid {
+						t.Fatalf("step %d: valid %v, ReadJSON error %v", step, valid, err)
 					}
-					indented, err := ReadJSON(buf.Bytes())
+					indented, err := ReadJSON(buf.Bytes(), nil)
 					if (err == nil) != valid {
 						t.Fatalf("step %d: valid %v, indented ReadJSON error %v", step, valid, err)
 					}
+					over, err := ReadJSON(diff, base)
+					if (err == nil) != valid {
+						t.Fatalf("step %d: valid %v, ReadJSON against base error %v", step, valid, err)
+					}
 					if valid {
 						sameTable(t, back, indented)
-						tab = back
+						sameRows(t, over, back)
+						base, tab = tab.Clone(), back
 					}
 				}
 			}
-			checkEncoding(t, tab, step)
+			checkEncoding(t, tab, base, step)
+			if base != nil {
+				checkEncoding(t, base, nil, step)
+			}
 			if tab.States() != len(model) {
 				t.Fatalf("step %d: %d states, want %d", step, tab.States(), len(model))
 			}

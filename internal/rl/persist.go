@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
+	"math"
 	"slices"
 
 	"greensprint/internal/jsonw"
@@ -36,11 +38,11 @@ type stateJSON struct {
 	Q        []float64 `json:"q"`
 }
 
-// WriteJSON serializes the table: AppendJSON's compact form indented
-// by two spaces, plus a trailing newline — the bytes json.Encoder with
-// SetIndent("", "  ") writes for tableJSON.
+// WriteJSON serializes the whole table: AppendJSON's compact form
+// indented by two spaces, plus a trailing newline — the bytes
+// json.Encoder with SetIndent("", "  ") writes for tableJSON.
 func (t *Table) WriteJSON(w io.Writer) error {
-	b, err := t.AppendJSON(nil)
+	b, err := t.AppendJSON(nil, nil)
 	if err != nil {
 		return err
 	}
@@ -55,11 +57,14 @@ func (t *Table) WriteJSON(w io.Writer) error {
 
 // AppendJSON appends the table's compact serialized form to b: the
 // bytes json.Marshal writes for tableJSON, states in (power, load,
-// degraded) order, "states":null when no row exists. It re-encodes
-// only the rows written since its last call and copies the cached
-// encoding of every other row. A NaN or ±Inf value fails with
-// encoding/json's own error for it, and b is then not returned.
-func (t *Table) AppendJSON(b []byte) ([]byte, error) {
+// degraded) order, "states":null when it lists none. A nil base lists
+// every row. Otherwise it lists only the rows base lacks and those
+// whose values differ bitwise from base's, so ReadJSON with the same
+// base gives t back. It re-encodes only the listed rows written since
+// their last encoding and copies the cached encoding of the others. A
+// listed NaN or ±Inf value fails with encoding/json's own error for
+// it, and b is then not returned.
+func (t *Table) AppendJSON(b []byte, base *Table) ([]byte, error) {
 	if t.head == nil {
 		head, err := t.encodeHead()
 		if err != nil {
@@ -67,15 +72,13 @@ func (t *Table) AppendJSON(b []byte) ([]byte, error) {
 		}
 		t.head = head
 	}
-	if len(t.rows) == 0 {
-		b = append(b, t.head...)
-		return append(b, "null}"...), nil
-	}
-	// Bring every row's encoding up to date first, so b grows once to
-	// the exact size instead of doubling through the copy.
-	n := len(t.head) + len("[]}")
+	b = append(b, t.head...)
+	start := len(b)
 	for _, i := range t.order {
 		r := &t.rows[i]
+		if base.holds(r) {
+			continue
+		}
 		if r.dirty {
 			enc, err := r.appendJSON(r.enc[:0])
 			if err != nil {
@@ -83,18 +86,29 @@ func (t *Table) AppendJSON(b []byte) ([]byte, error) {
 			}
 			r.enc, r.dirty = enc, false
 		}
-		n += len(r.enc) + len(",")
-	}
-	b = slices.Grow(b, n)
-	b = append(b, t.head...)
-	b = append(b, '[')
-	for k, i := range t.order {
-		if k > 0 {
+		if len(b) == start {
+			b = append(b, '[')
+		} else {
 			b = append(b, ',')
 		}
-		b = append(b, t.rows[i].enc...)
+		b = append(b, r.enc...)
+	}
+	if len(b) == start {
+		return append(b, "null}"...), nil
 	}
 	return append(b, "]}"...), nil
+}
+
+// holds reports whether t, which may be nil, has r's state with
+// bitwise-equal values.
+func (t *Table) holds(r *qRow) bool {
+	if t == nil {
+		return false
+	}
+	i, ok := t.q[r.s]
+	return ok && slices.EqualFunc(t.rows[i].q, r.q, func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b)
+	})
 }
 
 // encodeHead returns the members before the states, everything up to
@@ -134,20 +148,12 @@ func (r *qRow) appendJSON(b []byte) ([]byte, error) {
 	return append(w.B, "]}"...), nil
 }
 
-// ReadJSON decodes a table written by AppendJSON or WriteJSON. It
-// fails if the serialized action space does not match the current knob
-// space or a state lies outside the quantizers' range (State.Valid).
-// AppendJSON's compact form is parsed in one pass by ReadCanonical;
-// anything else goes through encoding/json, which gives every error.
-func ReadJSON(b []byte) (*Table, error) {
-	if t, n := ReadCanonical(b); t != nil && n == len(b) {
-		return t, nil
-	}
-	return readJSON(b)
-}
-
-// readJSON is ReadJSON through encoding/json.
-func readJSON(b []byte) (*Table, error) {
+// ReadJSON decodes a table AppendJSON or WriteJSON wrote against
+// base: a copy of base, nil meaning empty, with each stored row
+// overlaid. It fails if the serialized action space does not match the
+// current knob space or a state lies outside the quantizers' range
+// (State.Valid).
+func ReadJSON(b []byte, base *Table) (*Table, error) {
 	var in tableJSON
 	if err := json.Unmarshal(b, &in); err != nil {
 		return nil, fmt.Errorf("rl: decode table: %w", err)
@@ -163,6 +169,9 @@ func readJSON(b []byte) (*Table, error) {
 			in.Actions, in.First, in.Last,
 			len(t.actions), server.Normal(), server.MaxSprint())
 	}
+	if base != nil {
+		t.q, t.rows, t.order = base.cloneRows()
+	}
 	for _, s := range in.States {
 		st := State{PowerLevel: s.PowerLevel, LoadLevel: s.LoadLevel, Degraded: s.Degraded}
 		if !st.Valid() {
@@ -177,63 +186,26 @@ func readJSON(b []byte) (*Table, error) {
 	return t, nil
 }
 
-// ReadCanonical parses the compact table AppendJSON writes at the
-// start of b, values straight into rows, and returns the table and
-// the number of bytes it spans. Anything off that shape — whitespace,
-// unknown, reordered or escaped keys and names, exponent-form
-// integers, "q":null — or a table ReadJSON rejects yields a nil table.
-// Whatever it accepts, encoding/json decodes to the same table, bit
-// for bit: both parse floats with strconv.ParseFloat and fill rows in
-// input order.
-func ReadCanonical(b []byte) (*Table, int) {
-	r := jsonw.Reader{B: b, OK: true}
-	r.Lit(`{"alpha":`)
-	alpha := r.Float()
-	r.Lit(`,"gamma":`)
-	gamma := r.Float()
-	r.Lit(`,"actions":`)
-	actions := r.Int()
-	r.Lit(`,"first_action":"`)
-	r.Lit(server.Normal().String())
-	r.Lit(`","last_action":"`)
-	r.Lit(server.MaxSprint().String())
-	r.Lit(`","states":`)
-	if !r.OK {
-		return nil, 0
+// Clone returns a deep copy of t.
+func (t *Table) Clone() *Table {
+	c := *t
+	c.q, c.rows, c.order = t.cloneRows()
+	return &c
+}
+
+// cloneRows deep-copies t's rows, their Q values into one new array.
+// The copies drop the cached encodings and are marked dirty: AppendJSON
+// re-encodes a row in place through r.enc[:0], so a shared backing
+// array would let one table overwrite the other's cached bytes.
+func (t *Table) cloneRows() (map[State]int, []qRow, []int) {
+	rows := slices.Clone(t.rows)
+	vals := make([]float64, 0, len(rows)*len(t.actions))
+	for i := range rows {
+		r := &rows[i]
+		n := len(vals)
+		vals = append(vals, r.q...)
+		r.q = vals[n:len(vals):len(vals)]
+		r.enc, r.dirty = nil, true
 	}
-	t, err := NewTable(alpha, gamma)
-	if err != nil || actions != len(t.actions) {
-		return nil, 0
-	}
-	if !r.Skip("null") && !r.Skip("[]") {
-		r.Lit("[")
-		for more := true; more; more = r.Skip(",") {
-			var s State
-			r.Lit(`{"power_level":`)
-			s.PowerLevel = r.Int()
-			r.Lit(`,"load_level":`)
-			s.LoadLevel = r.Int()
-			if r.Skip(`,"degraded":`) {
-				s.Degraded = r.Int()
-			}
-			r.Lit(`,"q":[`)
-			if !r.OK || !s.Valid() {
-				return nil, 0
-			}
-			q := t.row(s).q
-			for k := range q {
-				if k > 0 {
-					r.Lit(",")
-				}
-				q[k] = r.Float()
-			}
-			r.Lit("]}")
-		}
-		r.Lit("]")
-	}
-	r.Lit("}")
-	if !r.OK {
-		return nil, 0
-	}
-	return t, r.I
+	return maps.Clone(t.q), rows, slices.Clone(t.order)
 }

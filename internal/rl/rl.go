@@ -219,8 +219,9 @@ type Table struct {
 
 // qRow is one state's Q estimates and the compact JSON encoding of its
 // persisted entry. enc is a pure function of (s, q); every write to q
-// sets dirty, and AppendJSON re-encodes a dirty row before copying
-// enc, so a snapshot only pays for the rows written since the last.
+// sets dirty, and AppendJSON re-encodes a dirty row it lists before
+// copying enc, so a snapshot only pays for the rows written since the
+// last.
 type qRow struct {
 	s     State
 	q     []float64

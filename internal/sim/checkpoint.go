@@ -21,15 +21,17 @@ import (
 // loudly instead of silently corrupting a resumed run. Version 2 added
 // the StrategyName fingerprint; version 3 added the chaos injector's
 // replay state (plus per-component degradation fields that older
-// decoders would silently drop); version 4 adds the topology state —
+// decoders would silently drop); version 4 added the topology state —
 // topology fingerprint, class-indexed knob herd, grouped battery
 // snapshot, per-class energy counters. Version-4 files cut before the
 // paper's rack ran as a one-class fleet carry the flat layout instead
 // (per-knob fleet, per-unit battery bank); Restore migrates them (see
-// pmk.ClassFleet.RestoreFlat and battery.ClassBank.Restore).
-// DecodeCheckpoint transparently migrates version-1 through version-3
-// files.
-const CheckpointVersion = 4
+// pmk.ClassFleet.RestoreFlat and battery.ClassBank.Restore). Version
+// 5 lists only the Hybrid Q rows that left the bootstrap seed, which
+// an older binary would overlay onto nothing. DecodeCheckpoint
+// transparently migrates version-1 through version-4 files, whose
+// full row lists overlay the seed to the same table.
+const CheckpointVersion = 5
 
 // Checkpoint is the complete serializable state of an Engine between
 // two epochs: every stateful layer's snapshot (battery bank, PSS,
@@ -60,8 +62,8 @@ type Checkpoint struct {
 	Breaker  *cluster.BreakerSnapshot `json:"breaker,omitempty"`
 	LoadPred predictor.EWMASnapshot   `json:"load_predictor"`
 	// Strategy is the strategy's opaque state (nil for stateless
-	// strategies; the rl-backed Hybrid persists its Q-table, which
-	// pins the knob space).
+	// strategies; the rl-backed Hybrid persists the Q rows that left
+	// its seed, in a form that pins the knob space).
 	Strategy json.RawMessage `json:"strategy,omitempty"`
 	// Chaos is the fault injector's replay state (v3+); present
 	// exactly when the run has a chaos schedule. Restore rejects a
@@ -197,8 +199,10 @@ func (c *Checkpoint) appendEncoded(b []byte) ([]byte, error) {
 }
 
 // DecodeCheckpoint parses a JSON checkpoint and checks its version.
-// Version-1 through version-3 files migrate in place by their version
-// stamp, each layout being a strict subset of the next. v1 lacks the
+// Version-1 through version-4 files migrate in place by their version
+// stamp, each layout being a strict subset of the next: a v4 or older
+// Hybrid state lists every Q row, which restores as a v5 list of
+// changed rows does. v1 lacks the
 // StrategyName fingerprint, left empty so Restore skips the check; a
 // v2+ file without it fails, since Restore could not tell whose
 // strategy state it carries. v2 predates chaos: the injector state is
@@ -242,7 +246,7 @@ func (c *Checkpoint) WriteFile(path string) error {
 
 // encodeBufs recycles WriteFile's encode buffers: a checkpoint cut
 // every epoch would otherwise allocate and clear its full size (about
-// 350 KB for a Hybrid run) on every save.
+// 120 KB on average over a two-day Hybrid run) on every save.
 var encodeBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // ReadCheckpointFile loads and version-checks a checkpoint file.

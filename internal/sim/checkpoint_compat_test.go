@@ -388,7 +388,7 @@ func TestCheckpointMissingStrategyName(t *testing.T) {
 	if bytes.Equal(stripped, b) {
 		t.Fatal("the fixture carries no Greedy strategy_name")
 	}
-	for _, v := range []string{"2", "3", "4"} {
+	for _, v := range []string{"2", "3", "4", "5"} {
 		in := bytes.Replace(stripped, []byte(`{"version":4,`), []byte(`{"version":`+v+`,`), 1)
 		cp, err := DecodeCheckpoint(in)
 		if err == nil {

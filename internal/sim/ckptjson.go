@@ -16,8 +16,8 @@ func (c *Checkpoint) appendJSON(b []byte) ([]byte, bool) {
 	if len(c.Strategy) > 0 && !jsonw.IsCompact(c.Strategy) {
 		return b, false
 	}
-	// Size b once: the strategy state dominates, a record takes up to
-	// about 380 bytes.
+	// Size b once: the strategy state and the records dominate, a
+	// record taking up to about 380 bytes.
 	w := jsonw.Writer{B: slices.Grow(b, len(c.Strategy)+len(c.Records)*384+4096), OK: true}
 	w.Int(`{"version":`, int64(c.Version))
 	w.Int(`,"epoch":`, int64(c.Epoch))

@@ -143,7 +143,7 @@ func TestCheckpointVersionMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := bytes.Replace(b, []byte(`"version":4`), []byte(`"version":99`), 1)
+	bad := bytes.Replace(b, []byte(`"version":5`), []byte(`"version":99`), 1)
 	if bytes.Equal(bad, b) {
 		t.Fatal("version field not found in encoded checkpoint")
 	}

@@ -27,9 +27,8 @@ func fuzzConfig(t testing.TB, cp *Checkpoint) Config {
 // decode → encode byte for byte. It also checks the fast paths against
 // encoding/json: jsonw.IsCompact proves only what json.Marshal copies
 // unchanged, Encode writes json.Marshal's bytes or error, a strategy
-// state restores to the same engine whether the one-pass reader or
-// encoding/json (the state indented) reads it, and a rejected Restore
-// leaves the engine's checkpoint as it was.
+// state restores to the same engine compact or indented, and a
+// rejected Restore leaves the engine's checkpoint as it was.
 func FuzzCheckpoint(f *testing.F) {
 	legacy, err := os.ReadFile("testdata/legacy_flat_v4.checkpoint.json")
 	if err != nil {

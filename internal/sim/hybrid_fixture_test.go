@@ -10,8 +10,13 @@ import (
 )
 
 // hybridFixturePath holds a Hybrid checkpoint cut mid-chaos by the
-// reflection-encoded Q-table snapshot that preceded the row-cached one.
+// reflection-encoded Q-table snapshot that preceded the row-cached
+// one, listing every Q row.
 const hybridFixturePath = "testdata/hybrid_v4.checkpoint.json"
+
+// hybridV5FixturePath holds the same cut as hybridFixturePath in
+// format v5, which lists only the Q rows that left the seed.
+const hybridV5FixturePath = "testdata/hybrid_v5.checkpoint.json"
 
 // hybridFixtureCut is the epoch index the fixture was cut at.
 const hybridFixtureCut = 6
@@ -73,49 +78,75 @@ func cutHybridFixture(t *testing.T) (*Engine, []byte) {
 }
 
 // TestCheckpointHybridFixture pins checkpoint bytes across changes to
-// how the Hybrid's Q-table is encoded. The committed fixture carries a
+// how the Hybrid's Q-table is encoded. The committed fixtures carry a
 // pending decision and degraded-capacity rows. Cutting the same run
-// today, and re-cutting the fixture after restoring it, must both
-// reproduce it byte for byte, and the resumed run must finish exactly
-// like the uninterrupted one.
+// today must reproduce the v5 fixture byte for byte. Restoring either
+// fixture — v4 lists every Q row, v5 only those that left the seed —
+// and cutting again must give the v5 bytes too, and each resumed run
+// must finish exactly like the uninterrupted one.
 func TestCheckpointHybridFixture(t *testing.T) {
-	want, err := os.ReadFile(hybridFixturePath)
+	want, err := os.ReadFile(hybridV5FixturePath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, frag := range []string{`"last":{`, `"degraded":1`, `"active":[`} {
-		if !bytes.Contains(want, []byte(frag)) {
-			t.Fatalf("fixture lacks %s", frag)
+	cut, got := cutHybridFixture(t)
+	if !bytes.Equal(got, want) {
+		t.Errorf("cutting the fixture run differs from the v5 fixture:\nwant %s\ngot  %s", want, got)
+	}
+	cutQ := saveQ(t, cut.cfg.Strategy)
+	refCfg, refH := hybridFixtureConfig(t)
+	ref := mustRunAll(t, mustNew(t, refCfg))
+	refQ := saveQ(t, refH)
+
+	for _, path := range []string{hybridFixturePath, hybridV5FixturePath} {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, frag := range []string{`"last":{`, `"degraded":1`, `"active":[`} {
+			if !bytes.Contains(b, []byte(frag)) {
+				t.Fatalf("%s lacks %s", path, frag)
+			}
+		}
+		cp, err := DecodeCheckpoint(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, h := hybridFixtureConfig(t)
+		e := mustNew(t, cfg)
+		if err := e.Restore(cp); err != nil {
+			t.Fatalf("restore %s: %v", path, err)
+		}
+		if !bytes.Equal(saveQ(t, h), cutQ) {
+			t.Errorf("%s restores a Q-table other than the cut's", path)
+		}
+		if e.EpochIndex() != hybridFixtureCut {
+			t.Fatalf("%s: restored epoch index = %d, want %d", path, e.EpochIndex(), hybridFixtureCut)
+		}
+		recut, err := e.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := recut.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("re-cutting %s differs from the v5 fixture:\nwant %s\ngot  %s", path, want, got)
+		}
+		assertSameResult(t, ref, mustRunAll(t, e))
+		if !bytes.Equal(saveQ(t, h), refQ) {
+			t.Errorf("the run resumed from %s ends with a Q-table other than the uninterrupted run's", path)
 		}
 	}
-	if _, got := cutHybridFixture(t); !bytes.Equal(got, want) {
-		t.Errorf("cutting the fixture run differs from the fixture:\nwant %s\ngot  %s", want, got)
-	}
+}
 
-	cp, err := DecodeCheckpoint(want)
-	if err != nil {
+// saveQ returns the Hybrid s's SaveQ bytes.
+func saveQ(t *testing.T, s strategy.Strategy) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := s.(*strategy.Hybrid).SaveQ(&buf); err != nil {
 		t.Fatal(err)
 	}
-	cfg, _ := hybridFixtureConfig(t)
-	e := mustNew(t, cfg)
-	if err := e.Restore(cp); err != nil {
-		t.Fatalf("restore hybrid fixture: %v", err)
-	}
-	if e.EpochIndex() != hybridFixtureCut {
-		t.Fatalf("restored epoch index = %d, want %d", e.EpochIndex(), hybridFixtureCut)
-	}
-	recut, err := e.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := recut.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("re-cut checkpoint differs from the fixture:\nwant %s\ngot  %s", want, got)
-	}
-
-	refCfg, _ := hybridFixtureConfig(t)
-	assertSameResult(t, mustRunAll(t, mustNew(t, refCfg)), mustRunAll(t, e))
+	return buf.Bytes()
 }

@@ -3,20 +3,27 @@ package strategy
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
+	"greensprint/internal/rl"
 	"greensprint/internal/units"
 )
 
 // learnOnce has h decide at the given budget and learn from a served
 // epoch, writing one Q row.
 func learnOnce(h *Hybrid, budget units.Watt) {
-	in := inputs(specTab, burstRate(specjbb), budget)
+	learnIn(h, inputs(specTab, burstRate(specjbb), budget))
+}
+
+// learnIn has h decide on in and learn from a served epoch.
+func learnIn(h *Hybrid, in Inputs) {
 	cfg := h.Decide(in)
 	h.Learn(Feedback{
 		Chosen:  cfg,
-		Supply:  budget,
+		Supply:  in.Budget,
 		Power:   150,
 		Offered: burstRate(specjbb),
 		Goodput: burstRate(specjbb),
@@ -25,15 +32,58 @@ func learnOnce(h *Hybrid, budget units.Watt) {
 	})
 }
 
-// reflectSnapshot is the snapshot SnapshotState replaced: the table's
-// indented SaveQ output and the pending decision, through json.Marshal.
-func reflectSnapshot(t *testing.T, h *Hybrid) []byte {
+// tableWire is rl's persisted table form, for decoding a SaveQ.
+type tableWire struct {
+	Alpha   float64     `json:"alpha"`
+	Gamma   float64     `json:"gamma"`
+	Actions int         `json:"actions"`
+	First   string      `json:"first_action"`
+	Last    string      `json:"last_action"`
+	States  []stateWire `json:"states"`
+}
+
+type stateWire struct {
+	PowerLevel int       `json:"power_level"`
+	LoadLevel  int       `json:"load_level"`
+	Degraded   int       `json:"degraded,omitempty"`
+	Q          []float64 `json:"q"`
+}
+
+// reflectSnapshot is the snapshot SnapshotState must write, through
+// json.Marshal: h's SaveQ table less the rows a fresh Hybrid's table
+// holds with bitwise-equal values, and the pending decision. It also
+// returns the listed states.
+func reflectSnapshot(t *testing.T, h *Hybrid) ([]byte, []rl.State) {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := h.table.WriteJSON(&buf); err != nil {
+	fresh, err := NewHybrid(specjbb, specTab)
+	if err != nil {
 		t.Fatal(err)
 	}
-	st := hybridState{QTable: buf.Bytes()}
+	var buf bytes.Buffer
+	if err := h.SaveQ(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var tab tableWire
+	if err := json.Unmarshal(buf.Bytes(), &tab); err != nil {
+		t.Fatal(err)
+	}
+	all := tab.States
+	tab.States = nil
+	var listed []rl.State
+	for _, st := range all {
+		s := rl.State{PowerLevel: st.PowerLevel, LoadLevel: st.LoadLevel, Degraded: st.Degraded}
+		seed := fresh.QTable().Row(s)
+		if seed != nil && slices.EqualFunc(seed, st.Q, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+			continue
+		}
+		tab.States = append(tab.States, st)
+		listed = append(listed, s)
+	}
+	qt, err := json.Marshal(tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := hybridState{QTable: qt}
 	if h.last.valid {
 		st.Last = &hybridLast{State: h.last.state, Action: h.last.action}
 	}
@@ -41,19 +91,34 @@ func reflectSnapshot(t *testing.T, h *Hybrid) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return b
+	return b, listed
 }
 
 // TestHybridSnapshotMatchesReflection checks SnapshotState against the
-// marshalled hybridState after each of a run of Learns, with and
-// without a pending decision, and that RestoreState takes it back.
+// marshalled hybridState after each of a run of Learns, healthy and
+// degraded, with and without a pending decision, and that RestoreState
+// takes it back to the same SaveQ. A fresh Hybrid's snapshot lists no
+// states; the learned run's lists the degraded rows and the seeded
+// rows it changed, and not the rest.
 func TestHybridSnapshotMatchesReflection(t *testing.T) {
 	h, err := NewHybrid(specjbb, specTab)
 	if err != nil {
 		t.Fatal(err)
 	}
+	fresh, err := h.SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(fresh, []byte(`"states":null}`)) {
+		t.Errorf("fresh snapshot lists states: %s", fresh)
+	}
+	var listed []rl.State
 	for i := 0; i < 40; i++ {
-		learnOnce(h, units.Watt(90+7*(i%12)))
+		in := inputs(specTab, burstRate(specjbb), units.Watt(90+7*(i%12)))
+		if i%4 == 3 {
+			in.AliveFraction = 2.0 / 3
+		}
+		learnIn(h, in)
 		if i%3 == 0 {
 			h.Decide(inputs(specTab, burstRate(specjbb), units.Watt(100+i)))
 		}
@@ -61,7 +126,8 @@ func TestHybridSnapshotMatchesReflection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := reflectSnapshot(t, h); !bytes.Equal(got, want) {
+		var want []byte
+		if want, listed = reflectSnapshot(t, h); !bytes.Equal(got, want) {
 			t.Fatalf("learn %d: snapshot\n got %s\nwant %s", i, got, want)
 		}
 		back, err := NewHybrid(specjbb, specTab)
@@ -74,21 +140,42 @@ func TestHybridSnapshotMatchesReflection(t *testing.T) {
 		if again, err := back.SnapshotState(); err != nil || !bytes.Equal(again, got) {
 			t.Fatalf("learn %d: restored snapshot differs (%v)", i, err)
 		}
+		var a, b bytes.Buffer
+		if err := h.SaveQ(&a); err != nil {
+			t.Fatal(err)
+		}
+		if err := back.SaveQ(&b); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Fatalf("learn %d: restored SaveQ differs", i)
+		}
+	}
+	degraded, changed := 0, 0
+	for _, s := range listed {
+		if s.Degraded > 0 {
+			degraded++
+		} else {
+			changed++
+		}
+	}
+	if degraded == 0 || changed == 0 || len(listed) >= h.QTable().States() {
+		t.Errorf("snapshot lists %d degraded and %d changed seed rows of %d", degraded, changed, h.QTable().States())
 	}
 }
 
 // TestHybridRestoreRejects feeds RestoreState states no quantizer
-// produces or from another knob space, in the canonical form its
-// one-pass reader parses and indented for encoding/json: both readers
-// must reject each one and leave the Hybrid as it was. The unbroken
-// state restores to the same table through either reader.
+// produces or from another knob space, listing every row as snapshots
+// did before they listed only the changed ones, compact and indented:
+// each must be rejected and leave the Hybrid as it was. The unbroken
+// state restores to the same table in either form.
 func TestHybridRestoreRejects(t *testing.T) {
 	h, err := NewHybrid(specjbb, specTab)
 	if err != nil {
 		t.Fatal(err)
 	}
 	learnOnce(h, 120)
-	table, err := h.table.AppendJSON(nil)
+	table, err := h.table.AppendJSON(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,9 +220,6 @@ func TestHybridRestoreRejects(t *testing.T) {
 	}
 
 	good := state(row(`"power_level":0,"load_level":0,"degraded":3`), okLast)
-	if _, _, ok := readCanonicalState(good); !ok {
-		t.Fatal("the one-pass reader declined a canonical state")
-	}
 	var indented bytes.Buffer
 	if err := json.Indent(&indented, good, "", " "); err != nil {
 		t.Fatal(err)
@@ -152,13 +236,14 @@ func TestHybridRestoreRejects(t *testing.T) {
 		snaps = append(snaps, snap)
 	}
 	if !bytes.Equal(snaps[0], snaps[1]) {
-		t.Errorf("the two readers restore different states")
+		t.Errorf("the compact and indented forms restore different states")
 	}
 }
 
 // BenchmarkHybridSnapshotState measures a checkpoint's strategy
 // section in the steady state: after one Learn, which writes one row of
-// the bootstrapped table, SnapshotState encodes the whole table.
+// the bootstrapped table, SnapshotState encodes the rows that left the
+// seed.
 func BenchmarkHybridSnapshotState(b *testing.B) {
 	h, err := NewHybrid(specjbb, specTab)
 	if err != nil {

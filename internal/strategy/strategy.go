@@ -271,7 +271,13 @@ func bestWithin(in Inputs, filter func(server.Config) bool) server.Config {
 // table is bootstrapped from the profiling data so the very first
 // decisions are already sensible, then refined online.
 type Hybrid struct {
-	table     *rl.Table
+	table *rl.Table
+	// seed is the table as bootstrap left it. SnapshotState lists only
+	// the rows that differ from it, and RestoreState overlays them onto
+	// a copy of it. It is derived state, never checkpointed: a pure
+	// function of the profile, profiling table, quantizer and reward
+	// options, rebuilt by NewHybrid and written by nothing after.
+	seed      *rl.Table
 	quantizer rl.Quantizer
 	profile   workload.Profile
 	profTable *profile.Table
@@ -398,7 +404,8 @@ func NewHybridWithOptions(p workload.Profile, tab *profile.Table, opts HybridOpt
 
 // bootstrap seeds the Q-table with one-step shaped rewards estimated
 // from the profiling data ("we learn the initial values of lookup
-// table from the profiling data collected by Parallel and Pacing").
+// table from the profiling data collected by Parallel and Pacing") and
+// keeps a copy of the seeded table as h.seed.
 // The effective latency of a (level, action) cell does not depend on
 // the power level, so it is computed once per cell and reused across
 // all ~21 quantized power levels instead of re-running the sojourn
@@ -428,6 +435,7 @@ func (h *Hybrid) bootstrap() {
 			}
 		}
 	}
+	h.seed = h.table.Clone()
 }
 
 // supplyOf converts a power level back to the center of its bucket.
@@ -659,9 +667,10 @@ func (h *Hybrid) SaveQ(w io.Writer) error { return h.table.WriteJSON(w) }
 // hybridState is the serialized form of a Hybrid's mutable state: the
 // learned Q-table (in the rl package's persisted format, which pins
 // the knob space) plus the pending decision→feedback link when a
-// snapshot is taken between Decide and Learn. SnapshotState writes
-// the bytes json.Marshal writes for it without reflection; RestoreState
-// decodes it through encoding/json when its one-pass reader declines.
+// snapshot is taken between Decide and Learn. The table lists only the
+// rows that left the bootstrap seed: those the seed lacks and those
+// whose values differ from it. SnapshotState writes the bytes
+// json.Marshal writes for hybridState without reflection.
 type hybridState struct {
 	QTable json.RawMessage `json:"q_table"`
 	Last   *hybridLast     `json:"last,omitempty"`
@@ -673,10 +682,10 @@ type hybridLast struct {
 }
 
 // SnapshotState implements Strategy. It writes the bytes json.Marshal
-// writes for hybridState, with the Q-table appended by rl's row-cached
-// encoder instead of a marshal round trip.
+// writes for hybridState, with the Q-table appended against the seed
+// by rl's row-cached encoder instead of a marshal round trip.
 func (h *Hybrid) SnapshotState() (json.RawMessage, error) {
-	b, err := h.table.AppendJSON(append([]byte(nil), `{"q_table":`...))
+	b, err := h.table.AppendJSON(append([]byte(nil), `{"q_table":`...), h.seed)
 	if err != nil {
 		return nil, fmt.Errorf("strategy: snapshot hybrid: %w", err)
 	}
@@ -691,84 +700,32 @@ func (h *Hybrid) SnapshotState() (json.RawMessage, error) {
 	return append(w.B, '}'), nil
 }
 
-// RestoreState implements Strategy. The bytes SnapshotState writes are
-// parsed in one pass (readCanonicalState); any other input goes
-// through encoding/json (readState), which gives every error. Both
-// reject a Q-table from a different knob space, a state outside the
+// RestoreState implements Strategy: the stored rows overlay a copy of
+// the seed, so a state listing every row, as written before snapshots
+// listed only the changed ones, restores the same table. It rejects a
+// Q-table from a different knob space, a state outside the
 // quantizers' range and a pending action outside the knob space. On
 // error the strategy is left as it was.
 func (h *Hybrid) RestoreState(raw json.RawMessage) error {
 	if len(raw) == 0 {
 		return fmt.Errorf("strategy: hybrid cannot restore an empty state")
 	}
-	t, last, ok := readCanonicalState(raw)
-	if !ok {
-		var err error
-		if t, last, err = readState(raw); err != nil {
-			return fmt.Errorf("strategy: restore hybrid: %w", err)
-		}
-	}
-	h.table, h.last = t, last
-	return nil
-}
-
-// readCanonicalState parses the shape SnapshotState writes:
-// rl.ReadCanonical's table, then "}" or a "last" member, then "}". It
-// reports false for anything else and for anything readState rejects;
-// whatever it accepts, readState decodes to the same state.
-func readCanonicalState(raw []byte) (*rl.Table, pending, bool) {
-	r := jsonw.Reader{B: raw, OK: true}
-	r.Lit(`{"q_table":`)
-	if !r.OK {
-		return nil, pending{}, false
-	}
-	t, n := rl.ReadCanonical(raw[r.I:])
-	if t == nil {
-		return nil, pending{}, false
-	}
-	r.I += n
-	var p pending
-	if r.Skip(`,"last":{"state":{"PowerLevel":`) {
-		p.valid = true
-		p.state.PowerLevel = r.Int()
-		r.Lit(`,"LoadLevel":`)
-		p.state.LoadLevel = r.Int()
-		r.Lit(`,"Degraded":`)
-		p.state.Degraded = r.Int()
-		r.Lit(`},"action":`)
-		p.action = r.Int()
-		r.Lit("}")
-	}
-	r.Lit("}")
-	if !r.OK || r.I != len(raw) || p.valid && !validPending(t, p) {
-		return nil, pending{}, false
-	}
-	return t, p, true
-}
-
-// readState decodes a hybridState through encoding/json.
-func readState(raw []byte) (*rl.Table, pending, error) {
 	var st hybridState
 	if err := json.Unmarshal(raw, &st); err != nil {
-		return nil, pending{}, err
+		return fmt.Errorf("strategy: restore hybrid: %w", err)
 	}
-	t, err := rl.ReadJSON(st.QTable)
+	t, err := rl.ReadJSON(st.QTable, h.seed)
 	if err != nil {
-		return nil, pending{}, err
+		return fmt.Errorf("strategy: restore hybrid: %w", err)
 	}
-	if st.Last == nil {
-		return t, pending{}, nil
+	var p pending
+	if st.Last != nil {
+		p = pending{valid: true, state: st.Last.State, action: st.Last.Action}
+		if !p.state.Valid() || p.action < 0 || p.action >= len(t.Actions()) {
+			return fmt.Errorf("strategy: restore hybrid: pending decision (state %+v, action %d) outside the quantizers' range or the %d-action knob space",
+				p.state, p.action, len(t.Actions()))
+		}
 	}
-	p := pending{valid: true, state: st.Last.State, action: st.Last.Action}
-	if !validPending(t, p) {
-		return nil, pending{}, fmt.Errorf("pending decision (state %+v, action %d) outside the quantizers' range or the %d-action knob space",
-			p.state, p.action, len(t.Actions()))
-	}
-	return t, p, nil
-}
-
-// validPending reports whether p's state is one the quantizers produce
-// and its action indexes t's knob space.
-func validPending(t *rl.Table, p pending) bool {
-	return p.state.Valid() && p.action >= 0 && p.action < len(t.Actions())
+	h.table, h.last = t, p
+	return nil
 }
