@@ -72,10 +72,10 @@ func FuzzHistogram(f *testing.F) {
 		_ = h.Quantile(2)
 
 		// The cumulative counts are monotone in the bound, bounded by
-		// Count, and those of one pass over the ladder are a fresh
-		// walk's for each bound.
+		// Count, and those of one pass over the ladder's cut-offs are
+		// a fresh resolution's for each bound.
 		ladder := []float64{1e-6, 1e-3, 1, 10, 1e6}
-		cum, total, sum := h.Cumulative(ladder)
+		cum, total, sum := h.Cumulative(nil, h.Cuts(ladder))
 		if total != countOf(h) || math.Float64bits(sum) != math.Float64bits(sumOf(h)) {
 			t.Fatalf("Cumulative total %d, sum %v; Count %d, Sum %v", total, sum, countOf(h), sumOf(h))
 		}
@@ -88,7 +88,7 @@ func FuzzHistogram(f *testing.F) {
 			if c < prevCount {
 				t.Fatalf("cumulative count at %v = %d < previous %d", d, c, prevCount)
 			}
-			if one, _, _ := h.Cumulative([]float64{d}); one[0] != c {
+			if one, _, _ := h.Cumulative(nil, h.Cuts([]float64{d})); one[0] != c {
 				t.Fatalf("cumulative count at %v = %d in the ladder, %d alone", d, c, one[0])
 			}
 			prevCount = c

@@ -1,7 +1,7 @@
 // Package metrics provides the measurement primitives behind
 // GreenSprint's Monitor component: log-bucketed histograms with
-// quantile estimation and Prometheus-style cumulative counts, and
-// per-epoch throughput/goodput windows.
+// quantile estimation and Prometheus-style cumulative counts at `le`
+// cut-offs resolved once, and per-epoch throughput/goodput windows.
 package metrics
 
 import (
@@ -99,23 +99,35 @@ func (h *Histogram) bucketUpper(i int) float64 {
 	return h.min * math.Pow(h.growth, float64(i+1))
 }
 
-// Cumulative returns, read under one lock, the cumulative count behind
-// each Prometheus `le` bound — the samples whose bucket lies entirely
-// at or below it, so a bucket straddling the bound is not counted —
-// with the total count and the sum. The bounds must ascend, as a le
-// ladder does: one walk over the buckets serves them all.
-func (h *Histogram) Cumulative(bounds []float64) (cum []uint64, total uint64, sum float64) {
-	cum = make([]uint64, len(bounds))
+// Cuts resolves an ascending Prometheus `le` ladder, once, to bucket
+// cut-offs for Cumulative: cuts[k] counts the leading buckets that lie
+// entirely at or below bounds[k], leaving out one straddling it.
+func (h *Histogram) Cuts(bounds []float64) []int {
+	cuts := make([]int, len(bounds))
+	i := 0
+	for k, d := range bounds {
+		for i < len(h.counts) && h.bucketUpper(i) <= d {
+			i++
+		}
+		cuts[k] = i
+	}
+	return cuts
+}
+
+// Cumulative appends to dst, read under one lock, the cumulative
+// count behind each cut-off from Cuts, and returns it with the total
+// count and the sum.
+func (h *Histogram) Cumulative(dst []uint64, cuts []int) (cum []uint64, total uint64, sum float64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	i, c := 0, uint64(0)
-	for k, d := range bounds {
-		for ; i < len(h.counts) && h.bucketUpper(i) <= d; i++ {
+	for _, n := range cuts {
+		for ; i < n; i++ {
 			c += h.counts[i]
 		}
-		cum[k] = c
+		dst = append(dst, c)
 	}
-	return cum, h.total, h.sum
+	return dst, h.total, h.sum
 }
 
 // Quantile returns an upper-bound estimate of the q-quantile

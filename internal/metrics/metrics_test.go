@@ -90,20 +90,20 @@ func TestHistogramClamping(t *testing.T) {
 
 // countOf returns the number of recorded samples.
 func countOf(h *Histogram) uint64 {
-	_, total, _ := h.Cumulative(nil)
+	_, total, _ := h.Cumulative(nil, nil)
 	return total
 }
 
 // sumOf returns the sum of recorded samples.
 func sumOf(h *Histogram) float64 {
-	_, _, sum := h.Cumulative(nil)
+	_, _, sum := h.Cumulative(nil, nil)
 	return sum
 }
 
 // countBelow is the cumulative count Cumulative gives for a single
-// bound d, from a fresh walk of the buckets.
+// bound d, from a fresh resolution of its cut-off.
 func countBelow(h *Histogram, d float64) uint64 {
-	cum, _, _ := h.Cumulative([]float64{d})
+	cum, _, _ := h.Cumulative(nil, h.Cuts([]float64{d}))
 	return cum[0]
 }
 
@@ -208,9 +208,10 @@ func TestSumAndCountBelow(t *testing.T) {
 	if countBelow(h, 1000) != countOf(h) {
 		t.Errorf("countBelow above max = %d, want total %d", countBelow(h, 1000), countOf(h))
 	}
-	// One call gives a whole ladder, the total and the sum.
-	cum, total, sum := h.Cumulative([]float64{0.0005, 0.003, 0.1, 1, 10, 200})
-	if !slices.Equal(cum, []uint64{0, 2, 3, 4, 5, 5}) || total != 5 || sum != sumOf(h) {
-		t.Errorf("Cumulative = %v, %d, %v; want [0 2 3 4 5 5], 5, %v", cum, total, sum, sumOf(h))
+	// One call gives a whole ladder, the total and the sum, appended
+	// after what dst already holds.
+	cum, total, sum := h.Cumulative([]uint64{7}, h.Cuts([]float64{0.0005, 0.003, 0.1, 1, 10, 200}))
+	if !slices.Equal(cum, []uint64{7, 0, 2, 3, 4, 5, 5}) || total != 5 || sum != sumOf(h) {
+		t.Errorf("Cumulative = %v, %d, %v; want [7 0 2 3 4 5 5], 5, %v", cum, total, sum, sumOf(h))
 	}
 }

@@ -2,129 +2,146 @@ package obs
 
 import (
 	"io"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 
 	"greensprint/internal/metrics"
 )
 
+// The catalog's families, in exposition order: the counter and gauge
+// families, then the two histograms.
+const (
+	fEpochs = iota
+	fSprintEpochs
+	fDecisions
+	fCases
+	fQoS
+	fGreenSupply
+	fSoC
+	fDoD
+	fCycles
+	fStress
+	fSprintFrac
+	fGoodput
+	fClassAlive
+	fClassGoodput
+	fClassEnergy
+	fEnergy
+	fSplit
+	fLatQuantile
+	nValued      // the number of counter and gauge families
+	fLatency     = nValued
+	fGoodputHist = nValued + 1
+)
+
+// families is the catalog's fixed table, indexed by the family
+// constants: each family's name, help text and Prometheus type.
+var families = [...]struct{ name, help, typ string }{
+	fEpochs:       {"greensprint_epochs_total", "Scheduling epochs processed.", "counter"},
+	fSprintEpochs: {"greensprint_sprint_epochs_total", "Epochs whose applied config exceeded Normal mode.", "counter"},
+	fDecisions:    {"greensprint_decisions_total", "Decisions by strategy and applied server config.", "counter"},
+	fCases:        {"greensprint_supply_case_total", "Epochs by PSS supply case (green-only, green+battery, ...).", "counter"},
+	fQoS:          {"greensprint_qos_violations_total", "Epochs whose SLA-percentile latency exceeded the deadline.", "counter"},
+	fGreenSupply:  {"greensprint_green_supply_watts", "Renewable production observed over the last epoch (rack level).", "gauge"},
+	fSoC:          {"greensprint_battery_soc", "Battery bank mean state of charge (0-1).", "gauge"},
+	fDoD:          {"greensprint_battery_dod", "Battery bank mean depth of discharge (1 - SoC).", "gauge"},
+	fCycles:       {"greensprint_battery_cycles", "Equivalent battery cycles consumed since start.", "gauge"},
+	fStress:       {"greensprint_breaker_stress", "PDU breaker thermal stress (0-1; 1 trips).", "gauge"},
+	fSprintFrac:   {"greensprint_sprint_fraction", "Fraction of the last epoch the sprint was powered.", "gauge"},
+	fGoodput:      {"greensprint_goodput_rps", "Per-server QoS-compliant throughput over the last epoch.", "gauge"},
+	fClassAlive:   {"greensprint_class_alive_servers", "Alive servers per fleet class (fleet-scale runs only).", "gauge"},
+	fClassGoodput: {"greensprint_class_goodput_rps", "Aggregate QoS-compliant throughput per fleet class.", "gauge"},
+	fClassEnergy:  {"greensprint_class_energy_wh", "Cumulative server energy per fleet class (Wh).", "gauge"},
+	fEnergy:       {"greensprint_energy_wh_total", "Rack-level energy delivered, by power source.", "counter"},
+	fSplit:        {"greensprint_power_split_watts", "Per-server power delivered in the last epoch, by source.", "gauge"},
+	fLatQuantile:  {"greensprint_epoch_latency_quantile_seconds", "SLA-percentile epoch latency quantiles.", "gauge"},
+	fLatency:      {"greensprint_epoch_latency_seconds", "Per-epoch SLA-percentile latency.", "histogram"},
+	fGoodputHist:  {"greensprint_epoch_goodput", "Per-epoch per-server QoS-compliant throughput (requests/s).", "histogram"},
+}
+
+// heads holds each family's HELP and TYPE lines, rendered once.
+var heads = func() (h [len(families)]string) {
+	for f, fam := range families {
+		h[f] = "# HELP " + fam.name + " " + fam.help + "\n# TYPE " + fam.name + " " + fam.typ + "\n"
+	}
+	return h
+}()
+
+// The closed label spaces' rendered label sets.
+const (
+	sourceGreen   = `{source="green"}`
+	sourceBattery = `{source="battery"}`
+	sourceGrid    = `{source="grid"}`
+)
+
+// DefaultLatencyBounds is the le ladder for epoch-latency export,
+// covering the three workloads' SLA range (milliseconds to tens of
+// seconds).
+var DefaultLatencyBounds = []float64{
+	.001, .0025, .005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10, 30,
+}
+
+// DefaultGoodputBounds is the le ladder for epoch-goodput export
+// (requests/s): decade steps with 2.5/5 subdivisions from background
+// trickle to a saturated Int=12 sprint.
+var DefaultGoodputBounds = []float64{
+	1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000,
+	25000, 50000, 100000, 250000, 500000, 1000000,
+}
+
+// histogram is an exported metrics.Histogram with each le bound's
+// bucket cut-off and rendered `_bucket{le="…"}` suffix, resolved once.
+type histogram struct {
+	*metrics.Histogram
+	cuts []int
+	les  []string
+}
+
+func newHistogram(h *metrics.Histogram, bounds []float64) histogram {
+	les := make([]string, len(bounds))
+	for k, d := range bounds {
+		les[k] = `_bucket{le="` + strconv.FormatFloat(d, 'g', -1, 64) + `"}`
+	}
+	return histogram{Histogram: h, cuts: h.Cuts(bounds), les: les}
+}
+
+// labelKey names one label set of an open label space: a label and
+// its value, plus the strategy for a decision's config.
+type labelKey struct{ label, value, strategy string }
+
 // Collector turns the per-epoch event stream into the /metrics
-// catalog. It implements Sink, so it composes with a JSONL event log
-// through Multi; WritePrometheus renders the current state. Safe for
-// concurrent use.
+// catalog and renders it in the Prometheus text exposition format.
+// It implements Sink, so it composes with a JSONL event log through
+// Multi. One mutex guards the whole catalog, so a scrape sees whole
+// epochs. Safe for concurrent use.
 type Collector struct {
-	reg *Registry
-
-	epochs       *Counter
-	sprintEpochs *Counter
-	decisions    *Counter
-	cases        *Counter
-	qos          *Counter
-
-	// Fixed label sets are resolved once at construction: With()
-	// renders and sorts its label pairs on every call, which the
-	// per-epoch Observe path would otherwise pay nine times over.
-	energyGreen, energyBattery, energyGrid *Counter
-	splitGreen, splitBattery, splitGrid    *Gauge
-	latQ50, latQ90, latQ99                 *Gauge
-
-	classAlive   *Gauge
-	classGoodput *Gauge
-	classEnergy  *Gauge
-
-	greenSupply *Gauge
-	soc         *Gauge
-	dod         *Gauge
-	cycles      *Gauge
-	stress      *Gauge
-	sprintFrac  *Gauge
-	goodput     *Gauge
-
-	mu  sync.Mutex
-	lat *metrics.Histogram
-	gp  *metrics.Histogram
-	// decisionCh and caseCh memoize the dynamic With() children
-	// (strategy×config and supply-case label sets; both spaces are
-	// small and recur every epoch).
-	decisionCh map[decisionKey]*Counter
-	caseCh     map[string]*Counter
-	// classCh memoizes the per-class gauge children of a fleet-scale
-	// run (one label set per fleet template; flat runs never touch
-	// it).
-	classCh map[string]*classGauges
+	mu sync.Mutex
+	// vals holds each counter and gauge family's values, keyed by
+	// rendered label set ("" for none); keys lists those label sets
+	// sorted, the exposition order. A series exists from its first
+	// write on.
+	vals [nValued]map[string]*float64
+	keys [nValued][]string
+	// labels memoizes the rendered label sets of the open label spaces
+	// (strategy×config, supply case, fleet class), which recur.
+	labels  map[labelKey]string
+	lat, gp histogram
+	size    int // the last scrape's length, the next one's capacity
 }
-
-// classGauges is one server class's gauge children.
-type classGauges struct {
-	alive    *Gauge
-	goodput  *Gauge
-	energyWh *Gauge
-}
-
-type decisionKey struct{ strategy, config string }
 
 // NewCollector builds a Collector with the full GreenSprint metric
-// catalog registered (see DESIGN.md §8 and the README's observability
-// section).
+// catalog (see DESIGN.md §8 and the README's observability section).
 func NewCollector() *Collector {
-	r := NewRegistry()
 	c := &Collector{
-		reg: r,
-		epochs: r.NewCounter("greensprint_epochs_total",
-			"Scheduling epochs processed."),
-		sprintEpochs: r.NewCounter("greensprint_sprint_epochs_total",
-			"Epochs whose applied config exceeded Normal mode."),
-		decisions: r.NewCounter("greensprint_decisions_total",
-			"Decisions by strategy and applied server config."),
-		cases: r.NewCounter("greensprint_supply_case_total",
-			"Epochs by PSS supply case (green-only, green+battery, ...)."),
-		qos: r.NewCounter("greensprint_qos_violations_total",
-			"Epochs whose SLA-percentile latency exceeded the deadline."),
-		greenSupply: r.NewGauge("greensprint_green_supply_watts",
-			"Renewable production observed over the last epoch (rack level)."),
-		soc: r.NewGauge("greensprint_battery_soc",
-			"Battery bank mean state of charge (0-1)."),
-		dod: r.NewGauge("greensprint_battery_dod",
-			"Battery bank mean depth of discharge (1 - SoC)."),
-		cycles: r.NewGauge("greensprint_battery_cycles",
-			"Equivalent battery cycles consumed since start."),
-		stress: r.NewGauge("greensprint_breaker_stress",
-			"PDU breaker thermal stress (0-1; 1 trips)."),
-		sprintFrac: r.NewGauge("greensprint_sprint_fraction",
-			"Fraction of the last epoch the sprint was powered."),
-		goodput: r.NewGauge("greensprint_goodput_rps",
-			"Per-server QoS-compliant throughput over the last epoch."),
-		lat:        metrics.DefaultLatencyHistogram(),
-		gp:         metrics.DefaultGoodputHistogram(),
-		decisionCh: map[decisionKey]*Counter{},
-		caseCh:     map[string]*Counter{},
-		classCh:    map[string]*classGauges{},
+		labels: map[labelKey]string{},
+		lat:    newHistogram(metrics.DefaultLatencyHistogram(), DefaultLatencyBounds),
+		gp:     newHistogram(metrics.DefaultGoodputHistogram(), DefaultGoodputBounds),
 	}
-	c.classAlive = r.NewGauge("greensprint_class_alive_servers",
-		"Alive servers per fleet class (fleet-scale runs only).")
-	c.classGoodput = r.NewGauge("greensprint_class_goodput_rps",
-		"Aggregate QoS-compliant throughput per fleet class.")
-	c.classEnergy = r.NewGauge("greensprint_class_energy_wh",
-		"Cumulative server energy per fleet class (Wh).")
-	energyWh := r.NewCounter("greensprint_energy_wh_total",
-		"Rack-level energy delivered, by power source.")
-	c.energyGreen = energyWh.With("source", "green")
-	c.energyBattery = energyWh.With("source", "battery")
-	c.energyGrid = energyWh.With("source", "grid")
-	split := r.NewGauge("greensprint_power_split_watts",
-		"Per-server power delivered in the last epoch, by source.")
-	c.splitGreen = split.With("source", "green")
-	c.splitBattery = split.With("source", "battery")
-	c.splitGrid = split.With("source", "grid")
-	latQuantile := r.NewGauge("greensprint_epoch_latency_quantile_seconds",
-		"SLA-percentile epoch latency quantiles.")
-	c.latQ50 = latQuantile.With("quantile", "0.5")
-	c.latQ90 = latQuantile.With("quantile", "0.9")
-	c.latQ99 = latQuantile.With("quantile", "0.99")
-	r.NewHistogram("greensprint_epoch_latency_seconds",
-		"Per-epoch SLA-percentile latency.", c.lat, nil)
-	r.NewHistogram("greensprint_epoch_goodput",
-		"Per-epoch per-server QoS-compliant throughput (requests/s).",
-		c.gp, DefaultGoodputBounds)
+	for f := range c.vals {
+		c.vals[f] = map[string]*float64{}
+	}
 	return c
 }
 
@@ -143,98 +160,135 @@ func (c *Collector) Observe(ev Event) {
 	if ev.Chaos != "" {
 		return
 	}
-	c.epochs.Inc()
-	if ev.Sprinting {
-		c.sprintEpochs.Inc()
-	}
-	c.decision(ev.Strategy, ev.Config).Inc()
-	c.supplyCase(ev.Case).Inc()
-	if ev.QoSViolation {
-		c.qos.Inc()
-	}
-	n := float64(ev.Servers)
-	if n <= 0 {
-		n = 1
-	}
+	n := max(float64(ev.Servers), 1)
 	hours := ev.EpochSeconds / 3600
-	c.energyGreen.Add(ev.GreenW * n * hours)
-	c.energyBattery.Add(ev.BatteryW * n * hours)
-	c.energyGrid.Add(ev.GridW * n * hours)
 
-	c.greenSupply.Set(ev.GreenSupplyW)
-	c.splitGreen.Set(ev.GreenW)
-	c.splitBattery.Set(ev.BatteryW)
-	c.splitGrid.Set(ev.GridW)
-	c.soc.Set(ev.SoC)
-	c.dod.Set(1 - ev.SoC)
-	c.cycles.Set(ev.BatteryCycles)
-	c.stress.Set(ev.BreakerStress)
-	c.sprintFrac.Set(ev.SprintFraction)
-	c.goodput.Set(ev.Goodput)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.add(fEpochs, "", 1)
+	if ev.Sprinting {
+		c.add(fSprintEpochs, "", 1)
+	}
+	c.add(fDecisions, c.label(labelKey{"config", ev.Config, ev.Strategy}), 1)
+	c.add(fCases, c.label(labelKey{label: "case", value: ev.Case}), 1)
+	if ev.QoSViolation {
+		c.add(fQoS, "", 1)
+	}
+	c.add(fEnergy, sourceGreen, ev.GreenW*n*hours)
+	c.add(fEnergy, sourceBattery, ev.BatteryW*n*hours)
+	c.add(fEnergy, sourceGrid, ev.GridW*n*hours)
+
+	*c.series(fGreenSupply, "") = ev.GreenSupplyW
+	*c.series(fSplit, sourceGreen) = ev.GreenW
+	*c.series(fSplit, sourceBattery) = ev.BatteryW
+	*c.series(fSplit, sourceGrid) = ev.GridW
+	*c.series(fSoC, "") = ev.SoC
+	*c.series(fDoD, "") = 1 - ev.SoC
+	*c.series(fCycles, "") = ev.BatteryCycles
+	*c.series(fStress, "") = ev.BreakerStress
+	*c.series(fSprintFrac, "") = ev.SprintFraction
+	*c.series(fGoodput, "") = ev.Goodput
 
 	// Per-class gauges: ev.Classes may be the emitter's reused
 	// buffer, so its values are consumed here and not retained.
 	for _, cs := range ev.Classes {
-		g := c.class(cs.Name)
-		g.alive.Set(float64(cs.Alive))
-		g.goodput.Set(cs.Goodput)
-		g.energyWh.Set(cs.EnergyWh)
+		l := c.label(labelKey{label: "class", value: cs.Name})
+		*c.series(fClassAlive, l) = float64(cs.Alive)
+		*c.series(fClassGoodput, l) = cs.Goodput
+		*c.series(fClassEnergy, l) = cs.EnergyWh
 	}
 
-	c.mu.Lock()
 	c.lat.Observe(ev.LatencySec)
 	c.gp.Observe(ev.Goodput)
-	c.mu.Unlock()
 }
 
-// class returns the memoized gauge children for one fleet class.
-func (c *Collector) class(name string) *classGauges {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	g, ok := c.classCh[name]
+// add adds v to one counter series. A negative or NaN delta is
+// skipped, as a counter must, and creates no series.
+// c.mu must be held.
+func (c *Collector) add(f int, labels string, v float64) {
+	if v >= 0 {
+		*c.series(f, labels) += v
+	}
+}
+
+// series returns one series' value, entering a new label set into its
+// family's sorted key list. c.mu must be held.
+func (c *Collector) series(f int, labels string) *float64 {
+	v, ok := c.vals[f][labels]
 	if !ok {
-		g = &classGauges{
-			alive:    c.classAlive.With("class", name),
-			goodput:  c.classGoodput.With("class", name),
-			energyWh: c.classEnergy.With("class", name),
+		v = new(float64)
+		c.vals[f][labels] = v
+		i, _ := slices.BinarySearch(c.keys[f], labels)
+		c.keys[f] = slices.Insert(c.keys[f], i, labels)
+	}
+	return v
+}
+
+// label returns the memoized `{k="v",…}` rendering of one open label
+// set, its labels in name order and its values escaped.
+// c.mu must be held.
+func (c *Collector) label(k labelKey) string {
+	l, ok := c.labels[k]
+	if !ok {
+		l = "{" + k.label + `="` + labelEscaper.Replace(k.value) + `"`
+		if k.label == "config" {
+			l += `,strategy="` + labelEscaper.Replace(k.strategy) + `"`
 		}
-		c.classCh[name] = g
+		l += "}"
+		c.labels[k] = l
 	}
-	return g
+	return l
 }
 
-// decision returns the memoized counter child for one
-// (strategy, config) label set.
-func (c *Collector) decision(strategy, config string) *Counter {
-	k := decisionKey{strategy, config}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ch, ok := c.decisionCh[k]
-	if !ok {
-		ch = c.decisions.With("strategy", strategy, "config", config)
-		c.decisionCh[k] = ch
-	}
-	return ch
-}
+// labelEscaper escapes a label value for the text format.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
 
-// supplyCase returns the memoized counter child for one PSS case.
-func (c *Collector) supplyCase(name string) *Counter {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ch, ok := c.caseCh[name]
-	if !ok {
-		ch = c.cases.With("case", name)
-		c.caseCh[name] = ch
-	}
-	return ch
-}
-
-// WritePrometheus renders the catalog in the Prometheus text format.
+// WritePrometheus renders the catalog in the Prometheus text format:
+// the whole exposition is appended to one buffer under c.mu and
+// written once.
 func (c *Collector) WritePrometheus(w io.Writer) error {
 	c.mu.Lock()
-	c.latQ50.Set(c.lat.Quantile(0.5))
-	c.latQ90.Set(c.lat.Quantile(0.9))
-	c.latQ99.Set(c.lat.Quantile(0.99))
+	*c.series(fLatQuantile, `{quantile="0.5"}`) = c.lat.Quantile(0.5)
+	*c.series(fLatQuantile, `{quantile="0.9"}`) = c.lat.Quantile(0.9)
+	*c.series(fLatQuantile, `{quantile="0.99"}`) = c.lat.Quantile(0.99)
+	b := make([]byte, 0, c.size)
+	for f := range nValued {
+		b = append(b, heads[f]...)
+		for _, k := range c.keys[f] {
+			b = appendSample(b, families[f].name, k, *c.vals[f][k])
+		}
+	}
+	b = appendHistogram(b, fLatency, c.lat)
+	b = appendHistogram(b, fGoodputHist, c.gp)
+	c.size = len(b)
 	c.mu.Unlock()
-	return c.reg.WritePrometheus(w)
+	_, err := w.Write(b)
+	return err
+}
+
+// appendHistogram appends histogram family f from one read of h, so
+// the +Inf bucket always equals _count.
+func appendHistogram(b []byte, f int, h histogram) []byte {
+	var buf [32]uint64
+	cum, total, sum := h.Cumulative(buf[:0], h.cuts)
+	name := families[f].name
+	b = append(b, heads[f]...)
+	for k, le := range h.les {
+		b = appendCount(b, name, le, cum[k])
+	}
+	b = appendCount(b, name, `_bucket{le="+Inf"}`, total)
+	b = appendSample(b, name, "_sum", sum)
+	return appendCount(b, name, "_count", total)
+}
+
+// appendSample appends the sample line `<name><suffix> <v>`.
+func appendSample(b []byte, name, suffix string, v float64) []byte {
+	b = append(append(append(b, name...), suffix...), ' ')
+	return append(strconv.AppendFloat(b, v, 'g', -1, 64), '\n')
+}
+
+// appendCount appends the sample line `<name><suffix> <n>`.
+func appendCount(b []byte, name, suffix string, n uint64) []byte {
+	b = append(append(append(b, name...), suffix...), ' ')
+	return append(strconv.AppendUint(b, n, 10), '\n')
 }

@@ -10,9 +10,9 @@
 //     produces a bit-identical stream across runs and across sharded
 //     vs. sequential execution, so event logs double as golden
 //     artifacts.
-//   - Registry / Collector — counters, gauges and a latency histogram
-//     (layered on metrics.Histogram) rendered in the Prometheus text
-//     exposition format for GET /metrics.
+//   - Collector — counters, gauges and two metrics.Histograms under
+//     one lock, rendered in the Prometheus text exposition format for
+//     GET /metrics.
 //
 // obs deliberately imports nothing above internal/metrics, so every
 // layer of the stack (sim, core, httpapi, the daemons) can depend on

@@ -10,6 +10,9 @@ import (
 	"testing"
 )
 
+// TestCollectorConcurrentScrapeRace writes a counter series and the
+// latency histogram under c.mu while another goroutine scrapes, for
+// the race detector to check that one lock covers both.
 func TestCollectorConcurrentScrapeRace(t *testing.T) {
 	c := NewCollector()
 	var wg sync.WaitGroup
@@ -19,6 +22,7 @@ func TestCollectorConcurrentScrapeRace(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 50000; i++ {
 			c.mu.Lock()
+			c.add(fEpochs, "", 1)
 			c.lat.Observe(0.01)
 			c.mu.Unlock()
 			runtime.Gosched()
@@ -33,7 +37,7 @@ func TestCollectorConcurrentScrapeRace(t *testing.T) {
 				return
 			default:
 			}
-			_ = c.reg.WritePrometheus(io.Discard)
+			_ = c.WritePrometheus(io.Discard)
 			runtime.Gosched()
 		}
 	}()
@@ -72,6 +76,53 @@ func TestScrapeHistogramCountsAgree(t *testing.T) {
 			inf := sampleValue(t, buf.String(), name+`_bucket{le="+Inf"} `)
 			if count := sampleValue(t, buf.String(), name+"_count "); inf != count {
 				t.Fatalf("scrape %d: %s +Inf bucket %s, _count %s", scrapes, name, inf, count)
+			}
+		}
+	}
+}
+
+// TestScrapeSeesWholeEpochs scrapes while another goroutine observes
+// epochs: every scrape that has counted an epoch must show
+// greensprint_epochs_total equal to both histograms' _count, and each
+// +Inf bucket equal to its _count, so no scrape renders half an epoch.
+func TestScrapeSeesWholeEpochs(t *testing.T) {
+	c := NewCollector()
+	stop := make(chan struct{})
+	go func() {
+		defer close(stop)
+		for i := 0; i < 20000; i++ {
+			ev := sampleEvent(i)
+			ev.LatencySec = float64(i%97) / 10
+			ev.Goodput = float64(i % 1013)
+			c.Observe(ev)
+		}
+	}()
+	var buf bytes.Buffer
+	counted := 0
+	for scrapes := 0; ; scrapes++ {
+		select {
+		case <-stop:
+			if counted == 0 {
+				t.Fatalf("none of %d scrapes counted an epoch", scrapes)
+			}
+			return
+		default:
+		}
+		buf.Reset()
+		if err := c.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		out := buf.String()
+		if !strings.Contains(out, "\ngreensprint_epochs_total ") {
+			continue
+		}
+		counted++
+		epochs := sampleValue(t, out, "greensprint_epochs_total ")
+		for _, name := range []string{"greensprint_epoch_latency_seconds", "greensprint_epoch_goodput"} {
+			count := sampleValue(t, out, name+"_count ")
+			inf := sampleValue(t, out, name+`_bucket{le="+Inf"} `)
+			if count != epochs || inf != count {
+				t.Fatalf("scrape %d: epochs_total %s, %s _count %s, +Inf bucket %s", scrapes, epochs, name, count, inf)
 			}
 		}
 	}
