@@ -48,8 +48,8 @@ func (e Entry) Config() server.Config {
 }
 
 // Table is the full profiling table for one workload. A Table is
-// read-only after Build/ReadJSON; all query methods are safe for
-// concurrent use on such a table, which lets parallel sweep cells
+// read-only after Build/ReadJSON; all query methods and Memo are safe
+// for concurrent use on such a table, which lets parallel sweep cells
 // share one instance (see BuildCached).
 type Table struct {
 	Workload string  `json:"workload"`
@@ -59,6 +59,8 @@ type Table struct {
 
 	byKey   map[key]int
 	byLevel map[int][]Entry // entries per level, sorted by power
+	// derived holds the values Memo shares, keyed by the caller's key.
+	derived sync.Map
 }
 
 type key struct {
@@ -133,6 +135,30 @@ func BuildCached(p workload.Profile, levels int) (*Table, error) {
 	}
 	buildCache[k] = t
 	return t, nil
+}
+
+// Memo returns the value build makes for key from t, calling build only
+// while t holds no value for key, and sharing that value with every
+// later call for the same key. It keeps what other packages derive
+// from a table (a pure function of the table and key, such as a Hybrid
+// Q-table seed) for as long as the table lives, where a package-level
+// map keyed by table would keep every table alive. Callers that miss
+// on the same key at once may each run build; the first value stored
+// is the one every caller gets, so build must give equal values. An
+// error is returned and nothing is stored, and so is a key that is not
+// equal to itself (one holding a NaN), which no later call could find.
+// The value must be treated as read-only. Callers key with their own
+// unexported type, so two packages' keys never collide.
+func Memo[K comparable, V any](t *Table, key K, build func() (V, error)) (V, error) {
+	if v, ok := t.derived.Load(key); ok {
+		return v.(V), nil
+	}
+	v, err := build()
+	if err != nil || key != key {
+		return v, err
+	}
+	got, _ := t.derived.LoadOrStore(key, v)
+	return got.(V), nil
 }
 
 func (t *Table) index() {

@@ -186,7 +186,8 @@ func ReadJSON(b []byte, base *Table) (*Table, error) {
 	return t, nil
 }
 
-// Clone returns a deep copy of t.
+// Clone returns a deep copy of t. It only reads t, so one table that
+// nothing writes may be cloned from several goroutines at once.
 func (t *Table) Clone() *Table {
 	c := *t
 	c.q, c.rows, c.order = t.cloneRows()

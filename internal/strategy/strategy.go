@@ -272,16 +272,36 @@ func bestWithin(in Inputs, filter func(server.Config) bool) server.Config {
 // decisions are already sensible, then refined online.
 type Hybrid struct {
 	table *rl.Table
-	// seed is the table as bootstrap left it. SnapshotState lists only
-	// the rows that differ from it, and RestoreState overlays them onto
-	// a copy of it. It is derived state, never checkpointed: a pure
-	// function of the profile, profiling table, quantizer and reward
-	// options, rebuilt by NewHybrid and written by nothing after.
-	seed      *rl.Table
+	// hybridSeed is the part of the Hybrid that depends only on its
+	// seed key, shared read-only with every Hybrid built from the same
+	// key and profiling table.
+	*hybridSeed
 	quantizer rl.Quantizer
 	profile   workload.Profile
 	profTable *profile.Table
 	opts      HybridOptions
+	// fracs is Decide's scratch: the sprint fraction of each action at
+	// the current level, read by both the Q pass and the burn pass;
+	// probed marks the actions whose fraction this Decide has asked
+	// SprintFraction for.
+	fracs  []float64 //greensprint:allow(statecov) per-Decide scratch: every fraction Decide reads is written earlier in the same Decide
+	probed []bool    //greensprint:allow(statecov) per-Decide scratch: cleared for the level's actions at the start of every Decide
+	// last links the previous decision to the next state for the
+	// Q update.
+	last pending
+}
+
+// hybridSeed is the derived, read-only part of a Hybrid: a pure
+// function of its seedKey and profiling table, built once per key by
+// bootstrap, kept on the profiling table (profile.Memo) and shared by
+// every Hybrid built from that key. Nothing writes it after bootstrap.
+// It is never checkpointed: NewHybrid derives it again from the same
+// inputs.
+type hybridSeed struct {
+	// seed is the Q-table as bootstrap left it. Each Hybrid learns into
+	// its own Clone of it; SnapshotState lists only the rows that
+	// differ from it, and RestoreState overlays them onto a copy of it.
+	seed *rl.Table
 	// cells is the profiling table flattened to a dense
 	// (level × action) array so the per-epoch Decide loops index
 	// instead of hashing a map key per action; normalIdx is
@@ -292,15 +312,15 @@ type Hybrid struct {
 	// of rising power (ties by action index), so Decide can bisect the
 	// sprint fractions instead of probing every action.
 	byPower [][]int
-	// fracs is Decide's scratch: the sprint fraction of each action at
-	// the current level, read by both the Q pass and the burn pass;
-	// probed marks the actions whose fraction this Decide has asked
-	// SprintFraction for.
-	fracs  []float64 //greensprint:allow(statecov) per-Decide scratch: every fraction Decide reads is written earlier in the same Decide
-	probed []bool    //greensprint:allow(statecov) per-Decide scratch: cleared for the level's actions at the start of every Decide
-	// last links the previous decision to the next state for the
-	// Q update.
-	last pending
+}
+
+// seedKey is everything besides the profiling table that a
+// hybridSeed depends on. DisableBurnValue changes only Decide, so it
+// is not part of the key.
+type seedKey struct {
+	profile workload.Profile
+	quant   rl.Quantizer
+	literal bool
 }
 
 // pending is a decision awaiting its Learn: the state it was taken in
@@ -349,10 +369,6 @@ func NewHybridWithOptions(p workload.Profile, tab *profile.Table, opts HybridOpt
 	if tab == nil {
 		return nil, fmt.Errorf("strategy: hybrid needs a profiling table")
 	}
-	qt, err := rl.NewTable(rl.DefaultLearningRate, rl.DefaultDiscount)
-	if err != nil {
-		return nil, err
-	}
 	quant := rl.NewQuantizer(server.IdlePower, p.PeakPower)
 	if opts.QuantizationStep > 0 {
 		if opts.QuantizationStep > 1 {
@@ -360,32 +376,56 @@ func NewHybridWithOptions(p workload.Profile, tab *profile.Table, opts HybridOpt
 		}
 		quant.Step = opts.QuantizationStep
 	}
-	h := &Hybrid{
-		table:     qt,
-		quantizer: quant,
-		profile:   p,
-		profTable: tab,
-		opts:      opts,
-		normalIdx: -1,
+	key := seedKey{profile: p, quant: quant, literal: opts.LiteralReward}
+	hs, err := profile.Memo(tab, key, func() (*hybridSeed, error) { return bootstrap(key, tab) })
+	if err != nil {
+		return nil, err
+	}
+	na := len(hs.seed.Actions())
+	return &Hybrid{
+		table:      hs.seed.Clone(),
+		hybridSeed: hs,
+		quantizer:  quant,
+		profile:    p,
+		profTable:  tab,
+		opts:       opts,
+		fracs:      make([]float64, na),
+		probed:     make([]bool, na),
+	}, nil
+}
+
+// bootstrap builds the per-key part of a Hybrid: it flattens the
+// profiling table and seeds a Q-table with one-step rewards estimated
+// from the profiling data ("we learn the initial values of lookup
+// table from the profiling data collected by Parallel and Pacing").
+// The effective latency of a (level, action) cell does not depend on
+// the power level, so it is computed once per cell and reused across
+// all ~21 quantized power levels instead of re-running the sojourn
+// bisection for each.
+func bootstrap(k seedKey, tab *profile.Table) (*hybridSeed, error) {
+	qt, err := rl.NewTable(rl.DefaultLearningRate, rl.DefaultDiscount)
+	if err != nil {
+		return nil, err
 	}
 	actions := qt.Actions()
-	h.cells = make([]actionCell, tab.Levels*len(actions))
-	h.fracs = make([]float64, len(actions))
-	h.probed = make([]bool, len(actions))
+	na := len(actions)
+	hs := &hybridSeed{seed: qt, cells: make([]actionCell, tab.Levels*na), normalIdx: -1}
+	lats := make([]float64, len(hs.cells))
 	for ai, cfg := range actions {
 		if cfg == server.Normal() {
-			h.normalIdx = ai
+			hs.normalIdx = ai
 		}
 		for ll := 0; ll < tab.Levels; ll++ {
 			if e, ok := tab.Lookup(ll, cfg); ok {
-				h.cells[ll*len(actions)+ai] = actionCell{ok: true, e: e}
+				hs.cells[ll*na+ai] = actionCell{ok: true, e: e}
+				lats[ll*na+ai] = EffectiveLatency(k.profile, cfg, e.OfferedRate)
 			}
 		}
 	}
-	h.byPower = make([][]int, tab.Levels)
-	flat := make([]int, 0, len(h.cells))
-	for ll := range h.byPower {
-		cells := h.cells[ll*len(actions) : (ll+1)*len(actions)]
+	hs.byPower = make([][]int, tab.Levels)
+	flat := make([]int, 0, len(hs.cells))
+	for ll := range hs.byPower {
+		cells := hs.cells[ll*na : (ll+1)*na]
 		start := len(flat)
 		for ai, c := range cells {
 			if c.ok {
@@ -396,52 +436,29 @@ func NewHybridWithOptions(p workload.Profile, tab *profile.Table, opts HybridOpt
 		slices.SortStableFunc(order, func(i, j int) int {
 			return cmp.Compare(cells[i].e.Power, cells[j].e.Power)
 		})
-		h.byPower[ll] = order
+		hs.byPower[ll] = order
 	}
-	h.bootstrap()
-	return h, nil
-}
-
-// bootstrap seeds the Q-table with one-step shaped rewards estimated
-// from the profiling data ("we learn the initial values of lookup
-// table from the profiling data collected by Parallel and Pacing") and
-// keeps a copy of the seeded table as h.seed.
-// The effective latency of a (level, action) cell does not depend on
-// the power level, so it is computed once per cell and reused across
-// all ~21 quantized power levels instead of re-running the sojourn
-// bisection for each — the dominant cost of constructing a Hybrid.
-func (h *Hybrid) bootstrap() {
-	actions := h.table.Actions()
-	na := len(actions)
-	lats := make([]float64, len(h.cells))
-	for ll := 0; ll < h.profTable.Levels; ll++ {
-		for ai, cfg := range actions {
-			if c := h.cells[ll*na+ai]; c.ok {
-				lats[ll*na+ai] = EffectiveLatency(h.profile, cfg, c.e.OfferedRate)
-			}
-		}
-	}
-	for pl := 0; pl < h.quantizer.Levels(); pl++ {
-		supply := h.supplyOf(pl)
-		for ll := 0; ll < h.profTable.Levels; ll++ {
+	for pl := 0; pl < k.quant.Levels(); pl++ {
+		supply := supplyOf(k.quant, pl)
+		for ll := 0; ll < tab.Levels; ll++ {
 			st := rl.State{PowerLevel: pl, LoadLevel: ll}
 			for ai := range actions {
-				c := h.cells[ll*na+ai]
+				c := hs.cells[ll*na+ai]
 				if !c.ok {
 					continue
 				}
-				r := h.reward(supply, c.e.Power, h.profile.Deadline, lats[ll*na+ai])
-				h.table.Seed(st, ai, r)
+				r := reward(k.literal, supply, c.e.Power, k.profile.Deadline, lats[ll*na+ai])
+				qt.Seed(st, ai, r)
 			}
 		}
 	}
-	h.seed = h.table.Clone()
+	return hs, nil
 }
 
 // supplyOf converts a power level back to the center of its bucket.
-func (h *Hybrid) supplyOf(level int) units.Watt {
-	frac := float64(level) * h.quantizer.Step
-	return h.quantizer.Min + units.Watt(frac*float64(h.quantizer.Max-h.quantizer.Min))
+func supplyOf(q rl.Quantizer, level int) units.Watt {
+	frac := float64(level) * q.Step
+	return q.Min + units.Watt(frac*float64(q.Max-q.Min))
 }
 
 // Name implements Strategy.
@@ -608,15 +625,15 @@ func (h *Hybrid) Learn(fb Feedback) {
 		// share, as EffectiveLatency does.
 		lat = h.profile.Deadline * fb.Offered / math.Max(fb.Goodput, 1e-9)
 	}
-	r := h.reward(fb.Supply, fb.Power, h.profile.Deadline, lat)
+	r := reward(h.opts.LiteralReward, fb.Supply, fb.Power, h.profile.Deadline, lat)
 	h.table.Update(h.last.state, h.last.action, r, h.stateFor(fb.Next))
 	h.last.valid = false
 }
 
 // reward dispatches to the literal Algorithm 1 reward or the shaped
 // default.
-func (h *Hybrid) reward(supp, curr units.Watt, target, current float64) float64 {
-	if h.opts.LiteralReward {
+func reward(literal bool, supp, curr units.Watt, target, current float64) float64 {
+	if literal {
 		return rl.Reward(supp, curr, target, current)
 	}
 	return rl.ShapedReward(supp, curr, target, current)

@@ -9,9 +9,10 @@ import (
 )
 
 // CSV layout (NREL MIDC-like): a header row followed by
-// "timestamp,value" records where timestamp is RFC 3339. WriteCSV and
-// ReadCSV round-trip a Trace through this format; ReadCSV validates
-// that the records are evenly spaced.
+// "timestamp,value" records where timestamp is RFC 3339, with
+// fractional seconds when the instant has them. WriteCSV and ReadCSV
+// round-trip a Trace through this format; ReadCSV validates that the
+// records are evenly spaced.
 
 // WriteCSV writes the trace to w.
 func (t *Trace) WriteCSV(w io.Writer) error {
@@ -21,7 +22,7 @@ func (t *Trace) WriteCSV(w io.Writer) error {
 	}
 	for i, v := range t.Samples {
 		rec := []string{
-			t.TimeAt(i).Format(time.RFC3339),
+			t.TimeAt(i).Format(time.RFC3339Nano),
 			strconv.FormatFloat(v, 'g', -1, 64),
 		}
 		if err := cw.Write(rec); err != nil {
@@ -41,8 +42,10 @@ func (t *Trace) csvValueHeader() string {
 
 // ReadCSV parses a trace written by WriteCSV (or any two-column CSV
 // with an RFC 3339 timestamp and a float value). The sampling step is
-// inferred from the first two records and every subsequent record must
-// follow it exactly.
+// inferred from the first two records, and every record's time must be
+// exactly the trace's TimeAt for its index, so a step too large for a
+// time.Duration, or one whose multiples overflow, is rejected instead
+// of being read as a different trace.
 func ReadCSV(r io.Reader) (*Trace, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = 2
@@ -68,14 +71,14 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 		}
 		times[i], samples[i] = ts, v
 	}
-	step := times[1].Sub(times[0])
-	if step <= 0 {
+	tr := &Trace{Name: name, Start: times[0], Step: times[1].Sub(times[0]), Samples: samples}
+	if tr.Step <= 0 {
 		return nil, fmt.Errorf("trace: non-increasing timestamps (%v then %v)", times[0], times[1])
 	}
-	for i := 2; i < len(times); i++ {
-		if got := times[i].Sub(times[i-1]); got != step {
-			return nil, fmt.Errorf("trace: irregular step at row %d: %v, want %v", i+2, got, step)
+	for i, ts := range times {
+		if want := tr.TimeAt(i); !ts.Equal(want) {
+			return nil, fmt.Errorf("trace: irregular step at row %d: %v, want %v", i+2, ts, want)
 		}
 	}
-	return &Trace{Name: name, Start: times[0], Step: step, Samples: samples}, nil
+	return tr, nil
 }

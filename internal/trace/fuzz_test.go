@@ -16,6 +16,10 @@ func FuzzReadCSV(f *testing.F) {
 	f.Add("a,b,c\n1,2,3\n4,5,6\n")
 	f.Add("")
 	f.Add("timestamp,solar\n2018-05-01T00:00:00Z,-5e300\n2018-05-01T00:30:00Z,1e300\n")
+	// A gap wider than time.Duration holds saturates the step.
+	f.Add(",\n0000-01-01T0:00:00Z,0\n1000-01-01T0:00:00Z,0")
+	// A sub-second step round-trips only with fractional seconds.
+	f.Add("t,v\n2018-05-01T00:00:00Z,1\n2018-05-01T00:00:00.5Z,2\n")
 	f.Fuzz(func(t *testing.T, in string) {
 		tr, err := ReadCSV(strings.NewReader(in))
 		if err != nil {
