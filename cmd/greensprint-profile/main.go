@@ -72,9 +72,6 @@ func run(w io.Writer, wl string, levels int, format string, level int) error {
 			return fmt.Errorf("level %d out of range [0,%d)", level, tab.Levels)
 		}
 		entries := tab.LevelEntries(level)
-		if len(entries) == 0 {
-			return fmt.Errorf("no entries at level %d", level)
-		}
 		t := report.NewTable(
 			fmt.Sprintf("%s profiling table, level %d of %d (offered %s %s/s per server)",
 				p.Name, level, tab.Levels,

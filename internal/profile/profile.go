@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -24,6 +25,12 @@ import (
 // DefaultLevels is the default number of workload-intensity levels
 // (the paper's L1..Lw).
 const DefaultLevels = 10
+
+// MaxLevels bounds a table's level count: Build and ReadJSON reject
+// more, before they allocate anything sized from it. A table holds
+// Levels × server.NumConfigs() entries, and a Hybrid's Q-table index
+// grows with the same count.
+const MaxLevels = 1000
 
 // Entry is one profiled (level, setting) cell.
 type Entry struct {
@@ -55,17 +62,14 @@ type Table struct {
 	Workload string  `json:"workload"`
 	Levels   int     `json:"levels"`
 	MaxRate  float64 `json:"max_rate"`
-	Entries  []Entry `json:"entries"`
+	// Entries holds every cell, level-major in server.Configs()
+	// order: cell (L, S) is Entries[L·server.NumConfigs() +
+	// server.Index(S)]. Build and ReadJSON guarantee the layout.
+	Entries []Entry `json:"entries"`
 
-	byKey   map[key]int
-	byLevel map[int][]Entry // entries per level, sorted by power
+	byLevel [][]Entry // entries per level, sorted by power
 	// derived holds the values Memo shares, keyed by the caller's key.
 	derived sync.Map
-}
-
-type key struct {
-	level int
-	cfg   server.Config
 }
 
 // Build profiles p exhaustively over every knob setting and `levels`
@@ -79,13 +83,14 @@ func Build(p workload.Profile, levels int) (*Table, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if levels < 1 {
-		return nil, fmt.Errorf("profile: need at least one level, got %d", levels)
+	if err := checkLevels(levels); err != nil {
+		return nil, err
 	}
 	k := workload.SharedKernel(p)
 	maxRate := k.IntensityRate(server.MaxCores)
 	base := k.MaxGoodput(server.Normal())
-	t := &Table{Workload: p.Name, Levels: levels, MaxRate: maxRate}
+	t := &Table{Workload: p.Name, Levels: levels, MaxRate: maxRate,
+		Entries: make([]Entry, 0, levels*server.NumConfigs())}
 	for lvl := 0; lvl < levels; lvl++ {
 		rate := maxRate * float64(lvl+1) / float64(levels)
 		for _, c := range server.Configs() {
@@ -101,7 +106,9 @@ func Build(p workload.Profile, levels int) (*Table, error) {
 			})
 		}
 	}
-	t.index()
+	if err := t.index(); err != nil {
+		return nil, err
+	}
 	return t, nil
 }
 
@@ -161,21 +168,37 @@ func Memo[K comparable, V any](t *Table, key K, build func() (V, error)) (V, err
 	return got.(V), nil
 }
 
-func (t *Table) index() {
-	//greensprint:allow(allocfree) lazy one-time index build on first lookup; every later epoch hits the built maps
-	t.byKey = make(map[key]int, len(t.Entries))
-	//greensprint:allow(allocfree) lazy one-time index build on first lookup; every later epoch hits the built maps
-	t.byLevel = make(map[int][]Entry)
+func checkLevels(levels int) error {
+	if levels < 1 || levels > MaxLevels {
+		return fmt.Errorf("profile: level count %d outside [1,%d]", levels, MaxLevels)
+	}
+	return nil
+}
+
+// index checks the Entries layout and builds byLevel: each level's
+// cells, copied and sorted by power.
+func (t *Table) index() error {
+	if err := checkLevels(t.Levels); err != nil {
+		return err
+	}
+	cs := server.Configs()
+	n := len(cs)
+	if len(t.Entries) != t.Levels*n {
+		return fmt.Errorf("profile: %d entries, want %d levels × %d settings", len(t.Entries), t.Levels, n)
+	}
 	for i, e := range t.Entries {
-		t.byKey[key{e.Level, e.Config()}] = i
-		//greensprint:allow(allocfree) per-level buckets fill once during the lazy index build
-		t.byLevel[e.Level] = append(t.byLevel[e.Level], e)
+		if e.Level != i/n || e.Config() != cs[i%n] {
+			return fmt.Errorf("profile: entry %d is (level %d, %v), want (level %d, %v)", i, e.Level, e.Config(), i/n, cs[i%n])
+		}
 	}
-	//greensprint:allow(maprange) each bucket is sorted in place independently; visiting order is unobservable
-	for _, es := range t.byLevel {
-		//greensprint:allow(allocfree) one-time bucket sort during the lazy index build
+	sorted := slices.Clone(t.Entries)
+	t.byLevel = make([][]Entry, t.Levels)
+	for l := range t.byLevel {
+		es := sorted[l*n : (l+1)*n : (l+1)*n]
 		sort.Slice(es, func(i, j int) bool { return es[i].Power < es[j].Power })
+		t.byLevel[l] = es
 	}
+	return nil
 }
 
 // LevelFor quantizes an offered rate to the nearest profiled level
@@ -203,16 +226,14 @@ func (t *Table) LevelFor(rate float64) int {
 	return int(q) - 1
 }
 
-// Lookup returns the entry for (level, config) and whether it exists.
+// Lookup returns the entry for (level, config), and false when the
+// level or config is outside the table.
 func (t *Table) Lookup(level int, c server.Config) (Entry, bool) {
-	if t.byKey == nil {
-		t.index()
-	}
-	i, ok := t.byKey[key{level, c}]
-	if !ok {
+	ci := server.Index(c)
+	if level < 0 || level >= len(t.byLevel) || ci < 0 {
 		return Entry{}, false
 	}
-	return t.Entries[i], true
+	return t.Entries[level*server.NumConfigs()+ci], true
 }
 
 // LoadPower returns LoadPower(L,S) for a profiled cell, or false when
@@ -227,10 +248,14 @@ func (t *Table) LoadPower(level int, c server.Config) (units.Watt, bool) {
 // by filter (nil admits all). Ties break toward lower power. The
 // boolean is false when no admitted setting fits.
 func (t *Table) BestWithin(level int, budget units.Watt, filter func(server.Config) bool) (Entry, bool) {
+	if level < 0 || level >= len(t.byLevel) {
+		return Entry{}, false
+	}
 	var best Entry
 	found := false
-	for _, e := range t.Entries {
-		if e.Level != level || e.Power > budget {
+	n := server.NumConfigs()
+	for _, e := range t.Entries[level*n : (level+1)*n] {
+		if e.Power > budget {
 			continue
 		}
 		if filter != nil && !filter(e.Config()) {
@@ -249,8 +274,8 @@ func (t *Table) BestWithin(level int, budget units.Watt, filter func(server.Conf
 // time instead of filtered and sorted on every call, since strategies
 // consult it every scheduling epoch — so callers must not modify it.
 func (t *Table) LevelEntries(level int) []Entry {
-	if t.byLevel == nil {
-		t.index()
+	if level < 0 || level >= len(t.byLevel) {
+		return nil
 	}
 	return t.byLevel[level]
 }
@@ -262,12 +287,16 @@ func (t *Table) WriteJSON(w io.Writer) error {
 	return enc.Encode(t)
 }
 
-// ReadJSON deserializes a table written by WriteJSON.
+// ReadJSON deserializes a table written by WriteJSON. It rejects a
+// level count outside [1, MaxLevels] and entries that are not every
+// (level, setting) cell exactly once in Build's order.
 func ReadJSON(r io.Reader) (*Table, error) {
 	var t Table
 	if err := json.NewDecoder(r).Decode(&t); err != nil {
 		return nil, fmt.Errorf("profile: decode: %w", err)
 	}
-	t.index()
+	if err := t.index(); err != nil {
+		return nil, err
+	}
 	return &t, nil
 }

@@ -2,6 +2,7 @@ package profile
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -47,6 +48,9 @@ func TestBuildErrors(t *testing.T) {
 	}
 	if _, err := Build(workload.SPECjbb(), 0); err == nil {
 		t.Error("zero levels should error")
+	}
+	if _, err := Build(workload.SPECjbb(), MaxLevels+1); err == nil {
+		t.Errorf("%d levels should error", MaxLevels+1)
 	}
 }
 
@@ -234,5 +238,42 @@ func TestJSONRoundTrip(t *testing.T) {
 func TestReadJSONError(t *testing.T) {
 	if _, err := ReadJSON(bytes.NewReader([]byte("{bad"))); err == nil {
 		t.Error("bad JSON should error")
+	}
+}
+
+// TestReadJSONRejectsMalformed checks that ReadJSON accepts only every
+// (level, setting) cell exactly once, in Build's order, under a level
+// count within [1, MaxLevels].
+func TestReadJSONRejectsMalformed(t *testing.T) {
+	tab, err := Build(workload.SPECjbb(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := server.NumConfigs()
+	cases := map[string]func(*Table){
+		"partial":          func(c *Table) { c.Entries = c.Entries[:len(c.Entries)-1] },
+		"no entries":       func(c *Table) { c.Entries = nil },
+		"extra level":      func(c *Table) { c.Entries = append(c.Entries, c.Entries[n:]...) },
+		"swapped settings": func(c *Table) { c.Entries[0], c.Entries[1] = c.Entries[1], c.Entries[0] },
+		"swapped levels":   func(c *Table) { c.Entries[0], c.Entries[n] = c.Entries[n], c.Entries[0] },
+		"level 2 of 2":     func(c *Table) { c.Entries[n].Level = 2 },
+		"level -1":         func(c *Table) { c.Entries[0].Level = -1 },
+		"duplicate cell":   func(c *Table) { c.Entries[1] = c.Entries[0] },
+		"setting outside":  func(c *Table) { c.Entries[n-1].Cores = server.MaxCores + 1 },
+		"zero levels":      func(c *Table) { c.Levels, c.Entries = 0, nil },
+		"one level":        func(c *Table) { c.Levels = 1 },
+		"levels past max":  func(c *Table) { c.Levels = MaxLevels + 1 },
+		"huge levels":      func(c *Table) { c.Levels = 1 << 60 },
+	}
+	for name, mutate := range cases {
+		c := &Table{Workload: tab.Workload, Levels: tab.Levels, MaxRate: tab.MaxRate, Entries: slices.Clone(tab.Entries)}
+		mutate(c)
+		var buf bytes.Buffer
+		if err := c.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadJSON(&buf); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }

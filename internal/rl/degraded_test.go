@@ -42,7 +42,7 @@ func TestDegradedLevel(t *testing.T) {
 // serialization, and a table written without degraded rows stays in
 // the pre-chaos wire format (no "degraded" keys).
 func TestDegradedStatePersistence(t *testing.T) {
-	tab, err := NewTable(DefaultLearningRate, DefaultDiscount)
+	tab, err := NewTable(DefaultLearningRate, DefaultDiscount, testPowerLevels, testLoadLevels)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestDegradedStatePersistence(t *testing.T) {
 	if !bytes.Contains(buf.Bytes(), []byte(`"degraded": 3`)) {
 		t.Errorf("serialized table lost the degraded dimension: %s", buf.Bytes())
 	}
-	restored, err := ReadJSON(buf.Bytes(), nil)
+	restored, err := ReadJSON(buf.Bytes(), newTestTable(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestDegradedStatePersistence(t *testing.T) {
 	}
 
 	// A purely healthy table keeps the pre-chaos wire format.
-	plain, err := NewTable(DefaultLearningRate, DefaultDiscount)
+	plain, err := NewTable(DefaultLearningRate, DefaultDiscount, testPowerLevels, testLoadLevels)
 	if err != nil {
 		t.Fatal(err)
 	}

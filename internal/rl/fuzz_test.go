@@ -13,18 +13,17 @@ import (
 )
 
 // FuzzReadJSON hardens the Q-table loader: every table it accepts
-// spans the knob space and holds only valid states, and the same bytes
-// read against a base give the same verdict and base's rows with each
-// stored row overlaid, bit for bit.
+// spans the knob space and holds only states within the base's bounds,
+// and the same bytes read against an empty base and a seeded one give
+// the same verdict and the base's rows with each stored row overlaid,
+// bit for bit.
 func FuzzReadJSON(f *testing.F) {
 	f.Add(`{"alpha":0.7,"gamma":0.9,"actions":63,"first_action":"6c@1.2GHz","last_action":"12c@2GHz","states":[]}`)
 	f.Add(`{"alpha":0.7,"gamma":0.9,"actions":63,"first_action":"6c@1.2GHz","last_action":"12c@2GHz","states":[{"power_level":1,"load_level":2,"q":[1]}]}`)
 	f.Add(`{bad`)
 	f.Add(`{"alpha":9,"gamma":0.9,"actions":63}`)
-	tab, err := NewTable(DefaultLearningRate, DefaultDiscount)
-	if err != nil {
-		f.Fatal(err)
-	}
+	empty := newTestTable(f)
+	tab := newTestTable(f)
 	tab.Seed(State{PowerLevel: 2, LoadLevel: 1}, 4, 1.5e-7)
 	tab.Seed(State{PowerLevel: 0, LoadLevel: 3, Degraded: 2}, 62, -2.25)
 	canon, err := tab.AppendJSON(nil, nil)
@@ -46,12 +45,17 @@ func FuzzReadJSON(f *testing.F) {
 		strings.Replace(string(canon), `1.5e-7`, `1e999`, 1),
 		strings.Replace(string(canon), `"states":[`, `"states":null,"states":[`, 1),
 		strings.Replace(string(canon), `"states":[`, `"extra":1,"states":[`, 1),
+		// The last levels in bounds, and the first ones past them.
+		strings.Replace(string(canon), `"power_level":2`, `"power_level":20`, 1),
+		strings.Replace(string(canon), `"load_level":1`, `"load_level":9`, 1),
+		strings.Replace(string(canon), `"power_level":2`, `"power_level":21`, 1),
+		strings.Replace(string(canon), `"load_level":1`, `"load_level":10`, 1),
 	} {
 		f.Add(in)
 	}
 	f.Fuzz(func(t *testing.T, in string) {
 		b := []byte(in)
-		got, err := ReadJSON(b, nil)
+		got, err := ReadJSON(b, empty)
 		over, overErr := ReadJSON(b, tab)
 		if (err == nil) != (overErr == nil) {
 			t.Fatalf("ReadJSON error %v, against a base %v", err, overErr)
@@ -63,29 +67,51 @@ func FuzzReadJSON(f *testing.F) {
 			t.Fatalf("accepted table with %d actions", len(got.Actions()))
 		}
 		for _, r := range got.rows {
-			if !r.s.Valid() {
+			if !inTestBounds(r.s) {
 				t.Fatalf("accepted state %+v", r.s)
 			}
 		}
 		union := got.States()
-		for s := range tab.q {
-			if got.Row(s) == nil {
+		for _, r := range tab.rows {
+			if got.Row(r.s) == nil {
 				union++
 			}
 		}
 		if over.States() != union {
 			t.Fatalf("overlay holds %d states, want the union of %d stored and %d base", over.States(), got.States(), tab.States())
 		}
-		for s, i := range over.q {
-			want := got.Row(s)
+		for _, r := range over.rows {
+			want := got.Row(r.s)
 			if want == nil {
-				want = tab.Row(s)
+				want = tab.Row(r.s)
 			}
-			if !bitsEqual(over.rows[i].q, want) {
-				t.Fatalf("overlay row %+v = %v, want %v", s, over.rows[i].q, want)
+			if !bitsEqual(r.q, want) {
+				t.Fatalf("overlay row %+v = %v, want %v", r.s, r.q, want)
 			}
 		}
 	})
+}
+
+// The bounds of the tables the tests build: the paper's 21 power
+// levels (a 5% step) and 10 load levels.
+const testPowerLevels, testLoadLevels = 21, 10
+
+// newTestTable returns an empty table with the paper's parameters and
+// the test bounds.
+func newTestTable(t testing.TB) *Table {
+	t.Helper()
+	tab, err := NewTable(DefaultLearningRate, DefaultDiscount, testPowerLevels, testLoadLevels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tab
+}
+
+// inTestBounds reports whether s lies within the test bounds.
+func inTestBounds(s State) bool {
+	return s.PowerLevel >= 0 && s.PowerLevel < testPowerLevels &&
+		s.LoadLevel >= 0 && s.LoadLevel < testLoadLevels &&
+		s.Degraded >= 0 && s.Degraded < DegradedLevels
 }
 
 // bitsEqual reports whether a and b hold bitwise-equal values.
@@ -98,12 +124,13 @@ func bitsEqual(a, b []float64) bool {
 func sameTable(t *testing.T, a, b *Table) {
 	t.Helper()
 	if math.Float64bits(a.alpha) != math.Float64bits(b.alpha) || math.Float64bits(a.gamma) != math.Float64bits(b.gamma) ||
-		len(a.rows) != len(b.rows) || !slices.Equal(a.order, b.order) {
+		a.powerLevels != b.powerLevels || a.loadLevels != b.loadLevels ||
+		len(a.rows) != len(b.rows) || !slices.Equal(a.idx, b.idx) {
 		t.Fatalf("tables differ: alpha %v/%v gamma %v/%v rows %d/%d", a.alpha, b.alpha, a.gamma, b.gamma, len(a.rows), len(b.rows))
 	}
 	for i := range a.rows {
 		ra, rb := &a.rows[i], &b.rows[i]
-		if ra.s != rb.s || b.q[ra.s] != i {
+		if ra.s != rb.s || b.idx[b.pos(ra.s)] != i {
 			t.Fatalf("row %d: state %+v, want %+v", i, ra.s, rb.s)
 		}
 		for k := range ra.q {
@@ -122,9 +149,9 @@ func sameRows(t *testing.T, a, b *Table) {
 		a.States() != b.States() {
 		t.Fatalf("tables differ: alpha %v/%v gamma %v/%v states %d/%d", a.alpha, b.alpha, a.gamma, b.gamma, a.States(), b.States())
 	}
-	for s, i := range a.q {
-		if !bitsEqual(a.rows[i].q, b.Row(s)) {
-			t.Fatalf("row %+v = %v, want %v", s, a.rows[i].q, b.Row(s))
+	for _, r := range a.rows {
+		if !bitsEqual(r.q, b.Row(r.s)) {
+			t.Fatalf("row %+v = %v, want %v", r.s, r.q, b.Row(r.s))
 		}
 	}
 }
@@ -141,15 +168,15 @@ func refWriteJSON(t *Table, base *Table, w io.Writer) error {
 		First:   t.actions[0].String(),
 		Last:    t.actions[len(t.actions)-1].String(),
 	}
-	for s, i := range t.q {
-		if base != nil && base.Row(s) != nil && bitsEqual(base.Row(s), t.rows[i].q) {
+	for _, r := range t.rows {
+		if base != nil && base.Row(r.s) != nil && bitsEqual(base.Row(r.s), r.q) {
 			continue
 		}
 		out.States = append(out.States, stateJSON{
-			PowerLevel: s.PowerLevel,
-			LoadLevel:  s.LoadLevel,
-			Degraded:   s.Degraded,
-			Q:          append([]float64(nil), t.rows[i].q...),
+			PowerLevel: r.s.PowerLevel,
+			LoadLevel:  r.s.LoadLevel,
+			Degraded:   r.s.Degraded,
+			Q:          append([]float64(nil), r.q...),
 		})
 	}
 	sort.Slice(out.States, func(i, j int) bool {
@@ -229,7 +256,8 @@ var fuzzValues = []float64{
 // row's cached bytes with its source shows too.
 // A model of the values written checks that each write lands in its
 // own row and cell: Seed's value as given, Update's as the table
-// computed it.
+// computed it, and a write to a state outside the table's 2 power and
+// 3 load levels nowhere.
 // Each step reads four bytes: the operation, a state, an action and a
 // value, which picks an edge value or takes a float from the next
 // eight bytes.
@@ -246,15 +274,20 @@ func FuzzTableEncoding(f *testing.F) {
 	// A raw float64 value (1/3) taken from the input.
 	f.Add([]byte{0, 0x06, 3, 0x00, 0x55, 0x55, 0x55, 0x55, 0x55, 0x55, 0xd5, 0x3f, 3, 0, 0, 0x80})
 	f.Fuzz(func(t *testing.T, in []byte) {
-		tab, err := NewTable(DefaultLearningRate, DefaultDiscount)
+		const powerLevels, loadLevels = 2, 3
+		tab, err := NewTable(DefaultLearningRate, DefaultDiscount, powerLevels, loadLevels)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var base *Table
+		base, err := NewTable(DefaultLearningRate, DefaultDiscount, powerLevels, loadLevels)
+		if err != nil {
+			t.Fatal(err)
+		}
 		checkEncoding(t, tab, base, -1)
 		model := map[State][]float64{}
 		set := func(s State, a int, v float64) {
-			if a < 0 || a >= len(tab.actions) {
+			if a < 0 || a >= len(tab.actions) ||
+				s.PowerLevel < 0 || s.PowerLevel >= powerLevels || s.LoadLevel < 0 || s.LoadLevel >= loadLevels {
 				return
 			}
 			if model[s] == nil {
@@ -291,10 +324,9 @@ func FuzzTableEncoding(f *testing.F) {
 				tab.Update(s, (a+1)%len(tab.actions), 1, s)
 				learned(s, (a+1)%len(tab.actions))
 			case 3:
-				// Both encodings re-read to the same table, and the
-				// encoding against base overlays onto base to it,
-				// unless a row holds a state no quantizer produces:
-				// then every read rejects it.
+				// Both encodings re-read onto an empty table to the
+				// same table, and the encoding against base overlays
+				// onto base to it.
 				var buf bytes.Buffer
 				if tab.WriteJSON(&buf) == nil {
 					compact, err := tab.AppendJSON(nil, nil)
@@ -305,33 +337,29 @@ func FuzzTableEncoding(f *testing.F) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					valid := true
-					for s := range model {
-						valid = valid && s.Valid()
+					empty, err := NewTable(DefaultLearningRate, DefaultDiscount, powerLevels, loadLevels)
+					if err != nil {
+						t.Fatal(err)
 					}
-					back, err := ReadJSON(compact, nil)
-					if (err == nil) != valid {
-						t.Fatalf("step %d: valid %v, ReadJSON error %v", step, valid, err)
+					back, err := ReadJSON(compact, empty)
+					if err != nil {
+						t.Fatalf("step %d: ReadJSON: %v", step, err)
 					}
-					indented, err := ReadJSON(buf.Bytes(), nil)
-					if (err == nil) != valid {
-						t.Fatalf("step %d: valid %v, indented ReadJSON error %v", step, valid, err)
+					indented, err := ReadJSON(buf.Bytes(), empty)
+					if err != nil {
+						t.Fatalf("step %d: indented ReadJSON: %v", step, err)
 					}
 					over, err := ReadJSON(diff, base)
-					if (err == nil) != valid {
-						t.Fatalf("step %d: valid %v, ReadJSON against base error %v", step, valid, err)
+					if err != nil {
+						t.Fatalf("step %d: ReadJSON against base: %v", step, err)
 					}
-					if valid {
-						sameTable(t, back, indented)
-						sameRows(t, over, back)
-						base, tab = tab.Clone(), back
-					}
+					sameTable(t, back, indented)
+					sameRows(t, over, back)
+					base, tab = tab.Clone(), back
 				}
 			}
 			checkEncoding(t, tab, base, step)
-			if base != nil {
-				checkEncoding(t, base, nil, step)
-			}
+			checkEncoding(t, base, nil, step)
 			if tab.States() != len(model) {
 				t.Fatalf("step %d: %d states, want %d", step, tab.States(), len(model))
 			}

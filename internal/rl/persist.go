@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"maps"
 	"math"
 	"slices"
 
@@ -74,7 +73,10 @@ func (t *Table) AppendJSON(b []byte, base *Table) ([]byte, error) {
 	}
 	b = append(b, t.head...)
 	start := len(b)
-	for _, i := range t.order {
+	for _, i := range t.idx {
+		if i < 0 {
+			continue
+		}
 		r := &t.rows[i]
 		if base.holds(r) {
 			continue
@@ -105,8 +107,7 @@ func (t *Table) holds(r *qRow) bool {
 	if t == nil {
 		return false
 	}
-	i, ok := t.q[r.s]
-	return ok && slices.EqualFunc(t.rows[i].q, r.q, func(a, b float64) bool {
+	return slices.EqualFunc(t.Row(r.s), r.q, func(a, b float64) bool {
 		return math.Float64bits(a) == math.Float64bits(b)
 	})
 }
@@ -149,16 +150,16 @@ func (r *qRow) appendJSON(b []byte) ([]byte, error) {
 }
 
 // ReadJSON decodes a table AppendJSON or WriteJSON wrote against
-// base: a copy of base, nil meaning empty, with each stored row
-// overlaid. It fails if the serialized action space does not match the
-// current knob space or a state lies outside the quantizers' range
-// (State.Valid).
+// base: a copy of base, with each stored row overlaid. The result has
+// base's bounds. It fails, before it copies any row, if the serialized
+// action space does not match the current knob space or a stored
+// state lies outside base's bounds.
 func ReadJSON(b []byte, base *Table) (*Table, error) {
 	var in tableJSON
 	if err := json.Unmarshal(b, &in); err != nil {
 		return nil, fmt.Errorf("rl: decode table: %w", err)
 	}
-	t, err := NewTable(in.Alpha, in.Gamma)
+	t, err := NewTable(in.Alpha, in.Gamma, base.powerLevels, base.loadLevels)
 	if err != nil {
 		return nil, fmt.Errorf("rl: stored table invalid: %w", err)
 	}
@@ -169,28 +170,33 @@ func ReadJSON(b []byte, base *Table) (*Table, error) {
 			in.Actions, in.First, in.Last,
 			len(t.actions), server.Normal(), server.MaxSprint())
 	}
-	if base != nil {
-		t.q, t.rows, t.order = base.cloneRows()
-	}
 	for _, s := range in.States {
-		st := State{PowerLevel: s.PowerLevel, LoadLevel: s.LoadLevel, Degraded: s.Degraded}
-		if !st.Valid() {
-			return nil, fmt.Errorf("rl: stored state %+v is outside the quantizers' range", st)
+		if st := s.state(); !t.Covers(st) {
+			return nil, fmt.Errorf("rl: stored state %+v is outside the table's %d power and %d load levels",
+				st, t.powerLevels, t.loadLevels)
 		}
 		if len(s.Q) != len(t.actions) {
 			return nil, fmt.Errorf("rl: state (%d,%d) has %d Q values, want %d",
 				s.PowerLevel, s.LoadLevel, len(s.Q), len(t.actions))
 		}
-		copy(t.row(st).q, s.Q)
+	}
+	t.rows = base.cloneRows()
+	copy(t.idx, base.idx)
+	for _, s := range in.States {
+		copy(t.row(s.state()).q, s.Q)
 	}
 	return t, nil
+}
+
+func (s stateJSON) state() State {
+	return State{PowerLevel: s.PowerLevel, LoadLevel: s.LoadLevel, Degraded: s.Degraded}
 }
 
 // Clone returns a deep copy of t. It only reads t, so one table that
 // nothing writes may be cloned from several goroutines at once.
 func (t *Table) Clone() *Table {
 	c := *t
-	c.q, c.rows, c.order = t.cloneRows()
+	c.rows, c.idx = t.cloneRows(), slices.Clone(t.idx)
 	return &c
 }
 
@@ -198,7 +204,7 @@ func (t *Table) Clone() *Table {
 // The copies drop the cached encodings and are marked dirty: AppendJSON
 // re-encodes a row in place through r.enc[:0], so a shared backing
 // array would let one table overwrite the other's cached bytes.
-func (t *Table) cloneRows() (map[State]int, []qRow, []int) {
+func (t *Table) cloneRows() []qRow {
 	rows := slices.Clone(t.rows)
 	vals := make([]float64, 0, len(rows)*len(t.actions))
 	for i := range rows {
@@ -208,5 +214,5 @@ func (t *Table) cloneRows() (map[State]int, []qRow, []int) {
 		r.q = vals[n:len(vals):len(vals)]
 		r.enc, r.dirty = nil, true
 	}
-	return maps.Clone(t.q), rows, slices.Clone(t.order)
+	return rows
 }

@@ -2,11 +2,12 @@ package rl
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
 func TestTableJSONRoundTrip(t *testing.T) {
-	tab, _ := NewTable(0.7, 0.9)
+	tab, _ := NewTable(0.7, 0.9, testPowerLevels, testLoadLevels)
 	s1 := State{PowerLevel: 3, LoadLevel: 2}
 	s2 := State{PowerLevel: 10, LoadLevel: 9}
 	tab.Seed(s1, 5, 2.5)
@@ -17,7 +18,7 @@ func TestTableJSONRoundTrip(t *testing.T) {
 	if err := tab.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadJSON(buf.Bytes(), nil)
+	back, err := ReadJSON(buf.Bytes(), newTestTable(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +41,7 @@ func TestTableJSONRoundTrip(t *testing.T) {
 }
 
 func TestTableJSONDeterministic(t *testing.T) {
-	tab, _ := NewTable(0.7, 0.9)
+	tab, _ := NewTable(0.7, 0.9, testPowerLevels, testLoadLevels)
 	for pl := 0; pl < 5; pl++ {
 		tab.Seed(State{PowerLevel: pl, LoadLevel: pl % 3}, pl, float64(pl))
 	}
@@ -56,6 +57,9 @@ func TestTableJSONDeterministic(t *testing.T) {
 	}
 }
 
+// q63 is a Q row of the knob space's length.
+var q63 = "[" + strings.Repeat("0,", 62) + "0]"
+
 func TestReadJSONRejects(t *testing.T) {
 	cases := []string{
 		`{bad`,
@@ -65,8 +69,19 @@ func TestReadJSONRejects(t *testing.T) {
 		`{"alpha":0.7,"gamma":0.9,"actions":63,"first_action":"6c@1.2GHz","last_action":"12c@2GHz",
 		  "states":[{"power_level":0,"load_level":0,"q":[1,2]}]}`,
 	}
+	// A state outside the base's bounds, even behind a valid one.
+	for _, st := range []string{
+		`"power_level":21,"load_level":0`,
+		`"power_level":0,"load_level":10`,
+		`"power_level":0,"load_level":0,"degraded":4`,
+		`"power_level":-1,"load_level":0`,
+		`"power_level":1000000,"load_level":0`,
+	} {
+		cases = append(cases, `{"alpha":0.7,"gamma":0.9,"actions":63,"first_action":"6c@1.2GHz","last_action":"12c@2GHz",
+		  "states":[{"power_level":0,"load_level":0,"q":`+q63+`},{`+st+`,"q":`+q63+`}]}`)
+	}
 	for i, in := range cases {
-		if _, err := ReadJSON([]byte(in), nil); err == nil {
+		if _, err := ReadJSON([]byte(in), newTestTable(t)); err == nil {
 			t.Errorf("case %d should fail", i)
 		}
 	}

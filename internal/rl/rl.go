@@ -50,15 +50,6 @@ type State struct {
 // healthy .. DegradedLevels-1 = mostly lost).
 const DegradedLevels = 4
 
-// Valid reports whether s is a state the quantizers can produce: no
-// negative level and a degraded level below DegradedLevels. A restored
-// table or pending decision holding any other state is rejected, since
-// Table.Update would drop its learning or persist a row no epoch
-// reads.
-func (s State) Valid() bool {
-	return s.PowerLevel >= 0 && s.LoadLevel >= 0 && s.Degraded >= 0 && s.Degraded < DegradedLevels
-}
-
 // DegradedLevel quantizes an effective-capacity fraction (alive
 // fraction × battery health) into a State.Degraded bucket. Fractions
 // at or above 1 map to the healthy bucket 0; non-positive fractions
@@ -196,22 +187,21 @@ func ratio(num, den float64) float64 {
 	return r
 }
 
-// Table is the Q lookup table R(c, a). Actions are indices into
+// Table is the Q lookup table R(c, a) over a bounded state space:
+// power levels [0, powerLevels), load levels [0, loadLevels) and
+// degraded levels [0, DegradedLevels). Actions are indices into
 // server.Configs().
 type Table struct {
-	alpha, gamma float64
-	actions      []server.Config
-	// q maps each materialized state to its row in rows, which holds
-	// the rows in creation order.
-	q    map[State]int
+	alpha, gamma            float64
+	actions                 []server.Config
+	powerLevels, loadLevels int
+	// idx holds, at each state's dense position (see pos), the index
+	// of its row in rows, or -1 while the state has none. Walking it
+	// in order visits states in (power, load, degraded) order, the
+	// order the persisted form lists them in.
+	idx []int
+	// rows holds the materialized rows in creation order.
 	rows []qRow
-	// order lists the indices of rows in (power, load, degraded)
-	// order, the order the persisted form lists them in. It changes
-	// only when a row is created.
-	order []int
-	// hot is the index of the row written last: Seed fills a state's
-	// actions one after another, so row checks it before hashing.
-	hot int
 	// head caches the persisted form's constant prefix, up to and
 	// including `"states":`; AppendJSON builds it on first use.
 	head []byte
@@ -230,76 +220,71 @@ type qRow struct {
 }
 
 // NewTable creates a Q-table over the full knob space with the paper's
-// hyper-parameters. It returns an error for out-of-range parameters.
-func NewTable(alpha, gamma float64) (*Table, error) {
+// hyper-parameters, for states with power levels below powerLevels
+// and load levels below loadLevels. It returns an error for
+// out-of-range parameters.
+func NewTable(alpha, gamma float64, powerLevels, loadLevels int) (*Table, error) {
 	if alpha <= 0 || alpha > 1 {
 		return nil, fmt.Errorf("rl: learning rate %v outside (0,1]", alpha)
 	}
 	if gamma < 0 || gamma >= 1 {
 		return nil, fmt.Errorf("rl: discount %v outside [0,1)", gamma)
 	}
+	if powerLevels < 1 || loadLevels < 1 {
+		return nil, fmt.Errorf("rl: need at least one power and one load level, got %d and %d", powerLevels, loadLevels)
+	}
+	idx := make([]int, powerLevels*loadLevels*DegradedLevels)
+	for i := range idx {
+		idx[i] = -1
+	}
 	return &Table{
-		alpha:   alpha,
-		gamma:   gamma,
-		actions: server.Configs(),
-		q:       make(map[State]int),
+		alpha:       alpha,
+		gamma:       gamma,
+		actions:     server.Configs(),
+		powerLevels: powerLevels,
+		loadLevels:  loadLevels,
+		idx:         idx,
 	}, nil
 }
 
 // Actions returns the action set (the knob space).
 func (t *Table) Actions() []server.Config { return t.actions }
 
-// row returns (allocating if needed) the Q row for a state, marked
-// dirty because every caller writes to it. The pointer is valid until
-// the next row is created. Only the write paths (Update, Seed,
-// ReadJSON) materialize rows; the read paths treat a missing row as
-// all-zero so the per-epoch Decide loop never allocates and never
-// bloats the persisted table with untouched states.
-func (t *Table) row(s State) *qRow {
-	if t.hot >= len(t.rows) || t.rows[t.hot].s != s {
-		i, ok := t.q[s]
-		if !ok {
-			i = t.insert(s)
-		}
-		t.hot = i
+// pos returns s's dense position in idx, or -1 when s lies outside the
+// table's bounds.
+func (t *Table) pos(s State) int {
+	if s.PowerLevel < 0 || s.PowerLevel >= t.powerLevels ||
+		s.LoadLevel < 0 || s.LoadLevel >= t.loadLevels ||
+		s.Degraded < 0 || s.Degraded >= DegradedLevels {
+		return -1
 	}
-	r := &t.rows[t.hot]
+	return (s.PowerLevel*t.loadLevels+s.LoadLevel)*DegradedLevels + s.Degraded
+}
+
+// Covers reports whether s lies within the table's bounds. Writes to
+// any other state are dropped, and ReadJSON rejects them.
+func (t *Table) Covers(s State) bool { return t.pos(s) >= 0 }
+
+// row returns (allocating if needed) the Q row for a state, marked
+// dirty because every caller writes to it, or nil when s lies outside
+// the bounds. The pointer is valid until the next row is created. Only
+// the write paths (Update, Seed, ReadJSON) materialize rows; the read
+// paths treat a missing row as all-zero so the per-epoch Decide loop
+// never allocates and never bloats the persisted table with untouched
+// states.
+func (t *Table) row(s State) *qRow {
+	k := t.pos(s)
+	if k < 0 {
+		return nil
+	}
+	if t.idx[k] < 0 {
+		t.idx[k] = len(t.rows)
+		//greensprint:allow(allocfree) materializes a Q row once per newly visited state; revisits (the steady state) never reach this
+		t.rows = append(t.rows, qRow{s: s, q: make([]float64, len(t.actions))})
+	}
+	r := &t.rows[t.idx[k]]
 	r.dirty = true
 	return r
-}
-
-// insert materializes an all-zero row for s, files it in order and
-// returns its index in rows.
-func (t *Table) insert(s State) int {
-	idx := len(t.rows)
-	//greensprint:allow(allocfree) materializes a Q row once per newly visited state; revisits (the steady state) never reach this
-	t.rows = append(t.rows, qRow{s: s, q: make([]float64, len(t.actions))})
-	t.q[s] = idx
-	i, hi := 0, len(t.order)
-	for i < hi {
-		if mid := int(uint(i+hi) >> 1); t.rows[t.order[mid]].s.less(s) {
-			i = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	//greensprint:allow(allocfree) the state order grows once per newly visited state, like the rows
-	t.order = append(t.order, 0)
-	copy(t.order[i+1:], t.order[i:])
-	t.order[i] = idx
-	return idx
-}
-
-// less orders states by power level, then load level, then degraded
-// level.
-func (s State) less(o State) bool {
-	if s.PowerLevel != o.PowerLevel {
-		return s.PowerLevel < o.PowerLevel
-	}
-	if s.LoadLevel != o.LoadLevel {
-		return s.LoadLevel < o.LoadLevel
-	}
-	return s.Degraded < o.Degraded
 }
 
 // Row returns a read-only view of the Q row for s, or nil when the
@@ -308,8 +293,8 @@ func (s State) less(o State) bool {
 // fetch the row once instead of paying a map lookup per action.
 // Callers must not modify the returned slice.
 func (t *Table) Row(s State) []float64 {
-	if i, ok := t.q[s]; ok {
-		return t.rows[i].q
+	if k := t.pos(s); k >= 0 && t.idx[k] >= 0 {
+		return t.rows[t.idx[k]].q
 	}
 	return nil
 }
@@ -319,8 +304,8 @@ func (t *Table) Q(s State, action int) float64 {
 	if action < 0 || action >= len(t.actions) {
 		return 0
 	}
-	if i, ok := t.q[s]; ok {
-		return t.rows[i].q[action]
+	if row := t.Row(s); row != nil {
+		return row[action]
 	}
 	return 0
 }
@@ -343,22 +328,29 @@ func (t *Table) maxQ(s State) float64 {
 // Update applies the paper's line 15:
 //
 //	R(c,a) ← R(c,a) + α[r + γ·max_a' R(c',a') − R(c,a)]
+//
+// An action outside the knob space or a state outside the bounds is a
+// no-op; a next state outside them counts as an all-zero row.
 func (t *Table) Update(s State, action int, reward float64, next State) {
 	if action < 0 || action >= len(t.actions) {
 		return
 	}
-	row := t.row(s).q
-	row[action] += t.alpha * (reward + t.gamma*t.maxQ(next) - row[action])
+	if r := t.row(s); r != nil {
+		r.q[action] += t.alpha * (reward + t.gamma*t.maxQ(next) - r.q[action])
+	}
 }
 
 // Seed initializes R(s,a) directly; used to bootstrap the table from
-// the Parallel/Pacing profiling data as §III-B describes.
+// the Parallel/Pacing profiling data as §III-B describes. Like Update,
+// it ignores an action or state out of range.
 func (t *Table) Seed(s State, action int, value float64) {
 	if action < 0 || action >= len(t.actions) {
 		return
 	}
-	t.row(s).q[action] = value
+	if r := t.row(s); r != nil {
+		r.q[action] = value
+	}
 }
 
 // States returns the number of states materialized so far.
-func (t *Table) States() int { return len(t.q) }
+func (t *Table) States() int { return len(t.rows) }

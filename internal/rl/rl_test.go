@@ -94,11 +94,16 @@ func TestRewardDegenerateInputs(t *testing.T) {
 
 func TestNewTableValidation(t *testing.T) {
 	for _, bad := range [][2]float64{{0, 0.9}, {1.5, 0.9}, {0.7, 1}, {0.7, -0.1}} {
-		if _, err := NewTable(bad[0], bad[1]); err == nil {
+		if _, err := NewTable(bad[0], bad[1], testPowerLevels, testLoadLevels); err == nil {
 			t.Errorf("alpha=%v gamma=%v should fail", bad[0], bad[1])
 		}
 	}
-	tab, err := NewTable(DefaultLearningRate, DefaultDiscount)
+	for _, bad := range [][2]int{{0, 10}, {21, 0}, {-1, 10}} {
+		if _, err := NewTable(DefaultLearningRate, DefaultDiscount, bad[0], bad[1]); err == nil {
+			t.Errorf("%d power and %d load levels should fail", bad[0], bad[1])
+		}
+	}
+	tab, err := NewTable(DefaultLearningRate, DefaultDiscount, testPowerLevels, testLoadLevels)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +113,7 @@ func TestNewTableValidation(t *testing.T) {
 }
 
 func TestSeedAndBest(t *testing.T) {
-	tab, _ := NewTable(0.7, 0.9)
+	tab, _ := NewTable(0.7, 0.9, testPowerLevels, testLoadLevels)
 	s := State{PowerLevel: 3, LoadLevel: 1}
 	tab.Seed(s, 5, 2.0)
 	tab.Seed(s, 10, 3.0)
@@ -139,7 +144,7 @@ func argmaxQ(tab *Table, s State) int {
 }
 
 func TestUpdateRule(t *testing.T) {
-	tab, _ := NewTable(0.7, 0.9)
+	tab, _ := NewTable(0.7, 0.9, testPowerLevels, testLoadLevels)
 	s := State{PowerLevel: 1, LoadLevel: 1}
 	next := State{PowerLevel: 1, LoadLevel: 2}
 	tab.Seed(next, 3, 2.0) // max_a' R(next, a') = 2.0
@@ -161,10 +166,40 @@ func TestUpdateRule(t *testing.T) {
 	}
 }
 
+// TestOutOfBoundsStates checks that a write to a state outside the
+// table's bounds is dropped, and that such a state reads as all-zero.
+func TestOutOfBoundsStates(t *testing.T) {
+	tab := newTestTable(t)
+	in := State{PowerLevel: testPowerLevels - 1, LoadLevel: testLoadLevels - 1, Degraded: DegradedLevels - 1}
+	tab.Seed(in, 0, 2)
+	for _, s := range []State{
+		{PowerLevel: testPowerLevels}, {LoadLevel: testLoadLevels}, {Degraded: DegradedLevels},
+		{PowerLevel: -1}, {LoadLevel: -1}, {Degraded: -1},
+	} {
+		if tab.Covers(s) {
+			t.Errorf("Covers(%+v) = true", s)
+		}
+		tab.Seed(s, 0, 1)
+		tab.Update(s, 0, 1, in)
+		tab.Update(in, 1, 1, s)
+		if tab.Row(s) != nil || tab.Q(s, 0) != 0 {
+			t.Errorf("state %+v holds a row", s)
+		}
+	}
+	if !tab.Covers(in) || tab.States() != 1 {
+		t.Fatalf("Covers(%+v) = %v with %d states, want true with 1", in, tab.Covers(in), tab.States())
+	}
+	// Each of the six Updates of (in, 1) saw the out-of-bounds next
+	// state as all-zero, so Q moved 70% of the way to the reward 1.
+	if got, want := tab.Q(in, 1), 1-math.Pow(0.3, 6); math.Abs(got-want) > 1e-12 {
+		t.Errorf("Q(in, 1) = %v, want %v", got, want)
+	}
+}
+
 func TestQLearningConvergesToBestAction(t *testing.T) {
 	// One-state MDP where action 7 always yields reward 5 and all
 	// others yield 1: greedy choice must converge to 7.
-	tab, _ := NewTable(0.7, 0.9)
+	tab, _ := NewTable(0.7, 0.9, testPowerLevels, testLoadLevels)
 	s := State{}
 	for i := 0; i < 200; i++ {
 		for a := range tab.Actions() {

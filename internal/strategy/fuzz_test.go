@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -50,6 +51,15 @@ func FuzzHybridRestore(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add([]byte(cp.Strategy))
+	// The first levels past the quantizers', in a row and pending.
+	for _, in := range []string{
+		strings.Replace(string(learned), `"power_level":`, `"power_level":21,"_":`, 1),
+		strings.Replace(string(learned), `"load_level":`, `"load_level":10,"_":`, 1),
+		strings.Replace(string(learned), `"last":{"state":{"PowerLevel":`, `"last":{"state":{"PowerLevel":21,"_":`, 1),
+		strings.Replace(string(learned), `"LoadLevel":`, `"LoadLevel":10,"_":`, 1),
+	} {
+		f.Add([]byte(in))
+	}
 	// Each input restores into a copy of one learned Hybrid with a
 	// pending decision: building a Hybrid per input would cost the
 	// fuzzer most of its time.

@@ -22,22 +22,18 @@ func refDecide(h *Hybrid, in Inputs) (server.Config, []float64) {
 	st := h.stateFor(in)
 	level := h.profTable.LevelFor(in.PredictedRate)
 	na := len(h.table.Actions())
-	cells := h.cells[level*na : (level+1)*na]
-	normalGood := 0.0
-	if h.normalIdx >= 0 && cells[h.normalIdx].ok {
-		normalGood = cells[h.normalIdx].e.Goodput
-	}
+	cells := h.profTable.Entries[level*na : (level+1)*na]
+	normal, _ := h.profTable.Lookup(level, server.Normal())
+	normalGood := normal.Goodput
 	fracs := make([]float64, na)
 	for ai := range cells {
-		if c := &cells[ai]; c.ok {
-			fracs[ai] = in.fraction(c.e.Power)
-		}
+		fracs[ai] = in.fraction(cells[ai].Power)
 	}
 	row := h.table.Row(st)
 	bestIdx, bestQ, bestQGood := -1, math.Inf(-1), 0.0
 	for ai := range cells {
 		c := &cells[ai]
-		if !c.ok || fracs[ai] < 0.999 {
+		if fracs[ai] < 0.999 {
 			continue
 		}
 		q := 0.0
@@ -45,7 +41,7 @@ func refDecide(h *Hybrid, in Inputs) (server.Config, []float64) {
 			q = row[ai]
 		}
 		if q > bestQ {
-			bestIdx, bestQ, bestQGood = ai, q, c.e.Goodput
+			bestIdx, bestQ, bestQGood = ai, q, c.Goodput
 		}
 	}
 	if h.opts.DisableBurnValue {
@@ -57,11 +53,11 @@ func refDecide(h *Hybrid, in Inputs) (server.Config, []float64) {
 	burnIdx, burnVal := -1, normalGood
 	for ai := range cells {
 		c := &cells[ai]
-		if !c.ok || fracs[ai] <= 0 {
+		if fracs[ai] <= 0 {
 			continue
 		}
 		f := fracs[ai]
-		if v := f*c.e.Goodput + (1-f)*normalGood; v > burnVal+1e-9 {
+		if v := f*c.Goodput + (1-f)*normalGood; v > burnVal+1e-9 {
 			burnIdx, burnVal = ai, v
 		}
 	}
@@ -82,7 +78,7 @@ func checkDecideMatchesReference(t *testing.T, h *Hybrid, in Inputs) server.Conf
 	level := h.profTable.LevelFor(in.PredictedRate)
 	actions := map[units.Watt]int{}
 	for _, ai := range h.byPower[level] {
-		actions[h.cells[level*len(h.fracs)+ai].e.Power]++
+		actions[h.levelCells(level)[ai].Power]++
 	}
 	inner := in.SprintFraction
 	probes := map[units.Watt]int{}

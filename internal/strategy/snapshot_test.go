@@ -194,8 +194,12 @@ func TestHybridRestoreRejects(t *testing.T) {
 		"pending load -1":     state(string(table), `{"PowerLevel":3,"LoadLevel":-1,"Degraded":0},"action":0`),
 		"pending degraded 4":  state(string(table), `{"PowerLevel":3,"LoadLevel":2,"Degraded":4},"action":0`),
 		"pending degraded -1": state(string(table), `{"PowerLevel":3,"LoadLevel":2,"Degraded":-1},"action":0`),
+		"pending power 21":    state(string(table), `{"PowerLevel":21,"LoadLevel":2,"Degraded":0},"action":0`),
+		"pending load 10":     state(string(table), `{"PowerLevel":3,"LoadLevel":10,"Degraded":0},"action":0`),
 		"row power -1":        state(row(`"power_level":-1,"load_level":0`), okLast),
 		"row load -1":         state(row(`"power_level":0,"load_level":-1`), okLast),
+		"row power 21":        state(row(`"power_level":21,"load_level":0`), okLast),
+		"row load 10":         state(row(`"power_level":0,"load_level":10`), okLast),
 		"row degraded 4":      state(row(`"power_level":0,"load_level":0,"degraded":4`), okLast),
 		"row degraded -2":     state(row(`"power_level":0,"load_level":0,"degraded":-2`), okLast),
 		"other knob space":    state(strings.Replace(string(table), `"actions":63`, `"actions":62`, 1), okLast),
@@ -237,6 +241,54 @@ func TestHybridRestoreRejects(t *testing.T) {
 	}
 	if !bytes.Equal(snaps[0], snaps[1]) {
 		t.Errorf("the compact and indented forms restore different states")
+	}
+}
+
+// TestHybridRestoreRejectsOutOfBounds pins two states from a file that
+// lie past the quantizers' levels: a pending decision at power level 99
+// and load level 500, whose next Learn would make a row no epoch reads,
+// and a Q row at power level 1,000,000. Each is rejected, and the
+// Hybrid keeps its snapshot, and after a Learn its 210 rows.
+func TestHybridRestoreRejectsOutOfBounds(t *testing.T) {
+	h, err := NewHybrid(specjbb, specTab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := h.QTable().States()
+	if want := h.quantizer.Levels() * specTab.Levels; rows != want {
+		t.Fatalf("fresh Hybrid has %d rows, want %d", rows, want)
+	}
+	in := inputs(specTab, burstRate(specjbb), 120)
+	h.Decide(in)
+	before, err := h.SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	table, err := h.table.AppendJSON(nil, h.seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := "[0" + strings.Repeat(",0", len(h.table.Actions())-1) + "]"
+	far := strings.Replace(string(table), `"states":null`, `"states":[{"power_level":1000000,"load_level":0,"q":`+q+`}]`, 1)
+	for name, raw := range map[string]string{
+		"pending":  `{"q_table":` + string(table) + `,"last":{"state":{"PowerLevel":99,"LoadLevel":500},"action":0}}`,
+		"q_table":  `{"q_table":` + far + `}`,
+		"q_table+": `{"q_table":` + far + `,"last":{"state":{"PowerLevel":1,"LoadLevel":1},"action":0}}`,
+	} {
+		if err := h.RestoreState([]byte(raw)); err == nil {
+			t.Fatalf("%s: restored %s", name, raw)
+		}
+		if after, err := h.SnapshotState(); err != nil || !bytes.Equal(after, before) {
+			t.Fatalf("%s: failed restore changed the Hybrid (%v)", name, err)
+		}
+	}
+	h.Learn(Feedback{Supply: 120, Power: 120, Offered: 1, Goodput: 1, Latency: 0.05, Next: in})
+	snap, err := h.SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := h.QTable().States(); got != rows || bytes.Contains(snap, []byte(`"power_level":99`)) {
+		t.Fatalf("after Learn: %d rows, want %d; snapshot %s", got, rows, snap)
 	}
 }
 

@@ -237,16 +237,9 @@ func bestWithin(in Inputs, filter func(server.Config) bool) server.Config {
 		return server.Normal()
 	}
 	level := in.Table.LevelFor(in.PredictedRate)
-	normalGood := 0.0
-	if e, ok := in.Table.Lookup(level, server.Normal()); ok {
-		normalGood = e.Goodput
-	}
-	best := server.Normal()
-	bestVal := normalGood
-	bestPower := units.Watt(math.Inf(1))
-	if e, ok := in.Table.Lookup(level, server.Normal()); ok {
-		bestPower = e.Power
-	}
+	normal, _ := in.Table.Lookup(level, server.Normal())
+	normalGood := normal.Goodput
+	best, bestVal, bestPower := server.Normal(), normalGood, normal.Power
 	for _, e := range in.Table.LevelEntries(level) {
 		c := e.Config()
 		if filter != nil && !filter(c) {
@@ -302,12 +295,6 @@ type hybridSeed struct {
 	// its own Clone of it; SnapshotState lists only the rows that
 	// differ from it, and RestoreState overlays them onto a copy of it.
 	seed *rl.Table
-	// cells is the profiling table flattened to a dense
-	// (level × action) array so the per-epoch Decide loops index
-	// instead of hashing a map key per action; normalIdx is
-	// server.Normal()'s action index.
-	cells     []actionCell
-	normalIdx int
 	// byPower lists, per level, the profiled action indices in order
 	// of rising power (ties by action index), so Decide can bisect the
 	// sprint fractions instead of probing every action.
@@ -329,11 +316,6 @@ type pending struct {
 	valid  bool
 	state  rl.State
 	action int
-}
-
-type actionCell struct {
-	ok bool
-	e  profile.Entry
 }
 
 // HybridOptions tunes the Hybrid strategy away from the paper's
@@ -394,62 +376,43 @@ func NewHybridWithOptions(p workload.Profile, tab *profile.Table, opts HybridOpt
 	}, nil
 }
 
-// bootstrap builds the per-key part of a Hybrid: it flattens the
-// profiling table and seeds a Q-table with one-step rewards estimated
-// from the profiling data ("we learn the initial values of lookup
-// table from the profiling data collected by Parallel and Pacing").
-// The effective latency of a (level, action) cell does not depend on
-// the power level, so it is computed once per cell and reused across
-// all ~21 quantized power levels instead of re-running the sojourn
-// bisection for each.
+// bootstrap builds the per-key part of a Hybrid: it orders each
+// level's actions by power and seeds a Q-table with one-step rewards
+// estimated from the profiling data ("we learn the initial values of
+// lookup table from the profiling data collected by Parallel and
+// Pacing"). The effective latency of a (level, action) cell does not
+// depend on the power level, so it is computed once per cell and
+// reused across all ~21 quantized power levels instead of re-running
+// the sojourn bisection for each.
 func bootstrap(k seedKey, tab *profile.Table) (*hybridSeed, error) {
-	qt, err := rl.NewTable(rl.DefaultLearningRate, rl.DefaultDiscount)
+	qt, err := rl.NewTable(rl.DefaultLearningRate, rl.DefaultDiscount, k.quant.Levels(), tab.Levels)
 	if err != nil {
 		return nil, err
 	}
-	actions := qt.Actions()
-	na := len(actions)
-	hs := &hybridSeed{seed: qt, cells: make([]actionCell, tab.Levels*na), normalIdx: -1}
-	lats := make([]float64, len(hs.cells))
-	for ai, cfg := range actions {
-		if cfg == server.Normal() {
-			hs.normalIdx = ai
-		}
-		for ll := 0; ll < tab.Levels; ll++ {
-			if e, ok := tab.Lookup(ll, cfg); ok {
-				hs.cells[ll*na+ai] = actionCell{ok: true, e: e}
-				lats[ll*na+ai] = EffectiveLatency(k.profile, cfg, e.OfferedRate)
-			}
-		}
+	na := len(qt.Actions())
+	lats := make([]float64, len(tab.Entries))
+	for i, e := range tab.Entries {
+		lats[i] = EffectiveLatency(k.profile, e.Config(), e.OfferedRate)
 	}
-	hs.byPower = make([][]int, tab.Levels)
-	flat := make([]int, 0, len(hs.cells))
+	hs := &hybridSeed{seed: qt, byPower: make([][]int, tab.Levels)}
+	flat := make([]int, 0, len(tab.Entries))
 	for ll := range hs.byPower {
-		cells := hs.cells[ll*na : (ll+1)*na]
+		cells := tab.Entries[ll*na : (ll+1)*na]
 		start := len(flat)
-		for ai, c := range cells {
-			if c.ok {
-				flat = append(flat, ai)
-			}
+		for ai := range cells {
+			flat = append(flat, ai)
 		}
 		order := flat[start:]
 		slices.SortStableFunc(order, func(i, j int) int {
-			return cmp.Compare(cells[i].e.Power, cells[j].e.Power)
+			return cmp.Compare(cells[i].Power, cells[j].Power)
 		})
 		hs.byPower[ll] = order
 	}
 	for pl := 0; pl < k.quant.Levels(); pl++ {
 		supply := supplyOf(k.quant, pl)
-		for ll := 0; ll < tab.Levels; ll++ {
-			st := rl.State{PowerLevel: pl, LoadLevel: ll}
-			for ai := range actions {
-				c := hs.cells[ll*na+ai]
-				if !c.ok {
-					continue
-				}
-				r := reward(k.literal, supply, c.e.Power, k.profile.Deadline, lats[ll*na+ai])
-				qt.Seed(st, ai, r)
-			}
+		for i, e := range tab.Entries {
+			r := reward(k.literal, supply, e.Power, k.profile.Deadline, lats[i])
+			qt.Seed(rl.State{PowerLevel: pl, LoadLevel: e.Level}, i%na, r)
 		}
 	}
 	return hs, nil
@@ -488,24 +451,17 @@ func (h *Hybrid) stateFor(in Inputs) rl.State {
 // goodput wins; Normal remains the fallback when nothing is powerable.
 func (h *Hybrid) Decide(in Inputs) server.Config {
 	st := h.stateFor(in)
-	level := h.profTable.LevelFor(in.PredictedRate)
-	na := len(h.table.Actions())
-	cells := h.cells[level*na : (level+1)*na]
-	normalGood := 0.0
-	if h.normalIdx >= 0 && cells[h.normalIdx].ok {
-		normalGood = cells[h.normalIdx].e.Goodput
-	}
-	h.sprintFractions(in, h.byPower[level], cells)
+	cells := h.levelCells(st.LoadLevel)
+	normalGood := cells[normalAction].Goodput
+	h.sprintFractions(in, h.byPower[st.LoadLevel], cells)
 	fracs := h.fracs
 	// Greedy Q action among fully sustainable settings. The row is
 	// fetched once (nil for an unseen state, meaning all-zero
-	// estimates) and the profiling cells are indexed densely, so the
-	// loop does no map lookups.
+	// estimates), and cells is indexed by action.
 	row := h.table.Row(st)
 	bestIdx, bestQ, bestQGood := -1, math.Inf(-1), 0.0
 	for ai := range cells {
-		c := &cells[ai]
-		if !c.ok || fracs[ai] < 0.999 {
+		if fracs[ai] < 0.999 {
 			continue
 		}
 		q := 0.0
@@ -513,7 +469,7 @@ func (h *Hybrid) Decide(in Inputs) server.Config {
 			q = row[ai]
 		}
 		if q > bestQ {
-			bestIdx, bestQ, bestQGood = ai, q, c.e.Goodput
+			bestIdx, bestQ, bestQGood = ai, q, cells[ai].Goodput
 		}
 	}
 	if h.opts.DisableBurnValue {
@@ -529,15 +485,11 @@ func (h *Hybrid) Decide(in Inputs) server.Config {
 	// Best partial-epoch burn by expected goodput.
 	burnIdx, burnVal := -1, normalGood
 	for ai := range cells {
-		c := &cells[ai]
-		if !c.ok {
-			continue
-		}
 		f := fracs[ai]
 		if f <= 0 {
 			continue
 		}
-		if v := f*c.e.Goodput + (1-f)*normalGood; v > burnVal+1e-9 {
+		if v := f*cells[ai].Goodput + (1-f)*normalGood; v > burnVal+1e-9 {
 			burnIdx, burnVal = ai, v
 		}
 	}
@@ -558,6 +510,16 @@ func (h *Hybrid) Decide(in Inputs) server.Config {
 	return h.table.Actions()[chosen]
 }
 
+// normalAction is server.Normal()'s action index.
+var normalAction = server.Index(server.Normal())
+
+// levelCells returns the profiling table's cells at a level, indexed
+// by action.
+func (h *Hybrid) levelCells(level int) []profile.Entry {
+	n := server.NumConfigs()
+	return h.profTable.Entries[level*n : (level+1)*n]
+}
+
 // sprintFractions fills fracs with the sprint fraction of every
 // profiled action at the level; order is the level's byPower list.
 // SprintFraction does not increase with demand, so along order the
@@ -566,7 +528,7 @@ func (h *Hybrid) Decide(in Inputs) server.Config {
 // the band's ends; the prefix and suffix take 1 and 0 without a probe,
 // and only the band is probed, each action at most once. The values are
 // those probing every action would give.
-func (h *Hybrid) sprintFractions(in Inputs, order []int, cells []actionCell) {
+func (h *Hybrid) sprintFractions(in Inputs, order []int, cells []profile.Entry) {
 	for _, ai := range order {
 		h.probed[ai] = false
 	}
@@ -605,9 +567,9 @@ func (h *Hybrid) sprintFractions(in Inputs, order []int, cells []actionCell) {
 
 // probe returns action ai's sprint fraction, asking SprintFraction only
 // on the first call of a Decide.
-func (h *Hybrid) probe(in Inputs, ai int, cells []actionCell) float64 {
+func (h *Hybrid) probe(in Inputs, ai int, cells []profile.Entry) float64 {
 	if !h.probed[ai] {
-		h.fracs[ai] = in.fraction(cells[ai].e.Power)
+		h.fracs[ai] = in.fraction(cells[ai].Power)
 		h.probed[ai] = true
 	}
 	return h.fracs[ai]
@@ -720,9 +682,10 @@ func (h *Hybrid) SnapshotState() (json.RawMessage, error) {
 // RestoreState implements Strategy: the stored rows overlay a copy of
 // the seed, so a state listing every row, as written before snapshots
 // listed only the changed ones, restores the same table. It rejects a
-// Q-table from a different knob space, a state outside the
-// quantizers' range and a pending action outside the knob space. On
-// error the strategy is left as it was.
+// Q-table from a different knob space, a state, stored or pending,
+// outside the seed's levels and a pending action outside the knob
+// space, before it copies any row. On error the strategy is left as it
+// was.
 func (h *Hybrid) RestoreState(raw json.RawMessage) error {
 	if len(raw) == 0 {
 		return fmt.Errorf("strategy: hybrid cannot restore an empty state")
@@ -731,17 +694,17 @@ func (h *Hybrid) RestoreState(raw json.RawMessage) error {
 	if err := json.Unmarshal(raw, &st); err != nil {
 		return fmt.Errorf("strategy: restore hybrid: %w", err)
 	}
-	t, err := rl.ReadJSON(st.QTable, h.seed)
-	if err != nil {
-		return fmt.Errorf("strategy: restore hybrid: %w", err)
-	}
 	var p pending
 	if st.Last != nil {
 		p = pending{valid: true, state: st.Last.State, action: st.Last.Action}
-		if !p.state.Valid() || p.action < 0 || p.action >= len(t.Actions()) {
-			return fmt.Errorf("strategy: restore hybrid: pending decision (state %+v, action %d) outside the quantizers' range or the %d-action knob space",
-				p.state, p.action, len(t.Actions()))
+		if na := len(h.seed.Actions()); !h.seed.Covers(p.state) || p.action < 0 || p.action >= na {
+			return fmt.Errorf("strategy: restore hybrid: pending decision (state %+v, action %d) outside the Q-table's levels or the %d-action knob space",
+				p.state, p.action, na)
 		}
+	}
+	t, err := rl.ReadJSON(st.QTable, h.seed)
+	if err != nil {
+		return fmt.Errorf("strategy: restore hybrid: %w", err)
 	}
 	h.table, h.last = t, p
 	return nil
