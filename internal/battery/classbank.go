@@ -253,49 +253,36 @@ func (b *ClassBank) DegradeUnit(i int, capFactor, resistFactor float64) error {
 
 // SoC returns the count-weighted mean state of charge (1 for an empty
 // bank).
-func (b *ClassBank) SoC() float64 {
-	if b.size == 0 {
-		return 1
-	}
-	sum := 0.0
-	for _, g := range b.groups {
-		sum = addRun(sum, g.unit.SoC(), g.count)
-	}
-	return sum / float64(b.size)
-}
+func (b *ClassBank) SoC() float64 { return b.mean((*Battery).SoC, 1) }
 
 // Health returns the count-weighted mean capacity-fade multiplier (1
 // for an undegraded or empty bank).
-func (b *ClassBank) Health() float64 {
-	if b.size == 0 {
-		return 1
-	}
-	sum := 0.0
-	for _, g := range b.groups {
-		sum = addRun(sum, g.unit.CapacityFade(), g.count)
-	}
-	return sum / float64(b.size)
-}
+func (b *ClassBank) Health() float64 { return b.mean((*Battery).CapacityFade, 1) }
 
 // UsableEnergy returns the aggregate energy above the DoD floors.
 func (b *ClassBank) UsableEnergy() units.WattHour {
-	sum := 0.0
-	for _, g := range b.groups {
-		sum = addRun(sum, float64(g.unit.UsableEnergy()), g.count)
-	}
-	return units.WattHour(sum)
+	return units.WattHour(b.sum(func(u *Battery) float64 { return float64(u.UsableEnergy()) }))
 }
 
 // EquivalentCycles returns the count-weighted mean cycle usage.
-func (b *ClassBank) EquivalentCycles() float64 {
+func (b *ClassBank) EquivalentCycles() float64 { return b.mean((*Battery).EquivalentCycles, 0) }
+
+// mean is the count-weighted mean of a per-unit value, empty for an
+// empty bank.
+func (b *ClassBank) mean(of func(*Battery) float64, empty float64) float64 {
 	if b.size == 0 {
-		return 0
+		return empty
 	}
+	return b.sum(of) / float64(b.size)
+}
+
+// sum is the count-weighted sum of a per-unit value.
+func (b *ClassBank) sum(of func(*Battery) float64) float64 {
 	sum := 0.0
 	for _, g := range b.groups {
-		sum = addRun(sum, g.unit.EquivalentCycles(), g.count)
+		sum = addRun(sum, of(g.unit), g.count)
 	}
-	return sum / float64(b.size)
+	return sum
 }
 
 // Reset restores all units to full charge without clearing wear.

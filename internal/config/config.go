@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"greensprint/internal/cluster"
+	"greensprint/internal/sim"
 	"greensprint/internal/solar"
 	"greensprint/internal/strategy"
 	"greensprint/internal/workload"
@@ -104,6 +105,19 @@ func (c Config) Validate() error {
 		if _, err := c.AvailabilityLevel(); err != nil {
 			return err
 		}
+	}
+	// Bound the horizon before anything is sized from it: the records
+	// and chaos timeline at the run's epoch, and a synthesized supply
+	// trace at its 1-minute step.
+	step := c.Epoch.Std()
+	if step == 0 {
+		step = sim.DefaultEpoch
+	}
+	if c.SupplyTrace == "" {
+		step = min(step, time.Minute)
+	}
+	if _, err := sim.HorizonEpochs(c.Lead.Std(), c.BurstDuration.Std(), c.Tail.Std(), step); err != nil {
+		return fmt.Errorf("config: %w", err)
 	}
 	return nil
 }

@@ -2,11 +2,14 @@ package config
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"greensprint/internal/sim"
 )
 
 func TestDefaultValidates(t *testing.T) {
@@ -27,6 +30,15 @@ func TestValidateRejects(t *testing.T) {
 		func(c *Config) { c.Epoch = Duration(-5 * time.Minute) },
 		func(c *Config) { c.Lead = Duration(-2 * time.Hour) },
 		func(c *Config) { c.Tail = Duration(-time.Second) },
+		// One epoch past sim.MaxEpochs at the run's epoch, and for the
+		// synthesized 1-minute supply under 5-minute epochs.
+		func(c *Config) {
+			c.Epoch = Duration(time.Minute)
+			c.BurstDuration = Duration((sim.MaxEpochs + 1) * time.Minute)
+		},
+		func(c *Config) { c.BurstDuration = Duration((sim.MaxEpochs + 1) * time.Minute) },
+		// lead + burst overflows time.Duration.
+		func(c *Config) { c.Lead = Duration(math.MaxInt64 - 10*time.Minute) },
 	}
 	for i, mut := range mutations {
 		c := Default()
@@ -41,6 +53,11 @@ func TestValidateRejects(t *testing.T) {
 	c.SupplyTrace = "trace.csv"
 	if err := c.Validate(); err != nil {
 		t.Errorf("trace-backed config should validate: %v", err)
+	}
+	// Without a synthesized trace only the run's epochs are bounded.
+	c.BurstDuration = Duration((sim.MaxEpochs + 1) * time.Minute)
+	if err := c.Validate(); err != nil {
+		t.Errorf("trace-backed config at %d 5-minute epochs should validate: %v", (sim.MaxEpochs+5)/5, err)
 	}
 }
 

@@ -382,7 +382,14 @@ func (c *Controller) commit(t Telemetry, d Decision, al pss.Allocation, sinkErr 
 	c.last = d
 	c.history = boundHistory(append(c.history, d))
 	if c.opts.Sink != nil {
-		if err := c.opts.Sink.Emit(c.event(t, d, al)); err != nil && sinkErr == nil {
+		// Daemon epochs run on the wall clock: the line carries no Time.
+		n := float64(c.opts.Green.GreenServers)
+		rec := sim.EpochRecord{Case: d.Case, Config: d.Config, Supply: t.GreenPower, Offered: t.OfferedRate,
+			Goodput: t.Goodput, Latency: t.Latency, SoC: c.rack.Selector.Bank().SoC(), SprintFraction: d.SprintFraction,
+			Green: units.Watt(float64(al.Green) / n), Battery: units.Watt(float64(al.Battery) / n), Grid: units.Watt(float64(al.Grid) / n)}
+		ev := c.rack.EpochEvent(&rec, sim.EpochLine{Index: d.Epoch, ServerPower: t.ServerPower, Budget: d.Budget,
+			PredictedGreen: d.PredictedGreen, PredictedRate: d.PredictedRate, Demand: d.Demand, Alive: c.rack.Alive()})
+		if err := c.opts.Sink.Emit(ev); err != nil && sinkErr == nil {
 			sinkErr = err
 		}
 	}
@@ -412,50 +419,6 @@ func (c *Controller) actuate(d sim.Decision) error {
 		}
 	}
 	return c.rack.Apply(d)
-}
-
-// event flattens one control-loop step into the observability schema.
-// Daemon epochs run on the wall clock, so Time is left empty rather
-// than leaking nondeterminism into event logs.
-func (c *Controller) event(t Telemetry, d Decision, al pss.Allocation) obs.Event {
-	n := float64(c.opts.Green.GreenServers)
-	ev := obs.Event{
-		Epoch:           d.Epoch,
-		EpochSeconds:    c.epoch.Seconds(),
-		Strategy:        c.strat.Name(),
-		Servers:         c.opts.Green.GreenServers,
-		GreenSupplyW:    float64(t.GreenPower),
-		OfferedRate:     t.OfferedRate,
-		Goodput:         t.Goodput,
-		LatencySec:      t.Latency,
-		ServerPowerW:    float64(t.ServerPower),
-		Case:            d.Case.String(),
-		Config:          d.Config.String(),
-		Sprinting:       d.Config.IsSprinting(),
-		BudgetW:         float64(d.Budget),
-		PredictedGreenW: float64(d.PredictedGreen),
-		PredictedRate:   d.PredictedRate,
-		DemandW:         float64(d.Demand),
-		SprintFraction:  d.SprintFraction,
-		GreenW:          float64(al.Green) / n,
-		BatteryW:        float64(al.Battery) / n,
-		GridW:           float64(al.Grid) / n,
-		SoC:             c.rack.Selector.Bank().SoC(),
-		BatteryCycles:   c.rack.Selector.Bank().EquivalentCycles(),
-		QoSViolation:    c.opts.Workload.Deadline > 0 && t.Latency > c.opts.Workload.Deadline,
-	}
-	if c.rack.Injector != nil {
-		// Alive is emitted only while servers are down and breaker
-		// stress only while non-zero (both omitempty), so fault-free
-		// streams stay byte-identical to pre-chaos ones.
-		if alive := c.rack.Alive(); alive < c.opts.Green.GreenServers {
-			ev.Alive = alive
-		}
-		if c.rack.Breaker != nil {
-			ev.BreakerStress = c.rack.Breaker.Stress()
-		}
-	}
-	return ev
 }
 
 // Snapshot returns the current status.

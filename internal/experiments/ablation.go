@@ -15,6 +15,7 @@ import (
 
 	"greensprint/internal/cluster"
 	"greensprint/internal/predictor"
+	"greensprint/internal/rl"
 	"greensprint/internal/server"
 	"greensprint/internal/sim"
 	"greensprint/internal/solar"
@@ -92,7 +93,7 @@ func QuantizationSweep(steps []float64) ([]QuantizationPoint, error) {
 		}
 		return QuantizationPoint{
 			Step:    step,
-			Levels:  int(1/step) + 1,
+			Levels:  rl.Quantizer{Step: step}.Levels(),
 			Perf:    res.MeanNormPerf,
 			QStates: h.QTable().States(),
 		}, nil

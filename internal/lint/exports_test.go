@@ -46,7 +46,6 @@ var testHooks = map[string]string{
 	"units.Amp.Power":                    "conversion the battery Peukert tests state rates in",
 	"units.NearlyEqual":                  "tolerance comparison shared by the model tests",
 	"units.WattHour.Charge":              "conversion the battery tests state charge in",
-	"workload.Kernel.Profile":            "state accessor: the kernel's profiled workload",
 	"workload.Profile.LatencyPercentile": "reference: the kernel bit-identity tests compare against it",
 }
 

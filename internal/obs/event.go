@@ -1,6 +1,8 @@
 // Package obs is GreenSprint's observability layer: a structured
-// per-epoch event log and Prometheus-text-format metrics export, fed
-// by hooks on sim.Engine.Step and core.Controller.Step.
+// per-epoch event log and Prometheus-text-format metrics export. Both
+// control loops, sim.Engine and core.Controller, emit events rendered
+// by their sim.Rack: EpochEvent for each epoch, ChaosEvent for each
+// fault or recovery.
 //
 // The package has two halves:
 //
@@ -44,8 +46,8 @@ type Event struct {
 	// fields.
 	Servers int `json:"servers,omitempty"`
 	// Alive is the green-server count currently up, emitted only
-	// while chaos holds servers down (fault-free streams stay
-	// byte-identical to pre-chaos ones).
+	// while it is below Servers. Only the daemon reports it; the
+	// simulator's streams never carry it.
 	Alive int `json:"alive,omitempty"`
 	// InBurst marks simulated epochs inside the workload burst.
 	InBurst bool `json:"in_burst,omitempty"`
@@ -75,6 +77,10 @@ type Event struct {
 	// State after the epoch.
 	SoC           float64 `json:"soc"`
 	BatteryCycles float64 `json:"battery_cycles,omitempty"`
+	// BreakerStress is the PDU breaker's accumulated thermal stress,
+	// emitted whenever the rack models a breaker and it is non-zero:
+	// the simulator builds one for breaker overdraw, the daemon for
+	// chaos breaker trips.
 	BreakerStress float64 `json:"breaker_stress,omitempty"`
 	QoSViolation  bool    `json:"qos_violation,omitempty"`
 

@@ -78,29 +78,10 @@ func (f *ClassFleet) findDetached(i int) (int, bool) {
 
 // ApplyAll applies the same config to every server: once per class
 // herd, once per detached server.
-func (f *ClassFleet) ApplyAll(c server.Config) error {
-	if !c.Valid() {
-		return fmt.Errorf("pmk: invalid config %v", c)
-	}
-	for i := range f.classes {
-		k := &f.classes[i]
-		if k.count > 0 && c != k.cur {
-			k.transitions += k.count
-		}
-		k.cur = c
-	}
-	for i := range f.detached {
-		d := &f.detached[i]
-		if c != d.cur {
-			d.transitions++
-		}
-		d.cur = c
-	}
-	return nil
-}
+func (f *ClassFleet) ApplyAll(c server.Config) error { return f.ApplyAlive(c, nil) }
 
 // ApplyAlive applies the same config to every server not reported
-// down. Herds are applied wholesale — per the type contract, down
+// down (every server when down is nil). Herds are applied wholesale — per the type contract, down
 // servers are always detached first — and detached servers are checked
 // individually, keeping crashed machines on their last setting: there
 // is nothing to actuate on a powered-off machine, and counting phantom

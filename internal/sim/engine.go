@@ -65,8 +65,8 @@ type Engine struct {
 	// New/Restore and never checkpointed.
 	kernel *workload.Kernel
 	lat    []latEntry
-	// timeBuf backs the RFC3339Nano timestamp formatting in event(),
-	// reused across epochs.
+	// timeBuf backs the RFC3339Nano timestamp formatting of event
+	// lines, reused across epochs.
 	timeBuf []byte //greensprint:allow(statecov) formatting arena: overwritten from scratch at each use, carries no run state
 
 	// sinkErr is the first sink failure of the running Step or StepN
@@ -319,7 +319,10 @@ func (e *Engine) commit(rec *EpochRecord) {
 	e.at = e.at.Add(e.epoch)
 	e.epochIndex++
 	if e.cfg.Sink != nil {
-		e.emit(e.event(index, *rec))
+		// AppendFormat into a reused buffer: same bytes as Format, one
+		// string allocation instead of Format's intermediate buffer.
+		e.timeBuf = rec.Start.UTC().AppendFormat(e.timeBuf[:0], time.RFC3339Nano)
+		e.emit(e.rack.EpochEvent(rec, EpochLine{Index: index, Time: string(e.timeBuf), Classes: e.classStats()}))
 	}
 }
 
@@ -431,56 +434,25 @@ func (e *Engine) runIdleSegment(k int) {
 	}
 }
 
-// event flattens one epoch record into the observability schema. The
-// record's per-server power split and the simulation clock make the
-// stream deterministic for a fixed-seed replay.
-func (e *Engine) event(index int, rec EpochRecord) obs.Event {
-	// AppendFormat into a reused buffer: same bytes as Format, one
-	// string allocation instead of Format's intermediate buffer.
-	e.timeBuf = rec.Start.UTC().AppendFormat(e.timeBuf[:0], time.RFC3339Nano)
-	ev := obs.Event{
-		Epoch:          index,
-		Time:           string(e.timeBuf),
-		EpochSeconds:   e.epoch.Seconds(),
-		Strategy:       e.cfg.Strategy.Name(),
-		Servers:        e.rack.Knobs.Size(),
-		InBurst:        rec.InBurst,
-		GreenSupplyW:   float64(rec.Supply),
-		OfferedRate:    rec.Offered,
-		Goodput:        rec.Goodput,
-		LatencySec:     rec.Latency,
-		Case:           rec.Case.String(),
-		Config:         rec.Config.String(),
-		Sprinting:      rec.Config.IsSprinting(),
-		SprintFraction: rec.SprintFraction,
-		GreenW:         float64(rec.Green),
-		BatteryW:       float64(rec.Battery),
-		GridW:          float64(rec.Grid),
-		SoC:            rec.SoC,
-		BatteryCycles:  e.rack.Selector.Bank().EquivalentCycles(),
-		QoSViolation:   e.cfg.Workload.Deadline > 0 && rec.Latency > e.cfg.Workload.Deadline,
+// classStats fills the reused class-stat buffer for the epoch's event
+// line; nil for runs without a Config.Fleet. Class goodput is the
+// class's aggregate: alive servers × per-alive-server goodput (the
+// queueing model is uniform across classes; power is not).
+func (e *Engine) classStats() []obs.ClassStat {
+	if e.cfg.Fleet == nil {
+		return nil
 	}
-	if e.rack.Breaker != nil {
-		ev.BreakerStress = e.rack.Breaker.Stress()
+	e.classEv = e.classEv[:0]
+	for i := range e.topo.Classes {
+		//greensprint:allow(allocfree) appends into the reused per-epoch class buffer; grows to the class count once, then stays flat
+		e.classEv = append(e.classEv, obs.ClassStat{
+			Name:     e.topo.Classes[i].Name,
+			Alive:    e.rack.ClassAlive(i),
+			Goodput:  float64(e.rack.ClassAlive(i)) * e.perAliveGoodput,
+			EnergyWh: e.classEnergyWh[i],
+		})
 	}
-	if e.cfg.Fleet != nil {
-		// The buffer is reused across epochs; sinks consume the event
-		// synchronously during Emit. Class goodput is the class's
-		// aggregate (alive servers × per-alive-server goodput — the
-		// queueing model is uniform across classes; power is not).
-		e.classEv = e.classEv[:0]
-		for i := range e.topo.Classes {
-			//greensprint:allow(allocfree) appends into the reused per-epoch class buffer; grows to the class count once, then stays flat
-			e.classEv = append(e.classEv, obs.ClassStat{
-				Name:     e.topo.Classes[i].Name,
-				Alive:    e.rack.ClassAlive(i),
-				Goodput:  float64(e.rack.ClassAlive(i)) * e.perAliveGoodput,
-				EnergyWh: e.classEnergyWh[i],
-			})
-		}
-		ev.Classes = e.classEv
-	}
-	return ev
+	return e.classEv
 }
 
 // applyChaos applies the epoch's fault and recovery transitions to the

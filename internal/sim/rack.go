@@ -25,10 +25,10 @@ import (
 // optional chaos injector and the alive census derived from it. Engine
 // and core.Controller each drive one, so both loops share one decision
 // epoch (Decide, over the Plant each loop supplies) and one fault path
-// — applying chaos transitions, rendering chaos events, actuating the
-// live servers, the idle upkeep and checkpointing the components —
-// while each keeps its own clock, learning, events and locking. A Rack
-// is not safe for concurrent use.
+// — applying chaos transitions, rendering chaos and epoch events,
+// actuating the live servers, the idle upkeep and checkpointing the
+// components — while each keeps its own clock, learning, event
+// emission and locking. A Rack is not safe for concurrent use.
 type Rack struct {
 	// Selector is the PSS over the rack's battery bank.
 	Selector *pss.Selector
@@ -195,16 +195,53 @@ func (r *Rack) ChaosEvent(a chaos.Action, index int, at string) obs.Event {
 		kind = "recover"
 	}
 	return obs.Event{
-		Epoch:        index,
-		Time:         at,
-		EpochSeconds: r.cfg.Epoch.Seconds(),
-		Strategy:     r.cfg.Strategy.Name(),
-		Servers:      r.Knobs.Size(),
-		Chaos:        kind,
-		ChaosMode:    a.Fault.Mode.String(),
-		ChaosTarget:  a.Fault.Target,
-		ChaosDetail:  a.Fault.String(),
+		Epoch: index, Time: at, EpochSeconds: r.cfg.Epoch.Seconds(), Strategy: r.cfg.Strategy.Name(), Servers: r.Knobs.Size(),
+		Chaos: kind, ChaosMode: a.Fault.Mode.String(), ChaosTarget: a.Fault.Target, ChaosDetail: a.Fault.String(),
 	}
+}
+
+// EpochLine is what an epoch's event line carries beyond its record
+// and the rack: the epoch's index, its start on the caller's clock
+// (empty on the wall clock) and a fleet run's class stats, then the
+// members only a live loop measures or predicts. The simulator leaves
+// those zero, and omitempty drops them; Alive is emitted only while
+// below the rack's server count.
+type EpochLine struct {
+	Index   int
+	Time    string
+	Classes []obs.ClassStat
+
+	ServerPower, Budget, PredictedGreen, Demand units.Watt
+	PredictedRate                               float64
+	Alive                                       int
+}
+
+// EpochEvent renders one epoch line, for either loop, from rec — its
+// telemetry, decision and per-provisioned-server power split — and the
+// rack's strategy, epoch length, census, battery cycles and breaker.
+func (r *Rack) EpochEvent(rec *EpochRecord, l EpochLine) obs.Event {
+	// Classes differ only in their power envelope: every kernel holds
+	// the workload's deadline.
+	deadline := r.cfg.Kernels[0].Profile().Deadline
+	ev := obs.Event{
+		Epoch: l.Index, Time: l.Time, EpochSeconds: r.cfg.Epoch.Seconds(), Strategy: r.cfg.Strategy.Name(),
+		Servers: r.Knobs.Size(), InBurst: rec.InBurst,
+		GreenSupplyW: float64(rec.Supply), OfferedRate: rec.Offered, Goodput: rec.Goodput,
+		LatencySec: rec.Latency, ServerPowerW: float64(l.ServerPower),
+		Case: rec.Case.String(), Config: rec.Config.String(), Sprinting: rec.Config.IsSprinting(),
+		BudgetW: float64(l.Budget), PredictedGreenW: float64(l.PredictedGreen), PredictedRate: l.PredictedRate,
+		DemandW: float64(l.Demand), SprintFraction: rec.SprintFraction,
+		GreenW: float64(rec.Green), BatteryW: float64(rec.Battery), GridW: float64(rec.Grid),
+		SoC: rec.SoC, BatteryCycles: r.Selector.Bank().EquivalentCycles(),
+		QoSViolation: deadline > 0 && rec.Latency > deadline, Classes: l.Classes,
+	}
+	if l.Alive < ev.Servers {
+		ev.Alive = l.Alive
+	}
+	if r.Breaker != nil {
+		ev.BreakerStress = r.Breaker.Stress()
+	}
+	return ev
 }
 
 // Actuate applies c to the running servers: all of them on a

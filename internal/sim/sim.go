@@ -48,6 +48,28 @@ func EpochsIn(d, epoch time.Duration) int {
 	return n
 }
 
+// MaxEpochs bounds the entries of any slice sized from a run's horizon,
+// lead + burst + tail: the engine's records at the run's epoch, a chaos
+// timeline, and greensprint-sim's synthesized 1-minute supply trace. It
+// admits a leap year at 1-minute epochs (366 × 1440), the finest step
+// the synthesized supply is sampled at, and caps a run's record log at
+// about 72 MB.
+const MaxEpochs = 366 * 24 * 60
+
+// HorizonEpochs is EpochsIn(lead+burst+tail, epoch) for non-negative
+// durations; it fails when the sum overflows or exceeds MaxEpochs.
+func HorizonEpochs(lead, burst, tail, epoch time.Duration) (int, error) {
+	total := lead + burst + tail
+	if lead+burst < lead || total < lead+burst {
+		return 0, fmt.Errorf("lead %v + burst %v + tail %v overflows", lead, burst, tail)
+	}
+	n := EpochsIn(total, epoch)
+	if n > MaxEpochs {
+		return 0, fmt.Errorf("horizon %v is %d epochs of %v, more than %d", total, n, epoch, MaxEpochs)
+	}
+	return n, nil
+}
+
 // Config describes one simulation run.
 type Config struct {
 	// Workload is the interactive application under test.
@@ -189,6 +211,13 @@ func (c *Config) Validate() error {
 	}
 	if c.Lead < 0 || c.Tail < 0 {
 		return fmt.Errorf("sim: negative lead %v or tail %v", c.Lead, c.Tail)
+	}
+	epoch := c.Epoch
+	if epoch == 0 {
+		epoch = DefaultEpoch
+	}
+	if _, err := HorizonEpochs(c.Lead, c.Burst.Duration, c.Tail, epoch); err != nil {
+		return fmt.Errorf("sim: %w", err)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"math"
 	"testing"
 	"time"
 
@@ -132,6 +133,20 @@ func TestValidate(t *testing.T) {
 	bad.Tail = -time.Minute
 	if err := bad.Validate(); err == nil {
 		t.Error("negative tail should fail")
+	}
+	// The horizon bound, checked by Validate alone: one epoch past
+	// MaxEpochs, and a lead + burst + tail that overflows.
+	bad = good
+	bad.Epoch = time.Minute
+	bad.Lead = time.Duration(MaxEpochs-10) * time.Minute
+	bad.Tail = time.Minute
+	if err := bad.Validate(); err == nil {
+		t.Errorf("%d epochs should fail", MaxEpochs+1)
+	}
+	bad = good
+	bad.Lead = time.Duration(math.MaxInt64 - 5*time.Minute)
+	if err := bad.Validate(); err == nil {
+		t.Error("overflowing lead + burst should fail")
 	}
 	// Run rejects a no-green-server config.
 	noGreen := good

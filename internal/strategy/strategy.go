@@ -352,11 +352,16 @@ func NewHybridWithOptions(p workload.Profile, tab *profile.Table, opts HybridOpt
 		return nil, fmt.Errorf("strategy: hybrid needs a profiling table")
 	}
 	quant := rl.NewQuantizer(server.IdlePower, p.PeakPower)
-	if opts.QuantizationStep > 0 {
-		if opts.QuantizationStep > 1 {
-			return nil, fmt.Errorf("strategy: quantization step %v outside (0,1]", opts.QuantizationStep)
+	if step := opts.QuantizationStep; step > 0 {
+		if step > 1 {
+			return nil, fmt.Errorf("strategy: quantization step %v outside (0,1]", step)
 		}
-		quant.Step = opts.QuantizationStep
+		// Levels is round(1/step)+1; bound it in floating point, where
+		// a tiny step cannot overflow int, before anything is sized.
+		if math.Round(1/step)+1 > profile.MaxLevels {
+			return nil, fmt.Errorf("strategy: quantization step %v gives more than %d levels", step, profile.MaxLevels)
+		}
+		quant.Step = step
 	}
 	key := seedKey{profile: p, quant: quant, literal: opts.LiteralReward}
 	hs, err := profile.Memo(tab, key, func() (*hybridSeed, error) { return bootstrap(key, tab) })

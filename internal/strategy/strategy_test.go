@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"greensprint/internal/profile"
+	"greensprint/internal/rl"
 	"greensprint/internal/server"
 	"greensprint/internal/units"
 	"greensprint/internal/workload"
@@ -381,6 +382,14 @@ func TestInputsFractionClamping(t *testing.T) {
 func TestNewHybridWithOptionsValidation(t *testing.T) {
 	if _, err := NewHybridWithOptions(specjbb, specTab, HybridOptions{QuantizationStep: 1.5}); err == nil {
 		t.Error("step > 1 should fail")
+	}
+	// The first step past the level bound: 1/1000 quantizes to
+	// MaxLevels+1 levels and must fail before a Q-table is sized.
+	if n := (rl.Quantizer{Step: 0.001}).Levels(); n != profile.MaxLevels+1 {
+		t.Fatalf("step 0.001 gives %d levels, want %d", n, profile.MaxLevels+1)
+	}
+	if _, err := NewHybridWithOptions(specjbb, specTab, HybridOptions{QuantizationStep: 0.001}); err == nil {
+		t.Errorf("step with %d levels should fail", profile.MaxLevels+1)
 	}
 	h, err := NewHybridWithOptions(specjbb, specTab, HybridOptions{QuantizationStep: 0.1})
 	if err != nil {

@@ -109,11 +109,7 @@ func (k *Kernel) IntensityRate(intensity int) float64 {
 	if intensity < 1 {
 		return 0
 	}
-	cores := intensity
-	if cores > server.MaxCores {
-		cores = server.MaxCores
-	}
-	return k.MaxGoodput(server.Config{Cores: cores, Freq: units.FreqMax})
+	return k.MaxGoodput(intensityConfig(intensity))
 }
 
 // EffectiveLatency returns the SLA-relevant latency of running the

@@ -211,11 +211,13 @@ func (p Profile) IntensityRate(intensity int) float64 {
 	if intensity < 1 {
 		return 0
 	}
-	cores := intensity
-	if cores > server.MaxCores {
-		cores = server.MaxCores
-	}
-	return p.MaxGoodput(server.Config{Cores: cores, Freq: units.FreqMax})
+	return p.MaxGoodput(intensityConfig(intensity))
+}
+
+// intensityConfig is the setting "Int=N" names: N cores, at most
+// server.MaxCores, at 2.0 GHz.
+func intensityConfig(n int) server.Config {
+	return server.Config{Cores: min(n, server.MaxCores), Freq: units.FreqMax}
 }
 
 // Power returns the wall power of one server running this workload at
