@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"time"
 
 	"greensprint/internal/cluster"
@@ -89,7 +90,7 @@ func (c Config) Validate() error {
 	if _, err := c.GreenConfig(); err != nil {
 		return err
 	}
-	if !contains(strategy.Names(), c.Strategy) {
+	if !slices.Contains(strategy.Names(), c.Strategy) {
 		return fmt.Errorf("config: unknown strategy %q", c.Strategy)
 	}
 	if c.BurstIntensity < 1 || c.BurstIntensity > 12 {
@@ -116,7 +117,7 @@ func (c Config) Validate() error {
 	if c.SupplyTrace == "" {
 		step = min(step, time.Minute)
 	}
-	if _, err := sim.HorizonEpochs(c.Lead.Std(), c.BurstDuration.Std(), c.Tail.Std(), step); err != nil {
+	if err := sim.CheckHorizon(c.Lead.Std(), c.BurstDuration.Std(), c.Tail.Std(), step); err != nil {
 		return fmt.Errorf("config: %w", err)
 	}
 	return nil
@@ -144,15 +145,6 @@ func (c Config) AvailabilityLevel() (solar.Availability, error) {
 	default:
 		return 0, fmt.Errorf("config: unknown availability %q (want Min, Med or Max)", c.Availability)
 	}
-}
-
-func contains(list []string, v string) bool {
-	for _, s := range list {
-		if s == v {
-			return true
-		}
-	}
-	return false
 }
 
 // Read parses a config from r.

@@ -384,11 +384,16 @@ func (c *Controller) commit(t Telemetry, d Decision, al pss.Allocation, sinkErr 
 	if c.opts.Sink != nil {
 		// Daemon epochs run on the wall clock: the line carries no Time.
 		n := float64(c.opts.Green.GreenServers)
-		rec := sim.EpochRecord{Case: d.Case, Config: d.Config, Supply: t.GreenPower, Offered: t.OfferedRate,
-			Goodput: t.Goodput, Latency: t.Latency, SoC: c.rack.Selector.Bank().SoC(), SprintFraction: d.SprintFraction,
-			Green: units.Watt(float64(al.Green) / n), Battery: units.Watt(float64(al.Battery) / n), Grid: units.Watt(float64(al.Grid) / n)}
-		ev := c.rack.EpochEvent(&rec, sim.EpochLine{Index: d.Epoch, ServerPower: t.ServerPower, Budget: d.Budget,
-			PredictedGreen: d.PredictedGreen, PredictedRate: d.PredictedRate, Demand: d.Demand, Alive: c.rack.Alive()})
+		rec := sim.EpochRecord{
+			Supply: t.GreenPower, Offered: t.OfferedRate, Goodput: t.Goodput, Latency: t.Latency,
+			Case: d.Case, Config: d.Config, SprintFraction: d.SprintFraction,
+			Green: units.Watt(float64(al.Green) / n), Battery: units.Watt(float64(al.Battery) / n),
+			Grid: units.Watt(float64(al.Grid) / n), SoC: c.rack.Selector.Bank().SoC(),
+		}
+		ev := c.rack.EpochEvent(&rec, sim.EpochLine{
+			Index: d.Epoch, ServerPower: t.ServerPower, Budget: d.Budget, PredictedGreen: d.PredictedGreen,
+			PredictedRate: d.PredictedRate, Demand: d.Demand, Alive: c.rack.Alive(),
+		})
 		if err := c.opts.Sink.Emit(ev); err != nil && sinkErr == nil {
 			sinkErr = err
 		}

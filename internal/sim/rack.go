@@ -195,8 +195,15 @@ func (r *Rack) ChaosEvent(a chaos.Action, index int, at string) obs.Event {
 		kind = "recover"
 	}
 	return obs.Event{
-		Epoch: index, Time: at, EpochSeconds: r.cfg.Epoch.Seconds(), Strategy: r.cfg.Strategy.Name(), Servers: r.Knobs.Size(),
-		Chaos: kind, ChaosMode: a.Fault.Mode.String(), ChaosTarget: a.Fault.Target, ChaosDetail: a.Fault.String(),
+		Epoch:        index,
+		Time:         at,
+		EpochSeconds: r.cfg.Epoch.Seconds(),
+		Strategy:     r.cfg.Strategy.Name(),
+		Servers:      r.Knobs.Size(),
+		Chaos:        kind,
+		ChaosMode:    a.Fault.Mode.String(),
+		ChaosTarget:  a.Fault.Target,
+		ChaosDetail:  a.Fault.String(),
 	}
 }
 

@@ -56,18 +56,18 @@ func EpochsIn(d, epoch time.Duration) int {
 // about 72 MB.
 const MaxEpochs = 366 * 24 * 60
 
-// HorizonEpochs is EpochsIn(lead+burst+tail, epoch) for non-negative
-// durations; it fails when the sum overflows or exceeds MaxEpochs.
-func HorizonEpochs(lead, burst, tail, epoch time.Duration) (int, error) {
+// CheckHorizon fails unless lead + burst + tail, none of them negative,
+// fits a time.Duration and spans at most MaxEpochs epochs of length
+// epoch.
+func CheckHorizon(lead, burst, tail, epoch time.Duration) error {
 	total := lead + burst + tail
 	if lead+burst < lead || total < lead+burst {
-		return 0, fmt.Errorf("lead %v + burst %v + tail %v overflows", lead, burst, tail)
+		return fmt.Errorf("lead %v + burst %v + tail %v overflows", lead, burst, tail)
 	}
-	n := EpochsIn(total, epoch)
-	if n > MaxEpochs {
-		return 0, fmt.Errorf("horizon %v is %d epochs of %v, more than %d", total, n, epoch, MaxEpochs)
+	if n := EpochsIn(total, epoch); n > MaxEpochs {
+		return fmt.Errorf("horizon %v is %d epochs of %v, more than %d", total, n, epoch, MaxEpochs)
 	}
-	return n, nil
+	return nil
 }
 
 // Config describes one simulation run.
@@ -216,7 +216,7 @@ func (c *Config) Validate() error {
 	if epoch == 0 {
 		epoch = DefaultEpoch
 	}
-	if _, err := HorizonEpochs(c.Lead, c.Burst.Duration, c.Tail, epoch); err != nil {
+	if err := CheckHorizon(c.Lead, c.Burst.Duration, c.Tail, epoch); err != nil {
 		return fmt.Errorf("sim: %w", err)
 	}
 	return nil
