@@ -81,11 +81,12 @@ func (f *ClassFleet) findDetached(i int) (int, bool) {
 func (f *ClassFleet) ApplyAll(c server.Config) error { return f.ApplyAlive(c, nil) }
 
 // ApplyAlive applies the same config to every server not reported
-// down (every server when down is nil). Herds are applied wholesale — per the type contract, down
-// servers are always detached first — and detached servers are checked
-// individually, keeping crashed machines on their last setting: there
-// is nothing to actuate on a powered-off machine, and counting phantom
-// transitions would corrupt the actuation accounting.
+// down, or to every server when down is nil. Herds are applied
+// wholesale — per the type contract, down servers are always detached
+// first — and detached servers are checked individually, keeping
+// crashed machines on their last setting: there is nothing to actuate
+// on a powered-off machine, and counting phantom transitions would
+// corrupt the actuation accounting.
 func (f *ClassFleet) ApplyAlive(c server.Config, down func(i int) bool) error {
 	if !c.Valid() {
 		return fmt.Errorf("pmk: invalid config %v", c)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -357,6 +358,7 @@ func TestRunCancelledBetweenEpochs(t *testing.T) {
 // trips the remaining burst epochs fall back to grid-powered Normal.
 func TestEngineBreakerOverdrawBurst(t *testing.T) {
 	d := 30 * time.Minute
+	sink := &failAfterSink{n: math.MaxInt}
 	start := time.Date(2018, 5, 1, 12, 0, 0, 0, time.UTC)
 	// Three supply phases: plenty (green-only sprint), a dip that
 	// forces bounded overdraw, then near-darkness so the tripped rack
@@ -380,6 +382,7 @@ func TestEngineBreakerOverdrawBurst(t *testing.T) {
 		Burst:                workload.Burst{Intensity: 12, Duration: d},
 		Supply:               trace.New("dipping", start, time.Minute, samples),
 		AllowBreakerOverdraw: true,
+		Sink:                 sink,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -403,6 +406,11 @@ func TestEngineBreakerOverdrawBurst(t *testing.T) {
 		}
 		if !ok {
 			break
+		}
+		// A fault-free run with a breaker reports its stress on every
+		// epoch line, and never an alive census.
+		if ev := sink.events[len(sink.events)-1]; ev.BreakerStress != br.Stress() || ev.Alive != 0 {
+			t.Errorf("epoch %d line: breaker_stress %v alive %d, want %v and none", ev.Epoch, ev.BreakerStress, ev.Alive, br.Stress())
 		}
 		switch {
 		case rec.Case == pss.CaseBreakerOverdraw:
