@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -32,9 +33,11 @@ func benchEngine(b *testing.B) *Engine {
 }
 
 // benchConfig is benchEngine's Config, with a fresh Hybrid.
-func benchConfig(b *testing.B) Config {
+func benchConfig(b *testing.B) Config { return benchConfigFor(b, 8*time.Hour) }
+
+// benchConfigFor is benchConfig over a burst and supply window of d.
+func benchConfigFor(b *testing.B, d time.Duration) Config {
 	b.Helper()
-	d := 8 * time.Hour
 	green := cluster.REBatt()
 	supply := solar.Synthesize(solar.Med, d, time.Minute, float64(green.PeakGreen()), 42)
 	h, err := newBenchHybrid()
@@ -135,6 +138,42 @@ func BenchmarkCheckpointEncode(b *testing.B) {
 			b.Fatal(err)
 		}
 		if _, err := cp.Encode(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCheckpointWriteFile measures one save of a run checkpointed
+// every epoch, as perfbench's checkpoint_resume and greensprint-sim
+// -checkpoint cut them: after one Step of a two-day Hybrid run outside
+// the timer, Checkpoint and WriteFile run timed. The engine is rebuilt
+// outside the timer when its run is used up, so the saved record list
+// cycles through the two days' 576 epochs.
+func BenchmarkCheckpointWriteFile(b *testing.B) {
+	newEngine := func() *Engine {
+		e, err := New(benchConfigFor(b, 48*time.Hour))
+		if err != nil {
+			b.Fatal(err)
+		}
+		return e
+	}
+	e := newEngine()
+	path := filepath.Join(b.TempDir(), "sim.ckpt")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if _, ok, err := e.Step(); err != nil {
+			b.Fatal(err)
+		} else if !ok {
+			e = newEngine()
+		}
+		b.StartTimer()
+		cp, err := e.Checkpoint()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := cp.WriteFile(path); err != nil {
 			b.Fatal(err)
 		}
 	}
