@@ -18,15 +18,23 @@ import (
 // temporary file is created in path's directory (rename is only atomic
 // within a filesystem) and removed on any failure.
 func WriteFile(path string, data []byte, perm os.FileMode) error {
+	return WriteChunks(path, perm, data)
+}
+
+// WriteChunks is WriteFile of the chunks' concatenation, written one
+// after another so the caller need not assemble them.
+func WriteChunks(path string, perm os.FileMode, chunks ...[]byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
 		return fmt.Errorf("atomicfile: %w", err)
 	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("atomicfile: %w", err)
+	for _, data := range chunks {
+		if _, err := tmp.Write(data); err != nil {
+			tmp.Close()
+			os.Remove(tmp.Name())
+			return fmt.Errorf("atomicfile: %w", err)
+		}
 	}
 	if err := tmp.Chmod(perm); err != nil {
 		tmp.Close()

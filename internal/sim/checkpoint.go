@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"sync"
+	"slices"
 	"time"
 
 	"greensprint/internal/atomicfile"
@@ -84,10 +84,24 @@ type Checkpoint struct {
 	Records      []EpochRecord `json:"records"`
 	BurstPerfSum float64       `json:"burst_perf_sum"`
 	BurstEpochs  int           `json:"burst_epochs"`
+
+	// cache is the engine's encoded record history at the cut, which
+	// Encode and WriteFile splice in while Records still equal, bit for
+	// bit, the records it was encoded from (see cachedJSON).
+	//greensprint:allow(wiretag) encoder cache, not state: Encode writes Records in full whether or not it applies, and a decoded checkpoint has none
+	cache struct {
+		recs []EpochRecord // a view of the engine's append-only records
+		json []byte        // their JSON, comma-joined
+	}
 }
 
 // Checkpoint captures the engine's state at the current epoch
-// boundary. The engine is not perturbed and may keep stepping.
+// boundary. The engine's run is not perturbed and it may keep stepping;
+// the only thing the cut changes is a derived cache, the engine's log
+// of its records' JSON, which it extends by the records added since the
+// last cut so that each record is formatted at most once. The
+// checkpoint holds its own copy of Records, and a read-only view of
+// that log for Encode and WriteFile.
 func (e *Engine) Checkpoint() (*Checkpoint, error) {
 	stratRaw, err := e.cfg.Strategy.SnapshotState()
 	if err != nil {
@@ -114,6 +128,7 @@ func (e *Engine) Checkpoint() (*Checkpoint, error) {
 		ClassFleet:       rack.Knobs,
 		ClassEnergyWh:    append([]float64(nil), e.classEnergyWh...),
 	}
+	cp.cache.recs, cp.cache.json = e.encodedRecords()
 	return cp, nil
 }
 
@@ -170,6 +185,9 @@ func (e *Engine) Restore(cp *Checkpoint) error {
 	}
 	copy(e.classEnergyWh, cp.ClassEnergyWh)
 	e.records = append(make([]EpochRecord, 0, e.TotalEpochs()), cp.Records...)
+	// Checkpoints cut before may still hold views of the old log, so it
+	// is dropped, never truncated and written over.
+	e.recLog = recordLog{}
 	e.burstPerfSum = cp.BurstPerfSum
 	e.burstEpochs = cp.BurstEpochs
 	e.epochIndex = cp.EpochIndex
@@ -178,24 +196,32 @@ func (e *Engine) Restore(cp *Checkpoint) error {
 }
 
 // Encode serializes the checkpoint as JSON: exactly the bytes
-// json.Marshal(c) writes, without reflection (appendJSON). The strategy
-// state is copied as it is once jsonw.IsCompact proves it valid
-// compact JSON that needs no escaping. Anything the fast path cannot
-// write or prove — a NaN or ±Inf, a year outside [0,9999], a string or
-// strategy state that encoding/json would rewrite — goes through
-// json.Marshal whole, so the bytes and every error have one source.
-func (c *Checkpoint) Encode() ([]byte, error) { return c.appendEncoded(nil) }
-
-// appendEncoded appends Encode's bytes to b.
-func (c *Checkpoint) appendEncoded(b []byte) ([]byte, error) {
-	if out, ok := c.appendJSON(b); ok {
-		return out, nil
+// json.Marshal(c) writes, without reflection (appendJSON). A checkpoint
+// cut from an Engine copies in the records' bytes from the engine's
+// record log, provided its Records still equal, bit for bit, the
+// records that log was encoded from; otherwise it formats them afresh.
+// The strategy state is copied as it is once jsonw.IsCompact proves it
+// valid compact JSON that needs no escaping. Anything the fast path
+// cannot write or prove — a NaN or ±Inf, a year outside [0,9999], a
+// string or strategy state that encoding/json would rewrite — goes
+// through json.Marshal whole, so the bytes and every error have one
+// source.
+func (c *Checkpoint) Encode() ([]byte, error) {
+	recs := c.cachedJSON()
+	b, split, ok := c.appendJSON(make([]byte, 0, len(recs)+len(c.Strategy)+4096), recs)
+	if ok {
+		return slices.Insert(b, split, recs...), nil
 	}
-	enc, err := json.Marshal(c)
+	return c.marshal()
+}
+
+// marshal is Encode's json.Marshal fallback.
+func (c *Checkpoint) marshal() ([]byte, error) {
+	b, err := json.Marshal(c)
 	if err != nil {
 		return nil, fmt.Errorf("sim: encode checkpoint: %w", err)
 	}
-	return append(b, enc...), nil
+	return b, nil
 }
 
 // DecodeCheckpoint parses a JSON checkpoint and checks its version.
@@ -226,28 +252,27 @@ func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 	return &cp, nil
 }
 
-// WriteFile atomically persists the checkpoint through the shared
+// WriteFile atomically persists Encode's bytes through the shared
 // tmp+rename writer, so a process killed mid-write never leaves a
-// truncated checkpoint behind. It does not fsync: a power loss can
-// still lose the write (see internal/atomicfile).
+// truncated checkpoint behind. The cached record bytes go to the file
+// as they are, between the members before and after them, so a save
+// never assembles a second copy of the records. It does not fsync: a
+// power loss can still lose the write (see internal/atomicfile).
 func (c *Checkpoint) WriteFile(path string) error {
-	buf := encodeBufs.Get().(*[]byte)
-	defer encodeBufs.Put(buf)
-	b, err := c.appendEncoded((*buf)[:0])
-	if err != nil {
-		return err
+	recs := c.cachedJSON()
+	b, split, ok := c.appendJSON(nil, recs)
+	if !ok {
+		var err error
+		if b, err = c.marshal(); err != nil {
+			return err
+		}
+		split, recs = len(b), nil
 	}
-	*buf = b
-	if err := atomicfile.WriteFile(path, b, 0o644); err != nil {
+	if err := atomicfile.WriteChunks(path, 0o644, b[:split], recs, b[split:]); err != nil {
 		return fmt.Errorf("sim: write checkpoint: %w", err)
 	}
 	return nil
 }
-
-// encodeBufs recycles WriteFile's encode buffers: a checkpoint cut
-// every epoch would otherwise allocate and clear its full size (about
-// 120 KB on average over a two-day Hybrid run) on every save.
-var encodeBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // ReadCheckpointFile loads and version-checks a checkpoint file.
 func ReadCheckpointFile(path string) (*Checkpoint, error) {

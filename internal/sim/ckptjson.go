@@ -2,6 +2,7 @@ package sim
 
 import (
 	"encoding/json"
+	"math"
 	"slices"
 
 	"greensprint/internal/jsonw"
@@ -11,14 +12,21 @@ import (
 // field order under their omitempty rules, records through
 // appendRecord, the small component snapshots through appendMarshal.
 // It reports false, with b's contents unspecified, at the first value
-// only encoding/json renders faithfully.
-func (c *Checkpoint) appendJSON(b []byte) ([]byte, bool) {
+// only encoding/json renders faithfully. With recs, the record log
+// cachedRecords found for c, the records' elements are left out: they
+// belong at split, where the bytes before it end in `"records":[`.
+// Without recs, split is len of the result.
+func (c *Checkpoint) appendJSON(b, recs []byte) (out []byte, split int, ok bool) {
 	if len(c.Strategy) > 0 && !jsonw.IsCompact(c.Strategy) {
-		return b, false
+		return b, 0, false
 	}
-	// Size b once: the strategy state and the records dominate, a
-	// record taking up to about 380 bytes.
-	w := jsonw.Writer{B: slices.Grow(b, len(c.Strategy)+len(c.Records)*384+4096), OK: true}
+	// Size b once: the strategy state and the records dominate, unless
+	// the records' bytes are cached.
+	n := len(c.Strategy) + 4096
+	if recs == nil {
+		n += len(c.Records) * recordJSONCap
+	}
+	w := jsonw.Writer{B: slices.Grow(b, n), OK: true}
 	w.Int(`{"version":`, int64(c.Version))
 	w.Int(`,"epoch":`, int64(c.Epoch))
 	w.Time(`,"supply_start":`, c.SupplyStart)
@@ -50,11 +58,16 @@ func (c *Checkpoint) appendJSON(b []byte) ([]byte, bool) {
 		}
 		w.B = append(w.B, ']')
 	}
+	split = -1
 	switch {
 	case c.Records == nil:
 		w.B = append(w.B, `,"records":null`...)
 	case len(c.Records) == 0:
 		w.B = append(w.B, `,"records":[]`...)
+	case recs != nil:
+		w.B = append(w.B, `,"records":[`...)
+		split = len(w.B)
+		w.B = append(w.B, ']')
 	default:
 		key := `,"records":[`
 		for i := range c.Records {
@@ -65,7 +78,83 @@ func (c *Checkpoint) appendJSON(b []byte) ([]byte, bool) {
 	}
 	w.Float(`,"burst_perf_sum":`, c.BurstPerfSum)
 	w.Int(`,"burst_epochs":`, int64(c.BurstEpochs))
-	return append(w.B, '}'), w.OK
+	w.B = append(w.B, '}')
+	if split < 0 {
+		split = len(w.B)
+	}
+	return w.B, split, w.OK
+}
+
+// recordJSONCap is about the most bytes appendRecord writes for one
+// record, key included: the buffers are sized by it.
+const recordJSONCap = 384
+
+// recordLog is an engine's encoded record history: b holds the JSON of
+// its first n records, comma-joined as the records member lists them.
+// It only ever grows, so every view a Checkpoint holds stays valid;
+// Restore drops it for a fresh one rather than rewrite it. stopped
+// marks a record the hand encoder cannot write, after which the engine
+// keeps no log.
+type recordLog struct {
+	b       []byte
+	n       int
+	stopped bool
+}
+
+// encodedRecords extends the record log by the records added since the
+// last cut and returns capacity-clipped views of the records it was
+// encoded from and of their JSON, so neither a later append to the log
+// nor a caller's append to a view can write bytes a view covers. Both
+// are nil once the log has stopped.
+func (e *Engine) encodedRecords() (recs []EpochRecord, enc []byte) {
+	l := &e.recLog
+	if l.stopped {
+		return nil, nil
+	}
+	if l.n < len(e.records) {
+		w := jsonw.Writer{B: slices.Grow(l.b, (len(e.records)-l.n)*recordJSONCap), OK: true}
+		for ; l.n < len(e.records) && w.OK; l.n++ {
+			key := ","
+			if l.n == 0 {
+				key = ""
+			}
+			appendRecord(&w, key, &e.records[l.n])
+		}
+		if !w.OK {
+			*l = recordLog{stopped: true}
+			return nil, nil
+		}
+		l.b = w.B
+	}
+	return e.records[:l.n:l.n], l.b[:len(l.b):len(l.b)]
+}
+
+// cachedJSON returns the cached encoding of c.Records when it was
+// encoded from records equal to them bit for bit, and nil otherwise,
+// so any edit to Records, down to a ±0 or a NaN payload, falls back to
+// encoding them afresh.
+func (c *Checkpoint) cachedJSON() []byte {
+	if len(c.cache.json) == 0 || len(c.cache.recs) != len(c.Records) {
+		return nil
+	}
+	for i := range c.Records {
+		if !sameRecord(&c.Records[i], &c.cache.recs[i]) {
+			return nil
+		}
+	}
+	return c.cache.json
+}
+
+// sameRecord reports whether a and b are identical, floats compared by
+// their bits and times by instant, location and monotonic reading.
+func sameRecord(a, b *EpochRecord) bool {
+	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	return a.Start == b.Start && a.InBurst == b.InBurst && a.Case == b.Case && a.Config.Cores == b.Config.Cores &&
+		same(float64(a.Config.Freq), float64(b.Config.Freq)) && same(float64(a.Supply), float64(b.Supply)) &&
+		same(float64(a.Green), float64(b.Green)) && same(float64(a.Battery), float64(b.Battery)) &&
+		same(float64(a.Grid), float64(b.Grid)) && same(a.Offered, b.Offered) && same(a.Goodput, b.Goodput) &&
+		same(a.NormPerf, b.NormPerf) && same(a.Latency, b.Latency) && same(a.SoC, b.SoC) &&
+		same(a.SprintFraction, b.SprintFraction)
 }
 
 // appendRecord appends the bytes json.Marshal writes for r.

@@ -3,8 +3,10 @@ package sim
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -17,7 +19,7 @@ import (
 // the reflection-free path must also have written it.
 func checkEncodeParity(t *testing.T, name string, cp *Checkpoint, fast bool) {
 	t.Helper()
-	if _, ok := cp.appendJSON(nil); fast && !ok {
+	if _, _, ok := cp.appendJSON(nil, cp.cachedJSON()); fast && !ok {
 		t.Fatalf("%s: the fast encoder declined", name)
 	}
 	want, wantErr := json.Marshal(cp)
@@ -128,10 +130,34 @@ func TestCheckpointEncodeMatchesReflection(t *testing.T) {
 		"strategy with escape": func(cp *Checkpoint) { cp.Strategy = json.RawMessage(`{"a":"\"\u00e9"}`) },
 		"strategy name with &": func(cp *Checkpoint) { cp.StrategyName = "A&B" },
 	}
+	// Edits to Records that a checkpoint cut from a live engine must
+	// notice, encoding the records afresh instead of splicing in the
+	// engine's cached bytes.
+	edits := map[string]func(cp *Checkpoint){
+		"replace record":   func(cp *Checkpoint) { cp.Records[2] = cp.Records[3] },
+		"copy records":     func(cp *Checkpoint) { cp.Records = append([]EpochRecord(nil), cp.Records...) },
+		"append record":    func(cp *Checkpoint) { cp.Records = append(cp.Records, cp.Records[0]) },
+		"truncate records": func(cp *Checkpoint) { cp.Records = cp.Records[:len(cp.Records)-1] },
+		"nil records":      func(cp *Checkpoint) { cp.Records = nil },
+		"record -0":        func(cp *Checkpoint) { cp.Records[0].SprintFraction = math.Copysign(0, -1) },
+		"record zone":      func(cp *Checkpoint) { cp.Records[4].Start = cp.Records[4].Start.In(time.FixedZone("near", 3600)) },
+	}
 	fixture, err := os.ReadFile(hybridFixturePath)
 	if err != nil {
 		t.Fatal(err)
 	}
+	live := mustNew(t, ckptConfig(t))
+	for i := 0; i < 8; i++ {
+		if _, _, err := live.Step(); err != nil {
+			t.Fatal(err)
+		}
+		if i == 4 { // warm the engine's record log before the cut
+			if _, err := live.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	dir := t.TempDir()
 	for fast, cases := range map[bool]map[string]func(cp *Checkpoint){true: members, false: rewrites} {
 		for name, mutate := range cases {
 			cp, err := DecodeCheckpoint(fixture)
@@ -141,7 +167,150 @@ func TestCheckpointEncodeMatchesReflection(t *testing.T) {
 			mutate(cp)
 			checkEncodeParity(t, name, cp, fast)
 		}
+		for name, mutate := range cases {
+			cp, err := live.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			mutate(cp)
+			checkEncodeParity(t, "live "+name, cp, fast)
+			checkWriteFile(t, "live "+name, cp, dir)
+		}
 	}
+	for name, mutate := range edits {
+		cp, err := live.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		mutate(cp)
+		checkEncodeParity(t, "live "+name, cp, true)
+		checkWriteFile(t, "live "+name, cp, dir)
+	}
+}
+
+// checkWriteFile fails unless cp.WriteFile writes exactly Encode's
+// bytes, or fails where Encode does.
+func checkWriteFile(t *testing.T, name string, cp *Checkpoint, dir string) {
+	t.Helper()
+	want, wantErr := cp.Encode()
+	path := filepath.Join(dir, "cp.json")
+	if err := cp.WriteFile(path); wantErr != nil || err != nil {
+		if wantErr == nil || err == nil || err.Error() != wantErr.Error() {
+			t.Fatalf("%s: WriteFile error %v, Encode error %v", name, err, wantErr)
+		}
+		return
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s: WriteFile wrote other bytes than Encode:\n got %s\nwant %s", name, got, want)
+	}
+}
+
+// stepTo steps e to epoch index n.
+func stepTo(t *testing.T, e *Engine, n int) {
+	t.Helper()
+	for e.EpochIndex() < n {
+		if _, _, err := e.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// mustCut cuts e's checkpoint.
+func mustCut(t *testing.T, e *Engine) *Checkpoint {
+	t.Helper()
+	cp, err := e.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cp
+}
+
+// TestCheckpointRecordLogSurvivesRestore pins the rule that a Restore
+// drops the engine's record log rather than writing over it: a
+// checkpoint cut before the Restore must still encode its own records
+// once the restored engine has re-encoded different ones.
+func TestCheckpointRecordLogSurvivesRestore(t *testing.T) {
+	e := mustNew(t, ckptConfigFor(t, 2*time.Hour))
+	stepTo(t, e, 10)
+	cp0 := mustCut(t, e)
+	b, err := cp0.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited, err := DecodeCheckpoint(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if edited.Records[5].Goodput == 1 {
+		t.Fatal("record 5 already has the edited goodput")
+	}
+	edited.Records[5].Goodput = 1
+	if err := e.Restore(edited); err != nil {
+		t.Fatal(err)
+	}
+	checkEncodeParity(t, "cut after restore", mustCut(t, e), true)
+	checkEncodeParity(t, "cut before restore", cp0, true)
+	checkWriteFile(t, "cut before restore", cp0, t.TempDir())
+}
+
+// TestCheckpointRecordLogOutOfOrder encodes a later cut before an
+// earlier one: each splices in only the bytes of its own records.
+func TestCheckpointRecordLogOutOfOrder(t *testing.T) {
+	e := mustNew(t, ckptConfigFor(t, 2*time.Hour))
+	stepTo(t, e, 10)
+	cp10 := mustCut(t, e)
+	stepTo(t, e, 20)
+	cp20 := mustCut(t, e)
+	dir := t.TempDir()
+	for _, c := range []struct {
+		name string
+		cp   *Checkpoint
+	}{{"epoch 20", cp20}, {"epoch 10", cp10}} {
+		if c.cp.cachedJSON() == nil {
+			t.Fatalf("%s: the cut does not splice in the engine's record log", c.name)
+		}
+		checkEncodeParity(t, c.name, c.cp, true)
+		checkWriteFile(t, c.name, c.cp, dir)
+	}
+}
+
+// TestCheckpointRecordLogStops sets an engine record to NaN before the
+// log reaches it: that cut and every later one must fail as
+// json.Marshal does, and a Restore from a clean checkpoint starts a
+// log that encodes again.
+func TestCheckpointRecordLogStops(t *testing.T) {
+	e := mustNew(t, ckptConfigFor(t, 2*time.Hour))
+	stepTo(t, e, 10)
+	clean := mustCut(t, e)
+	stepTo(t, e, 11)
+	e.records[10].Goodput = math.NaN()
+	dir := t.TempDir()
+	for _, n := range []int{11, 12, 15} {
+		stepTo(t, e, n)
+		cp := mustCut(t, e)
+		if !e.recLog.stopped {
+			t.Fatalf("epoch %d: the record log did not stop at the NaN record", n)
+		}
+		if _, err := cp.Encode(); err == nil {
+			t.Fatalf("epoch %d: Encode accepted a NaN record", n)
+		}
+		checkEncodeParity(t, fmt.Sprintf("NaN cut at %d", n), cp, false)
+		checkWriteFile(t, fmt.Sprintf("NaN cut at %d", n), cp, dir)
+	}
+	if err := e.Restore(clean); err != nil {
+		t.Fatal(err)
+	}
+	stepTo(t, e, 12)
+	cp := mustCut(t, e)
+	if e.recLog.stopped || e.recLog.n != 12 {
+		t.Fatalf("after Restore the log covers %d records, stopped %v; want 12, false", e.recLog.n, e.recLog.stopped)
+	}
+	checkEncodeParity(t, "cut after restoring a clean checkpoint", cp, true)
+	checkWriteFile(t, "cut after restoring a clean checkpoint", cp, dir)
 }
 
 // checkCompactJSON fails if jsonw.IsCompact accepts b where json.Valid

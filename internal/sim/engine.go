@@ -86,6 +86,10 @@ type Engine struct {
 	records      []EpochRecord
 	burstPerfSum float64
 	burstEpochs  int
+
+	// recLog is the JSON of the records, extended by Checkpoint and
+	// dropped by Restore (see encodedRecords).
+	recLog recordLog
 }
 
 // New validates cfg and builds an Engine positioned at the first

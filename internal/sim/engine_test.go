@@ -23,9 +23,11 @@ import (
 // ckptConfig builds a medium-availability run with a mix of idle and
 // burst epochs and a fresh Hybrid strategy, so a checkpoint carries
 // every stateful layer (battery, PSS accounting, predictors, Q-table).
-func ckptConfig(t testing.TB) Config {
+func ckptConfig(t testing.TB) Config { return ckptConfigFor(t, 30*time.Minute) }
+
+// ckptConfigFor is ckptConfig with a burst of d.
+func ckptConfigFor(t testing.TB, d time.Duration) Config {
 	t.Helper()
-	d := 30 * time.Minute
 	lead, tail := 10*time.Minute, 10*time.Minute
 	green := cluster.REBatt()
 	supply := solar.Synthesize(solar.Med, lead+d+tail, time.Minute, float64(green.PeakGreen()), 42)
