@@ -5,7 +5,7 @@
 // loss or kernel crash can still lose or truncate the new contents;
 // the guarantee covers a killed process only. Every state file
 // GreenSprint persists across restarts (simulation and controller
-// checkpoints) goes through WriteFile.
+// checkpoints) goes through WriteFile or WriteChunks.
 package atomicfile
 
 import (

@@ -45,3 +45,20 @@ func TestWriteFileBadDir(t *testing.T) {
 		t.Error("want error for missing directory")
 	}
 }
+
+func TestWriteChunksConcatenates(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "state.json")
+	if err := WriteChunks(path, 0o600, []byte(`{"a":[`), nil, []byte(`1,2`), []byte{}, []byte(`]}`)); err != nil {
+		t.Fatal(err)
+	}
+	if b, _ := os.ReadFile(path); string(b) != `{"a":[1,2]}` {
+		t.Fatalf("got %q", b)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Mode().Perm() != 0o600 {
+		t.Fatalf("mode %v, want 0600", fi.Mode().Perm())
+	}
+}

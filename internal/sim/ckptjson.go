@@ -12,10 +12,9 @@ import (
 // field order under their omitempty rules, records through
 // appendRecord, the small component snapshots through appendMarshal.
 // It reports false, with b's contents unspecified, at the first value
-// only encoding/json renders faithfully. With recs, the record log
-// cachedRecords found for c, the records' elements are left out: they
-// belong at split, where the bytes before it end in `"records":[`.
-// Without recs, split is len of the result.
+// only encoding/json renders faithfully. With recs, c.cachedJSON(),
+// the records' elements are left out: they belong at split, just after
+// `"records":[`. Without recs, split is the length of the result.
 func (c *Checkpoint) appendJSON(b, recs []byte) (out []byte, split int, ok bool) {
 	if len(c.Strategy) > 0 && !jsonw.IsCompact(c.Strategy) {
 		return b, 0, false
@@ -58,16 +57,15 @@ func (c *Checkpoint) appendJSON(b, recs []byte) (out []byte, split int, ok bool)
 		}
 		w.B = append(w.B, ']')
 	}
-	split = -1
 	switch {
-	case c.Records == nil:
-		w.B = append(w.B, `,"records":null`...)
-	case len(c.Records) == 0:
-		w.B = append(w.B, `,"records":[]`...)
 	case recs != nil:
 		w.B = append(w.B, `,"records":[`...)
 		split = len(w.B)
 		w.B = append(w.B, ']')
+	case c.Records == nil:
+		w.B = append(w.B, `,"records":null`...)
+	case len(c.Records) == 0:
+		w.B = append(w.B, `,"records":[]`...)
 	default:
 		key := `,"records":[`
 		for i := range c.Records {
@@ -79,7 +77,7 @@ func (c *Checkpoint) appendJSON(b, recs []byte) (out []byte, split int, ok bool)
 	w.Float(`,"burst_perf_sum":`, c.BurstPerfSum)
 	w.Int(`,"burst_epochs":`, int64(c.BurstEpochs))
 	w.B = append(w.B, '}')
-	if split < 0 {
+	if recs == nil {
 		split = len(w.B)
 	}
 	return w.B, split, w.OK
@@ -92,39 +90,33 @@ const recordJSONCap = 384
 // recordLog is an engine's encoded record history: b holds the JSON of
 // its first n records, comma-joined as the records member lists them.
 // It only ever grows, so every view a Checkpoint holds stays valid;
-// Restore drops it for a fresh one rather than rewrite it. stopped
-// marks a record the hand encoder cannot write, after which the engine
-// keeps no log.
+// Restore drops it for a fresh one rather than rewrite it. It stops at
+// the first record the hand encoder cannot write.
 type recordLog struct {
-	b       []byte
-	n       int
-	stopped bool
+	b []byte
+	n int
 }
 
 // encodedRecords extends the record log by the records added since the
 // last cut and returns capacity-clipped views of the records it was
 // encoded from and of their JSON, so neither a later append to the log
 // nor a caller's append to a view can write bytes a view covers. Both
-// are nil once the log has stopped.
+// are nil while the log has stopped short of the records.
 func (e *Engine) encodedRecords() (recs []EpochRecord, enc []byte) {
 	l := &e.recLog
-	if l.stopped {
-		return nil, nil
-	}
 	if l.n < len(e.records) {
 		w := jsonw.Writer{B: slices.Grow(l.b, (len(e.records)-l.n)*recordJSONCap), OK: true}
-		for ; l.n < len(e.records) && w.OK; l.n++ {
+		for ; l.n < len(e.records); l.n++ {
 			key := ","
 			if l.n == 0 {
 				key = ""
 			}
 			appendRecord(&w, key, &e.records[l.n])
+			if !w.OK {
+				return nil, nil // l.b keeps the records before l.n
+			}
+			l.b = w.B
 		}
-		if !w.OK {
-			*l = recordLog{stopped: true}
-			return nil, nil
-		}
-		l.b = w.B
 	}
 	return e.records[:l.n:l.n], l.b[:len(l.b):len(l.b)]
 }
