@@ -2,12 +2,15 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"greensprint/internal/obs"
+	"greensprint/internal/sweep"
 )
 
 func TestRunTables(t *testing.T) {
@@ -112,5 +115,73 @@ func TestRunDaySharded(t *testing.T) {
 	// The summary line itself must match too (ignore the window notice).
 	if !strings.Contains(shardOut, strings.TrimPrefix(seqOut, "==== day ====\n")) {
 		t.Errorf("sharded summary differs:\nseq:\n%s\nsharded:\n%s", seqOut, shardOut)
+	}
+}
+
+// allDigest is the sha256 of the full -fig all stdout (the same digest
+// perfbench/digests.json pins for paper_figures).
+const allDigest = "sha256:2a661295d81f5e3ec2acdc6568d7c94bdf5b5c30f5a3e7c796e3e20e1cbf2840"
+
+// eachWorkers runs f as subtest name once with the sweep pool forced
+// serial and once at its default size, restoring the setting afterwards.
+func eachWorkers(t *testing.T, name string, f func(t *testing.T)) {
+	for _, n := range []int{1, 0} {
+		t.Run(fmt.Sprintf("%s/workers=%d", name, n), func(t *testing.T) {
+			prev := sweep.SetDefaultWorkers(n)
+			defer sweep.SetDefaultWorkers(prev)
+			f(t)
+		})
+	}
+}
+
+// TestRunAllDigest pins every byte of the -fig all output, serial and
+// parallel.
+func TestRunAllDigest(t *testing.T) {
+	eachWorkers(t, "all", func(t *testing.T) {
+		var buf bytes.Buffer
+		if err := run(&buf, "all", "", 1, nil); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("sha256:%x", sha256.Sum256(buf.Bytes())); got != allDigest {
+			t.Errorf("-fig all digest = %s, want %s", got, allDigest)
+		}
+	})
+}
+
+// TestRunFailureKeepsSerialPrefix makes one step's CSV export fail (a
+// directory sits where the file goes) and checks that the output holds
+// exactly what a serial run writes before it stops: every earlier step,
+// then the failing step's header and the text it printed before the
+// export. The error names the failing step.
+func TestRunFailureKeepsSerialPrefix(t *testing.T) {
+	var full bytes.Buffer
+	if err := run(&full, "all", "", 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct{ csv, step, next string }{
+		{"fig1.csv", "1", "5"},
+		{"Fig6_Med.csv", "6", "7"},
+		{"fig11.csv", "11", "day"},
+	}
+	for _, c := range cases {
+		end := strings.Index(full.String(), "==== "+c.next+" ====\n")
+		if end < 0 {
+			t.Fatalf("no %q step in the -fig all output", c.next)
+		}
+		want := full.String()[:end]
+		eachWorkers(t, c.csv, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.Mkdir(filepath.Join(dir, c.csv), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			err := run(&buf, "all", dir, 1, nil)
+			if err == nil || !strings.HasPrefix(err.Error(), "fig "+c.step+": ") {
+				t.Fatalf("err = %v, want a fig %s error", err, c.step)
+			}
+			if buf.String() != want {
+				t.Errorf("output is not the serial prefix before step %s: got %d bytes, want %d", c.next, buf.Len(), len(want))
+			}
+		})
 	}
 }
