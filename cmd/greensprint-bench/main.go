@@ -16,12 +16,14 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"sync"
 
 	"greensprint/internal/experiments"
 	"greensprint/internal/obs"
@@ -63,47 +65,79 @@ func main() {
 	}
 }
 
+// run regenerates the selected figure steps and writes them to w in
+// step order. The steps run concurrently through the sweep pool (one
+// at a time under -workers 1); each renders its header and body into a
+// buffer of its own. When a step fails, w gets what a serial run
+// writes before it stops: every earlier step, then the failing step's
+// header and partial output. Later steps may have written their -out
+// CSVs by then.
 func run(w io.Writer, fig, outDir string, windows int, sink obs.Sink) error {
 	if outDir != "" {
 		if err := os.MkdirAll(outDir, 0o755); err != nil {
 			return err
 		}
 	}
-	all := fig == "all"
-	ran := false
-	runStep := func(name string, f func() error) error {
-		if !all && fig != name {
-			return nil
-		}
-		ran = true
-		fmt.Fprintf(w, "==== %s ====\n", name)
-		return f()
-	}
-
-	steps := []struct {
+	type step struct {
 		name string
-		f    func() error
-	}{
-		{"tables", func() error { return tables(w) }},
-		{"headline", func() error { return headline(w) }},
-		{"1", func() error { return seriesFigure(w, outDir, "fig1", "hours", experiments.Fig1) }},
-		{"5", func() error { return seriesFigure(w, outDir, "fig5", "hours", experiments.Fig5) }},
-		{"6", func() error { return grid(w, outDir, experiments.Fig6) }},
-		{"7", func() error { return grid(w, outDir, experiments.Fig7) }},
-		{"8", func() error { return grid(w, outDir, experiments.Fig8) }},
-		{"9", func() error { return grid(w, outDir, experiments.Fig9) }},
-		{"10a", func() error { return grid(w, outDir, experiments.Fig10a) }},
-		{"10b", func() error { return fig10b(w) }},
-		{"11", func() error { return fig11(w, outDir) }},
-		{"day", func() error { return dayInLife(w, windows, sink) }},
+		f    func(w io.Writer) error
 	}
+	steps := []step{
+		{"tables", tables},
+		{"headline", headline},
+		{"1", func(w io.Writer) error { return seriesFigure(w, outDir, "fig1", "hours", experiments.Fig1) }},
+		{"5", func(w io.Writer) error { return seriesFigure(w, outDir, "fig5", "hours", experiments.Fig5) }},
+		{"6", func(w io.Writer) error { return grid(w, outDir, experiments.Fig6) }},
+		{"7", func(w io.Writer) error { return grid(w, outDir, experiments.Fig7) }},
+		{"8", func(w io.Writer) error { return grid(w, outDir, experiments.Fig8) }},
+		{"9", func(w io.Writer) error { return grid(w, outDir, experiments.Fig9) }},
+		{"10a", func(w io.Writer) error { return grid(w, outDir, experiments.Fig10a) }},
+		{"10b", fig10b},
+		{"11", func(w io.Writer) error { return fig11(w, outDir) }},
+		{"day", func(w io.Writer) error { return dayInLife(w, windows, sink) }},
+	}
+	var selected []step
 	for _, s := range steps {
-		if err := runStep(s.name, s.f); err != nil {
+		if fig == "all" || fig == s.name {
+			selected = append(selected, s)
+		}
+	}
+	if len(selected) == 0 {
+		return fmt.Errorf("unknown figure %q", fig)
+	}
+	// Each step records its own error instead of returning it to
+	// sweep.Map, whose early stop could skip an earlier step that a
+	// worker had claimed but not begun. A step after the lowest failed
+	// one is skipped, so -workers 1 stops where the serial loop did.
+	bufs := make([]bytes.Buffer, len(selected))
+	errs := make([]error, len(selected))
+	var mu sync.Mutex
+	failed := len(selected)
+	_, err := sweep.Map(context.Background(), selected, func(_ context.Context, i int, s step) (struct{}, error) {
+		mu.Lock()
+		skip := i > failed
+		mu.Unlock()
+		if skip {
+			return struct{}{}, nil
+		}
+		fmt.Fprintf(&bufs[i], "==== %s ====\n", s.name)
+		if errs[i] = s.f(&bufs[i]); errs[i] != nil {
+			mu.Lock()
+			failed = min(failed, i)
+			mu.Unlock()
+		}
+		return struct{}{}, nil
+	})
+	if err != nil {
+		return err
+	}
+	for i, s := range selected {
+		if _, err := w.Write(bufs[i].Bytes()); err != nil {
 			return fmt.Errorf("fig %s: %w", s.name, err)
 		}
-	}
-	if !ran {
-		return fmt.Errorf("unknown figure %q", fig)
+		if errs[i] != nil {
+			return fmt.Errorf("fig %s: %w", s.name, errs[i])
+		}
 	}
 	return nil
 }

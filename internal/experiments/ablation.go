@@ -80,14 +80,16 @@ func QuantizationSweep(steps []float64) ([]QuantizationPoint, error) {
 		return nil, err
 	}
 	green := cluster.REBatt()
-	// The profiling table is shared read-only; every cell builds its
-	// own Hybrid (and thus its own mutable Q-table).
+	supply := SupplyTraceForLevel(solar.Med, 30*time.Minute, green)
+	// The profiling table and the supply window are shared read-only;
+	// every cell builds its own Hybrid (and thus its own mutable
+	// Q-table).
 	return sweep.Map(context.Background(), steps, func(ctx context.Context, _ int, step float64) (QuantizationPoint, error) {
 		h, err := strategy.NewHybridWithOptions(p, tab, strategy.HybridOptions{QuantizationStep: step})
 		if err != nil {
 			return QuantizationPoint{}, err
 		}
-		res, err := simulate(ctx, p, tab, green, h, SupplyTraceForLevel(solar.Med, 30*time.Minute, green), 12)
+		res, err := simulate(ctx, p, tab, green, h, supply, 12)
 		if err != nil {
 			return QuantizationPoint{}, err
 		}
@@ -124,12 +126,13 @@ func RewardAblation() (shaped, literal, naive float64, err error) {
 		{LiteralReward: true},
 		{LiteralReward: true, DisableBurnValue: true},
 	}
+	supply := SupplyTraceForLevel(solar.Med, 60*time.Minute, green)
 	out, err := sweep.Map(context.Background(), variants, func(ctx context.Context, _ int, opts strategy.HybridOptions) (float64, error) {
 		h, err := strategy.NewHybridWithOptions(p, tab, opts)
 		if err != nil {
 			return 0, err
 		}
-		res, err := simulate(ctx, p, tab, green, h, SupplyTraceForLevel(solar.Med, 60*time.Minute, green), 12)
+		res, err := simulate(ctx, p, tab, green, h, supply, 12)
 		if err != nil {
 			return 0, err
 		}
@@ -243,7 +246,7 @@ func IntegrationComparison() (distributed, centralized float64, err error) {
 	peak := float64(green.PeakGreen())
 	level := tab.Levels - 1
 
-	normalPower := float64(p.LoadPower(server.Normal(), p.IntensityRate(12)))
+	normalPower := float64(p.LoadPower(server.Normal(), workload.SharedKernel(p).IntensityRate(12)))
 	// Two cells over the shared read-only table:
 	//
 	//   distributed — 3 servers split the array; each can draw its
@@ -401,7 +404,10 @@ func CalibrationSensitivity() ([]CalibrationPoint, error) {
 				p.OversubPenalty *= 1 + d
 			}})
 	}
-	// Each cell mutates its own value copy of the base profile.
+	// Each cell mutates its own value copy of the base profile. The
+	// gain stays on the Profile method: a perturbed profile is a key of
+	// its own, and a shared kernel for it would profile every setting
+	// to read two of them.
 	return sweep.Map(context.Background(), cells, func(_ context.Context, _ int, c perturbation) (CalibrationPoint, error) {
 		p := base
 		c.mutate(&p)

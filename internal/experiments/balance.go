@@ -50,7 +50,9 @@ type assignment struct {
 
 // clusterGoodput splits a cluster-wide offered rate across the given
 // per-server settings and returns the aggregate QoS-compliant
-// throughput plus the per-server assignments.
+// throughput plus the per-server assignments. It reads the max rates
+// from the workload's shared kernel, bit-identical to the Profile
+// methods without their bisections.
 func clusterGoodput(p workload.Profile, configs []server.Config, total float64) (float64, []assignment, error) {
 	if err := p.Validate(); err != nil {
 		return 0, nil, err
@@ -58,18 +60,19 @@ func clusterGoodput(p workload.Profile, configs []server.Config, total float64) 
 	if total < 0 {
 		return 0, nil, fmt.Errorf("experiments: negative total rate %v", total)
 	}
+	k := workload.SharedKernel(p)
 	maxRates := make([]float64, len(configs))
 	for i, c := range configs {
 		if !c.Valid() {
 			return 0, nil, fmt.Errorf("experiments: invalid config %v at %d", c, i)
 		}
-		maxRates[i] = p.MaxGoodput(c)
+		maxRates[i] = k.MaxGoodput(c)
 	}
 	shares := split(maxRates, total)
 	out := make([]assignment, len(configs))
 	sum := 0.0
 	for i, c := range configs {
-		g := p.Goodput(c, shares[i])
+		g := k.Goodput(c, shares[i])
 		out[i] = assignment{Offered: shares[i], Goodput: g}
 		sum += g
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"greensprint/internal/cluster"
 	"greensprint/internal/server"
 	"greensprint/internal/workload"
 )
@@ -152,5 +153,86 @@ func TestNormalizedClusterPerf(t *testing.T) {
 	}
 	if math.Abs(got-p.NormalizedPerf(server.MaxSprint()))/got > 0.02 {
 		t.Errorf("all-sprint cluster perf = %v, want ~%v", got, p.NormalizedPerf(server.MaxSprint()))
+	}
+}
+
+// profileClusterGoodput is clusterGoodput's arithmetic over the
+// uncached Profile methods, kept as the reference the kernel path must
+// match bit for bit.
+func profileClusterGoodput(p workload.Profile, configs []server.Config, total float64) (float64, []assignment) {
+	maxRates := make([]float64, len(configs))
+	for i, c := range configs {
+		maxRates[i] = p.MaxGoodput(c)
+	}
+	shares := split(maxRates, total)
+	out := make([]assignment, len(configs))
+	sum := 0.0
+	for i, c := range configs {
+		g := p.Goodput(c, shares[i])
+		out[i] = assignment{Offered: shares[i], Goodput: g}
+		sum += g
+	}
+	return sum, out
+}
+
+// TestClusterGoodputMatchesProfile checks clusterGoodput against the
+// Profile arithmetic by math.Float64bits for every mix the day summary
+// scores (the grid servers at overloadGridConfig, the green servers at
+// each setting in server.Configs(), and the all-Normal baseline), at
+// no load and below and above the mix's capacity.
+func TestClusterGoodputMatchesProfile(t *testing.T) {
+	cfg, err := dayInTheLifeConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := cfg.Workload
+	cl, err := cluster.New(cfg.Green)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gridCfg := overloadGridConfig(cfg.Table, cl)
+	mixes := [][]server.Config{overloadMix(cl, server.Normal(), server.Normal())}
+	for _, c := range server.Configs() {
+		mixes = append(mixes, overloadMix(cl, gridCfg, c))
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for _, mix := range mixes {
+		capacity := 0.0
+		for _, c := range mix {
+			capacity += p.MaxGoodput(c)
+		}
+		for _, total := range []float64{0, 0.6 * capacity, 1.7 * capacity} {
+			sum, assigns, err := clusterGoodput(p, mix, total)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantSum, want := profileClusterGoodput(p, mix, total)
+			if !same(sum, wantSum) {
+				t.Fatalf("green %v, total %v: sum %v, profile %v", mix[len(mix)-1], total, sum, wantSum)
+			}
+			for i := range want {
+				if !same(assigns[i].Offered, want[i].Offered) || !same(assigns[i].Goodput, want[i].Goodput) {
+					t.Fatalf("green %v, total %v, server %d: %+v, profile %+v", mix[len(mix)-1], total, i, assigns[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestExperimentKernelCallsMatchProfile checks the other experiment
+// call sites that read the shared kernel against the Profile methods
+// they replaced, by math.Float64bits: the day's Normal capacity and
+// Int=12 for every workload (ClusterWide, SubOptimalGridConfigs,
+// IntegrationComparison).
+func TestExperimentKernelCallsMatchProfile(t *testing.T) {
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for _, p := range workload.All() {
+		k := workload.SharedKernel(p)
+		if got, want := k.MaxGoodput(server.Normal()), p.MaxGoodput(server.Normal()); !same(got, want) {
+			t.Errorf("%s Normal capacity: kernel %v, profile %v", p.Name, got, want)
+		}
+		if got, want := k.IntensityRate(12), p.IntensityRate(12); !same(got, want) {
+			t.Errorf("%s IntensityRate(12): kernel %v, profile %v", p.Name, got, want)
+		}
 	}
 }

@@ -45,7 +45,7 @@ func ClusterWide(level solar.Availability, d time.Duration) (*ClusterWideResult,
 		return nil, err
 	}
 	headroom := cl.GridHeadroomPerGridServer()
-	lvl := tab.LevelFor(p.IntensityRate(12))
+	lvl := tab.LevelFor(workload.SharedKernel(p).IntensityRate(12))
 	e, ok := tab.BestWithin(lvl, headroom, nil)
 	gridPerf := 1.0
 	gridCfg := server.Normal()
@@ -53,7 +53,7 @@ func ClusterWide(level solar.Availability, d time.Duration) (*ClusterWideResult,
 		gridPerf = e.NormPerf
 		gridCfg = e.Config()
 	}
-	greenPerf, err := runCell(context.Background(), p, green, "Hybrid", level, d, 12)
+	greenPerf, err := runCell(context.Background(), p, green, "Hybrid", SupplyTraceForLevel(level, d, green), 12)
 	if err != nil {
 		return nil, err
 	}
@@ -82,7 +82,7 @@ func SubOptimalGridConfigs() (fits []server.Config, headroom units.Watt, err err
 		{Cores: 12, Freq: 1500},
 		{Cores: 7, Freq: 2000},
 	}
-	rate := p.IntensityRate(12)
+	rate := workload.SharedKernel(p).IntensityRate(12)
 	for _, c := range candidates {
 		if p.LoadPower(c, rate) <= headroom {
 			fits = append(fits, c)

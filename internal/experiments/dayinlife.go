@@ -7,6 +7,7 @@ import (
 
 	"greensprint/internal/cluster"
 	"greensprint/internal/obs"
+	"greensprint/internal/profile"
 	"greensprint/internal/server"
 	"greensprint/internal/sim"
 	"greensprint/internal/solar"
@@ -96,7 +97,7 @@ func dayInTheLifeConfig() (sim.Config, error) {
 	// 1.0 on the normalized pattern maps to a fully used Normal-mode
 	// server, so the spikes overload it the way Figure 1's spikes
 	// overload the grid.
-	normalCap := p.MaxGoodput(server.Normal())
+	normalCap := workload.SharedKernel(p).MaxGoodput(server.Normal())
 	perServerOffered := load.Scale(normalCap)
 	strat, err := strategy.NewHybrid(p, tab)
 	if err != nil {
@@ -121,19 +122,13 @@ func summarizeDay(cfg sim.Config, res *sim.Result) (*DayResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	normalCap := p.MaxGoodput(server.Normal())
+	normalCap := workload.SharedKernel(p).MaxGoodput(server.Normal())
 
 	out := &DayResult{
 		GreenFraction:       res.Account.GreenFraction(),
 		BatteryCyclesPerDay: res.BatteryCycles,
 	}
-	// Cluster-wide performance per overloaded epoch: grid servers at
-	// their best sub-optimal setting, green servers at the epoch's
-	// executed setting.
-	gridCfg := server.Normal()
-	if e, ok := tab.BestWithin(tab.Levels-1, cl.GridHeadroomPerGridServer(), nil); ok {
-		gridCfg = e.Config()
-	}
+	gridCfg := overloadGridConfig(tab, cl)
 	var perfSum float64
 	overloaded := 0
 	for _, rec := range res.Records {
@@ -145,14 +140,7 @@ func summarizeDay(cfg sim.Config, res *sim.Result) (*DayResult, error) {
 		if rec.Offered <= normalCap {
 			continue
 		}
-		configs := make([]server.Config, 0, cl.Servers)
-		for i := 0; i < cl.GridServers(); i++ {
-			configs = append(configs, gridCfg)
-		}
-		for i := 0; i < green.GreenServers; i++ {
-			configs = append(configs, rec.Config)
-		}
-		perf, err := normalizedClusterPerf(p, configs, rec.Offered*float64(cl.Servers))
+		perf, err := normalizedClusterPerf(p, overloadMix(cl, gridCfg, rec.Config), rec.Offered*float64(cl.Servers))
 		if err != nil {
 			return nil, err
 		}
@@ -168,6 +156,30 @@ func summarizeDay(cfg sim.Config, res *sim.Result) (*DayResult, error) {
 	out.YearlyBenefit = m.Benefit(yearlyHours)
 	out.YearlyBenefitWithWear = m.BenefitWithWear(yearlyHours, out.BatteryCyclesPerDay*365, 1300)
 	return out, nil
+}
+
+// overloadGridConfig is the setting the grid-fed servers run on an
+// overloaded epoch: their best sub-optimal setting within the grid
+// headroom, or Normal when none fits.
+func overloadGridConfig(tab *profile.Table, cl *cluster.Cluster) server.Config {
+	if e, ok := tab.BestWithin(tab.Levels-1, cl.GridHeadroomPerGridServer(), nil); ok {
+		return e.Config()
+	}
+	return server.Normal()
+}
+
+// overloadMix is the cluster the day summary scores on an overloaded
+// epoch: the grid-fed servers at gridCfg, then the green servers at
+// the epoch's executed setting.
+func overloadMix(cl *cluster.Cluster, gridCfg, greenCfg server.Config) []server.Config {
+	configs := make([]server.Config, 0, cl.Servers)
+	for i := 0; i < cl.GridServers(); i++ {
+		configs = append(configs, gridCfg)
+	}
+	for i := 0; i < cl.Green.GreenServers; i++ {
+		configs = append(configs, greenCfg)
+	}
+	return configs
 }
 
 // String renders the day summary.

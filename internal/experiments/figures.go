@@ -121,8 +121,8 @@ func Fig10a() (*FigureGrid, error) {
 		names = append(names, fmt.Sprintf("Int=%d", in))
 	}
 	return runGrid("Fig10a", p.Name, green.Name+", Med availability, Hybrid", []solar.Availability{solar.Med}, names,
-		func(ctx context.Context, d time.Duration, level solar.Availability, in int) (float64, error) {
-			return runCell(ctx, p, green, "Hybrid", level, d, intensities[in])
+		func(ctx context.Context, sup *supplyWindows, d time.Duration, level solar.Availability, in int) (float64, error) {
+			return runCell(ctx, p, green, "Hybrid", sup.get(level, d, green), intensities[in])
 		})
 }
 
@@ -132,8 +132,10 @@ func Fig10b() (map[string]float64, error) {
 	p := workload.SPECjbb()
 	green := cluster.RESBatt()
 	strats := []string{"Greedy", "Parallel", "Pacing", "Hybrid"}
+	// The four cells replay one window (see supplyWindows).
+	supply := SupplyTraceForLevel(solar.Min, 10*time.Minute, green)
 	vals, err := sweep.Map(context.Background(), strats, func(ctx context.Context, _ int, s string) (float64, error) {
-		v, err := runCell(ctx, p, green, s, solar.Min, 10*time.Minute, 9)
+		v, err := runCell(ctx, p, green, s, supply, 9)
 		if err != nil {
 			return 0, fmt.Errorf("Fig10b %s: %w", s, err)
 		}
@@ -188,8 +190,7 @@ func TableII() *report.Table {
 }
 
 // SupplyTraceForLevel is the canonical synthetic supply window: the
-// one runCell synthesizes for the figure grids, and the one the
-// ablations replay.
+// one the figure grids and the ablations replay.
 func SupplyTraceForLevel(level solar.Availability, d time.Duration, green cluster.GreenConfig) *trace.Trace {
 	return solar.Synthesize(level, d, time.Minute, float64(green.PeakGreen()), Seed)
 }

@@ -10,6 +10,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"greensprint/internal/cluster"
@@ -20,6 +21,7 @@ import (
 	"greensprint/internal/strategy"
 	"greensprint/internal/sweep"
 	"greensprint/internal/trace"
+	"greensprint/internal/units"
 	"greensprint/internal/workload"
 )
 
@@ -35,19 +37,11 @@ func tableFor(p workload.Profile) (*profile.Table, error) {
 	return profile.BuildCached(p, profile.DefaultLevels)
 }
 
-// runCell simulates one figure cell and returns the mean normalized
-// performance over the burst. ctx cancellation stops the underlying
-// run at an epoch boundary.
+// runCell simulates one figure cell over the given supply window and
+// returns the mean normalized performance over the burst. ctx
+// cancellation stops the underlying run at an epoch boundary.
 func runCell(ctx context.Context, p workload.Profile, green cluster.GreenConfig, stratName string,
-	level solar.Availability, d time.Duration, intensity int) (float64, error) {
-	return runCellSeeded(ctx, p, green, stratName, level, d, intensity, Seed)
-}
-
-// runCellSeeded is runCell with an explicit supply seed, used by the
-// seed-sensitivity analysis.
-func runCellSeeded(ctx context.Context, p workload.Profile, green cluster.GreenConfig, stratName string,
-	level solar.Availability, d time.Duration, intensity int, seed int64) (float64, error) {
-
+	supply *trace.Trace, intensity int) (float64, error) {
 	tab, err := tableFor(p)
 	if err != nil {
 		return 0, err
@@ -56,12 +50,45 @@ func runCellSeeded(ctx context.Context, p workload.Profile, green cluster.GreenC
 	if err != nil {
 		return 0, err
 	}
-	supply := solar.Synthesize(level, d, time.Minute, float64(green.PeakGreen()), seed)
 	res, err := simulate(ctx, p, tab, green, strat, supply, intensity)
 	if err != nil {
 		return 0, err
 	}
 	return res.MeanNormPerf, nil
+}
+
+// supplyWindows synthesizes each canonical supply window
+// (SupplyTraceForLevel) once for the cells of one sweep: the strategy
+// cells of a figure row replay the same window, and every synthesis
+// seeds a fresh math/rand source. Cells may share one trace because
+// nothing writes to a sim.Config's Supply: the engine only reads its
+// start and its samples (At, Window). The zero value is ready to use.
+type supplyWindows struct {
+	mu sync.Mutex
+	m  map[supplyKey]func() *trace.Trace
+}
+
+type supplyKey struct {
+	level solar.Availability
+	d     time.Duration
+	peak  units.Watt
+}
+
+// get returns SupplyTraceForLevel(level, d, green), synthesizing it on
+// the first request for its key.
+func (s *supplyWindows) get(level solar.Availability, d time.Duration, green cluster.GreenConfig) *trace.Trace {
+	k := supplyKey{level: level, d: d, peak: green.PeakGreen()}
+	s.mu.Lock()
+	f, ok := s.m[k]
+	if !ok {
+		if s.m == nil {
+			s.m = map[supplyKey]func() *trace.Trace{}
+		}
+		f = sync.OnceValue(func() *trace.Trace { return SupplyTraceForLevel(level, d, green) })
+		s.m[k] = f
+	}
+	s.mu.Unlock()
+	return f()
 }
 
 // simulate runs one burst of the given intensity over the whole supply
@@ -136,9 +163,10 @@ func (g *FigureGrid) Series(level solar.Availability) []report.Series {
 
 // runGrid fans a duration × level × variant grid out across the sweep
 // pool and collects it into a FigureGrid. cell gets the variant's
-// index and builds its own strategy instance.
+// index and builds its own strategy instance; it takes its supply
+// window from the grid's shared supplyWindows.
 func runGrid(id, workloadName, greenName string, levels []solar.Availability, variants []string,
-	cell func(ctx context.Context, d time.Duration, level solar.Availability, variant int) (float64, error)) (*FigureGrid, error) {
+	cell func(ctx context.Context, sup *supplyWindows, d time.Duration, level solar.Availability, variant int) (float64, error)) (*FigureGrid, error) {
 	g := &FigureGrid{
 		ID:        id,
 		Workload:  workloadName,
@@ -148,11 +176,12 @@ func runGrid(id, workloadName, greenName string, levels []solar.Availability, va
 		Variants:  variants,
 		Perf:      map[time.Duration]map[solar.Availability]map[string]float64{},
 	}
+	var sup supplyWindows
 	vals, err := sweep.Grid(context.Background(),
 		[]int{len(g.Durations), len(levels), len(variants)},
 		func(ctx context.Context, _ int, c []int) (float64, error) {
 			d, level := g.Durations[c[0]], levels[c[1]]
-			v, err := cell(ctx, d, level, c[2])
+			v, err := cell(ctx, &sup, d, level, c[2])
 			if err != nil {
 				return 0, fmt.Errorf("%s %v/%v/%s: %w", id, d, level, variants[c[2]], err)
 			}
@@ -181,8 +210,8 @@ func runGrid(id, workloadName, greenName string, levels []solar.Availability, va
 func strategyGrid(id string, p workload.Profile, green cluster.GreenConfig) (*FigureGrid, error) {
 	strats := []string{"Greedy", "Parallel", "Pacing", "Hybrid"}
 	return runGrid(id, p.Name, green.Name, solar.Levels(), strats,
-		func(ctx context.Context, d time.Duration, level solar.Availability, s int) (float64, error) {
-			return runCell(ctx, p, green, strats[s], level, d, 12)
+		func(ctx context.Context, sup *supplyWindows, d time.Duration, level solar.Availability, s int) (float64, error) {
+			return runCell(ctx, p, green, strats[s], sup.get(level, d, green), 12)
 		})
 }
 
@@ -212,8 +241,8 @@ func Fig7() (*FigureGrid, error) {
 		names = append(names, c.Name)
 	}
 	return runGrid("Fig7", p.Name, "Hybrid strategy", solar.Levels(), names,
-		func(ctx context.Context, d time.Duration, level solar.Availability, c int) (float64, error) {
-			return runCell(ctx, p, configs[c], "Hybrid", level, d, 12)
+		func(ctx context.Context, sup *supplyWindows, d time.Duration, level solar.Availability, c int) (float64, error) {
+			return runCell(ctx, p, configs[c], "Hybrid", sup.get(level, d, configs[c]), 12)
 		})
 }
 
@@ -229,8 +258,10 @@ func SeedSensitivity(level solar.Availability, d time.Duration, seeds []int64) (
 		seeds = SensitivitySeeds(8)
 	}
 	p := workload.SPECjbb()
+	green := cluster.REBatt()
 	vals, err := sweep.Map(context.Background(), seeds, func(ctx context.Context, _ int, s int64) (float64, error) {
-		return runCellSeeded(ctx, p, cluster.REBatt(), "Hybrid", level, d, 12, s)
+		supply := solar.Synthesize(level, d, time.Minute, float64(green.PeakGreen()), s)
+		return runCell(ctx, p, green, "Hybrid", supply, 12)
 	})
 	if err != nil {
 		return 0, 0, 0, err
@@ -266,8 +297,12 @@ func SensitivitySeeds(n int) []int64 {
 // supply (4.8x SPECjbb, 4.1x Web-Search, 4.7x Memcached).
 func HeadlineGains() (map[string]float64, error) {
 	all := workload.All()
+	green := cluster.REBatt()
+	// The three cells replay one window; sharing it is safe for the
+	// reason supplyWindows gives.
+	supply := SupplyTraceForLevel(solar.Max, 30*time.Minute, green)
 	vals, err := sweep.Map(context.Background(), all, func(ctx context.Context, _ int, p workload.Profile) (float64, error) {
-		return runCell(ctx, p, cluster.REBatt(), "Hybrid", solar.Max, 30*time.Minute, 12)
+		return runCell(ctx, p, green, "Hybrid", supply, 12)
 	})
 	if err != nil {
 		return nil, err

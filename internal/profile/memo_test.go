@@ -66,3 +66,23 @@ func TestMemo(t *testing.T) {
 		t.Fatalf("table holds %d values, want 3", n)
 	}
 }
+
+// TestBuildCachedKeepsNoFailure checks that BuildCached does not keep
+// a failed build: the next call must retry it.
+func TestBuildCachedKeepsNoFailure(t *testing.T) {
+	cached := func(p workload.Profile, levels int) bool {
+		buildMu.Lock()
+		defer buildMu.Unlock()
+		_, ok := buildCache[buildKey{p: p, levels: levels}]
+		return ok
+	}
+	p := workload.SPECjbb()
+	for i := 0; i < 2; i++ {
+		if _, err := BuildCached(p, 0); err == nil {
+			t.Fatal("BuildCached(p, 0) succeeded, want a level-count error")
+		}
+		if cached(p, 0) {
+			t.Fatal("a failed build stayed in the memo")
+		}
+	}
+}

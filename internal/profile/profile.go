@@ -119,28 +119,44 @@ type buildKey struct {
 	levels int
 }
 
+// buildEntry is one key's build, run once by whichever caller gets
+// there first; callers of the same key wait for it and share its
+// result. It is a pointer so that a failed build can tell whether a
+// retry has already replaced its entry.
+type buildEntry struct {
+	build func() (*Table, error)
+}
+
 var (
 	buildMu    sync.Mutex
-	buildCache = map[buildKey]*Table{}
+	buildCache = map[buildKey]*buildEntry{}
 )
 
-// BuildCached is a process-level, mutex-guarded memo over Build:
-// identical (workload, levels) requests — e.g. the thousands of sweep
-// cells that profile the same three workloads — share one immutable
-// *Table instead of re-running the exhaustive profiling per cell. The
-// returned table must be treated as read-only.
+// BuildCached is a process-level memo over Build: identical (workload,
+// levels) requests — e.g. the thousands of sweep cells that profile
+// the same three workloads — share one immutable *Table instead of
+// re-running the exhaustive profiling per cell. The lock guards only
+// the map, so distinct keys build at the same time, and each key
+// builds once. A failed build is dropped from the memo, so the next
+// call retries it. The returned table must be treated as read-only.
 func BuildCached(p workload.Profile, levels int) (*Table, error) {
 	k := buildKey{p: p, levels: levels}
 	buildMu.Lock()
-	defer buildMu.Unlock()
-	if t, ok := buildCache[k]; ok {
-		return t, nil
+	e, ok := buildCache[k]
+	if !ok {
+		e = &buildEntry{build: sync.OnceValues(func() (*Table, error) { return Build(p, levels) })}
+		buildCache[k] = e
 	}
-	t, err := Build(p, levels)
+	buildMu.Unlock()
+	t, err := e.build()
 	if err != nil {
+		buildMu.Lock()
+		if buildCache[k] == e {
+			delete(buildCache, k)
+		}
+		buildMu.Unlock()
 		return nil, err
 	}
-	buildCache[k] = t
 	return t, nil
 }
 

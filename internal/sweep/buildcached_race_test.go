@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"greensprint/internal/profile"
+	"greensprint/internal/server"
 	"greensprint/internal/workload"
 )
 
@@ -52,6 +53,39 @@ func TestBuildCachedConcurrent(t *testing.T) {
 				math.Float64bits(g.Goodput) != math.Float64bits(w.Goodput) ||
 				math.Float64bits(g.NormPerf) != math.Float64bits(w.NormPerf) {
 				t.Fatalf("%s entry %d: cached %+v != reference %+v", p.Name, i, g, w)
+			}
+		}
+	}
+}
+
+// TestSharedKernelConcurrent requests the process-level kernels from a
+// pool of concurrent sweep workers and checks that every worker for one
+// workload gets the same kernel, whose values match a fresh one.
+func TestSharedKernelConcurrent(t *testing.T) {
+	profiles := workload.All()
+	const perProfile = 32
+	useWorkers(t, 8)
+	kernels, err := Map(context.Background(), make([]struct{}, perProfile*len(profiles)),
+		func(ctx context.Context, i int, _ struct{}) (*workload.Kernel, error) {
+			return workload.SharedKernel(profiles[i%len(profiles)]), nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, k := range kernels {
+		p := profiles[i%len(profiles)]
+		if k != kernels[i%len(profiles)] {
+			t.Fatalf("cell %d: SharedKernel returned a distinct kernel for %s", i, p.Name)
+		}
+		if k.Profile() != p {
+			t.Fatalf("cell %d: kernel for %s profiles %s", i, p.Name, k.Profile().Name)
+		}
+	}
+	for pi, p := range profiles {
+		ref := workload.NewKernel(p)
+		for _, c := range server.Configs() {
+			if got, want := kernels[pi].MaxGoodput(c), ref.MaxGoodput(c); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s %v: shared %v, fresh %v", p.Name, c, got, want)
 			}
 		}
 	}

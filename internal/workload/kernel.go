@@ -134,22 +134,25 @@ func (k *Kernel) EffectiveLatency(c server.Config, offered float64) float64 {
 
 // sharedKernels is the process-level kernel cache behind SharedKernel.
 // Profile is a comparable value type, so identical workloads across
-// sweep cells key the same entry. Kernels are immutable, so sharing
-// one across goroutines is safe; only the map itself needs the lock.
+// sweep cells key the same entry. The lock guards only the map: each
+// entry builds its kernel once, outside the lock, so two workloads
+// build at the same time while callers of one key wait for its single
+// build. Kernels are immutable, so sharing one across goroutines is
+// safe.
 var (
 	sharedMu      sync.Mutex
-	sharedKernels = map[Profile]*Kernel{}
+	sharedKernels = map[Profile]func() *Kernel{}
 )
 
 // SharedKernel returns the process-wide memoized kernel for p,
 // building it on first use.
 func SharedKernel(p Profile) *Kernel {
 	sharedMu.Lock()
-	defer sharedMu.Unlock()
-	if k, ok := sharedKernels[p]; ok {
-		return k
+	k, ok := sharedKernels[p]
+	if !ok {
+		k = sync.OnceValue(func() *Kernel { return NewKernel(p) })
+		sharedKernels[p] = k
 	}
-	k := NewKernel(p)
-	sharedKernels[p] = k
-	return k
+	sharedMu.Unlock()
+	return k()
 }
