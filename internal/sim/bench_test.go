@@ -2,12 +2,14 @@ package sim
 
 import (
 	"fmt"
+	"io"
 	"path/filepath"
 	"testing"
 	"time"
 
 	"greensprint/internal/cluster"
 	"greensprint/internal/fleet"
+	"greensprint/internal/obs"
 	"greensprint/internal/solar"
 	"greensprint/internal/strategy"
 	"greensprint/internal/units"
@@ -82,9 +84,21 @@ func BenchmarkEngineStep(b *testing.B) {
 // square burst each epoch re-runs the sojourn bisection for the
 // settings it looks up. The engine is rebuilt outside the timer when
 // its day is consumed.
-func BenchmarkEngineStepReplay(b *testing.B) {
+func BenchmarkEngineStepReplay(b *testing.B) { benchReplay(b, nil) }
+
+// BenchmarkEngineStepReplayEvents is BenchmarkEngineStepReplay with
+// every epoch's event line rendered by a JSONL sink into io.Discard:
+// the stepping layers plus the event encoder. One sink serves every
+// rebuilt engine, as one would serve a long run.
+func BenchmarkEngineStepReplayEvents(b *testing.B) { benchReplay(b, obs.NewJSONL(io.Discard)) }
+
+// benchReplay steps replayConfig engines emitting to sink, which may
+// be nil.
+func benchReplay(b *testing.B, sink obs.Sink) {
 	newEngine := func() *Engine {
-		e, err := New(replayConfig(b, 1))
+		cfg := replayConfig(b, 1)
+		cfg.Sink = sink
+		e, err := New(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
