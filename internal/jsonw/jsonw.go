@@ -39,28 +39,70 @@ func (w *Writer) OmitInt(key string, v int64) {
 // negative exponent unpadded (e-07 → e-7). NaN and ±Inf, which
 // encoding/json rejects, clear OK.
 func (w *Writer) Float(key string, f float64) {
-	if math.IsInf(f, 0) || math.IsNaN(f) {
+	if !finite(f) {
 		w.OK = false
 		return
 	}
+	w.B = appendFloat(append(w.B, key...), f)
+}
+
+// FloatMemo holds the last float64 that MemoFloat formatted into it:
+// its bits and Float's bytes for it. Equal bits always format to equal
+// bytes, so a later value with the same bits is copied from the memo
+// instead of formatted again. The zero FloatMemo is empty.
+type FloatMemo struct {
+	bits uint64
+	n    uint8    // length of the stored bytes; 0 while empty
+	b    [32]byte // Float's longest output, such as -0.0000012345678901234567, is 25 bytes
+}
+
+// MemoFloat appends f as Float does. It copies the bytes of the first
+// memo that holds f's bits; on a miss it formats f and stores it in
+// memos[0]. A value Float rejects is never stored, so it never hits.
+// The later memos are only read: a member that often repeats another
+// member's value passes that member's memo second.
+func (w *Writer) MemoFloat(key string, f float64, memos ...*FloatMemo) {
+	w.B = append(w.B, key...)
+	bits := math.Float64bits(f)
+	for _, m := range memos {
+		if m.n != 0 && m.bits == bits {
+			w.B = append(w.B, m.b[:m.n]...)
+			return
+		}
+	}
+	if !finite(f) {
+		w.OK = false
+		return
+	}
+	n := len(w.B)
+	w.B = appendFloat(w.B, f)
+	m := memos[0]
+	m.bits, m.n = bits, uint8(copy(m.b[:], w.B[n:]))
+}
+
+// OmitMemoFloat appends f through memos, as MemoFloat does, unless it
+// is zero, including -0, as omitempty does.
+func (w *Writer) OmitMemoFloat(key string, f float64, memos ...*FloatMemo) {
+	if f != 0 {
+		w.MemoFloat(key, f, memos...)
+	}
+}
+
+// finite reports whether encoding/json accepts f: neither NaN nor ±Inf.
+func finite(f float64) bool { return !math.IsInf(f, 0) && !math.IsNaN(f) }
+
+// appendFloat appends finite f in encoding/json's form; see Float.
+func appendFloat(b []byte, f float64) []byte {
 	format := byte('f')
 	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
 	}
-	b := strconv.AppendFloat(append(w.B, key...), f, format, -1, 64)
+	b = strconv.AppendFloat(b, f, format, -1, 64)
 	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
 		b[n-2] = b[n-1]
 		b = b[:n-1]
 	}
-	w.B = b
-}
-
-// OmitFloat appends f unless it is zero, including -0, as omitempty
-// does.
-func (w *Writer) OmitFloat(key string, f float64) {
-	if f != 0 {
-		w.Float(key, f)
-	}
+	return b
 }
 
 // String appends s when encoding/json copies it verbatim, every byte

@@ -39,6 +39,32 @@ func TestFloat(t *testing.T) {
 	}
 }
 
+// TestMemoFloat runs floatCases through one pair of memos, each value
+// repeated, and again after -0 and after its negation, and checks that
+// every write is Float's: a repeat hits, whether in the first memo or
+// the second, and a rejected value never does.
+func TestMemoFloat(t *testing.T) {
+	var m, alt FloatMemo
+	negZero := math.Copysign(0, -1)
+	i := 0
+	for _, f := range floatCases {
+		for _, g := range []float64{f, f, negZero, f, -f, f, 0} {
+			want := Writer{B: []byte("x"), OK: true}
+			want.Float(`,"k":`, g)
+			got := Writer{B: []byte("x"), OK: true}
+			got.MemoFloat(`,"k":`, g, &m, &alt)
+			if got.OK != want.OK || got.OK && string(got.B) != string(want.B) {
+				t.Fatalf("MemoFloat(%v) = %s (OK %v), Float wrote %s (OK %v)", g, got.B, got.OK, want.B, want.OK)
+			}
+			// Every second write moves the first memo to the second,
+			// which MemoFloat only reads.
+			if i++; i%2 == 0 {
+				alt, m = m, FloatMemo{}
+			}
+		}
+	}
+}
+
 // TestWriterMatchesMarshal pins every member form, omitempty included,
 // to json.Marshal of a struct with the same schema.
 func TestWriterMatchesMarshal(t *testing.T) {
@@ -63,7 +89,7 @@ func TestWriterMatchesMarshal(t *testing.T) {
 		w.Int(`{"i":`, int64(d.I))
 		w.OmitInt(`,"oi":`, int64(d.OI))
 		w.Float(`,"f":`, d.F)
-		w.OmitFloat(`,"of":`, d.OF)
+		w.OmitMemoFloat(`,"of":`, d.OF, &FloatMemo{})
 		w.String(`,"s":`, d.S)
 		w.OmitString(`,"os":`, d.OS)
 		w.Bool(`,"b":`, d.B)
@@ -81,7 +107,8 @@ func TestWriterMatchesMarshal(t *testing.T) {
 func TestWriterDeclines(t *testing.T) {
 	for name, write := range map[string]func(w *Writer){
 		"NaN":             func(w *Writer) { w.Float("", math.NaN()) },
-		"omitted -Inf":    func(w *Writer) { w.OmitFloat("", math.Inf(-1)) },
+		"omitted -Inf":    func(w *Writer) { w.OmitMemoFloat("", math.Inf(-1), &FloatMemo{}) },
+		"memo NaN":        func(w *Writer) { w.MemoFloat("", math.NaN(), &FloatMemo{}) },
 		"HTML escape":     func(w *Writer) { w.String("", "A&B") },
 		"quote":           func(w *Writer) { w.OmitString("", `say "hi"`) },
 		"control":         func(w *Writer) { w.String("", "a\nb") },

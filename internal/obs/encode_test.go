@@ -5,13 +5,19 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
 // FuzzJSONLEncoding checks that JSONL writes exactly the bytes
 // json.Encoder writes for any event, that the reflection-free encoder
 // agrees with it whenever it accepts an event, and that non-finite
-// floats fail with encoding/json's own error.
+// floats fail with encoding/json's own error. Every input goes through
+// one long-lived sink whose float memos are warm: first the seeds,
+// then the fuzz event, then copies of it with one top-level float's
+// bits nudged, its sign flipped, and set to 0 and -0, each followed by
+// the fuzz event again.
 func FuzzJSONLEncoding(f *testing.F) {
 	for _, ev := range encodingSeeds() {
 		data := marshalFuzzEvent(&ev)
@@ -25,35 +31,158 @@ func FuzzJSONLEncoding(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var ev Event
 		walkEvent(&fuzzReader{b: data}, &ev)
-
-		var want bytes.Buffer
-		wantErr := json.NewEncoder(&want).Encode(ev)
-		var got bytes.Buffer
-		gotErr := NewJSONL(&got).Emit(ev)
-		if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
-			t.Fatalf("Emit error %v, json.Encoder error %v", gotErr, wantErr)
+		c := newEncodingChecker()
+		for _, seed := range encodingSeeds() {
+			c.check(t, seed)
 		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Fatalf("Emit wrote\n%s\njson.Encoder wrote\n%s", got.Bytes(), want.Bytes())
-		}
-		if fast, ok := appendEvent(nil, &ev); ok {
-			if wantErr != nil {
-				t.Fatalf("fast path accepted an event json.Encoder rejects (%v)", wantErr)
-			}
-			if !bytes.Equal(fast, want.Bytes()) {
-				t.Fatalf("fast path wrote\n%s\njson.Encoder wrote\n%s", fast, want.Bytes())
+		c.check(t, ev)
+		for i := range numFloatMembers {
+			for _, set := range []func(float64) float64{
+				func(v float64) float64 { return math.Float64frombits(math.Float64bits(v) ^ 1) },
+				func(v float64) float64 { return -v },
+				func(float64) float64 { return 0 },
+				func(float64) float64 { return math.Copysign(0, -1) },
+			} {
+				v := ev
+				p := floatMembers(&v)[i]
+				*p = set(*p)
+				c.check(t, v)
+				c.check(t, ev)
 			}
 		}
 	})
 }
 
+// encodingChecker emits events through one JSONL sink, and through
+// appendEvent with memos that follow the sink's, checking each against
+// json.Encoder.
+type encodingChecker struct {
+	out   bytes.Buffer
+	sink  *JSONL
+	memos floatMemos
+}
+
+func newEncodingChecker() *encodingChecker {
+	c := &encodingChecker{}
+	c.sink = NewJSONL(&c.out)
+	return c
+}
+
+// check fails unless the sink writes json.Encoder's line and error for
+// ev, and unless appendEvent, when it accepts ev, writes that line.
+func (c *encodingChecker) check(t *testing.T, ev Event) {
+	t.Helper()
+	var want bytes.Buffer
+	wantErr := json.NewEncoder(&want).Encode(ev)
+	c.out.Reset()
+	gotErr := c.sink.Emit(ev)
+	if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+		t.Fatalf("Emit(%+v) error %v, json.Encoder error %v", ev, gotErr, wantErr)
+	}
+	if !bytes.Equal(c.out.Bytes(), want.Bytes()) {
+		t.Fatalf("Emit wrote\n%s\njson.Encoder wrote\n%s", c.out.Bytes(), want.Bytes())
+	}
+	if fast, ok := appendEvent(nil, &ev, &c.memos); ok {
+		if wantErr != nil {
+			t.Fatalf("fast path accepted an event json.Encoder rejects (%v)", wantErr)
+		}
+		if !bytes.Equal(fast, want.Bytes()) {
+			t.Fatalf("fast path wrote\n%s\njson.Encoder wrote\n%s", fast, want.Bytes())
+		}
+	}
+}
+
 // TestJSONLFastPathTakesPlainEvents pins that the events the engines
-// emit — ASCII names, finite floats — never need the fallback.
+// emit — ASCII names, finite floats — never need the fallback, with
+// cold memos and with warm ones.
 func TestJSONLFastPathTakesPlainEvents(t *testing.T) {
 	seeds := encodingSeeds()
-	for _, ev := range []Event{sampleEvent(3), seeds[len(seeds)-2], seeds[len(seeds)-1]} {
-		if _, ok := appendEvent(nil, &ev); !ok {
+	var memos floatMemos
+	for _, ev := range []Event{sampleEvent(3), seeds[len(seeds)-2], seeds[len(seeds)-1], sampleEvent(4)} {
+		if _, ok := appendEvent(nil, &ev, &memos); !ok {
 			t.Errorf("fast path fell back on %+v", ev)
+		}
+	}
+}
+
+// TestJSONLMemoTransitions emits sequences that move each float memo
+// between a hit and a miss through one sink, and checks every line and
+// error against json.Encoder.
+func TestJSONLMemoTransitions(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	base := sampleEvent(1)
+	with := func(edit func(*Event)) Event {
+		ev := base
+		edit(&ev)
+		return ev
+	}
+	eForm := with(func(ev *Event) {
+		ev.SprintFraction, ev.BatteryCycles, ev.GridW, ev.BudgetW = 1e-7, 1e21, -2.5e-7, -1e21
+	})
+	c := newEncodingChecker()
+	for _, ev := range []Event{
+		// 0 → -0 → 0 in printed members.
+		with(func(ev *Event) { ev.SoC, ev.GreenW = 0, 0 }),
+		with(func(ev *Event) { ev.SoC, ev.GreenW = negZero, negZero }),
+		with(func(ev *Event) { ev.SoC, ev.GreenW = 0, 0 }),
+		// A repeated value, a NaN event (json.Encoder's error), the
+		// value again.
+		base,
+		base,
+		with(func(ev *Event) { ev.SoC = math.NaN() }),
+		with(func(ev *Event) { ev.GreenW = math.Inf(1) }),
+		base,
+		// goodput equal to offered_rate, then not while offered_rate
+		// repeats, then equal again.
+		with(func(ev *Event) { ev.Goodput = ev.OfferedRate }),
+		with(func(ev *Event) { ev.Goodput = 1300 }),
+		with(func(ev *Event) { ev.Goodput = 1200 }),
+		with(func(ev *Event) { ev.Goodput = ev.OfferedRate }),
+		with(func(ev *Event) { ev.OfferedRate, ev.Goodput = 1200, 1400 }),
+		// Repeated 'e'-form values, printed and omitempty.
+		eForm,
+		eForm,
+		with(func(ev *Event) {
+			ev.SprintFraction, ev.BatteryCycles, ev.GridW, ev.BudgetW = 1e21, 1e-7, -1e21, -2.5e-7
+		}),
+		eForm,
+		// A memo'd value that omitempty then drops and brings back.
+		with(func(ev *Event) { ev.BatteryCycles = negZero }),
+		base,
+	} {
+		c.check(t, ev)
+	}
+}
+
+// TestJSONLReemitsSimGoldens decodes each committed simulator event
+// stream and re-emits it through one sink: the output must be the file
+// byte for byte.
+func TestJSONLReemitsSimGoldens(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("..", "sim", "testdata", "*.events.jsonl"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no event streams found (%v)", err)
+	}
+	for _, name := range files {
+		want, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		sink := NewJSONL(&got)
+		for i, line := range bytes.SplitAfter(want, []byte("\n")) {
+			if len(line) == 0 {
+				continue
+			}
+			var ev Event
+			if err := json.Unmarshal(line, &ev); err != nil {
+				t.Fatalf("%s line %d: %v", name, i+1, err)
+			}
+			if err := sink.Emit(ev); err != nil {
+				t.Fatalf("%s line %d: %v", name, i+1, err)
+			}
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("%s: re-emitted stream differs from the file", name)
 		}
 	}
 }
@@ -105,22 +234,30 @@ type eventCodec interface {
 	string(*string)
 }
 
+// floatMembers returns ev's top-level float members in declaration
+// order, which is also floatMemos' order.
+func floatMembers(ev *Event) [numFloatMembers]*float64 {
+	return [...]*float64{&ev.EpochSeconds, &ev.GreenSupplyW, &ev.OfferedRate, &ev.Goodput, &ev.LatencySec,
+		&ev.ServerPowerW, &ev.BudgetW, &ev.PredictedGreenW, &ev.PredictedRate, &ev.DemandW, &ev.SprintFraction,
+		&ev.GreenW, &ev.BatteryW, &ev.GridW, &ev.SoC, &ev.BatteryCycles, &ev.BreakerStress}
+}
+
 func walkEvent(c eventCodec, ev *Event) {
+	floats := floatMembers(ev)
 	c.int(&ev.Epoch)
 	c.string(&ev.Time)
-	c.float(&ev.EpochSeconds)
+	c.float(floats[memoEpochSeconds])
 	c.string(&ev.Strategy)
 	c.int(&ev.Servers)
 	c.int(&ev.Alive)
 	c.bool(&ev.InBurst)
-	for _, f := range []*float64{&ev.GreenSupplyW, &ev.OfferedRate, &ev.Goodput, &ev.LatencySec, &ev.ServerPowerW} {
+	for _, f := range floats[memoGreenSupplyW:memoBudgetW] {
 		c.float(f)
 	}
 	c.string(&ev.Case)
 	c.string(&ev.Config)
 	c.bool(&ev.Sprinting)
-	for _, f := range []*float64{&ev.BudgetW, &ev.PredictedGreenW, &ev.PredictedRate, &ev.DemandW, &ev.SprintFraction,
-		&ev.GreenW, &ev.BatteryW, &ev.GridW, &ev.SoC, &ev.BatteryCycles, &ev.BreakerStress} {
+	for _, f := range floats[memoBudgetW:] {
 		c.float(f)
 	}
 	c.bool(&ev.QoSViolation)

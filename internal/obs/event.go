@@ -128,11 +128,19 @@ type Sink interface {
 // without reflection into a reused buffer; an event holding a
 // non-finite float or a string that needs escaping is marshalled by
 // encoding/json itself, so its errors and escaping apply unchanged.
+//
+// Consecutive epochs repeat most float members bit for bit (a held
+// sprint fraction, a full or idle battery, a flat SoC), so JSONL keeps
+// each top-level float member's last formatted bytes and copies them
+// when the next value has the same bits. Equal bits always format to
+// equal bytes, so the memo cannot change a line; it holds no
+// non-finite value, so the fallback and its errors are untouched.
 type JSONL struct {
-	mu  sync.Mutex
-	w   io.Writer // guarded by mu
-	buf []byte    // guarded by mu
-	err error     // guarded by mu; the sticky write error
+	mu    sync.Mutex
+	w     io.Writer  // guarded by mu
+	buf   []byte     // guarded by mu
+	memos floatMemos // guarded by mu
+	err   error      // guarded by mu; the sticky write error
 }
 
 // NewJSONL creates a JSONL sink writing to w.
@@ -147,7 +155,7 @@ func (j *JSONL) Emit(ev Event) error {
 	if j.err != nil {
 		return j.err
 	}
-	b, ok := appendEvent(j.buf[:0], &ev)
+	b, ok := appendEvent(j.buf[:0], &ev, &j.memos)
 	j.buf = b
 	if !ok {
 		raw, err := json.Marshal(ev)
