@@ -10,10 +10,10 @@ import (
 )
 
 // floatCases are the floats encoding/json renders at a format edge, or
-// rejects.
+// rejects. -1.2345678901234567e-6 has the longest form, 25 bytes.
 var floatCases = []float64{
 	0, math.Copysign(0, -1), 5e-324, 2.2250738585072009e-308, -1e-300,
-	1e-7, 9.999999999999999e-7, 1e-6, -1e-6, 0.1, 1, -2.5, -1.5e+300,
+	1e-7, 9.999999999999999e-7, 1e-6, -1e-6, -1.2345678901234567e-6, 0.1, 1, -2.5, -1.5e+300,
 	123456789.125, 1e20, 9.999999999999999e20, 1e21, -1e21, 1.7976931348623157e308,
 	math.NaN(), math.Inf(1), math.Inf(-1),
 }

@@ -125,10 +125,11 @@ func TestJSONLMemoTransitions(t *testing.T) {
 		with(func(ev *Event) { ev.SoC, ev.GreenW = 0, 0 }),
 		with(func(ev *Event) { ev.SoC, ev.GreenW = negZero, negZero }),
 		with(func(ev *Event) { ev.SoC, ev.GreenW = 0, 0 }),
-		// A repeated value, a NaN event (json.Encoder's error), the
+		// A repeated value, NaN events (json.Encoder's error), the
 		// value again.
 		base,
 		base,
+		with(func(ev *Event) { ev.SoC = math.NaN() }),
 		with(func(ev *Event) { ev.SoC = math.NaN() }),
 		with(func(ev *Event) { ev.GreenW = math.Inf(1) }),
 		base,
